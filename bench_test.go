@@ -23,10 +23,7 @@ package delirium_test
 
 import (
 	"context"
-	"fmt"
-
 	"runtime"
-	"strings"
 	"testing"
 
 	"repro/internal/circuit"
@@ -35,8 +32,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/jacobi"
 	"repro/internal/machine"
-	"repro/internal/operator"
-	"repro/internal/opt"
 	"repro/internal/queens"
 	"repro/internal/ray"
 	"repro/internal/retina"
@@ -342,8 +337,7 @@ main(n)
 // BenchmarkDispatch is the trace-disabled, plan-disabled baseline. The
 // tracer and the memory plan must each cost exactly one nil pointer check
 // per site here; compare against BenchmarkDispatchTraced and
-// BenchmarkDispatchMemPlan for the price of turning either on. CI guards
-// this number: an unplanned-dispatch regression above 2% fails the run.
+// BenchmarkDispatchMemPlan for the price of turning either on.
 func BenchmarkDispatch(b *testing.B) {
 	benchDispatch(b, compile.Options{}, rt.Config{Mode: rt.Real, Workers: 1})
 }
@@ -405,8 +399,7 @@ func benchDispatchChain(b *testing.B, copts compile.Options, cfg rt.Config) {
 }
 
 // BenchmarkDispatchChain is the unfused chain baseline — the number
-// BenchmarkDispatchFused is measured against. CI guards the pair: fused
-// dispatch must stay at least 25% below this.
+// BenchmarkDispatchFused is measured against.
 func BenchmarkDispatchChain(b *testing.B) {
 	benchDispatchChain(b, compile.Options{}, rt.Config{Mode: rt.Real, Workers: 1})
 }
@@ -488,8 +481,7 @@ func BenchmarkRunThroughputFresh(b *testing.B) {
 
 // BenchmarkRunThroughputReused is the throughput mode: one engine serves
 // the whole stream via RunMany — warmed pools, a reopened scheduler, and
-// persistent worker goroutines parked between runs. CI gates the pair: the
-// reused path must stay at least 2x the runs/sec of the fresh path.
+// persistent worker goroutines parked between runs.
 func BenchmarkRunThroughputReused(b *testing.B) {
 	prog := throughputJacobi(b)
 	eng := rt.New(prog, throughputCfg)
@@ -569,281 +561,3 @@ func BenchmarkStressOracle(b *testing.B) {
 	}
 	b.ReportMetric(float64(runs), "oracle_runs")
 }
-
-// --- adaptive-loop benchmarks (BENCH_adaptive.json, bench-adaptive CI job) ---
-
-// benchAdaptiveSink defeats dead-code elimination of the busy loops below.
-var benchAdaptiveSink uint64
-
-// adaptiveChainRegistry builds operators with a 10x cost asymmetry the
-// compiler cannot see: hslow spins ten times longer than hfast, but both
-// charge their true cost only at run time. Unit-weight fusion ranks their
-// chains identically; profile-guided fusion learns the difference.
-func adaptiveChainRegistry() *operator.Registry {
-	reg := operator.NewRegistry(operator.Builtins())
-	spin := func(iters int64) {
-		x := uint64(2463534242)
-		for i := int64(0); i < iters; i++ {
-			x ^= x >> 13
-			x *= 1099511628211
-		}
-		benchAdaptiveSink += x
-	}
-	reg.MustRegister(&operator.Operator{
-		Name: "hseed", Arity: 0,
-		Fn: func(ctx operator.Context, _ []value.Value) (value.Value, error) {
-			ctx.Charge(1)
-			return value.Int(1), nil
-		},
-	})
-	for _, op := range []struct {
-		name  string
-		iters int64
-	}{{"hfast", 4_000}, {"hslow", 40_000}} {
-		iters := op.iters
-		reg.MustRegister(&operator.Operator{
-			Name: op.name, Arity: 1,
-			Fn: func(ctx operator.Context, args []value.Value) (value.Value, error) {
-				ctx.Charge(iters)
-				spin(iters)
-				return args[0], nil
-			},
-		})
-	}
-	reg.MustRegister(&operator.Operator{
-		Name: "hjoin", Arity: 7,
-		Fn: func(ctx operator.Context, args []value.Value) (value.Value, error) {
-			ctx.Charge(1)
-			var s value.Int
-			for _, a := range args {
-				s += a.(value.Int)
-			}
-			return s, nil
-		},
-	})
-	return reg
-}
-
-// adaptiveChainSource is seven 8-deep chains joined at arity 7, with the
-// heavy chain declared in the MIDDLE of the cheap ones. Declaration order is
-// the unit-weight tie-break, so an unprofiled schedule starts three cheap
-// chains before the heavy one — the makespan then carries that late start.
-// Measured weights push the heavy chain's bottom level past every cheap
-// chain and it starts first.
-func adaptiveChainSource() string {
-	var b strings.Builder
-	b.WriteString("main()\n  let s = hseed()\n")
-	ends := make([]string, 0, 7)
-	for c := 1; c <= 7; c++ {
-		op := "hfast"
-		if c == 4 {
-			op = "hslow"
-		}
-		prev := "s"
-		for k := 1; k <= 8; k++ {
-			v := fmt.Sprintf("c%dk%d", c, k)
-			fmt.Fprintf(&b, "      %s = %s(%s)\n", v, op, prev)
-			prev = v
-		}
-		ends = append(ends, prev)
-	}
-	fmt.Fprintf(&b, "  in hjoin(%s)\n", strings.Join(ends, ","))
-	return b.String()
-}
-
-// benchAdaptiveChain runs the chain workload on 2 real workers, optionally
-// calibrating first and re-fusing with the measured weights — the adaptive
-// loop's compile path, isolated so the pair gates "tuned beats unit".
-func benchAdaptiveChain(b *testing.B, tuned bool) {
-	b.Helper()
-	reg := adaptiveChainRegistry()
-	src := adaptiveChainSource()
-	var prof map[string]int64
-	if tuned {
-		cal, err := compile.Compile("chain.dlr", src, compile.Options{Registry: reg, Fuse: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		eng := rt.New(cal.Program, rt.Config{Mode: rt.Real, Workers: 1, Timing: true, MaxOps: 1_000_000})
-		if _, err := eng.Run(); err != nil {
-			b.Fatal(err)
-		}
-		prof = eng.ProfileWeights()
-		if len(prof) == 0 {
-			b.Fatal("calibration measured nothing")
-		}
-	}
-	res, err := compile.Compile("chain.dlr", src, compile.Options{Registry: reg, Fuse: true, FuseProfile: prof})
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Deterministic half of the CI gate: the virtual-clock makespan at two
-	// modeled workers shows the schedule itself (heavy chain first vs third),
-	// independent of how many cores the runner has or how noisy its clock is.
-	sim := rt.New(res.Program, rt.Config{Mode: rt.Simulated, Workers: 2,
-		Machine: machine.CrayYMP(), MaxOps: 1_000_000})
-	if _, err := sim.Run(); err != nil {
-		b.Fatal(err)
-	}
-	vticks := float64(sim.Stats().MakespanTicks)
-	var ops int64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng := rt.New(res.Program, rt.Config{Mode: rt.Real, Workers: 2, MaxOps: 1_000_000})
-		if _, err := eng.Run(); err != nil {
-			b.Fatal(err)
-		}
-		ops += eng.Stats().OperatorsRun
-	}
-	if ops > 0 {
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(ops), "ns/operator")
-	}
-	b.ReportMetric(vticks, "vticks")
-}
-
-func BenchmarkAdaptiveChainUnit(b *testing.B)  { benchAdaptiveChain(b, false) }
-func BenchmarkAdaptiveChainTuned(b *testing.B) { benchAdaptiveChain(b, true) }
-
-// benchAdaptiveJacobi is the sanity half of the CI gate: on a workload whose
-// compile-time Charge estimates are already accurate, profile-guided
-// re-fusion must not regress (the gate allows measurement noise but no
-// structural slowdown).
-func benchAdaptiveJacobi(b *testing.B, tuned bool) {
-	b.Helper()
-	cfg := jacobi.Config{N: 64, Tol: 1e-2, MaxSweeps: 200, MemPlan: true, Fuse: true}
-	if tuned {
-		cal, err := jacobi.CompileProgram(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		eng := rt.New(cal, rt.Config{Mode: rt.Real, Workers: 1, Timing: true, MaxOps: 100_000_000})
-		if _, err := eng.Run(); err != nil {
-			b.Fatal(err)
-		}
-		cfg.FuseProfile = eng.ProfileWeights()
-	}
-	prog, err := jacobi.CompileProgram(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng := rt.New(prog, rt.Config{Mode: rt.Real, Workers: 2, MaxOps: 100_000_000})
-		if _, err := eng.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAdaptiveJacobiUnit(b *testing.B)  { benchAdaptiveJacobi(b, false) }
-func BenchmarkAdaptiveJacobiTuned(b *testing.B) { benchAdaptiveJacobi(b, true) }
-
-// affinityBenchRegistry builds the block-chain operators for the locality
-// pair: amk allocates an owned block, astep mutates it in place, asum folds
-// it to a float. Work charges are kept small relative to the block size so
-// the modeled memory traffic — local vs remote words on the NUMA profile —
-// dominates each step's price.
-func affinityBenchRegistry() *operator.Registry {
-	reg := operator.NewRegistry(operator.Builtins())
-	reg.MustRegister(&operator.Operator{
-		Name: "amk", Arity: 1, Fresh: true,
-		Fn: func(ctx operator.Context, args []value.Value) (value.Value, error) {
-			n := int(args[0].(value.Int))
-			vec := make(value.FloatVec, n)
-			for i := range vec {
-				vec[i] = float64(i % 7)
-			}
-			ctx.Charge(int64(n / 8))
-			return value.NewBlockStats(vec, ctx.BlockStats()), nil
-		},
-	})
-	reg.MustRegister(&operator.Operator{
-		Name: "astep", Arity: 1, Destructive: []bool{true},
-		Fn: func(ctx operator.Context, args []value.Value) (value.Value, error) {
-			vec := args[0].(*value.Block).Data().(value.FloatVec)
-			for i := range vec {
-				vec[i] += 1
-			}
-			ctx.Charge(int64(len(vec) / 8))
-			return args[0], nil
-		},
-	})
-	reg.MustRegister(&operator.Operator{
-		Name: "asum", Arity: 1,
-		Fn: func(ctx operator.Context, args []value.Value) (value.Value, error) {
-			vec := args[0].(*value.Block).Data().(value.FloatVec)
-			var s float64
-			for _, x := range vec {
-				s += x
-			}
-			ctx.Charge(int64(len(vec) / 8))
-			return value.Float(s), nil
-		},
-	})
-	return reg
-}
-
-// affinityBenchSource is `chains` independent destructive block chains of
-// `depth` astep links over `words`-word blocks, folded with adds — one
-// block-carrying chain per processor with room to spare, so a scheduler
-// that follows the compile-time hints keeps every chain on one processor
-// (all-local traffic) while earliest-free placement scatters the links
-// across processors and pays the remote-word rate on each hop.
-func affinityBenchSource(chains, depth, words int) string {
-	var sb strings.Builder
-	sb.WriteString("main()\n  let ")
-	for c := 1; c <= chains; c++ {
-		prev := fmt.Sprintf("c%dk0", c)
-		fmt.Fprintf(&sb, "%s = amk(%d)\n      ", prev, words)
-		for k := 1; k <= depth; k++ {
-			v := fmt.Sprintf("c%dk%d", c, k)
-			fmt.Fprintf(&sb, "%s = astep(%s)\n      ", v, prev)
-			prev = v
-		}
-		fmt.Fprintf(&sb, "s%d = asum(%s)\n", c, prev)
-		if c < chains {
-			sb.WriteString("      ")
-		}
-	}
-	fold := "s1"
-	for c := 2; c <= chains; c++ {
-		fold = fmt.Sprintf("add(%s, s%d)", fold, c)
-	}
-	fmt.Fprintf(&sb, "  in %s\n", fold)
-	return sb.String()
-}
-
-// benchDispatchAffinity is the deterministic half of the locality CI gate:
-// the same affinity-planned program runs on the simulated BBN Butterfly
-// (16 procs, remote words 6x local) with hints on versus off, and the
-// virtual-clock makespan is reported as the gated `vticks` metric. The
-// program is compiled unfused on purpose — every chain link is then an
-// individual placement decision, which is exactly what the hint machinery
-// arbitrates (fusion would collapse each chain to one supernode and hide
-// the placement problem the pair measures).
-func benchDispatchAffinity(b *testing.B, hints bool) {
-	b.Helper()
-	res, err := compile.Compile("affinity.dlr", affinityBenchSource(12, 8, 512),
-		compile.Options{Registry: affinityBenchRegistry(), MemPlan: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	opt.PlanAffinity(res.Program)
-	var vticks float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sim := rt.New(res.Program, rt.Config{Mode: rt.Simulated, Workers: 16,
-			Machine: machine.Butterfly(), MaxOps: 10_000_000, AffinityHints: hints})
-		if _, err := sim.Run(); err != nil {
-			b.Fatal(err)
-		}
-		vticks = float64(sim.Stats().MakespanTicks)
-	}
-	b.ReportMetric(vticks, "vticks")
-}
-
-// BenchmarkDispatchAffinity / BenchmarkDispatchAffinityBase are the CI
-// pair behind BENCH_locality.json: hints on must beat hints off by >=10%
-// on the deterministic vticks metric.
-func BenchmarkDispatchAffinity(b *testing.B)     { benchDispatchAffinity(b, true) }
-func BenchmarkDispatchAffinityBase(b *testing.B) { benchDispatchAffinity(b, false) }

@@ -1,17 +1,7 @@
 // Command benchjson converts `go test -bench` text output into a stable
-// JSON document for CI artifacts, and can enforce a relative speedup
-// between two benchmarks — the fusion gate's "fused dispatch must beat
-// the unfused chain by N%" check.
+// JSON document for CI artifacts.
 //
 //	go test -bench Dispatch . | benchjson -o BENCH.json
-//	benchjson -faster DispatchFused:DispatchChain:25 < bench.txt
-//
-// -faster may repeat to gate several pairs in one pass; a negative pct
-// is a noise tolerance ("A must not be more than pct% slower than B").
-// An optional fourth field names the metric to compare (default ns/op) —
-// gating a deterministic custom metric (a virtual-clock makespan) keeps
-// the check meaningful on runners whose wall clock is too noisy or whose
-// core count hides the effect.
 //
 // Repeated runs of the same benchmark (-count > 1) are folded by taking
 // the minimum of each metric: the best observed run is the least noisy
@@ -42,9 +32,6 @@ var procSuffix = regexp.MustCompile(`-\d+$`)
 
 func main() {
 	out := flag.String("o", "", "write JSON here (default stdout)")
-	var faster gateList
-	flag.Var(&faster, "faster",
-		"A:B:pct — fail unless benchmark A's ns/op is at least pct%% below B's (repeatable)")
 	flag.Parse()
 
 	results, order := parse(os.Stdin)
@@ -81,17 +68,7 @@ func main() {
 	} else {
 		fail(os.WriteFile(*out, []byte(b.String()), 0o644))
 	}
-
-	for _, spec := range faster {
-		fail(check(spec, results))
-	}
 }
-
-// gateList collects repeated -faster flags.
-type gateList []string
-
-func (g *gateList) String() string     { return strings.Join(*g, ",") }
-func (g *gateList) Set(s string) error { *g = append(*g, s); return nil }
 
 // parse reads go-test bench lines ("BenchmarkFoo-8  100  123 ns/op  4 B/op")
 // and folds repeats by per-metric minimum, preserving first-seen order.
@@ -128,42 +105,6 @@ func parse(f *os.File) (map[string]*result, []string) {
 		}
 	}
 	return results, order
-}
-
-// check enforces an A:B:pct[:metric] speedup claim on the folded metrics
-// (ns/op unless a metric is named).
-func check(spec string, results map[string]*result) error {
-	parts := strings.Split(spec, ":")
-	if len(parts) != 3 && len(parts) != 4 {
-		return fmt.Errorf("-faster wants A:B:pct[:metric], got %q", spec)
-	}
-	minPct, err := strconv.ParseFloat(parts[2], 64)
-	if err != nil {
-		return fmt.Errorf("-faster percentage %q: %v", parts[2], err)
-	}
-	metric := "ns/op"
-	if len(parts) == 4 {
-		metric = parts[3]
-	}
-	var ns [2]float64
-	for i, name := range parts[:2] {
-		r := results[name]
-		if r == nil {
-			return fmt.Errorf("-faster: benchmark %q not in input", name)
-		}
-		v, ok := r.metrics[metric]
-		if !ok {
-			return fmt.Errorf("-faster: benchmark %q has no %s metric", name, metric)
-		}
-		ns[i] = v
-	}
-	gain := (ns[1] - ns[0]) / ns[1] * 100
-	fmt.Fprintf(os.Stderr, "benchjson: %s %.1f %s vs %s %.1f %s: %.1f%% faster (need %.0f%%)\n",
-		parts[0], ns[0], metric, parts[1], ns[1], metric, gain, minPct)
-	if gain < minPct {
-		return fmt.Errorf("%s is only %.1f%% faster than %s on %s, need %.0f%%", parts[0], gain, parts[1], metric, minPct)
-	}
-	return nil
 }
 
 func fail(err error) {

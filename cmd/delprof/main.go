@@ -87,7 +87,7 @@ func main() {
 			measure = *runs
 		}
 		tres, err := adapt.Tune(nil, name, src, adapt.Config{
-			Compile:     compile.Options{Registry: reg, MemPlan: true, Adaptive: true, FuseProfile: prof, Affinity: *affinity},
+			Compile:     compile.Options{Registry: reg, MemPlan: true, Fuse: true, FuseProfile: prof, Affinity: *affinity},
 			Runtime:     runtime.Config{Mode: mode, Workers: *workers, Machine: mach, AffinityHints: *affinity},
 			Args:        cli.ParseArgs(flag.Args()[1:]),
 			MeasureRuns: measure,
@@ -200,8 +200,7 @@ func main() {
 	if *affinity {
 		st := eng.Stats()
 		fmt.Printf("\n%s", res.AffinityPlan.Report())
-		fmt.Printf("affinity dispatch: %d hits / %d misses, %d batched steals moving %d tasks\n",
-			st.AffinityHits, st.AffinityMisses, st.BatchSteals, st.BatchStolenTasks)
+		fmt.Printf("affinity dispatch: %d hits / %d misses\n", st.AffinityHits, st.AffinityMisses)
 	}
 	if *memplan {
 		st := eng.Stats()

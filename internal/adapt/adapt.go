@@ -167,7 +167,7 @@ func Tune(ctx context.Context, file, src string, cfg Config) (*Result, error) {
 		ctx = context.Background()
 	}
 	opts := cfg.Compile
-	opts.Adaptive = true
+	opts.Fuse = true
 	baseline, err := compile.Compile(file, src, opts)
 	if err != nil {
 		return nil, fmt.Errorf("adapt: baseline compile: %w", err)
@@ -309,7 +309,7 @@ func DerivePoolCaps(demand []int64, runs int) []int {
 // compile src with the given profile as fusion weights. It exists so
 // callers holding only a source string need not re-assemble options.
 func CompileTuned(file, src string, opts compile.Options, prof map[string]int64) (*compile.Result, error) {
-	opts.Adaptive = true
+	opts.Fuse = true
 	opts.FuseProfile = prof
 	return compile.Compile(file, src, opts)
 }

@@ -60,18 +60,11 @@ type Options struct {
 	// execution costs from a delprof run (operator name -> mean ticks/ns).
 	// Missing entries fall back to unit weight.
 	FuseProfile map[string]int64
-	// Adaptive marks the compilation as part of the adaptive
-	// calibrate→re-fuse→re-run loop (internal/adapt): it implies Fuse, since
-	// the loop's whole point is feeding measured weights back into fusion
-	// priorities. The loop itself lives outside the compiler — this flag
-	// only keeps a caller from requesting adaptation without the pass that
-	// consumes its measurements.
-	Adaptive bool
 	// Affinity runs the affinity-plan pass (opt.PlanAffinity) after fusion:
 	// every node gets an advisory preferred-producer edge and a weight tier,
 	// which the Real executor (under Config.AffinityHints) turns into
-	// producer-preferred dispatch and batched, locality-ranked stealing, and
-	// the Simulated executor into hint-driven placement. Implies Fuse, since
+	// producer-preferred dispatch, and the Simulated executor into
+	// hint-driven placement. Implies Fuse, since
 	// the tiers come from fusion's bottom levels (and composes with MemPlan,
 	// whose ownership facts pick the block-carrying edges). Hints are
 	// advisory-only: results are bit-identical with the pass on or off.
@@ -151,7 +144,7 @@ func (r *Result) TotalNanos() int64 {
 // Compile compiles one Delirium source file. With Options.Workers > 1 the
 // parallel driver is used; the output is identical either way.
 func Compile(file, src string, opts Options) (*Result, error) {
-	if opts.Adaptive || opts.Affinity {
+	if opts.Affinity {
 		opts.Fuse = true
 	}
 	if opts.workers() > 1 {

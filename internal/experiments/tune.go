@@ -23,7 +23,7 @@ func TuneText() (string, error) {
 		return "", err
 	}
 	res, err := adapt.Tune(nil, "retina1.dlr", retina.Source(cfg, retina.V1), adapt.Config{
-		Compile: compile.Options{Registry: reg, MemPlan: true, Adaptive: true},
+		Compile: compile.Options{Registry: reg, MemPlan: true, Fuse: true},
 		Runtime: runtime.Config{Mode: runtime.Simulated, Workers: 4,
 			Machine: machine.CrayYMP(), MaxOps: 50_000_000},
 	})

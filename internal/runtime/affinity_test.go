@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/graph"
@@ -48,8 +49,8 @@ func TestAffinityBitIdentity(t *testing.T) {
 			name := fmt.Sprintf("w%d/hints=%v", workers, hints)
 			cfg := Config{
 				Mode: Real, Workers: workers, MaxOps: 5_000_000,
-				AffinityHints: hints,
-				Retry:         RetryPolicy{MaxAttempts: 3},
+				AffinityHints: hints, Trace: true,
+				Retry: RetryPolicy{MaxAttempts: 3},
 				// Each engine needs a private plan: plans keep cursors.
 				Faults: SeededFaultPlan(7, []string{"rfill"}, 40),
 			}
@@ -70,12 +71,22 @@ func TestAffinityBitIdentity(t *testing.T) {
 					st.Blocks.Allocated, st.Blocks.Freed)
 			}
 			if !hints {
-				if st.AffinityHits != 0 || st.AffinityMisses != 0 ||
-					st.BatchSteals != 0 || st.BatchStolenTasks != 0 {
+				if st.AffinityHits != 0 || st.AffinityMisses != 0 {
 					t.Fatalf("%s: affinity counters nonzero with hints off: %+v", name, st)
 				}
 			} else if st.AffinityHits+st.AffinityMisses == 0 {
 				t.Fatalf("%s: no preferred dispatches counted on a hinted program", name)
+			}
+			// Every worker count records one TraceAffinity per counted
+			// outcome, so `delprof -steals` agrees with Stats.
+			var hitEv, missEv int64
+			for _, ws := range e.Trace().SchedReport().Workers {
+				hitEv += ws.AffinityHits
+				missEv += ws.AffinityMisses
+			}
+			if hitEv != st.AffinityHits || missEv != st.AffinityMisses {
+				t.Fatalf("%s: trace has %d/%d affinity hit/miss events, Stats %d/%d",
+					name, hitEv, missEv, st.AffinityHits, st.AffinityMisses)
 			}
 		}
 	}
@@ -92,7 +103,7 @@ func TestAffinityCountersGatedByPlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := e.Stats()
-	if st.AffinityHits != 0 || st.AffinityMisses != 0 || st.BatchSteals != 0 {
+	if st.AffinityHits != 0 || st.AffinityMisses != 0 {
 		t.Fatalf("affinity counters engaged without a plan: %+v", st)
 	}
 }
@@ -122,71 +133,9 @@ func TestAffinitySimDeterministic(t *testing.T) {
 	}
 }
 
-// TestBatchedStealMovesExtras drives the scheduler directly: under
-// affinity, a thief's first successful steal grabs up to half the victim's
-// visible work (capped) onto its own deque, in one sweep.
-func TestBatchedStealMovesExtras(t *testing.T) {
-	var stats Stats
-	s := newStealScheduler(2, &stats, nil)
-	s.affinity = true
-	n := &graph.Node{Name: "op"}
-	for i := 0; i < 10; i++ {
-		s.pushLocalQuiet(1, &task{node: n, from: 1}, PriNormal)
-	}
-	tk := s.find(0)
-	if tk == nil {
-		t.Fatal("find found nothing to steal")
-	}
-	// 10 on the victim: the first steal takes 1, the batch takes half the
-	// remaining 9 -> 4 extras, 5 tasks total.
-	if stats.Steals != 5 || stats.BatchSteals != 1 || stats.BatchStolenTasks != 5 {
-		t.Fatalf("Steals/BatchSteals/BatchStolenTasks = %d/%d/%d, want 5/1/5",
-			stats.Steals, stats.BatchSteals, stats.BatchStolenTasks)
-	}
-	if s.lastVictim[0] != 1 {
-		t.Fatalf("lastVictim[0] = %d, want 1", s.lastVictim[0])
-	}
-	// The extras are on the thief's own deque now: the next finds must pop
-	// locally without another steal.
-	for i := 0; i < 4; i++ {
-		if tk := s.find(0); tk == nil {
-			t.Fatalf("extra %d missing from thief deque", i)
-		}
-	}
-	if stats.Steals != 5 {
-		t.Fatalf("extras were not served locally: Steals = %d", stats.Steals)
-	}
-	// Victim keeps the other half.
-	left := 0
-	for s.find(1) != nil {
-		left++
-	}
-	if left != 5 {
-		t.Fatalf("victim kept %d tasks, want 5", left)
-	}
-}
-
-// TestBatchedStealCap: the batch never exceeds stealBatchMax tasks total,
-// no matter how deep the victim's deque is.
-func TestBatchedStealCap(t *testing.T) {
-	var stats Stats
-	s := newStealScheduler(2, &stats, nil)
-	s.affinity = true
-	n := &graph.Node{Name: "op"}
-	for i := 0; i < 100; i++ {
-		s.pushLocalQuiet(1, &task{node: n, from: 1}, PriNormal)
-	}
-	if tk := s.find(0); tk == nil {
-		t.Fatal("find found nothing to steal")
-	}
-	if stats.BatchStolenTasks != stealBatchMax {
-		t.Fatalf("BatchStolenTasks = %d, want cap %d", stats.BatchStolenTasks, stealBatchMax)
-	}
-}
-
-// TestAffinityStressRepeatedRuns hammers the batched-steal path: many
-// workers, wide fan-out, fresh engines, every run bit-identical and
-// leak-free with coherent counters.
+// TestAffinityStressRepeatedRuns hammers producer-preferred dispatch under
+// stealing: many workers, wide fan-out, fresh engines, every run
+// bit-identical and leak-free.
 func TestAffinityStressRepeatedRuns(t *testing.T) {
 	g := compileAffinity(t)
 	var ref string
@@ -206,9 +155,75 @@ func TestAffinityStressRepeatedRuns(t *testing.T) {
 		if st.Blocks.Allocated != st.Blocks.Freed {
 			t.Fatalf("run %d: leak: allocated %d freed %d", i, st.Blocks.Allocated, st.Blocks.Freed)
 		}
-		if st.BatchStolenTasks < st.BatchSteals {
-			t.Fatalf("run %d: batch counters incoherent: %d events, %d tasks",
-				i, st.BatchSteals, st.BatchStolenTasks)
+	}
+}
+
+// TestExecutorParity pins what the single dispatch step guarantees in every
+// mode: the same fused+memplanned+affinity program does the same work and
+// logs the same operator executions under the serial queue, the
+// work-stealing pool and the simulated machine, every opened trace slice is
+// closed — on a run that fails mid-way too — and no block leaks.
+func TestExecutorParity(t *testing.T) {
+	g := compileAffinity(t)
+	type entry struct {
+		name, tmpl string
+		fused      bool
+	}
+	var refOps [3]int64
+	var refLog map[entry]int
+	for _, fail := range []bool{false, true} {
+		for i, cfg := range []Config{
+			{Mode: Real, Workers: 1},
+			{Mode: Real, Workers: 2},
+			{Mode: Real, Workers: 8},
+			{Mode: Simulated, Workers: 4},
+		} {
+			name := fmt.Sprintf("fail=%v/mode=%d/w%d", fail, cfg.Mode, cfg.Workers)
+			cfg.MaxOps, cfg.Timing, cfg.Trace, cfg.AffinityHints = 5_000_000, true, true, true
+			if fail {
+				cfg.Faults = NewFaultPlan(Fault{Op: "rfill", Execution: 20, Kind: FaultError})
+			}
+			e := New(g, cfg)
+			_, err := e.Run(value.Int(6))
+			if (err != nil) != fail {
+				t.Fatalf("%s: err = %v", name, err)
+			}
+			st := e.Stats()
+			if st.Blocks.Allocated != st.Blocks.Freed {
+				t.Errorf("%s: block leak: allocated %d freed %d", name, st.Blocks.Allocated, st.Blocks.Freed)
+			}
+			var starts, ends int
+			for _, buf := range e.Trace().Events {
+				for _, ev := range buf {
+					switch ev.Type {
+					case TraceNodeStart:
+						starts++
+					case TraceNodeEnd:
+						ends++
+					}
+				}
+			}
+			if starts == 0 || starts != ends {
+				t.Errorf("%s: %d node starts, %d node ends", name, starts, ends)
+			}
+			if fail {
+				continue
+			}
+			ops := [3]int64{st.OpsExecuted, st.OperatorsRun, st.FusedNodes}
+			log := make(map[entry]int)
+			for _, en := range e.Timing().Entries() {
+				log[entry{en.Name, en.Template, en.Fused}]++
+			}
+			if i == 0 {
+				refOps, refLog = ops, log
+				continue
+			}
+			if ops != refOps {
+				t.Errorf("%s: ops/operators/fused = %v, serial run had %v", name, ops, refOps)
+			}
+			if !reflect.DeepEqual(log, refLog) {
+				t.Errorf("%s: timing log differs from the serial run's:\n got %v\nwant %v", name, log, refLog)
+			}
 		}
 	}
 }

@@ -1,0 +1,236 @@
+package runtime
+
+import (
+	"fmt"
+	"sync/atomic"
+	"time"
+
+	"repro/internal/graph"
+	"repro/internal/value"
+)
+
+// This file is the executor core: the run frame, the task loop and the
+// dispatch step, each written once. Everything that differs between a
+// one-worker run, a pool of work-stealing workers and the simulated machine
+// sits behind the scheduler interface below.
+
+// task is one runnable node of one activation, tagged with scheduling
+// provenance: from is the worker that pushed it (-1 for pushes arriving
+// through the injector from outside the pool) and prov holds the bits below.
+// Provenance feeds the affinity hit/miss counters and the timing log's
+// stolen/affinity marks; it never influences what executes. (Four fields on
+// purpose: the compiler keeps a struct that small in registers.)
+type task struct {
+	act  *activation
+	node *graph.Node
+	from int32
+	prov uint8
+}
+
+const (
+	// taskPref marks a producer-preferred wakeup in Real mode: the pushing
+	// worker had just completed this node's AffPreferred producer.
+	taskPref uint8 = 1 << iota
+	// taskHit, resolved by the scheduler when it hands the task out, says it
+	// runs where its preferred producer ran.
+	taskHit
+)
+
+// scheduler is the seam between the executor core and the three ready-queue
+// disciplines: the serial FIFO (queue.go), the work-stealing pool
+// (stealqueue.go) and the virtual-time list scheduler (sim.go). All three
+// honor the §7 priority order; they differ only in what is behind these
+// methods.
+type scheduler interface {
+	// push makes node n of a runnable. w is the worker whose execution (or
+	// seeding) released it; the scheduler stamps the task's provenance.
+	push(w *worker, a *activation, n *graph.Node)
+	// next hands w its next task — popping, stealing and parking, or
+	// advancing virtual time and placing the task on a virtual processor
+	// (w.proc) — and reports false once the run is over: quiescence, or the
+	// scheduler was closed.
+	next(w *worker) (task, bool)
+	// retire accounts a task that executed without error.
+	retire(w *worker, t task)
+	// now reads the run clock: nanoseconds since the run started, or the
+	// virtual time at which the executing node (or fused member) started
+	// (the simulated machine prices where it ends: simScheduler.end).
+	now() int64
+	// lifo reports whether a worker's own pushes pop newest-first, so that
+	// flushReady can push an ordered batch in reverse.
+	lifo() bool
+	// drain empties the queue of a stopped run, returning the abandoned
+	// tasks so the error-path teardown can sweep their activations.
+	drain() []task
+}
+
+// wallClock is the Real-mode run clock shared by the serial queue and the
+// work-stealing scheduler.
+type wallClock struct{ start time.Time }
+
+func (c *wallClock) now() int64 { return int64(time.Since(c.start)) }
+
+// span is one observed node execution in flight: the activation stamp taken
+// before the body runs (the last node of an activation recycles it, and a
+// pool reuse — even inside this very execution, via a recursive expansion —
+// restamps seq), the clock at its start, and the worker's charge totals then
+// (the simulated machine prices a fused member from the deltas).
+type span struct {
+	act, t0    int64
+	c0, l0, r0 int64
+}
+
+// begin opens the observer bracket around node n of a; label names the
+// slice in the trace. Callers check that an observer is on.
+func (w *worker) begin(a *activation, n *graph.Node, label string) span {
+	sp := span{act: a.seq, t0: w.q.now(), c0: w.charge, l0: w.localWords, r0: w.remoteWords}
+	if w.tr != nil {
+		w.tr.record(w.proc, TraceEvent{Type: TraceNodeStart, Ts: sp.t0,
+			Act: sp.act, Node: int32(n.ID), Name: label, Tmpl: a.tmpl.Name})
+	}
+	return sp
+}
+
+// end closes the bracket begin opened: the trace slice always (a failed
+// node's too), the timing entry only for an operator that succeeded. A fused
+// dispatch records its members' entries, so the executor-level one (which
+// would bill the whole supernode to the head operator) is suppressed.
+func (w *worker) end(sp span, t task, n *graph.Node, member bool, err error) {
+	t1 := w.q.now()
+	if w.e.cfg.Mode == Simulated {
+		t1 = w.q.(*simScheduler).end(w, sp, member)
+	}
+	if w.tr != nil {
+		w.tr.record(w.proc, TraceEvent{Type: TraceNodeEnd, Ts: t1, Act: sp.act, Node: int32(n.ID)})
+	}
+	if err == nil && w.e.timing != nil && n.Kind == graph.OpNode && (member || n.FuseCluster == nil) {
+		w.e.timing.addShard(w.proc, TimingEntry{
+			Name:     n.Name,
+			Template: t.act.tmpl.Name,
+			Proc:     w.proc,
+			Start:    sp.t0,
+			Ticks:    t1 - sp.t0,
+			Fused:    member,
+			Stolen:   t.from >= 0 && t.from != int32(w.proc),
+			Affinity: t.prov&taskHit != 0,
+		})
+	}
+}
+
+// loop is the one task loop, and its body the one dispatch step: take a
+// task, account its provenance, bracket it for the observers, execute it,
+// retire it. The caller's goroutine runs the loop for serial and simulated
+// runs, every pool worker for multi-worker ones, until the scheduler reports
+// the run over or a node fails.
+func (e *Engine) loop(w *worker) {
+	q := w.q
+	for {
+		t, ok := q.next(w)
+		if !ok {
+			return
+		}
+		if t.prov&taskPref != 0 {
+			// Preferred-edge dispatch outcome (Real mode; the simulated
+			// scheduler accounts its own placements): a hit ran on the worker
+			// that completed its preferred producer (warm cache), a miss
+			// migrated (stolen).
+			var arg int64
+			if t.prov&taskHit != 0 {
+				arg = 1
+				atomic.AddInt64(&e.stats.AffinityHits, 1)
+			} else {
+				atomic.AddInt64(&e.stats.AffinityMisses, 1)
+			}
+			if w.tr != nil {
+				w.tr.record(w.proc, TraceEvent{Type: TraceAffinity, Ts: w.tr.now(),
+					Act: t.act.seq, Node: int32(t.node.ID), Arg: arg})
+			}
+		}
+		observed := e.timing != nil || w.tr != nil
+		var sp span
+		if observed {
+			sp = w.begin(t.act, t.node, dispatchLabel(t.node))
+		}
+		err := e.execNode(w, t)
+		if observed {
+			w.end(sp, t, t.node, false, err)
+		}
+		if err != nil {
+			e.failAt(t.act, err)
+			return
+		}
+		q.retire(w, t)
+	}
+}
+
+// run is the one run frame: seed the root activation, run the loop (inline,
+// or on the worker pool), and settle the outcome.
+//
+// Termination: the run ends at quiescence (no scheduled work left), which
+// is reached after the final result is produced and any straggling
+// side-effecting operators have drained. If quiescence arrives without a
+// result, the coordination graph deadlocked (a compiler bug, since sema
+// rejects circular data dependencies) and the run fails. Errors abort
+// immediately, abandoning queued work.
+func (e *Engine) run(args []value.Value) (value.Value, error) {
+	nw := e.cfg.workers()
+	pooled := e.cfg.Mode == Real && nw > 1
+	var q scheduler
+	proc := 0
+	switch {
+	case e.cfg.Mode == Simulated:
+		q = newSimScheduler(e, nw)
+	case pooled:
+		if e.sched == nil {
+			e.sched = newStealScheduler(nw, &e.stats, e.tracer)
+		} else {
+			e.sched.reopen(e.tracer)
+		}
+		q = e.sched
+		// The boot worker seeds from the caller's goroutine before the pool
+		// runs; proc -1 routes its pushes through the injector and its trace
+		// events to the external (seed) track.
+		proc = -1
+	default:
+		q = &serialQueue{wallClock: wallClock{time.Now()}}
+	}
+	if e.tracer != nil {
+		e.tracer.now = q.now
+	}
+	w := &worker{e: e, proc: proc, tr: e.tracer, mem: e.memState(proc), q: q}
+	root := e.acquire(proc, e.prog.Main)
+	e.rootAct = root
+	e.stats.noteLive(1, int64(e.prog.Main.ActivationWords()))
+	e.initActivation(w, root, args)
+	if pooled {
+		e.runWorkers(e.sched)
+	} else {
+		e.loop(w)
+	}
+	if !e.stopped.Load() {
+		// Quiescence without a result. The root is still live (it never
+		// produced one), so its path names the stuck entry point.
+		e.failAt(root, errDeadlock(activationPath(root)))
+	}
+	if e.cfg.Mode == Real {
+		e.stats.RealNanos = q.now()
+	}
+	if e.runErr != nil {
+		e.cleanupAfterError(q.drain())
+	}
+	// The run has quiesced: per-worker memory-plan counters merge into Stats
+	// and the engine advances to engFinished, bumping the run generation.
+	if e.memStates != nil {
+		e.mergeMemStats()
+	}
+	e.gen.Add(1)
+	e.state.Store(engFinished)
+	if e.runErr != nil {
+		return nil, e.runErr
+	}
+	box, _ := e.result.Load().(resultBox)
+	if box.v == nil {
+		return nil, fmt.Errorf("delirium: program produced no result")
+	}
+	return box.v, nil
+}

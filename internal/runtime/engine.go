@@ -28,9 +28,11 @@
 // blocks, and an operator may destructively modify a block only when it
 // holds the sole reference (the runtime copies otherwise).
 //
-// Two executors share this machinery: a real executor backed by a pool of
-// worker goroutines, and a deterministic simulated executor with a virtual
-// clock and per-processor timing driven by a machine profile.
+// One executor core (dispatch.go) runs every mode: the run frame, the task
+// loop and the dispatch step are written once, over a scheduler that is the
+// serial FIFO, the pool of work-stealing worker goroutines, or a
+// deterministic simulated machine with a virtual clock and per-processor
+// timing driven by a machine profile.
 package runtime
 
 import (
@@ -243,17 +245,18 @@ type Engine struct {
 	failMu    sync.Mutex
 	failedRun bool
 	runErr    error
-	// failedAct is the activation executing when the first error was
-	// recorded (nil when the failure is not tied to one); rootAct is the
-	// main activation. Both seed the error-path teardown sweep and are read
-	// only after the run quiesces.
-	failedAct *activation
-	rootAct   *activation
+	// failedActs are the activations whose node was executing when an error
+	// was recorded — every worker's, not only the first failure's: the failing
+	// node was already taken off the queue, so nothing else reaches its
+	// activation's buffered inputs. rootAct is the main activation. Both seed
+	// the error-path teardown sweep and are read only after the run quiesces.
+	failedActs []*activation
+	rootAct    *activation
 
 	// memStates, present only for memory-planned programs, holds one
 	// per-worker plan state per processor plus a final slot for the boot
 	// worker (proc -1). Allocated up front in New so workers index it
-	// without synchronization; merged into Stats by takeResult. The block
+	// without synchronization; merged into Stats when the run ends. The block
 	// free lists inside persist across runs of a reused engine — warming
 	// them is exactly what the repeated-run fast path amortizes.
 	memStates []*memState
@@ -266,10 +269,9 @@ type Engine struct {
 	// as supernodes and order simultaneously-ready nodes by bottom level.
 	fused bool
 
-	// affinity is prog.AffinityPlanned && cfg.AffinityHints: the executors
-	// then activate producer-preferred dispatch, batched locality-ranked
-	// stealing (Real) and hint-first placement (Simulated). Purely advisory
-	// — see Config.AffinityHints.
+	// affinity is prog.AffinityPlanned && cfg.AffinityHints: producer-
+	// preferred dispatch (Real) and hint-first placement (Simulated) are
+	// then active. Purely advisory — see Config.AffinityHints.
 	affinity bool
 
 	// sched is the real executor's work-stealing scheduler, created on the
@@ -280,9 +282,6 @@ type Engine struct {
 	// worker goroutines that survive across runs, parking between them,
 	// instead of being respawned and joined per run.
 	pool *runPool
-	// outstanding counts scheduled-but-unfinished tasks of the current
-	// Real-mode run; quiescence is outstanding returning to zero.
-	outstanding atomic.Int64
 
 	// runCtx/ctxDone carry the RunContext cancellation signal. ctxDone is
 	// nil for context.Background, keeping the disabled-path cost of the
@@ -365,14 +364,13 @@ func (e *Engine) Reset() error {
 	e.failMu.Lock()
 	e.failedRun = false
 	e.runErr = nil
-	e.failedAct = nil
+	e.failedActs = nil
 	e.failMu.Unlock()
 	e.rootAct = nil
 	e.stopped.Store(false)
 	e.result.Store(resultBox{})
 	e.runCtx = nil
 	e.ctxDone = nil
-	e.outstanding.Store(0)
 	// A stateful fault plan keeps execution cursors; rewinding them here
 	// makes a seeded fault suite behave identically on every run of a
 	// reused engine.
@@ -394,19 +392,6 @@ func (e *Engine) SetMaxOps(n int64) error {
 	}
 	e.maxOps = n
 	return nil
-}
-
-// scheduler returns the engine's work-stealing scheduler, creating it on
-// the first multi-worker run and reopening the cached one after that — a
-// reused engine pays the deque and parker allocations exactly once.
-func (e *Engine) scheduler(workers int) *stealScheduler {
-	if e.sched == nil {
-		e.sched = newStealScheduler(workers, &e.stats, e.tracer)
-	} else {
-		e.sched.reopen(e.tracer)
-	}
-	e.sched.affinity = e.affinity
-	return e.sched
 }
 
 // RunContext is Run under a context: cancellation (or the context deadline)
@@ -441,12 +426,7 @@ func (e *Engine) RunContext(ctx context.Context, args ...value.Value) (value.Val
 	if ctx.Done() != nil {
 		e.ctxDone = ctx.Done()
 	}
-	switch e.cfg.Mode {
-	case Simulated:
-		return e.runSimulated(args)
-	default:
-		return e.runReal(args)
-	}
+	return e.run(args)
 }
 
 // Stats returns execution statistics; call after Run returns.
@@ -464,19 +444,18 @@ func (e *Engine) Trace() *Trace {
 	return e.tracer.snapshot()
 }
 
-// fail records the first error and stops the run.
-func (e *Engine) fail(err error) { e.failAt(nil, err) }
-
-// failAt records the first error plus the activation it occurred in (for
-// the error-path teardown sweep) and stops the run. Later errors are
-// dropped: the first failure wins.
+// failAt records the first error and stops the run; later errors are
+// dropped: the first failure wins. The activation each one occurred in is
+// kept for the error-path teardown sweep.
 func (e *Engine) failAt(a *activation, err error) {
 	e.failMu.Lock()
 	if !e.failedRun {
 		e.failedRun = true
 		e.runErr = err
-		e.failedAct = a
 		e.stopped.Store(true)
+	}
+	if a != nil {
+		e.failedActs = append(e.failedActs, a)
 	}
 	e.failMu.Unlock()
 }

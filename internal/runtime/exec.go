@@ -12,20 +12,16 @@ import (
 	"repro/internal/value"
 )
 
-// worker is the execution context shared by both executors: processor
-// identity, the per-execution charge accumulator operators write through
-// operator.Context, and the scheduling callback the executor provides.
+// worker is the execution context of one processor: its identity, the
+// per-execution charge accumulator operators write through operator.Context,
+// and the scheduler it takes tasks from and pushes newly runnable nodes to.
 type worker struct {
 	e    *Engine
 	proc int
 
-	// sched is called for every node that becomes runnable while this
-	// worker executes.
-	sched func(a *activation, n *graph.Node)
-	// delivered, when non-nil (simulated mode), is called for every value
-	// delivery so the scheduler can stamp each consumer's earliest start
-	// with the producer's completion time.
-	delivered func(a *activation, nodeID int)
+	// q is the run's scheduler (nil on shadow workers, which only ever run
+	// an operator body).
+	q scheduler
 	// tr, when non-nil, receives trace events from this worker's hot path
 	// (deliveries, tail calls, block copies). A copy of e.tracer so the
 	// disabled case is a single nil check.
@@ -54,35 +50,15 @@ type worker struct {
 	// ready is scratch space complete() uses to batch newly-runnable nodes
 	// so a fused program can release them in bottom-level order.
 	ready []*graph.Node
-	// lifo marks a scheduler whose local queue pops newest-first (the
-	// work-stealing deque); flushReady then pushes in reverse so pops come
-	// out in bottom-level order.
-	lifo bool
 	// prodID, under an active affinity plan, is the template-node id whose
 	// output complete() is currently delivering; flushReady compares it
 	// against each ready node's AffPreferred to tag producer-preferred
 	// wakeups. Only meaningful inside complete (engine affinity on).
 	prodID int32
-	// pref is set by schedReady just before each w.sched call when the
-	// ready node prefers the completing producer; the real executor's
-	// sched closure copies it into the task's provenance.
+	// pref is set by schedReady just before each push when the ready node
+	// prefers the completing producer; the real schedulers copy it into the
+	// task's provenance.
 	pref bool
-	// selfSlot, set before each task execution by the real worker loop,
-	// lets the first local push of that execution skip the notifyOne
-	// self-wake: the pusher is guaranteed to rescan its own deques before
-	// parking, so one pushed task per execution needs no wake token.
-	selfSlot bool
-	// taskStolen/taskAff mirror the provenance of the task currently
-	// executing (timing enabled only), so fused per-member entries carry
-	// the same stolen/affinity marks as top-level ones.
-	taskStolen, taskAff bool
-	// base is the real executor's run start, the zero point for the
-	// per-member timing entries a fused dispatch records.
-	base time.Time
-	// simClock, in simulated mode, points at the scheduler's virtual clock
-	// so a fused dispatch can advance it across members, giving sub-events
-	// and per-member timings exact virtual timestamps.
-	simClock *int64
 }
 
 // Charge implements operator.Context. It only bumps the worker-local
@@ -465,15 +441,15 @@ func snapshotValue(v value.Value, st *value.BlockStats, copies *int64) (value.Va
 	}
 }
 
-// execNode runs one dispatched node: a fused cluster head executes its
+// execNode runs one dispatched task: a fused cluster head executes its
 // whole supernode as a straight-line sequence, anything else runs alone.
-func (e *Engine) execNode(w *worker, a *activation, n *graph.Node) error {
+func (e *Engine) execNode(w *worker, t task) error {
 	w.charge, w.localWords, w.remoteWords = 0, 0, 0
 	var err error
-	if c := n.FuseCluster; c != nil {
-		err = e.execFused(w, a, c)
-	} else {
-		err = e.execNode1(w, a, n)
+	if c := t.node.FuseCluster; c != nil {
+		err = e.execFused(w, t, c)
+	} else if err = e.checkOps(t.act, atomic.AddInt64(&e.stats.OpsExecuted, 1), 1); err == nil {
+		err = e.execBody(w, t.act, t.node)
 	}
 	if w.charge != 0 {
 		atomic.AddInt64(&e.stats.ChargedUnits, w.charge)
@@ -481,28 +457,19 @@ func (e *Engine) execNode(w *worker, a *activation, n *graph.Node) error {
 	return err
 }
 
-// execNode1 runs one node. It performs the destructive-argument copy
-// protocol, executes the node, settles block references, and delivers the
-// produced value (or spawns a child activation for subgraph expansions).
-// Callers must have reset the worker's charge accumulators.
-func (e *Engine) execNode1(w *worker, a *activation, n *graph.Node) error {
-	ops := atomic.AddInt64(&e.stats.OpsExecuted, 1)
-	if err := e.checkOps(a, ops); err != nil {
-		return err
-	}
-	return e.execBody(w, a, n)
-}
-
 // checkOps enforces the operation budget and polls cancellation at operator
 // boundaries, amortized across executions; the disabled cases cost one nil
-// check each. ops is the post-increment OpsExecuted count. Fused supernodes
-// call it once per cluster with a batched count, so the budget may overshoot
-// by at most the cluster size before the error surfaces.
-func (e *Engine) checkOps(a *activation, ops int64) error {
+// check each. ops is the OpsExecuted count after adding this dispatch's n
+// nodes. Fused supernodes call it once per cluster with the batched count,
+// so the budget may overshoot by at most the cluster size before the error
+// surfaces, and the poll fires whenever the add crossed a multiple of 64 —
+// serial and simulated runs have no watcher goroutine, so this poll is their
+// only cancellation path and must not be stepped over.
+func (e *Engine) checkOps(a *activation, ops, n int64) error {
 	if e.maxOps > 0 && ops > e.maxOps {
 		return errBudget(e.maxOps, activationPath(a))
 	}
-	if e.ctxDone != nil && ops&63 == 0 {
+	if e.ctxDone != nil && ops>>6 != (ops-n)>>6 {
 		select {
 		case <-e.ctxDone:
 			return &RunError{Kind: FailCanceled, Path: activationPath(a), Err: e.runCtx.Err()}
@@ -688,7 +655,7 @@ func (e *Engine) initActivation(w *worker, a *activation, args []value.Value) {
 			// Members never schedule individually; a cluster with no
 			// external inputs is runnable from the start via its head.
 			if c := n.FuseCluster; c != nil && c.ExtIn == 0 {
-				w.sched(a, n)
+				w.q.push(w, a, n)
 			}
 			continue
 		}
@@ -701,7 +668,7 @@ func (e *Engine) initActivation(w *worker, a *activation, args []value.Value) {
 		case graph.ConstNode:
 			e.complete(w, a, n, n.Const)
 		default:
-			w.sched(a, n)
+			w.q.push(w, a, n)
 		}
 	}
 }
@@ -788,8 +755,8 @@ func (e *Engine) deliverEdge(w *worker, a *activation, edge graph.Edge, v value.
 	if tn := a.tmpl.Nodes[edge.To]; tn.Fused {
 		gate = tn.FuseHead
 	}
-	if w.delivered != nil {
-		w.delivered(a, gate)
+	if e.cfg.Mode == Simulated {
+		w.q.(*simScheduler).delivered(a, gate)
 	}
 	if w.tr != nil {
 		w.tr.record(w.proc, TraceEvent{Type: TraceDeliver, Ts: w.tr.now(),
@@ -843,7 +810,7 @@ func (e *Engine) flushReady(w *worker, a *activation) {
 				ready[0] = n
 			}
 		}
-		if w.lifo {
+		if w.q.lifo() {
 			for i := len(ready) - 1; i >= 0; i-- {
 				e.schedReady(w, a, ready[i])
 			}
@@ -858,14 +825,13 @@ func (e *Engine) flushReady(w *worker, a *activation) {
 
 // schedReady hands one ready node to the worker's scheduler, tagging it
 // first (under an active affinity plan) as producer-preferred when the
-// node's AffPreferred edge is the one just completed. The real executor's
-// sched closure copies w.pref into the task's provenance; other executors
-// ignore it.
+// node's AffPreferred edge is the one just completed. The real schedulers
+// copy w.pref into the task's provenance; the simulated one ignores it.
 func (e *Engine) schedReady(w *worker, a *activation, n *graph.Node) {
 	if e.affinity {
 		w.pref = n.AffPreferred >= 0 && int32(n.AffPreferred) == w.prodID
 	}
-	w.sched(a, n)
+	w.q.push(w, a, n)
 }
 
 // finishNode retires one node; the last retirement recycles the activation.
@@ -890,7 +856,7 @@ func (e *Engine) finishNodes(a *activation, k int32) {
 
 // cleanupAfterError releases every block reference a failed run still
 // holds: the buffered inputs of live activations reachable from the
-// abandoned ready-queue tasks, the failing activation, the root, and each
+// abandoned ready-queue tasks, the failing activations, the root, and each
 // of their continuation ancestors — plus any result value produced before
 // the failure won the race. Every live activation either has abandoned
 // queue work or is an ancestor (via cont) of an activation that does, so
@@ -899,7 +865,7 @@ func (e *Engine) finishNodes(a *activation, k int32) {
 // produce. Called single-threaded after the run has quiesced; retired
 // activations are safe to visit because every execution path clears its
 // consumed input slots.
-func (e *Engine) cleanupAfterError(pending []*task) {
+func (e *Engine) cleanupAfterError(pending []task) {
 	seen := make(map[*activation]bool)
 	sweep := func(a *activation) {
 		for cur := a; cur != nil && !seen[cur]; cur = cur.cont.act {
@@ -936,11 +902,11 @@ func (e *Engine) cleanupAfterError(pending []*task) {
 		}
 	}
 	for _, t := range pending {
-		if t != nil {
-			sweep(t.act)
-		}
+		sweep(t.act)
 	}
-	sweep(e.failedAct)
+	for _, a := range e.failedActs {
+		sweep(a)
+	}
 	sweep(e.rootAct)
 	if box, ok := e.result.Load().(resultBox); ok && box.v != nil {
 		value.Release(box.v, &e.stats.Blocks)

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/operator"
+	"repro/internal/opt"
 	"repro/internal/value"
 )
 
@@ -296,6 +297,82 @@ func TestRunContextCancel(t *testing.T) {
 			}
 			failedRunLeakCheck(t, e)
 		})
+	}
+}
+
+// TestCheckOpsPollsOnBoundaryCrossing: a fused cluster adds its whole size
+// to OpsExecuted in one step, so the count jumps over multiples of 64. The
+// poll must fire whenever an add crossed one — with increments 3, 61, 3,
+// 61, … from 1 the count is never itself a multiple of 64, yet every other
+// add crosses a boundary.
+func TestCheckOpsPollsOnBoundaryCrossing(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	e := &Engine{runCtx: ctx, ctxDone: ctx.Done()}
+	ops, polls := int64(1), 0
+	for i := 0; i < 1000; i++ {
+		n := int64(3)
+		if i%2 == 1 {
+			n = 61
+		}
+		ops += n
+		if ops&63 == 0 {
+			t.Fatalf("count %d landed on a boundary; the sequence no longer steps over them", ops)
+		}
+		err := e.checkOps(nil, ops, n)
+		if crossed := ops>>6 != (ops-n)>>6; crossed != (err != nil) {
+			t.Fatalf("ops %d (+%d): crossed=%v, err=%v", ops, n, crossed, err)
+		}
+		if err != nil {
+			polls++
+		}
+	}
+	if polls != 500 {
+		t.Errorf("%d polls in 1000 adds, want one per 64-node boundary (500)", polls)
+	}
+}
+
+// TestFusedLoopCancelBounded is the end-to-end form: serial Real and
+// Simulated runs have no watcher goroutine, so the operator-boundary poll is
+// their only cancellation path. The loop below executes 64 nodes per pass in
+// steps of 1, 61 and 2, entered (after one node outside it) at a count of 2 —
+// so the count reads 2, 63, 65 modulo 64 forever and never lands on a
+// boundary. Cancelled from inside, the one-worker run must still stop within
+// one poll period plus one cluster.
+func TestFusedLoopCancelBounded(t *testing.T) {
+	const depth = 61
+	body := "i"
+	for k := 0; k < depth; k++ {
+		body = "tick(" + body + ")"
+	}
+	src := "main(n)\n  let m = tick(n)\n  in iterate { i = 0, " + body + " } while lt(i, m), result i\n"
+	for _, mode := range []Mode{Real, Simulated} {
+		ctx, cancel := context.WithCancel(context.Background())
+		var e *Engine
+		var ticks, atCancel int64
+		reg := operator.NewRegistry(operator.Builtins())
+		reg.MustRegister(&operator.Operator{
+			Name: "tick", Arity: 1,
+			Fn: func(_ operator.Context, args []value.Value) (value.Value, error) {
+				if ticks++; ticks == 10*depth {
+					atCancel = e.Stats().OpsExecuted
+					cancel()
+				}
+				return args[0].(value.Int) + 1, nil
+			},
+		})
+		g := compile(t, src, reg)
+		opt.FuseGraph(g, nil)
+		e = New(g, Config{Mode: mode, Workers: 1, MaxOps: 5_000_000})
+		_, err := e.RunContext(ctx, value.Int(1_000_000))
+		var re *RunError
+		if !errors.As(err, &re) || re.Kind != FailCanceled {
+			t.Fatalf("mode %d: err = %v, want RunError{FailCanceled}", mode, err)
+		}
+		st := e.Stats()
+		if over := st.OpsExecuted - atCancel; over > 64+depth+1 {
+			t.Errorf("mode %d: ran %d nodes past the cancellation, want at most one poll period plus a cluster", mode, over)
+		}
 	}
 }
 

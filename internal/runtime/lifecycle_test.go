@@ -49,7 +49,7 @@ func TestRunNoMainDoesNotConsumeEngine(t *testing.T) {
 	}
 }
 
-// TestSeedQuiescenceReportsDeadlock pins the early-return path of runReal:
+// TestSeedQuiescenceReportsDeadlock pins the early-return path of runWorkers:
 // when seeding schedules nothing and no result was produced, the run must
 // report the same deadlock diagnostic the worker loop emits, not the
 // generic "no result" fallback.

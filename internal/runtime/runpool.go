@@ -3,7 +3,6 @@ package runtime
 import (
 	"context"
 	"sync"
-	"time"
 
 	"repro/internal/value"
 )
@@ -23,21 +22,20 @@ type RunResult struct {
 // generation condvar instead of exiting, so a run costs one broadcast and
 // one rendezvous — no goroutine spawn, no join, no scheduler reallocation.
 //
-// The handshake: runRound publishes a new generation plus the run's start
-// time and wakes everyone; each worker executes engine.workerLoop until the
-// run's scheduler closes (quiescence, error, or cancellation), signals
-// runWg, and goes back to waiting for the next generation. runRound returns
-// when all workers have signaled, which is exactly the post-run quiescence
-// point the single-run executor reaches via wg.Wait.
+// The handshake: runRound publishes a new generation and wakes everyone;
+// each worker executes engine.poolWorker until the run's scheduler closes
+// (quiescence, error, or cancellation), signals runWg, and goes back to
+// waiting for the next generation. runRound returns when all workers have
+// signaled, which is exactly the post-run quiescence point the single-run
+// executor reaches via wg.Wait.
 type runPool struct {
 	e  *Engine
 	nw int
 
-	mu    sync.Mutex
-	cond  *sync.Cond
-	gen   int64
-	start time.Time
-	quit  bool
+	mu   sync.Mutex
+	cond *sync.Cond
+	gen  int64
+	quit bool
 
 	// runWg is the per-run rendezvous; joinWg joins the goroutines on stop.
 	runWg  sync.WaitGroup
@@ -68,23 +66,21 @@ func (p *runPool) loop(proc int) {
 			return
 		}
 		seen = p.gen
-		start := p.start
 		p.mu.Unlock()
-		// e.sched is set by runReal (via Engine.scheduler) before runRound
-		// publishes the generation, so the read here is ordered by the mutex.
-		p.e.workerLoop(proc, p.e.sched, start)
+		// e.sched is set by Engine.run before runRound publishes the
+		// generation, so the read here is ordered by the mutex.
+		p.e.poolWorker(p.e.sched, proc)
 		p.runWg.Done()
 	}
 }
 
 // runRound hands the pooled workers one run and blocks until every worker
 // has returned from its loop — the run has quiesced, failed, or been
-// cancelled. Called from runReal in place of the spawn-and-join block.
-func (p *runPool) runRound(start time.Time) {
+// cancelled. Called from runWorkers in place of the spawn-and-join block.
+func (p *runPool) runRound() {
 	p.runWg.Add(p.nw)
 	p.mu.Lock()
 	p.gen++
-	p.start = start
 	p.mu.Unlock()
 	p.cond.Broadcast()
 	p.runWg.Wait()
@@ -137,7 +133,7 @@ func (e *Engine) RunMany(ctx context.Context, batch [][]value.Value) ([]RunResul
 		}
 	}
 	if nw := e.cfg.workers(); e.cfg.Mode == Real && nw > 1 && len(batch) > 1 {
-		// Install the persistent pool for the batch. runReal sees it and
+		// Install the persistent pool for the batch. runWorkers sees it and
 		// routes dispatch through runRound instead of spawning goroutines.
 		// The pool is created and retired inside this call, so plain Run
 		// users never hold idle goroutines.

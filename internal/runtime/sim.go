@@ -2,23 +2,25 @@ package runtime
 
 import (
 	"container/heap"
-	"fmt"
 	"math"
 
 	"repro/internal/graph"
+	"repro/internal/machine"
 	"repro/internal/value"
 )
 
-// simItem is a runnable node with the virtual time it became ready.
-type simItem struct {
-	act   *activation
-	node  *graph.Node
+// simTask is a ready-heap entry: a task, the virtual time it became ready,
+// and a FIFO tie-break within a priority level. The keys stay out of task
+// itself because the work-stealing scheduler heap-allocates one task per
+// ready node, and two more words would move that allocation up a size class.
+type simTask struct {
+	task
 	ready int64
-	seq   int64 // FIFO tie-break within a priority level
+	seq   int64
 }
 
-// simHeap orders items by (ready, seq).
-type simHeap []simItem
+// simHeap orders entries by (ready, seq).
+type simHeap []simTask
 
 func (h simHeap) Len() int { return len(h) }
 func (h simHeap) Less(i, j int) bool {
@@ -28,244 +30,234 @@ func (h simHeap) Less(i, j int) bool {
 	return h[i].seq < h[j].seq
 }
 func (h simHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *simHeap) Push(x interface{}) { *h = append(*h, x.(simItem)) }
+func (h *simHeap) Push(x interface{}) { *h = append(*h, x.(simTask)) }
 func (h *simHeap) Pop() interface{} {
 	old := *h
 	n := len(old)
 	it := old[n-1]
-	old[n-1] = simItem{}
+	old[n-1] = simTask{}
 	*h = old[:n-1]
 	return it
 }
 
-// runSimulated executes the program deterministically on P virtual
+// delivery is one value delivery of the executing node, awaiting its
+// producer's completion time.
+type delivery struct {
+	act    *activation
+	nodeID int
+}
+
+// simScheduler executes the program deterministically on P virtual
 // processors. Operators actually run (producing real values); their charged
 // work units, the machine profile's dispatch overhead, and the modeled
-// memory cost of their input blocks advance a virtual clock. The scheduler
-// is a list scheduler honoring the three-level priority discipline: when a
-// processor is free it takes the highest-priority item that is ready, with
-// FIFO order inside a level.
+// memory cost of their input blocks advance a virtual clock. It is a list
+// scheduler honoring the three-level priority discipline: when a processor
+// is free it takes the highest-priority item that is ready, with FIFO order
+// inside a level.
 //
 // The §9.3 affinity policies act here: AffinityOperator prefers the
 // processor that last ran the same operator, AffinityData the processor
 // holding the largest share of the input blocks — each only when the
 // preferred processor can start the item without delay.
-func (e *Engine) runSimulated(args []value.Value) (value.Value, error) {
-	prof := e.cfg.profile()
-	nproc := e.cfg.workers()
-	procFree := make([]int64, nproc)
-	busy := make([]int64, nproc)
-	lastProc := make(map[string]int) // operator name -> last processor
-
-	var heaps [numPriorities]simHeap
-	var seq int64
-	var clock int64 // start time of the item being executed
-	if e.tracer != nil {
-		// Events recorded mid-execution (deliveries, copies) stamp the
-		// executing node's virtual start time; everything is one goroutine,
-		// so the trace is deterministic.
-		e.tracer.now = func() int64 { return clock }
-	}
-
-	// The simulated executor is single-threaded: one worker (re-stamped with
-	// the virtual processor per item) and therefore one plan state, keeping
-	// pool reuse — and with it the trace — deterministic.
-	w := &worker{e: e, proc: 0, tr: e.tracer, mem: e.memState(0), simClock: &clock}
-	var buffered []simItem
-	type delivery struct {
-		act    *activation
-		nodeID int
-	}
-	var deliveries []delivery
-	w.sched = func(a *activation, n *graph.Node) {
-		seq++
-		buffered = append(buffered, simItem{act: a, node: n, seq: seq})
-	}
-	w.delivered = func(a *activation, nodeID int) {
-		deliveries = append(deliveries, delivery{act: a, nodeID: nodeID})
-	}
-	// flush publishes the effects of the execution that finished at `at`:
-	// every delivery stamps its consumer's earliest start, and every node
-	// that became runnable enters the ready heap no earlier than the
-	// latest delivery it received — a consumer must not start before a
-	// slow producer has finished, even if that producer's value was
-	// computed (popped) first.
-	flush := func(at int64) {
-		for _, d := range deliveries {
-			if d.act.readyAt == nil {
-				d.act.readyAt = make([]int64, len(d.act.tmpl.Nodes))
-			}
-			if at > d.act.readyAt[d.nodeID] {
-				d.act.readyAt[d.nodeID] = at
-			}
-		}
-		deliveries = deliveries[:0]
-		for _, it := range buffered {
-			it.ready = at
-			if it.act.readyAt != nil && it.act.readyAt[it.node.ID] > it.ready {
-				it.ready = it.act.readyAt[it.node.ID]
-			}
-			pri := e.classify(it.act, it.node)
-			heap.Push(&heaps[pri], it)
-		}
-		buffered = buffered[:0]
-	}
-
-	root := e.acquire(0, e.prog.Main)
-	e.rootAct = root
-	e.stats.noteLive(1, int64(e.prog.Main.ActivationWords()))
-	e.initActivation(w, root, args)
-	flush(0)
-
-	var makespan int64
-	for {
-		if e.stopped.Load() && e.runErr != nil {
-			break
-		}
-		// Earliest moment any processor is free.
-		tMin := procFree[0]
-		for _, f := range procFree[1:] {
-			if f < tMin {
-				tMin = f
-			}
-		}
-		// Earliest ready time across all levels.
-		minReady := int64(math.MaxInt64)
-		empty := true
-		for pri := range heaps {
-			if len(heaps[pri]) > 0 {
-				empty = false
-				if heaps[pri][0].ready < minReady {
-					minReady = heaps[pri][0].ready
-				}
-			}
-		}
-		if empty {
-			break
-		}
-		t := tMin
-		if minReady > t {
-			t = minReady // every processor idles until work becomes ready
-		}
-		// Highest-priority item ready at t.
-		var item simItem
-		found := false
-		for pri := range heaps {
-			if len(heaps[pri]) > 0 && heaps[pri][0].ready <= t {
-				item = heap.Pop(&heaps[pri]).(simItem)
-				found = true
-				break
-			}
-		}
-		if !found {
-			e.fail(fmt.Errorf("delirium: internal: simulated scheduler stalled at t=%d", t))
-			break
-		}
-
-		proc, affHit := e.placeSim(item, procFree, lastProc, t)
-		start := procFree[proc]
-		if item.ready > start {
-			start = item.ready
-		}
-		clock = start
-		w.proc = proc
-		if e.affinity {
-			// Record where this node runs BEFORE executing it: the last
-			// node of an activation recycles it inside execNode, and a
-			// post-exec write could poison the next activation's hints.
-			a := item.act
-			if a.execProc == nil {
-				a.execProc = make([]int32, len(a.tmpl.Nodes))
-			}
-			a.execProc[item.node.ID] = int32(proc) + 1
-			if c := item.node.FuseCluster; c != nil {
-				// Every member runs straight-line on this processor.
-				for _, id := range c.Nodes {
-					a.execProc[id] = int32(proc) + 1
-				}
-			}
-		}
-
-		// Capture the activation identity before execNode: recycling (even a
-		// same-template reuse inside this execNode) restamps seq.
-		actSeq, nodeID := item.act.seq, int32(item.node.ID)
-		if e.tracer != nil {
-			e.tracer.record(proc, TraceEvent{Type: TraceNodeStart, Ts: start,
-				Act: actSeq, Node: nodeID, Name: dispatchLabel(item.node), Tmpl: item.act.tmpl.Name})
-		}
-		if err := e.execNode(w, item.act, item.node); err != nil {
-			e.failAt(item.act, err)
-			break
-		}
-		// A fused dispatch advances clock past start as members execute
-		// (w.simClock), so the total is anchored at start, not clock.
-		dur := prof.DispatchTicks +
-			int64(float64(w.charge)*prof.TickPerUnit) +
-			int64(float64(w.localWords)*prof.LocalTicksPerWord) +
-			int64(float64(w.remoteWords)*prof.RemoteTicksPerWord)
-		if dur < 1 {
-			dur = 1
-		}
-		end := start + dur
-		procFree[proc] = end
-		busy[proc] += dur
-		e.stats.DispatchTicks += prof.DispatchTicks
-		e.stats.MemoryTicks += int64(float64(w.localWords)*prof.LocalTicksPerWord) +
-			int64(float64(w.remoteWords)*prof.RemoteTicksPerWord)
-		if end > makespan {
-			makespan = end
-		}
-		if e.tracer != nil {
-			e.tracer.record(proc, TraceEvent{Type: TraceNodeEnd, Ts: end,
-				Act: actSeq, Node: nodeID})
-		}
-		if item.node.Kind == graph.OpNode && item.node.FuseCluster == nil {
-			lastProc[item.node.Name] = proc
-			if e.timing != nil {
-				e.timing.addShard(proc, TimingEntry{Name: item.node.Name, Template: item.act.tmpl.Name,
-					Proc: proc, Start: start, Ticks: dur, Affinity: affHit})
-			}
-		}
-		flush(end)
-	}
-
-	e.stats.MakespanTicks = makespan
-	e.stats.ProcBusyTicks = busy
-	for _, b := range busy {
-		e.stats.BusyTicks += b
-	}
-	if !e.stopped.Load() {
-		e.failAt(root, errDeadlock(activationPath(root)))
-	}
-	if e.runErr != nil {
-		// Abandoned work lives in the ready heaps and the not-yet-flushed
-		// buffer; both seed the teardown sweep.
-		var pending []*task
-		for pri := range heaps {
-			for i := range heaps[pri] {
-				pending = append(pending, &task{act: heaps[pri][i].act, node: heaps[pri][i].node})
-			}
-		}
-		for i := range buffered {
-			pending = append(pending, &task{act: buffered[i].act, node: buffered[i].node})
-		}
-		e.cleanupAfterError(pending)
-	}
-	return e.takeResult()
+//
+// The simulated executor is single-threaded: one worker (re-stamped with the
+// virtual processor per item) and therefore one plan state, keeping pool
+// reuse — and with it the trace — deterministic.
+type simScheduler struct {
+	e        *Engine
+	prof     *machine.Profile
+	procFree []int64
+	busy     []int64
+	lastProc map[string]int // operator name -> last processor
+	heaps    [numPriorities]simHeap
+	seq      int64
+	// start is the executing item's start time. clock is what the tracer
+	// reads: events recorded mid-execution (deliveries, copies) stamp the
+	// executing node's virtual start, and a fused dispatch advances it past
+	// start as members finish.
+	start, clock int64
+	// at is when the last retired execution ended (0 while seeding); next
+	// publishes what that execution released no earlier than this.
+	at         int64
+	buffered   []simTask
+	deliveries []delivery
 }
 
-// placeSim chooses the processor for an item under the compile-time
+func newSimScheduler(e *Engine, nproc int) *simScheduler {
+	s := &simScheduler{e: e, prof: e.cfg.profile(), procFree: make([]int64, nproc),
+		busy: make([]int64, nproc), lastProc: make(map[string]int)}
+	e.stats.ProcBusyTicks = s.busy
+	return s
+}
+
+func (s *simScheduler) push(_ *worker, a *activation, n *graph.Node) {
+	s.seq++
+	s.buffered = append(s.buffered, simTask{task: task{act: a, node: n}, seq: s.seq})
+}
+
+// delivered notes a value delivery by the executing node so flush can stamp
+// the consumer's earliest start with the producer's completion time.
+func (s *simScheduler) delivered(a *activation, nodeID int) {
+	s.deliveries = append(s.deliveries, delivery{act: a, nodeID: nodeID})
+}
+
+// flush publishes the effects of the execution that finished at s.at:
+// every delivery stamps its consumer's earliest start, and every node
+// that became runnable enters the ready heap no earlier than the
+// latest delivery it received — a consumer must not start before a
+// slow producer has finished, even if that producer's value was
+// computed (popped) first.
+func (s *simScheduler) flush() {
+	for _, d := range s.deliveries {
+		if d.act.readyAt == nil {
+			d.act.readyAt = make([]int64, len(d.act.tmpl.Nodes))
+		}
+		if s.at > d.act.readyAt[d.nodeID] {
+			d.act.readyAt[d.nodeID] = s.at
+		}
+	}
+	s.deliveries = s.deliveries[:0]
+	for _, it := range s.buffered {
+		it.ready = s.at
+		if it.act.readyAt != nil && it.act.readyAt[it.node.ID] > it.ready {
+			it.ready = it.act.readyAt[it.node.ID]
+		}
+		heap.Push(&s.heaps[s.e.classify(it.act, it.node)], it)
+	}
+	s.buffered = s.buffered[:0]
+}
+
+// next advances virtual time to the earliest moment a processor is free and
+// an item is ready, takes the highest-priority such item, and places it.
+func (s *simScheduler) next(w *worker) (task, bool) {
+	s.flush()
+	// The processor that is free earliest.
+	earliest := 0
+	for p, f := range s.procFree {
+		if f < s.procFree[earliest] {
+			earliest = p
+		}
+	}
+	// Earliest ready time across all levels.
+	minReady := int64(math.MaxInt64)
+	for pri := range s.heaps {
+		if len(s.heaps[pri]) > 0 && s.heaps[pri][0].ready < minReady {
+			minReady = s.heaps[pri][0].ready
+		}
+	}
+	if minReady == math.MaxInt64 {
+		return task{}, false
+	}
+	// Every processor idles until work becomes ready.
+	t := max(s.procFree[earliest], minReady)
+	// Highest-priority item ready at t; the level holding minReady has one.
+	var item simTask
+	for pri := range s.heaps {
+		if len(s.heaps[pri]) > 0 && s.heaps[pri][0].ready <= t {
+			item = heap.Pop(&s.heaps[pri]).(simTask)
+			break
+		}
+	}
+
+	proc, hit := s.place(item, earliest, t)
+	s.start = max(s.procFree[proc], item.ready)
+	s.clock = s.start
+	w.proc = proc
+	if s.e.affinity {
+		// Record where this node runs BEFORE executing it: the last
+		// node of an activation recycles it inside execNode, and a
+		// post-exec write could poison the next activation's hints.
+		a := item.act
+		if a.execProc == nil {
+			a.execProc = make([]int32, len(a.tmpl.Nodes))
+		}
+		a.execProc[item.node.ID] = int32(proc) + 1
+		if c := item.node.FuseCluster; c != nil {
+			// Every member runs straight-line on this processor.
+			for _, id := range c.Nodes {
+				a.execProc[id] = int32(proc) + 1
+			}
+		}
+	}
+	item.from = int32(proc)
+	if hit {
+		item.prov = taskHit
+	}
+	return item.task, true
+}
+
+func (s *simScheduler) now() int64 { return s.clock }
+
+// memTicks prices block traffic under the machine's memory model.
+func (s *simScheduler) memTicks(local, remote int64) int64 {
+	return int64(float64(local)*s.prof.LocalTicksPerWord) + int64(float64(remote)*s.prof.RemoteTicksPerWord)
+}
+
+// dur prices the whole dispatch w just executed. A fused dispatch advances
+// clock past start as members execute, so the total is anchored at start,
+// not clock.
+func (s *simScheduler) dur(w *worker) int64 {
+	return max(1, s.prof.DispatchTicks+int64(float64(w.charge)*s.prof.TickPerUnit)+
+		s.memTicks(w.localWords, w.remoteWords))
+}
+
+// end reads the virtual clock at the end of the execution sp brackets: a
+// whole dispatch also pays the machine's dispatch overhead, a fused member
+// prices its body only and moves the clock there.
+func (s *simScheduler) end(w *worker, sp span, member bool) int64 {
+	if !member {
+		return s.start + s.dur(w)
+	}
+	// Price this member from its charge deltas; per-member floors sum to at
+	// most the supernode's total, so nested slices never outgrow the
+	// bracketing one. The scheduler charges dispatch overhead once for the
+	// whole supernode, which is precisely the saving being modeled.
+	s.clock = sp.t0 + int64(float64(w.charge-sp.c0)*s.prof.TickPerUnit) +
+		s.memTicks(w.localWords-sp.l0, w.remoteWords-sp.r0)
+	return s.clock
+}
+
+// retire prices the executed node and occupies its processor until then.
+func (s *simScheduler) retire(w *worker, t task) {
+	dur := s.dur(w)
+	s.at = s.start + dur
+	s.procFree[w.proc] = s.at
+	s.busy[w.proc] += dur
+	st := &s.e.stats
+	st.BusyTicks += dur
+	st.DispatchTicks += s.prof.DispatchTicks
+	st.MemoryTicks += s.memTicks(w.localWords, w.remoteWords)
+	st.MakespanTicks = max(st.MakespanTicks, s.at)
+	if t.node.Kind == graph.OpNode && t.node.FuseCluster == nil {
+		s.lastProc[t.node.Name] = w.proc
+	}
+}
+
+func (s *simScheduler) lifo() bool { return false }
+
+// drain returns the abandoned work: the ready heaps and the not-yet-flushed
+// buffer.
+func (s *simScheduler) drain() []task {
+	var out []task
+	for pri := range s.heaps {
+		for i := range s.heaps[pri] {
+			out = append(out, s.heaps[pri][i].task)
+		}
+	}
+	for i := range s.buffered {
+		out = append(out, s.buffered[i].task)
+	}
+	return out
+}
+
+// place chooses the processor for an item — earliest is the one free
+// soonest, t the time the item can start — under the compile-time
 // affinity plan (when active) or the configured §9.3 policy. Every
 // preference is overridden when the preferred processor would delay the
 // start (§9.3: "this preference is overridden if the desired processor is
 // busy"). The second result reports a plan-hint hit, for the timing log.
-func (e *Engine) placeSim(item simItem, procFree []int64, lastProc map[string]int, t int64) (int, bool) {
-	earliest := 0
-	for p := 1; p < len(procFree); p++ {
-		if procFree[p] < procFree[earliest] {
-			earliest = p
-		}
-	}
+func (s *simScheduler) place(item simTask, earliest int, t int64) (int, bool) {
+	e, procFree := s.e, s.procFree
 	if e.affinity {
 		// Compile-time hint: run on the processor that executed the
 		// preferred producer, inheriting its blocks at local cost.
@@ -284,7 +276,7 @@ func (e *Engine) placeSim(item simItem, procFree []int64, lastProc map[string]in
 	}
 	switch e.cfg.Affinity {
 	case AffinityOperator:
-		if pref, ok := lastProc[item.node.Name]; ok && procFree[pref] <= t {
+		if pref, ok := s.lastProc[item.node.Name]; ok && procFree[pref] <= t {
 			return pref, false
 		}
 	case AffinityData:

@@ -53,14 +53,8 @@ type Stats struct {
 	// preferred-edge dispatches that ran on their producer's worker (Real)
 	// or processor (Simulated); AffinityMisses counts preferred dispatches
 	// that migrated (stolen, or the preferred processor was busy).
-	// BatchSteals counts steal events whose batched grab actually moved
-	// extras (two or more tasks in one sweep) and BatchStolenTasks the
-	// tasks those events transferred, so BatchStolenTasks/BatchSteals is
-	// the mean batch width; single-task steals count only in Steals.
-	AffinityHits     int64
-	AffinityMisses   int64
-	BatchSteals      int64
-	BatchStolenTasks int64
+	AffinityHits   int64
+	AffinityMisses int64
 	// Blocks aggregates reference-count traffic (copies = the price of the
 	// determinism guarantee).
 	Blocks value.BlockStats
@@ -118,7 +112,7 @@ func (s *Stats) reset() {
 		&s.LiveActivationWords, &s.PeakActivationWords,
 		&s.TailCalls, &s.ChargedUnits,
 		&s.Steals, &s.StealContention, &s.Parks, &s.InjectedTasks,
-		&s.AffinityHits, &s.AffinityMisses, &s.BatchSteals, &s.BatchStolenTasks,
+		&s.AffinityHits, &s.AffinityMisses,
 		&s.Blocks.Allocated, &s.Blocks.Copies, &s.Blocks.Retains,
 		&s.Blocks.Releases, &s.Blocks.Freed,
 		&s.Retries, &s.SnapshotCopies, &s.OpTimeouts, &s.FaultsInjected,
@@ -189,10 +183,8 @@ func (s *Stats) String() string {
 	if fn, fd := atomic.LoadInt64(&s.FusedNodes), atomic.LoadInt64(&s.FusedDispatchesSaved); fn != 0 || fd != 0 {
 		out += fmt.Sprintf(" fused=%d(-%d dispatches)", fn, fd)
 	}
-	ah, am := atomic.LoadInt64(&s.AffinityHits), atomic.LoadInt64(&s.AffinityMisses)
-	bs, bt := atomic.LoadInt64(&s.BatchSteals), atomic.LoadInt64(&s.BatchStolenTasks)
-	if ah != 0 || am != 0 || bs != 0 {
-		out += fmt.Sprintf(" affinity=%d/%d batchsteals=%d(%d tasks)", ah, ah+am, bs, bt)
+	if ah, am := atomic.LoadInt64(&s.AffinityHits), atomic.LoadInt64(&s.AffinityMisses); ah != 0 || am != 0 {
+		out += fmt.Sprintf(" affinity=%d/%d", ah, ah+am)
 	}
 	return out
 }

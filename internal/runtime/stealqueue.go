@@ -4,23 +4,10 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/graph"
 )
-
-// task is one runnable node of one activation, tagged with scheduling
-// provenance: from is the worker that pushed it (-1 for pushes arriving
-// through the injector from outside the pool) and pref marks a
-// producer-preferred wakeup — the pushing worker had just completed this
-// node's AffPreferred producer. Provenance feeds the affinity hit/miss
-// counters and the timing log's stolen/affinity marks; it never
-// influences what executes.
-type task struct {
-	act  *activation
-	node *graph.Node
-	from int32
-	pref bool
-}
 
 // This file implements the real executor's work-stealing ready queue — the
 // replacement for the original single-mutex three-level queue. The §7
@@ -224,10 +211,14 @@ func (p *parker) unpark() {
 // workerDeques is one worker's trio of priority deques.
 type workerDeques struct {
 	d [numPriorities]wsDeque
+	// quiet, set by next before each task it hands out, lets the first local
+	// push of that execution skip the notifyOne self-wake. Owner only.
+	quiet bool
 }
 
 // stealScheduler coordinates the real executor's workers.
 type stealScheduler struct {
+	wallClock
 	local   []workerDeques
 	inject  [numPriorities]injQueue
 	parkers []parker
@@ -238,34 +229,24 @@ type stealScheduler struct {
 	idle   []int
 	nidle  atomic.Int64
 
-	closed atomic.Bool
-	stats  *Stats
+	// outstanding counts pushed-but-unretired tasks of the current run;
+	// quiescence is outstanding returning to zero, which closes the
+	// scheduler.
+	outstanding atomic.Int64
+	closed      atomic.Bool
+	stats       *Stats
 	// tr, when non-nil, records steal and park/unpark events. Each worker
 	// records only under its own id, so no lock is needed.
 	tr *tracer
-
-	// affinity, set per run by the engine, enables batched and
-	// locality-ranked stealing (advisory: it changes where work runs,
-	// never what runs). Written only between runs, read by workers.
-	affinity bool
-	// lastVictim[w] is the victim worker w last stole from successfully
-	// (-1 none). Under affinity the next sweep tries it first: a worker
-	// that found transferable work once tends to keep producing it (it is
-	// running the hot chains), so related tasks migrate together and bring
-	// their blocks with them. Each slot is written only by its owner.
-	lastVictim []int32
 }
 
 func newStealScheduler(workers int, stats *Stats, tr *tracer) *stealScheduler {
 	s := &stealScheduler{
-		local:      make([]workerDeques, workers),
-		parkers:    make([]parker, workers),
-		stats:      stats,
-		tr:         tr,
-		lastVictim: make([]int32, workers),
-	}
-	for w := range s.lastVictim {
-		s.lastVictim[w] = -1
+		wallClock: wallClock{time.Now()},
+		local:     make([]workerDeques, workers),
+		parkers:   make([]parker, workers),
+		stats:     stats,
+		tr:        tr,
 	}
 	for w := range s.local {
 		for pri := range s.local[w].d {
@@ -279,22 +260,81 @@ func newStealScheduler(workers int, stats *Stats, tr *tracer) *stealScheduler {
 	return s
 }
 
+// push schedules the node on the pushing worker's own deque, or through the
+// injector when the push comes from outside the pool (the boot worker's
+// seeding; it completed no producer, so the task carries no preference).
+func (s *stealScheduler) push(w *worker, a *activation, n *graph.Node) {
+	s.outstanding.Add(1)
+	pri := w.e.classify(a, n)
+	if w.proc < 0 {
+		if s.tr != nil {
+			s.tr.record(-1, TraceEvent{Type: TraceInject, Ts: s.tr.now(),
+				Act: a.seq, Node: int32(n.ID), Name: traceLabel(n), Tmpl: a.tmpl.Name})
+		}
+		s.pushInject(&task{act: a, node: n}, pri)
+		return
+	}
+	t := &task{act: a, node: n, from: int32(w.proc)}
+	if w.pref {
+		t.prov = taskPref
+	}
+	if own := &s.local[w.proc]; own.quiet {
+		// First push of the current execution skips the notifyOne: this
+		// worker is guaranteed to scan its own deques (find's first tier)
+		// before it can park, so exactly one task per execution never needs
+		// a wake token — k pushes pay k-1 notifies instead of k. Any later
+		// pushes still notify, preserving the no-stranded-task invariant,
+		// and a thief may take the quiet task at any time (it then runs
+		// there; no token is owed).
+		own.quiet = false
+		own.d[pri].push(t)
+		return
+	}
+	s.pushLocal(w.proc, t, pri)
+}
+
+// next is one worker's scan-steal-park cycle, until it finds a task or the
+// run closes the scheduler (quiescence, error, or cancellation). It retries
+// find a few times around the Go scheduler before parking — the "spin" half
+// of spin-then-park. Stealing is already a full sweep, so a couple of rounds
+// suffice to ride out a producer that is between push and notify.
+func (s *stealScheduler) next(w *worker) (task, bool) {
+	const spins = 4
+	for spin := 0; ; spin++ {
+		if s.closed.Load() {
+			return task{}, false
+		}
+		if spin == spins {
+			s.park(w.proc)
+			spin = -1
+			continue
+		}
+		if t := s.find(w.proc); t != nil {
+			s.local[w.proc].quiet = true
+			tk := *t
+			if tk.prov&taskPref != 0 && tk.from == int32(w.proc) {
+				tk.prov |= taskHit
+			}
+			return tk, true
+		}
+		runtime.Gosched()
+	}
+}
+
+// retire counts the task out; the last one closes the scheduler.
+func (s *stealScheduler) retire(*worker, task) {
+	if s.outstanding.Add(-1) == 0 {
+		s.close()
+	}
+}
+
+func (s *stealScheduler) lifo() bool { return true }
+
 // pushLocal enqueues t on worker wid's own deque and wakes one parked
 // worker if any is idle. Must be called from wid's goroutine.
 func (s *stealScheduler) pushLocal(wid int, t *task, pri Priority) {
 	s.local[wid].d[pri].push(t)
 	s.notifyOne()
-}
-
-// pushLocalQuiet is pushLocal without the notifyOne. Used for the first
-// push of a completing node's wakeup batch: the pushing worker is
-// guaranteed to scan its own deques (find's first tier) before it can
-// park, so exactly one task per batch never needs a wake token — k pushes
-// pay k-1 notifies instead of k. Any later pushes in the batch still
-// notify, preserving the no-stranded-task invariant, and a thief may
-// take the quiet task at any time (it then runs there; no token is owed).
-func (s *stealScheduler) pushLocalQuiet(wid int, t *task, pri Priority) {
-	s.local[wid].d[pri].push(t)
 }
 
 // pushInject enqueues t on the shared injector — the path for pushes that
@@ -341,40 +381,16 @@ func (s *stealScheduler) find(wid int) *task {
 		}
 	}
 	n := len(s.local)
-	last := -1
-	if s.affinity {
-		// Locality ranking: retry the last productive victim first — the
-		// worker running the hot chains keeps producing transferable work,
-		// so stolen tasks tend to arrive with their siblings.
-		if v := s.lastVictim[wid]; v >= 0 && int(v) != wid {
-			last = int(v)
-			if t := s.stealFrom(wid, last); t != nil {
-				return t
-			}
-		}
-	}
 	for off := 1; off < n; off++ {
-		vid := (wid + off) % n
-		if vid == last {
-			continue
-		}
-		if t := s.stealFrom(wid, vid); t != nil {
+		if t := s.stealFrom(wid, (wid+off)%n); t != nil {
 			return t
 		}
 	}
 	return nil
 }
 
-// stealBatchMax caps the tasks one steal event may transfer (the first
-// returned task plus the extras parked on the thief's own deque).
-const stealBatchMax = 8
-
 // stealFrom attempts one steal from victim vid for worker wid, honoring
-// the per-victim priority order. Under affinity a hit turns into a batched
-// grab: up to half of the victim's remaining visible work at that priority
-// (capped at stealBatchMax) moves to the thief in one sweep, so a thief
-// that crossed the steal path once amortizes it over several tasks instead
-// of paying a full find() per task.
+// the per-victim priority order.
 func (s *stealScheduler) stealFrom(wid, vid int) *task {
 	victim := &s.local[vid]
 	for pri := range victim.d {
@@ -382,20 +398,8 @@ func (s *stealScheduler) stealFrom(wid, vid int) *task {
 			t, retry := victim.d[pri].steal()
 			if t != nil {
 				atomic.AddInt64(&s.stats.Steals, 1)
-				took := 1
-				if s.affinity {
-					took += s.stealExtra(wid, vid, pri)
-					s.lastVictim[wid] = int32(vid)
-					if took > 1 {
-						atomic.AddInt64(&s.stats.BatchSteals, 1)
-						atomic.AddInt64(&s.stats.BatchStolenTasks, int64(took))
-					}
-				}
 				if s.tr != nil {
 					s.tr.record(wid, TraceEvent{Type: TraceSteal, Ts: s.tr.now(), Arg: int64(vid)})
-					if took > 1 {
-						s.tr.record(wid, TraceEvent{Type: TraceBatchSteal, Ts: s.tr.now(), Arg: int64(took)})
-					}
 				}
 				return t
 			}
@@ -406,42 +410,6 @@ func (s *stealScheduler) stealFrom(wid, vid int) *task {
 		}
 	}
 	return nil
-}
-
-// stealExtra is the batched half of an affinity steal: after wid claimed
-// one task from vid at priority pri, it grabs up to half of the victim's
-// remaining visible work there and parks it on its OWN deque at the same
-// priority. Every element is still claimed by an individual top CAS — a
-// single range-CAS would race the owner's plain (non-CAS) pop of bottom
-// elements and could take a task the owner already ran — so the grab is
-// CAS-bounded, not range-based. Returns how many extras moved.
-func (s *stealScheduler) stealExtra(wid, vid, pri int) int {
-	d := &s.local[vid].d[pri]
-	budget := (d.bottom.Load() - d.top.Load()) / 2
-	if budget > stealBatchMax-1 {
-		budget = stealBatchMax - 1
-	}
-	took := 0
-	for int64(took) < budget {
-		t, retry := d.steal()
-		if t == nil {
-			if retry {
-				// Another thief is racing the same top; leave the rest to
-				// it instead of fighting over the counter.
-				atomic.AddInt64(&s.stats.StealContention, 1)
-			}
-			break
-		}
-		atomic.AddInt64(&s.stats.Steals, 1)
-		s.local[wid].d[pri].push(t)
-		took++
-	}
-	if took > 0 {
-		// The extras landed without notifies; wake one parked peer so an
-		// otherwise-drained pool can come steal them back if wid stalls.
-		s.notifyOne()
-	}
-	return took
 }
 
 // anyWork is the racy pre-park probe: it may report work that a racing
@@ -463,24 +431,6 @@ func (s *stealScheduler) anyWork() bool {
 		}
 	}
 	return false
-}
-
-// spinFind retries find a few times around the Go scheduler before giving
-// up — the "spin" half of spin-then-park. Stealing is already a full
-// sweep, so a couple of rounds suffice to ride out a producer that is
-// between push and notify.
-func (s *stealScheduler) spinFind(wid int) *task {
-	const spins = 4
-	for i := 0; i < spins; i++ {
-		if t := s.find(wid); t != nil {
-			return t
-		}
-		if s.closed.Load() {
-			return nil
-		}
-		runtime.Gosched()
-	}
-	return nil
 }
 
 // park blocks wid until a producer or close wakes it. The worker
@@ -523,10 +473,10 @@ func (s *stealScheduler) park(wid int) {
 
 // drain empties every deque and injector, returning the abandoned tasks so
 // the error-path teardown can sweep their activations. Callers must
-// guarantee the pool has stopped (post wg.Wait): the steal/pop primitives
+// guarantee the pool has stopped (post runWorkers): the steal/pop primitives
 // are reused, but the scan assumes no concurrent owner or thief.
-func (s *stealScheduler) drain() []*task {
-	var out []*task
+func (s *stealScheduler) drain() []task {
+	var out []task
 	for w := range s.local {
 		for pri := range s.local[w].d {
 			for {
@@ -534,7 +484,7 @@ func (s *stealScheduler) drain() []*task {
 				if t == nil {
 					break
 				}
-				out = append(out, t)
+				out = append(out, *t)
 			}
 		}
 	}
@@ -544,7 +494,7 @@ func (s *stealScheduler) drain() []*task {
 			if t == nil {
 				break
 			}
-			out = append(out, t)
+			out = append(out, *t)
 		}
 	}
 	return out
@@ -556,12 +506,12 @@ func (s *stealScheduler) drain() []*task {
 // flag and the tracer binding need refreshing. Stray parker tokens left by
 // the close broadcast are swallowed here — a leftover token would merely
 // cost one spurious rescan, but consuming it keeps park accounting exact.
+// A failed run leaves outstanding above zero; the clock restarts.
 func (s *stealScheduler) reopen(tr *tracer) {
+	s.start = time.Now()
+	s.outstanding.Store(0)
 	s.closed.Store(false)
 	s.tr = tr
-	for w := range s.lastVictim {
-		s.lastVictim[w] = -1
-	}
 	s.idleMu.Lock()
 	s.idle = s.idle[:0]
 	s.nidle.Store(0)
@@ -575,9 +525,12 @@ func (s *stealScheduler) reopen(tr *tracer) {
 }
 
 // close marks the run over and wakes every parked worker. Called at
-// quiescence and on error abort; queued tasks are abandoned by design.
+// quiescence, on error abort, and by every worker on its way out (only the
+// first call has anyone to wake); queued tasks are abandoned by design.
 func (s *stealScheduler) close() {
-	s.closed.Store(true)
+	if s.closed.Swap(true) {
+		return
+	}
 	s.idleMu.Lock()
 	idle := s.idle
 	s.idle = nil

@@ -6,8 +6,8 @@ import (
 )
 
 // SchedReport aggregates a run's scheduler behavior from the structured
-// trace: per-worker steals (with batched-steal task counts), parks, and —
-// under an active affinity plan — preferred-edge dispatch hits and misses.
+// trace: per-worker steals, parks, and — under an active affinity plan —
+// preferred-edge dispatch hits and misses.
 // It is the data behind `delprof -steals`, turning the raw event stream
 // into the load-balance summary the §5.2 workflow wants: which workers ran
 // dry, where their work came from, and how often the producer-preferred
@@ -15,14 +15,8 @@ import (
 
 // WorkerSched is one worker's scheduler activity for a run.
 type WorkerSched struct {
-	// Steals counts successful steal events initiated by this worker (one
-	// per victim raid; a batched raid is still one event here).
+	// Steals counts tasks this worker took from another worker's deque.
 	Steals int64
-	// StolenTasks counts tasks this worker obtained by stealing, including
-	// the extra tasks a batched steal moved onto its own deque.
-	StolenTasks int64
-	// BatchSteals counts the steal events that moved more than one task.
-	BatchSteals int64
 	// Parks counts times this worker gave up spinning and slept.
 	Parks int64
 	// AffinityHits / AffinityMisses count preferred-edge dispatch outcomes
@@ -49,11 +43,6 @@ func (t *Trace) SchedReport() *SchedReport {
 			switch ev.Type {
 			case TraceSteal:
 				ws.Steals++
-				ws.StolenTasks++
-			case TraceBatchSteal:
-				// Follows its TraceSteal, which already counted one task.
-				ws.BatchSteals++
-				ws.StolenTasks += ev.Arg - 1
 			case TracePark:
 				ws.Parks++
 			case TraceAffinity:
@@ -72,27 +61,22 @@ func (t *Trace) SchedReport() *SchedReport {
 func (r *SchedReport) Render() string {
 	var b strings.Builder
 	b.WriteString("scheduler: per-worker steal/park/affinity report\n")
-	fmt.Fprintf(&b, "%-8s %8s %8s %8s %8s %10s %10s %9s\n",
-		"worker", "steals", "tasks", "batched", "parks", "aff-hits", "aff-miss", "hit-rate")
+	fmt.Fprintf(&b, "%-8s %8s %8s %10s %10s %9s\n",
+		"worker", "steals", "parks", "aff-hits", "aff-miss", "hit-rate")
 	var tot WorkerSched
 	for wid := range r.Workers {
 		ws := r.Workers[wid]
-		fmt.Fprintf(&b, "%-8d %8d %8d %8d %8d %10d %10d %9s\n",
-			wid, ws.Steals, ws.StolenTasks, ws.BatchSteals, ws.Parks,
+		fmt.Fprintf(&b, "%-8d %8d %8d %10d %10d %9s\n",
+			wid, ws.Steals, ws.Parks,
 			ws.AffinityHits, ws.AffinityMisses, hitRate(ws.AffinityHits, ws.AffinityMisses))
 		tot.Steals += ws.Steals
-		tot.StolenTasks += ws.StolenTasks
-		tot.BatchSteals += ws.BatchSteals
 		tot.Parks += ws.Parks
 		tot.AffinityHits += ws.AffinityHits
 		tot.AffinityMisses += ws.AffinityMisses
 	}
-	fmt.Fprintf(&b, "%-8s %8d %8d %8d %8d %10d %10d %9s\n",
-		"total", tot.Steals, tot.StolenTasks, tot.BatchSteals, tot.Parks,
+	fmt.Fprintf(&b, "%-8s %8d %8d %10d %10d %9s\n",
+		"total", tot.Steals, tot.Parks,
 		tot.AffinityHits, tot.AffinityMisses, hitRate(tot.AffinityHits, tot.AffinityMisses))
-	if tot.Steals > 0 {
-		fmt.Fprintf(&b, "tasks per steal: %.2f\n", float64(tot.StolenTasks)/float64(tot.Steals))
-	}
 	return b.String()
 }
 

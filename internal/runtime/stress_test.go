@@ -168,6 +168,25 @@ main(n)
 	}
 }
 
+// TestBudgetExceededOnEveryWorkerFreesBlocks: once the budget is spent every
+// worker's next dispatch fails, not only the first to notice — and each
+// failing node was already taken off the queue with its inputs buffered in
+// its activation. The teardown must sweep every one of those activations,
+// or the later failures' blocks leak.
+func TestBudgetExceededOnEveryWorkerFreesBlocks(t *testing.T) {
+	g := compile(t, affinitySrc, faultOps())
+	for i := 0; i < 200; i++ {
+		e := New(g, Config{Mode: Real, Workers: 4, MaxOps: int64(300 + 7*i)})
+		_, err := e.Run(value.Int(9))
+		if err == nil || !strings.Contains(err.Error(), "operation budget") {
+			t.Fatalf("run %d: err = %v, want budget diagnostic", i, err)
+		}
+		if st := e.Stats().Blocks; st.Allocated != st.Freed {
+			t.Fatalf("run %d: failed run leaked: allocated %d, freed %d", i, st.Allocated, st.Freed)
+		}
+	}
+}
+
 // TestStealParkStress drives the stealing and parking paths hard under the
 // race detector: a bushy recursion floods the producing workers' deques
 // (forcing steals even on a single-CPU host, where thieves only run at

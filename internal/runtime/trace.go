@@ -64,11 +64,6 @@ const (
 	// count. The per-member node start/end pairs follow inside the
 	// supernode's bracketing slice.
 	TraceFused
-	// TraceBatchSteal records a batched steal event (affinity scheduling):
-	// it follows the event's TraceSteal and Arg is the total tasks the
-	// event transferred (the returned task plus extras parked on the
-	// thief's deque).
-	TraceBatchSteal
 	// TraceAffinity records the outcome of one preferred-edge dispatch
 	// under an active affinity plan: Arg is 1 for a hit (the task ran on
 	// its producer's worker) and 0 for a miss (it migrated).
@@ -108,8 +103,6 @@ func (t TraceEventType) String() string {
 		return "mem-elide"
 	case TraceFused:
 		return "fused"
-	case TraceBatchSteal:
-		return "batch-steal"
 	case TraceAffinity:
 		return "affinity"
 	default:

@@ -90,10 +90,6 @@ func (s *Server) MetricsText() string {
 		func(p *program) int64 { return atomic.LoadInt64(&p.agg.affinityHits) })
 	perProg("delserver_affinity_misses_total", "preferred-edge dispatches that migrated off their producer's worker",
 		func(p *program) int64 { return atomic.LoadInt64(&p.agg.affinityMisses) })
-	perProg("delserver_batch_steals_total", "steal events whose batched affinity grab moved extra tasks",
-		func(p *program) int64 { return atomic.LoadInt64(&p.agg.batchSteals) })
-	perProg("delserver_batch_stolen_tasks_total", "tasks transferred by batched steal events",
-		func(p *program) int64 { return atomic.LoadInt64(&p.agg.batchStolenTasks) })
 	perProg("delserver_elided_refcounts_total", "refcount ops skipped by the memory plan",
 		func(p *program) int64 {
 			return atomic.LoadInt64(&p.agg.elidedRetains) + atomic.LoadInt64(&p.agg.elidedReleases)

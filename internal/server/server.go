@@ -137,7 +137,6 @@ type statsAgg struct {
 	ops, operators, retries, opTimeouts, faultsInjected int64
 	steals, parks                                       int64
 	affinityHits, affinityMisses                        int64
-	batchSteals, batchStolenTasks                       int64
 	elidedRetains, elidedReleases                       int64
 	pooledAllocs, copiesAvoided, fusedNodes             int64
 	snapshotCopies                                      int64
@@ -154,8 +153,6 @@ func (a *statsAgg) merge(st *runtime.Stats) {
 	atomic.AddInt64(&a.parks, st.Parks)
 	atomic.AddInt64(&a.affinityHits, st.AffinityHits)
 	atomic.AddInt64(&a.affinityMisses, st.AffinityMisses)
-	atomic.AddInt64(&a.batchSteals, st.BatchSteals)
-	atomic.AddInt64(&a.batchStolenTasks, st.BatchStolenTasks)
 	atomic.AddInt64(&a.elidedRetains, st.ElidedRetains)
 	atomic.AddInt64(&a.elidedReleases, st.ElidedReleases)
 	atomic.AddInt64(&a.pooledAllocs, st.PooledAllocs)

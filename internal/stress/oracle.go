@@ -20,7 +20,7 @@ type Variant struct {
 	// ready queues, so every fingerprint must still match the reference.
 	Profiled bool
 	// Affinity compiles the affinity plan and runs with locality hints on
-	// (producer-preferred dispatch, batched stealing). Hints are advisory —
+	// (producer-preferred dispatch, hint-first placement). Hints are advisory —
 	// they move work between workers, never change it — so every
 	// fingerprint must still match the reference.
 	Affinity bool
@@ -151,14 +151,13 @@ func (r *Report) OK() bool { return len(r.Failures) == 0 }
 // statsSnap captures the per-run counters the invariant checks need;
 // Reset zeroes Engine.Stats, so reuse legs snapshot before resetting.
 type statsSnap struct {
-	ops                          int64
-	allocated, freed             int64
+	ops                           int64
+	allocated, freed              int64
 	elidedRetains, elidedReleases int64
-	pooledAllocs, copiesAvoided  int64
-	fusedNodes, fusedSaved       int64
-	retries, faultsInjected      int64
-	affHits, affMisses           int64
-	batchSteals, batchStolen     int64
+	pooledAllocs, copiesAvoided   int64
+	fusedNodes, fusedSaved        int64
+	retries, faultsInjected       int64
+	affHits, affMisses            int64
 }
 
 func snap(st *rt.Stats) statsSnap {
@@ -176,8 +175,6 @@ func snap(st *rt.Stats) statsSnap {
 		faultsInjected: st.FaultsInjected,
 		affHits:        st.AffinityHits,
 		affMisses:      st.AffinityMisses,
-		batchSteals:    st.BatchSteals,
-		batchStolen:    st.BatchStolenTasks,
 	}
 }
 
@@ -205,15 +202,9 @@ func checkInvariants(v Variant, s RunSpec, st statsSnap) []string {
 		bad = append(bad, fmt.Sprintf("fusion counters incoherent: saved=%d nodes=%d ops=%d",
 			st.fusedSaved, st.fusedNodes, st.ops))
 	}
-	if !v.Affinity {
-		if st.affHits != 0 || st.affMisses != 0 || st.batchSteals != 0 || st.batchStolen != 0 {
-			bad = append(bad, fmt.Sprintf(
-				"affinity counters nonzero without affinity: hits=%d misses=%d batch=%d/%d",
-				st.affHits, st.affMisses, st.batchSteals, st.batchStolen))
-		}
-	} else if st.batchStolen < st.batchSteals {
-		bad = append(bad, fmt.Sprintf("batch-steal counters incoherent: %d events moved %d tasks",
-			st.batchSteals, st.batchStolen))
+	if !v.Affinity && (st.affHits != 0 || st.affMisses != 0) {
+		bad = append(bad, fmt.Sprintf("affinity counters nonzero without affinity: hits=%d misses=%d",
+			st.affHits, st.affMisses))
 	}
 	if s.Faults {
 		if st.retries < st.faultsInjected {
