@@ -50,8 +50,9 @@ func BuildFunc(info *sema.Info, decl *ast.FuncDecl, diags *source.DiagList) []*T
 }
 
 // Link resolves callee names to template pointers in every node, including
-// branch subtemplates, and validates the result. Call after all templates
-// (from sequential Build or merged parallel workers) are registered.
+// branch subtemplates, records the program's smallest operator timeout, and
+// validates the result. Call after all templates (from sequential Build or
+// merged parallel workers) are registered.
 func Link(prog *Program, diags *source.DiagList) {
 	var linkTemplate func(t *Template)
 	linkTemplate = func(t *Template) {
@@ -64,6 +65,10 @@ func Link(prog *Program, diags *source.DiagList) {
 					continue
 				}
 				n.Callee = callee
+			case OpNode:
+				if l := n.Op.Timeout; l > 0 && (prog.OpTimeout == 0 || l < prog.OpTimeout) {
+					prog.OpTimeout = l
+				}
 			case CondNode:
 				linkTemplate(n.Then)
 				linkTemplate(n.Else)

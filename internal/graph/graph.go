@@ -14,6 +14,7 @@ package graph
 import (
 	"fmt"
 	"sync"
+	"time"
 
 	"repro/internal/operator"
 	"repro/internal/source"
@@ -399,6 +400,12 @@ type Program struct {
 	// program; executors configured with AffinityHints then activate
 	// producer-preferred dispatch and batched, locality-ranked stealing.
 	AffinityPlanned bool
+	// OpTimeout is the smallest positive Operator.Timeout among the
+	// program's operator nodes, recorded by Link (zero when there is none).
+	// With Config.OpTimeout it tells the runtime, without a walk, whether
+	// any operator call runs under a deadline; a program assembled without
+	// Link sets it itself.
+	OpTimeout time.Duration
 }
 
 // MemoryWords totals template memory over the program.

@@ -119,15 +119,18 @@ func (w *worker) end(sp span, t task, n *graph.Node, member bool, err error) {
 
 // loop is the one task loop, and its body the one dispatch step: take a
 // task, account its provenance, bracket it for the observers, execute it,
-// retire it. The caller's goroutine runs the loop for serial and simulated
-// runs, every pool worker for multi-worker ones, until the scheduler reports
-// the run over or a node fails.
-func (e *Engine) loop(w *worker) {
+// retire it. The caller's goroutine runs the loop for unbounded serial and
+// simulated runs, one per-run goroutine for bounded ones, every pool worker
+// for multi-worker ones, until the scheduler reports the run over or a node
+// fails. It returns errAbandoned, having touched nothing after the call, when
+// the watchdog took over the operator call this goroutine was stuck in, and
+// nil otherwise.
+func (e *Engine) loop(w *worker) error {
 	q := w.q
 	for {
 		t, ok := q.next(w)
 		if !ok {
-			return
+			return nil
 		}
 		if t.prov&taskPref != 0 {
 			// Preferred-edge dispatch outcome (Real mode; the simulated
@@ -152,19 +155,24 @@ func (e *Engine) loop(w *worker) {
 			sp = w.begin(t.act, t.node, dispatchLabel(t.node))
 		}
 		err := e.execNode(w, t)
+		if err == errAbandoned {
+			return err
+		}
 		if observed {
 			w.end(sp, t, t.node, false, err)
 		}
 		if err != nil {
 			e.failAt(t.act, err)
-			return
+			return nil
 		}
 		q.retire(w, t)
 	}
 }
 
 // run is the one run frame: seed the root activation, run the loop (inline,
-// or on the worker pool), and settle the outcome.
+// on one goroutine for a bounded engine, or on the worker pool), and settle
+// the outcome. A bounded engine's run is registered with the deadline
+// watchdog from seeding to join.
 //
 // Termination: the run ends at quiescence (no scheduled work left), which
 // is reached after the final result is produced and any straggling
@@ -202,10 +210,19 @@ func (e *Engine) run(args []value.Value) (value.Value, error) {
 	e.rootAct = root
 	e.stats.noteLive(1, int64(e.prog.Main.ActivationWords()))
 	e.initActivation(w, root, args)
-	if pooled {
-		e.runWorkers(e.sched)
-	} else {
+	if e.dl != nil {
+		e.dl.register()
+	}
+	switch {
+	case pooled:
+		e.runWorkers(e.sched, nil)
+	case e.dl != nil:
+		e.runWorkers(nil, w)
+	default:
 		e.loop(w)
+	}
+	if e.dl != nil {
+		e.dl.deregister()
 	}
 	if !e.stopped.Load() {
 		// Quiescence without a result. The root is still live (it never

@@ -131,7 +131,10 @@ type Config struct {
 	MaxOps int64
 	// OpTimeout bounds every operator execution (per attempt); zero means
 	// unbounded. An individual Operator.Timeout overrides it. Timed-out
-	// executions count as failed attempts and may retry under Retry.
+	// executions count as failed attempts and may retry under Retry. A
+	// timeout fires between the limit and the limit plus the deadline
+	// watchdog's tick: a quarter of the engine's smallest limit, clamped to
+	// [1ms, 100ms].
 	OpTimeout time.Duration
 	// Retry re-runs failed executions of operators that declare
 	// Operator.CanRetry. Destructively-declared arguments are snapshotted
@@ -282,6 +285,15 @@ type Engine struct {
 	// worker goroutines that survive across runs, parking between them,
 	// instead of being respawned and joined per run.
 	pool *runPool
+	// join is the rendezvous of a run's per-run goroutines: the pool workers
+	// of a plain multi-worker Run, or the one loop goroutine of a bounded
+	// serial or simulated run. The watchdog calls Done for a goroutine it
+	// abandons.
+	join sync.WaitGroup
+	// dl, present only on a bounded engine (Config.OpTimeout or some
+	// Operator.Timeout positive), holds the per-worker deadline slots
+	// (deadline.go). Allocated in New and kept across Reset.
+	dl *deadlines
 
 	// runCtx/ctxDone carry the RunContext cancellation signal. ctxDone is
 	// nil for context.Background, keeping the disabled-path cost of the
@@ -312,6 +324,7 @@ func New(prog *graph.Program, cfg Config) *Engine {
 	if cfg.Trace {
 		e.tracer = newTracer(cfg.Mode, cfg.workers())
 	}
+	e.dl = newDeadlines(e)
 	return e
 }
 

@@ -178,10 +178,16 @@ const (
 	shadowCompleted
 )
 
-// callOperatorBounded runs one operator attempt under a deadline. The body
-// runs on its own goroutine with a detached shadow worker, a private
-// argument slice, and a private block-stats sink: if the deadline fires the
-// goroutine is abandoned (Go cannot preempt embedded code), and the
+// callOperatorBounded runs one bounded operator attempt that has a
+// successor — retry is enabled, the operator CanRetry, and attempts remain.
+// After a timeout the worker must carry on: retry on the pristine inputs,
+// then finish the rest of its fused cluster. An inline call (callInline)
+// cannot, because the worker's own goroutine is the one left stuck inside the
+// operator, so these attempts keep a helper goroutine per call; they already
+// deep-copy every destructive argument, and only chaos configurations make
+// them. The body runs on its own goroutine with a detached shadow worker, a
+// private argument slice, and a private block-stats sink: if the deadline
+// fires the goroutine is abandoned (Go cannot preempt embedded code), and the
 // isolation guarantees the stray goroutine cannot race with the worker's
 // per-node state, with a retry rewriting the activation buffer, or with the
 // engine's counters. Publication is arbitrated by a CAS guarded by the
@@ -215,16 +221,7 @@ func (e *Engine) callOperatorBounded(w *worker, n *graph.Node, ins []value.Value
 		}
 	}()
 	accept := func(r opResult) (value.Value, error) {
-		// Merging into w.charge routes the shadow's units through execNode's
-		// end-of-dispatch stats flush. The private block accounting merges
-		// into the engine's counters, and blocks the operator allocated
-		// against the private sink re-home to the engine's so their eventual
-		// Freed lands where Allocated was just credited.
-		w.charge += sw.charge
-		w.localWords += sw.localWords
-		w.remoteWords += sw.remoteWords
-		e.stats.Blocks.Add(*sink)
-		value.RebindStats(r.v, sink, &e.stats.Blocks)
+		e.adopt(w, sw, r.v)
 		return r.v, r.err
 	}
 	timer := time.NewTimer(limit)
@@ -249,11 +246,27 @@ func (e *Engine) callOperatorBounded(w *worker, n *graph.Node, ins []value.Value
 	}
 }
 
-// invokeOp dispatches one operator attempt: it draws the next armed fault
-// for this operator (if a plan is configured) and routes through the
-// deadline wrapper when a timeout bound applies. A per-operator Timeout
-// overrides Config.OpTimeout; a negative one disables the bound entirely.
-func (e *Engine) invokeOp(w *worker, a *activation, n *graph.Node, ins []value.Value) (value.Value, error) {
+// adopt merges a completed shadow call into the dispatching worker w.
+// Merging into w.charge routes the shadow's units through execNode's
+// end-of-dispatch stats flush. The shadow's private block accounting merges
+// into the engine's counters, and blocks the operator allocated against the
+// private sink, reachable from its result v, re-home to the engine's so their
+// eventual Freed lands where Allocated was just credited.
+func (e *Engine) adopt(w, sw *worker, v value.Value) {
+	w.charge += sw.charge
+	if sink := sw.blocks; *sink != (value.BlockStats{}) {
+		e.stats.Blocks.Add(*sink)
+		value.RebindStats(v, sink, &e.stats.Blocks)
+	}
+}
+
+// invokeOp dispatches attempt number attempt of maxAttempts: it draws the
+// next armed fault for this operator (if a plan is configured) and routes
+// through a deadline when a timeout bound applies — the inline slot call for
+// the terminal attempt, the helper goroutine for one with a successor. A
+// per-operator Timeout overrides Config.OpTimeout; a negative one disables
+// the bound entirely.
+func (e *Engine) invokeOp(w *worker, a *activation, n *graph.Node, ins []value.Value, attempt, maxAttempts int) (value.Value, error) {
 	var f *Fault
 	if e.cfg.Faults != nil {
 		if f = e.cfg.Faults.next(n.Op.Name); f != nil {
@@ -271,7 +284,10 @@ func (e *Engine) invokeOp(w *worker, a *activation, n *graph.Node, ins []value.V
 	if limit <= 0 {
 		return callOperator(w, n, ins, f)
 	}
-	return e.callOperatorBounded(w, n, ins, f, limit)
+	if attempt < maxAttempts {
+		return e.callOperatorBounded(w, n, ins, f, limit)
+	}
+	return e.callInline(w, a, n, ins, f, limit, attempt)
 }
 
 // execOp runs one operator node: fault injection, the optional deadline,
@@ -346,7 +362,7 @@ func (e *Engine) execOp(w *worker, a *activation, n *graph.Node, ins []value.Val
 		if w.mem != nil && w.tr != nil {
 			memBefore = w.mem.elidedReleases + w.mem.pool.Hits()
 		}
-		result, err := e.invokeOp(w, a, n, ins)
+		result, err := e.invokeOp(w, a, n, ins, attempt, maxAttempts)
 		if err == nil {
 			if result == nil {
 				result = value.Null{}
@@ -376,6 +392,9 @@ func (e *Engine) execOp(w *worker, a *activation, n *graph.Node, ins []value.Val
 			clearInputs(ins)
 			e.complete(w, a, n, result)
 			return nil
+		}
+		if err == errAbandoned {
+			return err
 		}
 		if attempt < maxAttempts && retryable(err) {
 			atomic.AddInt64(&e.stats.Retries, 1)
@@ -450,6 +469,9 @@ func (e *Engine) execNode(w *worker, t task) error {
 		err = e.execFused(w, t, c)
 	} else if err = e.checkOps(t.act, atomic.AddInt64(&e.stats.OpsExecuted, 1), 1); err == nil {
 		err = e.execBody(w, t.act, t.node)
+	}
+	if err == errAbandoned {
+		return err
 	}
 	if w.charge != 0 {
 		atomic.AddInt64(&e.stats.ChargedUnits, w.charge)

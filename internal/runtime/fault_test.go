@@ -175,10 +175,19 @@ func TestRetryRecoversDeterministically(t *testing.T) {
 
 // TestRetryExhaustion arms a fault on every attempt: the run must fail with
 // a structured error carrying the attempt count, and the teardown must
-// release every block.
+// release every block, including the one the second writer still shares.
+// The fault plan counts executions per operator, so that writer is the
+// unfaulted fill: all three faults land on w1 however the workers interleave.
 func TestRetryExhaustion(t *testing.T) {
+	const src = `
+main()
+  let b = mkblock(16)
+      w1 = rfill(b, 1)
+      w2 = fill(b, 2)
+  in add(blocksum(w1), blocksum(w2))
+`
 	for _, mode := range []Mode{Real, Simulated} {
-		g := compile(t, contendedBlocks, faultOps())
+		g := compile(t, src, faultOps())
 		e := New(g, Config{Mode: mode, Workers: 4, MaxOps: 100000,
 			Retry: RetryPolicy{MaxAttempts: 3},
 			Faults: NewFaultPlan(

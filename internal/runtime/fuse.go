@@ -81,6 +81,9 @@ func (e *Engine) execFused(w *worker, t task, c *graph.Cluster) error {
 			sp = w.begin(a, n, traceLabel(n))
 		}
 		err := e.execBody(w, a, n)
+		if err == errAbandoned {
+			return err
+		}
 		if observed {
 			w.end(sp, t, n, true, err)
 		}

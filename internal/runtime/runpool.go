@@ -40,6 +40,9 @@ type runPool struct {
 	// runWg is the per-run rendezvous; joinWg joins the goroutines on stop.
 	runWg  sync.WaitGroup
 	joinWg sync.WaitGroup
+	// lost lists the processors whose goroutine the watchdog abandoned inside
+	// an operator; runRound replaces them before the next round.
+	lost []int
 }
 
 func newRunPool(e *Engine, nw int) *runPool {
@@ -47,15 +50,15 @@ func newRunPool(e *Engine, nw int) *runPool {
 	p.cond = sync.NewCond(&p.mu)
 	p.joinWg.Add(nw)
 	for proc := 0; proc < nw; proc++ {
-		go p.loop(proc)
+		go p.loop(proc, 0)
 	}
 	return p
 }
 
-// loop is one pooled worker: wait for a generation, run it, signal, repeat.
-func (p *runPool) loop(proc int) {
-	defer p.joinWg.Done()
-	var seen int64
+// loop is one pooled worker: wait for a generation after seen, run it,
+// signal, repeat. A goroutine abandoned to the watchdog exits without
+// signaling: the watchdog already stood in for it at both joins.
+func (p *runPool) loop(proc int, seen int64) {
 	for {
 		p.mu.Lock()
 		for p.gen == seen && !p.quit {
@@ -63,15 +66,29 @@ func (p *runPool) loop(proc int) {
 		}
 		if p.quit {
 			p.mu.Unlock()
+			p.joinWg.Done()
 			return
 		}
 		seen = p.gen
 		p.mu.Unlock()
 		// e.sched is set by Engine.run before runRound publishes the
 		// generation, so the read here is ordered by the mutex.
-		p.e.poolWorker(p.e.sched, proc)
+		if p.e.poolWorker(p.e.sched, proc) == errAbandoned {
+			return
+		}
 		p.runWg.Done()
 	}
+}
+
+// abandon stands in for proc's goroutine, left stuck inside an operator by
+// the watchdog: it counts the goroutine out of the pool's join and the run's
+// rendezvous, and marks proc for replacement before the next round.
+func (p *runPool) abandon(proc int) {
+	p.mu.Lock()
+	p.lost = append(p.lost, proc)
+	p.mu.Unlock()
+	p.joinWg.Done()
+	p.runWg.Done()
 }
 
 // runRound hands the pooled workers one run and blocks until every worker
@@ -80,13 +97,18 @@ func (p *runPool) loop(proc int) {
 func (p *runPool) runRound() {
 	p.runWg.Add(p.nw)
 	p.mu.Lock()
+	for _, proc := range p.lost {
+		p.joinWg.Add(1)
+		go p.loop(proc, p.gen)
+	}
+	p.lost = p.lost[:0]
 	p.gen++
 	p.mu.Unlock()
 	p.cond.Broadcast()
 	p.runWg.Wait()
 }
 
-// stop retires the pool, joining every worker goroutine. Idempotent-unsafe
+// stop retires the pool, joining every live worker goroutine. Idempotent-unsafe
 // by design: RunMany owns the pool's whole lifecycle within one call.
 func (p *runPool) stop() {
 	p.mu.Lock()

@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	goruntime "runtime"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
@@ -204,10 +206,40 @@ func TestOverloadSheds(t *testing.T) {
 	leakCheck(t, s)
 }
 
+// startWatchdog makes one bounded run so that the runtime's deadline
+// watchdog — the one goroutine bounded runs leave behind, parked while none
+// is in flight — exists before a test takes its goroutine baseline.
+func startWatchdog(t *testing.T) {
+	t.Helper()
+	spec := catalogSpec(t, "queens4", 2, 0)
+	if _, err := runtime.New(spec.Prog, spec.Base).Run(); err != nil {
+		t.Fatalf("warm-up run: %v", err)
+	}
+}
+
+// settledGoroutines waits for the goroutine count to return to before and
+// reports the leak, with every goroutine's stack, if it does not.
+func settledGoroutines(t *testing.T, before int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		goruntime.GC()
+		if d := goruntime.NumGoroutine() - before; d <= 0 || time.Now().After(deadline) {
+			if d > 0 {
+				buf := make([]byte, 1<<16)
+				t.Errorf("leaked %d goroutines\n%s", d, buf[:goruntime.Stack(buf, true)])
+			}
+			return
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+}
+
 // TestDrainUnderLoad: SIGTERM semantics under concurrent load — admission
 // stops, in-flight runs complete (or cancel past the budget), every block
 // is freed, no goroutines leak, and post-drain requests get 503.
 func TestDrainUnderLoad(t *testing.T) {
+	startWatchdog(t)
 	before := goruntime.NumGoroutine()
 
 	s := New(Config{MaxConcurrent: 4, QueueDepth: 8, DrainTimeout: 300 * time.Millisecond})
@@ -248,17 +280,106 @@ func TestDrainUnderLoad(t *testing.T) {
 	// Zero leaked goroutines: engine workers join at run end, the drain
 	// canceled stragglers, and nothing holds the admission queue. Allow
 	// brief settling for the last worker joins.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		goruntime.GC()
-		if d := goruntime.NumGoroutine() - before; d <= 0 || time.Now().After(deadline) {
-			if d > 0 {
-				buf := make([]byte, 1<<16)
-				t.Errorf("leaked %d goroutines after drain\n%s", d, buf[:goruntime.Stack(buf, true)])
-			}
-			break
+	settledGoroutines(t, before)
+}
+
+// TestIdleGoroutinesAfterBurst: a served run holds no goroutine past its
+// end — the deadline machinery runs bounded operators inline and leaves
+// only the process's one parked watchdog — so after a burst of concurrent
+// runs of every catalog program and a drain, the goroutine count is back at
+// its pre-burst baseline: an idle server's goroutines are O(cores), not
+// O(requests served).
+func TestIdleGoroutinesAfterBurst(t *testing.T) {
+	startWatchdog(t)
+	before := goruntime.NumGoroutine()
+
+	s := New(Config{MaxConcurrent: 4, QueueDepth: 64})
+	names := []string{"queens4", "queens6", "jacobi16", "fib"}
+	for _, name := range names[:3] {
+		mustRegister(t, s, catalogSpec(t, name, 2, 0))
+	}
+	// fib arrives as posted source, under the registration path's config.
+	src, err := os.ReadFile("../../programs/fib.dlr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fib, err := CompileSource("fib", string(src), 2, true, true, false)
+	if err != nil {
+		t.Fatalf("compile fib: %v", err)
+	}
+	mustRegister(t, s, fib)
+	var wg sync.WaitGroup
+	errs := make(chan error, 32)
+	for i := 0; i < 32; i++ {
+		name := names[i%len(names)]
+		req := RunRequest{TimeoutMS: 10_000}
+		if name == "fib" {
+			req.Args = []json.RawMessage{json.RawMessage("12")}
 		}
-		time.Sleep(20 * time.Millisecond)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, apiErr := s.Execute(context.Background(), name, req); apiErr != nil {
+				errs <- fmt.Errorf("%s: %v", name, apiErr)
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	leakCheck(t, s)
+	settledGoroutines(t, before)
+}
+
+// TestBoundedRunAllocs pins the deadline fast path: warm Reset+Run cycles of
+// the queens6 catalog program under the catalog's OpTimeout allocate at most
+// a handful more per run than the same engine unbounded — a bounded operator
+// call allocates nothing. The minimum over a few measurements keeps a GC
+// that empties the activation pools mid-measurement out of the comparison.
+func TestBoundedRunAllocs(t *testing.T) {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, set := range bi.Settings {
+			if set.Key == "-race" && set.Value == "true" {
+				t.Skip("under the race detector sync.Pool drops pooled activations at random")
+			}
+		}
+	}
+	spec := catalogSpec(t, "queens6", 2, 0)
+	if spec.Base.OpTimeout <= 0 {
+		t.Fatal("catalog queens6 is not bounded; the test is vacuous")
+	}
+	unbounded := spec.Base
+	unbounded.OpTimeout = 0
+	allocs := func(cfg runtime.Config) float64 {
+		e := runtime.New(spec.Prog, cfg)
+		best := -1.0
+		for i := 0; i < 3; i++ {
+			n := testing.AllocsPerRun(20, func() {
+				if err := e.Reset(); err != nil {
+					t.Fatal(err)
+				}
+				v, err := e.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				value.Release(v, &e.Stats().Blocks)
+			})
+			if best < 0 || n < best {
+				best = n
+			}
+		}
+		return best
+	}
+	b, u := allocs(spec.Base), allocs(unbounded)
+	t.Logf("allocations per run: bounded %.0f, unbounded %.0f", b, u)
+	if b > u+4 {
+		t.Errorf("bounded run allocates %.0f, unbounded %.0f: the deadline costs %.0f per run, want at most 4",
+			b, u, b-u)
 	}
 }
 
