@@ -4,7 +4,6 @@
 //
 //	BenchmarkFig1RetinaSpeedup    Figure 1 (speedup reported as a metric)
 //	BenchmarkTable1CompilerPasses Table 1 via the self-hosted compiler
-//	BenchmarkTable1WallClock      Table 1 wall-clock variant on this host
 //	BenchmarkOverheadRetina       §7 overhead claim (<3%, <1% on retina)
 //	BenchmarkPriorityAblation     §7 priority scheme (peak activations)
 //	BenchmarkAffinityAblation     §9.3 affinity on the NUMA Butterfly
@@ -71,45 +70,17 @@ func BenchmarkTable1CompilerPasses(b *testing.B) {
 	src := compile.Generate(120, 1990)
 	var total float64
 	for i := 0; i < b.N; i++ {
-		seq, err := selfcomp.Compile("w.dlr", src, nil, 1)
+		seq, err := selfcomp.Compile("w.dlr", src, nil, rt.Simulated, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
-		par, err := selfcomp.Compile("w.dlr", src, nil, 3)
+		par, err := selfcomp.Compile("w.dlr", src, nil, rt.Simulated, 3)
 		if err != nil {
 			b.Fatal(err)
 		}
 		total = float64(seq.TotalTicks) / float64(par.TotalTicks)
 	}
 	b.ReportMetric(total, "speedup3p")
-}
-
-func BenchmarkTable1WallClock(b *testing.B) {
-	src := compile.Generate(300, 1990)
-	workers := runtime.NumCPU()
-	if workers > 3 {
-		workers = 3
-	}
-	var speedup float64
-	for i := 0; i < b.N; i++ {
-		// Best-of-3 per driver, the same hygiene delx tab1wall uses:
-		// wall-clock parallel compiles on a small host are noisy.
-		best := func(w int) int64 {
-			var min int64 = 1 << 62
-			for r := 0; r < 3; r++ {
-				res, err := compile.Compile("w.dlr", src, compile.Options{Workers: w})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if n := res.TotalNanos(); n < min {
-					min = n
-				}
-			}
-			return min
-		}
-		speedup = float64(best(1)) / float64(best(workers))
-	}
-	b.ReportMetric(speedup, "wall_speedup")
 }
 
 func BenchmarkOverheadRetina(b *testing.B) {

@@ -11,7 +11,7 @@
 //	delc -memplan program.dlr        run the memory-plan pass, print the plan
 //	delc -fuse program.dlr           run operator fusion, print the supernode plan
 //	delc -fuse -profile p.json ...   seed fusion priorities from delprof -profout
-//	delc -O -1 -cworkers 3 ...       optimization level / parallel compiler
+//	delc -O -1 ...                   optimization level
 package main
 
 import (
@@ -31,7 +31,6 @@ func main() {
 	var (
 		app      = flag.String("app", "builtins", "operator registry: builtins, queens, retina, ray, circuit")
 		optLevel = flag.Int("O", 2, "optimization level (-1 none, 1 local, 2 full)")
-		cworkers = flag.Int("cworkers", 1, "compiler workers (>1 uses the parallel compiler)")
 		dot      = flag.Bool("dot", false, "emit coordination graphs as Graphviz DOT")
 		dumpAST  = flag.Bool("ast", false, "print the analyzed program")
 		format   = flag.Bool("fmt", false, "parse and pretty-print the program, then exit")
@@ -72,7 +71,7 @@ func main() {
 	prof, err := cli.LoadProfile(*profile)
 	fail(err)
 	res, err := compile.Compile(name, src, compile.Options{
-		Registry: reg, OptLevel: *optLevel, Workers: *cworkers, MemPlan: *memplan,
+		Registry: reg, OptLevel: *optLevel, MemPlan: *memplan,
 		Fuse: *fuse, FuseProfile: prof})
 	fail(err)
 	for _, w := range res.Warnings {

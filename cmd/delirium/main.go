@@ -29,7 +29,6 @@ func main() {
 		machName = flag.String("machine", "cray", "simulated machine: cray, cray2, sequent, butterfly, workstation")
 		app      = flag.String("app", "builtins", "operator registry: builtins, queens, retina, ray, circuit")
 		optLevel = flag.Int("O", 2, "optimization level (-1 none, 1 local, 2 full)")
-		cworkers = flag.Int("cworkers", 1, "compiler workers (>1 uses the parallel compiler)")
 		timing   = flag.Bool("timing", false, "print node timings after the run")
 		affName  = flag.String("affinity", "none", "simulated affinity policy: none, operator, data")
 		stats    = flag.Bool("stats", false, "print execution statistics")
@@ -60,7 +59,7 @@ func main() {
 	fail(err)
 
 	res, err := compile.Compile(name, src, compile.Options{
-		Registry: reg, OptLevel: *optLevel, Workers: *cworkers, Fuse: *fuse})
+		Registry: reg, OptLevel: *optLevel, Fuse: *fuse})
 	fail(err)
 
 	mode := runtime.Real

@@ -14,7 +14,8 @@ import (
 // family of generated programs, the computed value is identical across
 //
 //   - optimization levels (none / local / full),
-//   - compiler drivers (sequential / parallel / self-hosted),
+//   - compiler drivers (sequential / self-hosted on simulated and real
+//     workers),
 //   - executors (real / simulated), and
 //   - worker counts,
 //
@@ -36,7 +37,6 @@ func TestCrossCuttingConsistency(t *testing.T) {
 				{OptLevel: -1},
 				{OptLevel: 1},
 				{OptLevel: 2},
-				{OptLevel: 2, Workers: 3},
 				{OptLevel: 2, Fuse: true},
 				{OptLevel: 2, MemPlan: true, Fuse: true},
 			}
@@ -59,18 +59,22 @@ func TestCrossCuttingConsistency(t *testing.T) {
 				}
 			}
 
-			// The self-hosted compiler agrees too.
-			shc, err := selfcomp.Compile("gen.dlr", src, nil, 3)
-			if err != nil {
-				t.Fatalf("selfcomp: %v", err)
-			}
-			eng := runtime.New(shc.Graph, runtime.Config{Mode: runtime.Real, Workers: 2, MaxOps: 20_000_000})
-			v, err := eng.Run()
-			if err != nil {
-				t.Fatalf("selfcomp run: %v", err)
-			}
-			if !value.Equal(v, want) {
-				t.Errorf("selfcomp output: %v, want %v", v, want)
+			// The self-hosted compiler agrees too, on simulated and on real
+			// workers.
+			for _, mode := range []runtime.Mode{runtime.Simulated, runtime.Real} {
+				shc, err := selfcomp.Compile("gen.dlr", src, nil, mode, 3)
+				if err != nil {
+					t.Fatalf("selfcomp mode %d: %v", mode, err)
+				}
+				for ri, rcfg := range runCfgs {
+					v, err := runtime.New(shc.Graph, rcfg).Run()
+					if err != nil {
+						t.Fatalf("selfcomp mode %d run %d: %v", mode, ri, err)
+					}
+					if !value.Equal(v, want) {
+						t.Errorf("selfcomp mode %d run %d: %v, want %v", mode, ri, v, want)
+					}
+				}
 			}
 		})
 	}

@@ -206,8 +206,6 @@ type CompileOptions struct {
 	Registry *Registry
 	// OptLevel: 0 default (full), -1 none, 1 local only, 2 full.
 	OptLevel int
-	// Workers > 1 selects the parallel compiler (case study #2).
-	Workers int
 	// InlineBudget caps inline-expansion candidate size (0 = default).
 	InlineBudget int
 	// MemPlan runs the memory-plan pass: compile-time ownership analysis
@@ -243,7 +241,6 @@ func Compile(file, src string, opts CompileOptions) (*Program, error) {
 	res, err := compile.Compile(file, src, compile.Options{
 		Registry:     opts.Registry,
 		OptLevel:     opts.OptLevel,
-		Workers:      opts.Workers,
 		InlineBudget: opts.InlineBudget,
 		MemPlan:      opts.MemPlan,
 		Fuse:         opts.Fuse,

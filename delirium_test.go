@@ -131,34 +131,6 @@ func TestMachineProfiles(t *testing.T) {
 	}
 }
 
-func TestParallelCompileViaPublicAPI(t *testing.T) {
-	src := `
-f1(x) add(x, 1)
-f2(x) add(x, 2)
-f3(x) add(x, 3)
-main() add(f1(1), add(f2(2), f3(3)))
-`
-	seq, err := delirium.Compile("t.dlr", src, delirium.CompileOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := delirium.Compile("t.dlr", src, delirium.CompileOptions{Workers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := seq.Run(delirium.RunConfig{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := par.Run(delirium.RunConfig{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Errorf("sequential and parallel compilers disagree: %v vs %v", a, b)
-	}
-}
-
 func TestEval(t *testing.T) {
 	v, err := delirium.Eval("add(mul(6, 7), tuple_len(<1, 2>))")
 	if err != nil {

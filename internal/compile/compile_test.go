@@ -1,7 +1,6 @@
 package compile
 
 import (
-	"sort"
 	"strings"
 	"testing"
 
@@ -79,59 +78,6 @@ func TestCompileErrorsSurface(t *testing.T) {
 	}
 }
 
-func TestParallelMatchesSequential(t *testing.T) {
-	src := Generate(40, 7)
-	seq, err := Compile("g.dlr", src, Options{Workers: 1})
-	if err != nil {
-		t.Fatalf("sequential: %v", err)
-	}
-	par, err := Compile("g.dlr", src, Options{Workers: 4})
-	if err != nil {
-		t.Fatalf("parallel: %v", err)
-	}
-	// Same template names and per-template shapes.
-	if len(seq.Program.Templates) != len(par.Program.Templates) {
-		t.Fatalf("template counts differ: %d vs %d",
-			len(seq.Program.Templates), len(par.Program.Templates))
-	}
-	var names []string
-	for name := range seq.Program.Templates {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		st := seq.Program.Templates[name]
-		pt, ok := par.Program.Templates[name]
-		if !ok {
-			t.Fatalf("template %s missing from parallel compile", name)
-		}
-		if len(pt.Nodes) != len(st.Nodes) || pt.Result != st.Result ||
-			pt.NParams != st.NParams || pt.NCaptures != st.NCaptures || pt.Recursive != st.Recursive {
-			t.Errorf("template %s differs between drivers", name)
-		}
-	}
-}
-
-func TestParallelAndSequentialProduceSameResult(t *testing.T) {
-	src := Generate(24, 11)
-	var results []value.Value
-	for _, workers := range []int{1, 3} {
-		res, err := Compile("g.dlr", src, Options{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		e := runtime.New(res.Program, runtime.Config{Mode: runtime.Real, Workers: 2, MaxOps: 5_000_000})
-		v, err := e.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		results = append(results, v)
-	}
-	if !value.Equal(results[0], results[1]) {
-		t.Errorf("compiled programs disagree: %v vs %v", results[0], results[1])
-	}
-}
-
 func TestOptimizationLevelsPreserveSemantics(t *testing.T) {
 	src := Generate(16, 3)
 	var results []value.Value
@@ -190,27 +136,6 @@ func TestGenerateScales(t *testing.T) {
 	big := Generate(200, 1)
 	if len(big) < 5*len(small) {
 		t.Errorf("Generate(200) should be much larger than Generate(10): %d vs %d", len(big), len(small))
-	}
-}
-
-func TestTableRendering(t *testing.T) {
-	src := Generate(12, 2)
-	seq, err := Compile("g.dlr", src, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := Compile("g.dlr", src, Options{Workers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tab := Table(seq, par, 3)
-	for _, name := range PassNames {
-		if !strings.Contains(tab, name) {
-			t.Errorf("table missing pass %q:\n%s", name, tab)
-		}
-	}
-	if !strings.Contains(tab, "Totals") {
-		t.Error("table missing totals row")
 	}
 }
 
@@ -273,13 +198,5 @@ main(k)
 	}
 	if len(clean.Warnings) != 0 {
 		t.Errorf("unexpected warnings: %v", clean.Warnings)
-	}
-	// The parallel driver reports the same warnings.
-	par, err := Compile("t.dlr", "f(a, b) incr(a)\nmain() f(1, 2)", Options{Workers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(par.Warnings) != 1 {
-		t.Errorf("parallel Warnings = %v", par.Warnings)
 	}
 }

@@ -77,7 +77,7 @@ func FuzzGenerate(f *testing.F) {
 	f.Add(0, int64(0))
 	f.Add(-3, int64(-1))
 	f.Add(100, int64(7))
-	f.Add(1 << 20, int64(42))
+	f.Add(1<<20, int64(42))
 	f.Fuzz(func(t *testing.T, nFuncs int, seed int64) {
 		// Bound only the work, not the input domain: fold huge requests
 		// into a still-large range so fuzz iterations stay fast.

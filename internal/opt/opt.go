@@ -13,9 +13,9 @@
 //   - binder uniqueness lets inlined bodies keep their free names, so a
 //     lifted function's captures resolve correctly at any inline site.
 //
-// In the parallel compiler the local transformations are a
-// synthesized-attribute walk (§6.2 strategy 3) run independently per
-// function; inlining reads a frozen snapshot of callee bodies between two
+// In the parallel compiler (internal/selfcomp) the local transformations
+// are a synthesized-attribute walk (§6.2 strategy 3) run independently per
+// top-level unit — a function and the functions lifted out of it; inlining reads a frozen snapshot of callee bodies between two
 // local phases so that parallel workers never observe each other's
 // rewrites.
 package opt
@@ -78,7 +78,8 @@ func (s *Stats) String() string {
 
 // Optimize rewrites every function of the analyzed program in place and
 // returns transformation counts. It is the sequential driver; the parallel
-// compiler calls OptimizeFunc / InlineFunc per worker.
+// compiler (internal/selfcomp) calls OptimizeFunc / InlineFunc per worker,
+// one top-level unit (a function and its lifted nest) per worker at a time.
 func Optimize(info *sema.Info, opts Options) *Stats {
 	st := &Stats{}
 	if opts.Level <= 0 {
@@ -99,7 +100,9 @@ func Optimize(info *sema.Info, opts Options) *Stats {
 
 // OptimizeFunc runs the local rewrites (fold, propagate, CSE, DCE) on one
 // function body to a bounded fixed point. Safe to call concurrently for
-// distinct functions.
+// functions of distinct top-level units: the walks over a function descend
+// into the bodies lifted out of it (sema.Func.Owner names a function's
+// unit).
 func OptimizeFunc(info *sema.Info, f *ast.FuncDecl, opts Options, st *Stats) {
 	if opts.Level <= 0 {
 		return

@@ -115,8 +115,8 @@ type Config struct {
 	// AffinityHints activates the compile-time affinity plan's placement
 	// hints (programs compiled with compile.Options.Affinity). In Real mode
 	// the hints drive producer-preferred dispatch (the preferred consumer is
-	// popped first on the completing worker) and batched, locality-ranked
-	// stealing; in Simulated mode they drive hint-first placement (the
+	// popped first on the completing worker); in Simulated mode they drive
+	// hint-first placement (the
 	// preferred producer's processor, when free). Hints are advisory-only —
 	// they choose WHERE ready work runs, never whether or with what inputs —
 	// so results are bit-identical with hints on or off, and unplanned

@@ -47,7 +47,7 @@ func Operators(file, src string, reg *operator.Registry) *operator.Registry {
 				weights[i] = len(c)
 			}
 			ctx.Charge(int64(cParseTok * len(s.toks) / 25)) // crown ~4%
-			return splitPieces(s, weights, ctx), nil
+			return splitPieces(s, weights, nil, ctx), nil
 		},
 	})
 	r.MustRegister(&operator.Operator{
@@ -58,7 +58,7 @@ func Operators(file, src string, reg *operator.Registry) *operator.Registry {
 				return nil, err
 			}
 			for _, i := range pc.items {
-				pc.st.chunkProgs[i] = parser.ParseChunk(pc.st.file, pc.st.chunks[i], &pc.diags)
+				pc.st.chunkProgs[i] = parser.ParseChunk(pc.st.file, pc.st.chunks[i], &pc.st.itemDiags[i])
 			}
 			ctx.Charge(int64(cParseTok * countTokens(pc.st.chunks, pc.items)))
 			return args[0], nil
@@ -98,7 +98,7 @@ func Operators(file, src string, reg *operator.Registry) *operator.Registry {
 			s.table = macro.BuildTable(s.prog.Defines, &s.diags)
 			s.funcs = append([]*ast.FuncDecl(nil), s.prog.Funcs...)
 			ctx.Charge(int64(cMacro * (ast.CountProgram(s.prog)/30 + 8*s.table.Len())))
-			return splitPieces(s, funcWeights(s.funcs), ctx), nil
+			return splitPieces(s, funcWeights(s.funcs), nil, ctx), nil
 		},
 	})
 	r.MustRegister(&operator.Operator{
@@ -111,7 +111,7 @@ func Operators(file, src string, reg *operator.Registry) *operator.Registry {
 			work := 0
 			for _, i := range pc.items {
 				work += ast.Count(pc.st.funcs[i].Body)
-				pc.st.funcs[i] = pc.st.table.ExpandFunc(pc.st.funcs[i], &pc.diags)
+				pc.st.funcs[i] = pc.st.table.ExpandFunc(pc.st.funcs[i], &pc.st.itemDiags[i])
 			}
 			ctx.Charge(int64(cMacro * work))
 			return args[0], nil
@@ -142,10 +142,10 @@ func Operators(file, src string, reg *operator.Registry) *operator.Registry {
 				return nil, err
 			}
 			s.crown = sema.Collect(s.prog, s.reg, &s.diags)
-			s.funcs = s.crown.Prog.Funcs
+			s.funcs = s.crown.Decls()
 			s.units = make([]*sema.FuncUnit, len(s.funcs))
 			ctx.Charge(int64(cEnv * ast.CountProgram(s.prog) / 30))
-			return splitPieces(s, funcWeights(s.funcs), ctx), nil
+			return splitPieces(s, funcWeights(s.funcs), nil, ctx), nil
 		},
 	})
 	r.MustRegister(&operator.Operator{
@@ -158,7 +158,7 @@ func Operators(file, src string, reg *operator.Registry) *operator.Registry {
 			work := 0
 			for _, i := range pc.items {
 				work += ast.Count(pc.st.funcs[i].Body)
-				pc.st.units[i] = sema.AnalyzeOne(pc.st.crown, pc.st.funcs[i], &pc.diags)
+				pc.st.units[i] = sema.AnalyzeOne(pc.st.crown, pc.st.funcs[i], &pc.st.itemDiags[i])
 			}
 			ctx.Charge(int64(cEnv * work))
 			return args[0], nil
@@ -169,9 +169,6 @@ func Operators(file, src string, reg *operator.Registry) *operator.Registry {
 		Fn: func(ctx operator.Context, args []value.Value) (value.Value, error) {
 			s, err := joinPieces(args, "env_join")
 			if err != nil {
-				return nil, err
-			}
-			if err := failIfErrors(s, "environment analysis"); err != nil {
 				return nil, err
 			}
 			s.info = sema.Finalize(s.crown, s.units, &s.diags)
@@ -215,7 +212,7 @@ func Operators(file, src string, reg *operator.Registry) *operator.Registry {
 			}
 			s.sets = make([][]*graph.Template, len(s.names))
 			ctx.Charge(int64(cGraph * totalNodes(s) / 30))
-			return splitPieces(s, nameWeights(s), ctx), nil
+			return splitPieces(s, nameWeights(s), nil, ctx), nil
 		},
 	})
 	r.MustRegister(&operator.Operator{
@@ -229,7 +226,7 @@ func Operators(file, src string, reg *operator.Registry) *operator.Registry {
 			for _, i := range pc.items {
 				f := pc.st.info.Funcs[pc.st.names[i]].Decl
 				work += ast.Count(f.Body)
-				pc.st.sets[i] = graph.BuildFunc(pc.st.info, f, &pc.diags)
+				pc.st.sets[i] = graph.BuildFunc(pc.st.info, f, &pc.st.itemDiags[i])
 			}
 			ctx.Charge(int64(cGraph * work))
 			return args[0], nil
@@ -261,7 +258,8 @@ func Operators(file, src string, reg *operator.Registry) *operator.Registry {
 }
 
 // registerOptPhase registers a split/bite/join triple for an optimization
-// phase. post, if non-nil, runs in the join (the inline snapshot).
+// phase. post, if non-nil, runs in the join (the inline snapshot). The
+// split keeps every nest on one worker (see nestUnits).
 func registerOptPhase(r *operator.Registry, name string, unitCost int,
 	work func(pc *piece, i int) int, post func(*state, operator.Context)) {
 	r.MustRegister(&operator.Operator{
@@ -272,7 +270,7 @@ func registerOptPhase(r *operator.Registry, name string, unitCost int,
 				return nil, err
 			}
 			ctx.Charge(int64(unitCost * totalNodes(s) / 40))
-			return splitPieces(s, nameWeights(s), ctx), nil
+			return splitPieces(s, nameWeights(s), nestUnits(s), ctx), nil
 		},
 	})
 	r.MustRegister(&operator.Operator{
@@ -317,6 +315,20 @@ func totalNodes(s *state) int {
 		n += ast.Count(s.info.Funcs[name].Decl.Body)
 	}
 	return n
+}
+
+// nestUnits maps each info.Order entry to the index of its sema owner. The
+// optimizer's walks over an owner's body descend into the bodies lifted out
+// of it, which it also rewrites as functions of their own, so splitting a
+// nest across workers would race.
+func nestUnits(s *state) []int {
+	at := make(map[string]int, len(s.names))
+	unit := make([]int, len(s.names))
+	for i, name := range s.names {
+		at[name] = i
+		unit[i] = at[s.info.Funcs[name].Owner]
+	}
+	return unit
 }
 
 // nameWeights returns per-function node counts over info.Order.

@@ -1,7 +1,9 @@
 package selfcomp
 
 import (
+	"errors"
 	"fmt"
+	"strings"
 
 	"repro/internal/compile"
 	"repro/internal/graph"
@@ -56,44 +58,42 @@ main()
 // Source returns the coordination program text.
 func Source() string { return programSrc }
 
-// opPass maps operator names to Table 1 pass names.
+// passOf maps compiler-operator name prefixes to Table 1 pass names.
+var passOf = map[string]string{
+	"lex": "Lexing", "parse": "Parsing", "macro": "Macro Expansion", "env": "Env Analysis",
+	"opt": "Optimization", "inline": "Optimization", "graph": "Graph Conversion",
+}
+
+// opPass maps operator names to Table 1 pass names ("" for other nodes).
 func opPass(op string) string {
-	switch {
-	case op == "lex":
-		return "Lexing"
-	case len(op) >= 5 && op[:5] == "parse":
-		return "Parsing"
-	case len(op) >= 5 && op[:5] == "macro":
-		return "Macro Expansion"
-	case len(op) >= 3 && op[:3] == "env":
-		return "Env Analysis"
-	case len(op) >= 3 && op[:3] == "opt", len(op) >= 6 && op[:6] == "inline":
-		return "Optimization"
-	case len(op) >= 5 && op[:5] == "graph":
-		return "Graph Conversion"
-	default:
-		return ""
-	}
+	prefix, _, _ := strings.Cut(op, "_")
+	return passOf[prefix]
 }
 
 // Result is one self-hosted compilation run.
 type Result struct {
-	// Graph is the compiled program (identical to the direct driver's
+	// Graph is the compiled program (identical to the sequential driver's
 	// output for the same source).
 	Graph *graph.Program
-	// PassTicks maps Table 1 pass names to elapsed virtual time: the span
-	// from the pass's first operator start to its last operator end.
+	// Warnings carries the non-fatal diagnostics, as compile.Result does.
+	Warnings []string
+	// Mode is the executor the compiler ran on; it fixes the time unit.
+	Mode runtime.Mode
+	// PassTicks maps Table 1 pass names to elapsed time: the span from the
+	// pass's first operator start to its last operator end, in virtual
+	// ticks (Simulated) or nanoseconds (Real).
 	PassTicks map[string]int64
-	// TotalTicks is the whole compilation's virtual makespan.
+	// TotalTicks is the whole compilation's makespan, in the same unit.
 	TotalTicks int64
-	// Engine exposes execution statistics.
-	Engine *runtime.Engine
 }
 
-// Compile runs the parallel compiler as a Delirium program on a simulated
-// Sequent Symmetry with the given processor count, compiling (file, src)
-// against reg (nil selects the builtins). The run is deterministic.
-func Compile(file, src string, reg *operator.Registry, procs int) (*Result, error) {
+// Compile runs the parallel compiler as a Delirium program with the given
+// executor and worker count, compiling (file, src) against reg (nil
+// selects the builtins). Simulated runs model a Sequent Symmetry with
+// `workers` processors and are deterministic; Real runs take wall time on
+// this host's cores. Either way the graph and diagnostics are the
+// sequential driver's.
+func Compile(file, src string, reg *operator.Registry, mode runtime.Mode, workers int) (*Result, error) {
 	if reg == nil {
 		reg = operator.Builtins()
 	}
@@ -103,13 +103,17 @@ func Compile(file, src string, reg *operator.Registry, procs int) (*Result, erro
 		return nil, fmt.Errorf("selfcomp: compiling the compiler's framework: %w", err)
 	}
 	eng := runtime.New(prog.Program, runtime.Config{
-		Mode:    runtime.Simulated,
-		Workers: procs,
-		Machine: machine.Sequent().WithProcs(procs),
+		Mode:    mode,
+		Workers: workers,
+		Machine: machine.Sequent().WithProcs(workers),
 		Timing:  true,
 		MaxOps:  100_000_000,
 	})
 	out, err := eng.Run()
+	var perr *passError
+	if errors.As(err, &perr) {
+		return nil, perr.diags
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -117,7 +121,8 @@ func Compile(file, src string, reg *operator.Registry, procs int) (*Result, erro
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Graph: st.out, Engine: eng, PassTicks: make(map[string]int64)}
+	res := &Result{Graph: st.out, Warnings: st.diags.Warnings(), Mode: mode,
+		PassTicks: make(map[string]int64)}
 
 	starts := make(map[string]int64)
 	ends := make(map[string]int64)
@@ -137,6 +142,9 @@ func Compile(file, src string, reg *operator.Registry, procs int) (*Result, erro
 		res.PassTicks[pass] = ends[pass] - s0
 	}
 	res.TotalTicks = eng.Stats().MakespanTicks
+	if mode == runtime.Real {
+		res.TotalTicks = eng.Stats().RealNanos
+	}
 	return res, nil
 }
 
@@ -145,11 +153,11 @@ func Compile(file, src string, reg *operator.Registry, procs int) (*Result, erro
 // processors, with per-pass elapsed virtual times.
 func Table1Text(funcs, workers int) (string, error) {
 	src := compile.Generate(funcs, 1990)
-	seq, err := Compile("workload.dlr", src, nil, 1)
+	seq, err := Compile("workload.dlr", src, nil, runtime.Simulated, 1)
 	if err != nil {
 		return "", err
 	}
-	par, err := Compile("workload.dlr", src, nil, workers)
+	par, err := Compile("workload.dlr", src, nil, runtime.Simulated, workers)
 	if err != nil {
 		return "", err
 	}
@@ -157,7 +165,17 @@ func Table1Text(funcs, workers int) (string, error) {
 		"workload: %d synthetic functions; times in virtual msec (1000 ticks = 1 msec)\n"+
 		"paper:  lexing 91->91, parsing 200->78, macro 117->50, env 300->120,\n"+
 		"        opt 350->160, graph 380->160, totals 1438->659 (n=3)\n\n", funcs)
-	out += fmt.Sprintf("%-18s %12s %16s %9s\n", "Pass", "Sequential", fmt.Sprintf("Parallel (n=%d)", workers), "Speedup")
+	return out + Table(seq, par, workers), nil
+}
+
+// Table renders two runs' pass times side by side in the format of Table 1,
+// in milliseconds (virtual ones for Simulated runs).
+func Table(seq, par *Result, workers int) string {
+	perMs := 1000.0
+	if seq.Mode == runtime.Real {
+		perMs = 1e6
+	}
+	out := fmt.Sprintf("%-18s %12s %16s %9s\n", "Pass", "Sequential", fmt.Sprintf("Parallel (n=%d)", workers), "Speedup")
 	var tseq, tpar int64
 	for _, name := range compile.PassNames {
 		a, b := seq.PassTicks[name], par.PassTicks[name]
@@ -167,9 +185,9 @@ func Table1Text(funcs, workers int) (string, error) {
 		if b > 0 {
 			sp = float64(a) / float64(b)
 		}
-		out += fmt.Sprintf("%-18s %12.1f %16.1f %8.2fx\n", name, float64(a)/1000, float64(b)/1000, sp)
+		out += fmt.Sprintf("%-18s %12.1f %16.1f %8.2fx\n", name, float64(a)/perMs, float64(b)/perMs, sp)
 	}
 	out += fmt.Sprintf("%-18s %12.1f %16.1f %8.2fx\n", "Totals",
-		float64(tseq)/1000, float64(tpar)/1000, float64(tseq)/float64(tpar))
-	return out, nil
+		float64(tseq)/perMs, float64(tpar)/perMs, float64(tseq)/float64(tpar))
+	return out
 }

@@ -8,10 +8,12 @@
 // The coordination framework below is roughly 60 lines of Delirium; the
 // operators in this file are the paper's "400 line auxiliary module that
 // defines the operators", built on the same pass implementations the
-// direct driver in internal/compile uses. Running the framework on the
-// simulated Sequent with one and with three processors regenerates
-// Table 1 deterministically: lexing is unchanged, every other pass speeds
-// up by 2–3x, and the total lands near the paper's 2.2x.
+// sequential driver in internal/compile uses, and producing the same graph
+// and diagnostics. Running the framework on the simulated Sequent with one
+// and with three processors regenerates Table 1 deterministically: lexing
+// is unchanged, every other pass speeds up by 2–3x, and the total lands
+// near the paper's 2.2x. The same framework runs on Real workers for the
+// wall-clock variant.
 //
 // Work charging is calibrated so the sequential pass profile resembles
 // Table 1's sequential column (lex:parse:macro:env:opt:graph close to
@@ -74,16 +76,18 @@ type state struct {
 	sets  [][]*graph.Template
 	out   *graph.Program
 
-	diags source.DiagList // crown diagnostics, merged with piece diags
+	diags source.DiagList // crown diagnostics, merged with item diags
+	// itemDiags[i] collects the current stage's diagnostics for item i;
+	// the join merges them in item order, the sequential driver's order.
+	itemDiags []source.DiagList
 }
 
 // piece is one worker's share of a pass: a set of item indexes into the
-// stage's work list, plus a private diagnostics buffer.
+// stage's work list.
 type piece struct {
 	idx   int
 	items []int
 	st    *state
-	diags source.DiagList
 }
 
 func stateBlock(s *state, st *value.BlockStats) *value.Block {
@@ -131,27 +135,41 @@ func opaqueOf(v value.Value, what string) (interface{}, error) {
 
 // balance distributes item weights over Ways groups greedily (heaviest
 // first would need sorting; stable in-order assignment to the lightest
-// group is deterministic and nearly as even for many small items).
-func balance(weights []int) [Ways][]int {
+// group is deterministic and nearly as even for many small items). A nil
+// unit makes every item its own unit; otherwise item i joins the group of
+// item unit[i] (unit[i] <= i), which carries the whole unit's weight.
+// Groups list their items in index order.
+func balance(weights, unit []int) [Ways][]int {
+	load := append([]int(nil), weights...)
+	for i, u := range unit {
+		if u != i {
+			load[u] += weights[i]
+		}
+	}
 	var groups [Ways][]int
 	var loads [Ways]int
-	for i, w := range weights {
-		best := 0
-		for g := 1; g < Ways; g++ {
-			if loads[g] < loads[best] {
-				best = g
+	group := make([]int, len(weights))
+	for i := range weights {
+		if unit != nil && unit[i] != i {
+			group[i] = group[unit[i]]
+		} else {
+			for g := 1; g < Ways; g++ {
+				if loads[g] < loads[group[i]] {
+					group[i] = g
+				}
 			}
+			loads[group[i]] += load[i]
 		}
-		groups[best] = append(groups[best], i)
-		loads[best] += w
+		groups[group[i]] = append(groups[group[i]], i)
 	}
 	return groups
 }
 
-// splitPieces wraps balanced groups in piece blocks; piece 0 carries the
-// state onward.
-func splitPieces(s *state, weights []int, ctx operator.Context) value.Value {
-	groups := balance(weights)
+// splitPieces wraps balanced groups (see balance) in piece blocks and gives
+// every item a diagnostics buffer; piece 0 carries the state onward.
+func splitPieces(s *state, weights, unit []int, ctx operator.Context) value.Value {
+	groups := balance(weights, unit)
+	s.itemDiags = make([]source.DiagList, len(weights))
 	out := make(value.Tuple, Ways)
 	for i := 0; i < Ways; i++ {
 		pc := &piece{idx: i, items: groups[i], st: s}
@@ -160,8 +178,8 @@ func splitPieces(s *state, weights []int, ctx operator.Context) value.Value {
 	return out
 }
 
-// joinPieces validates the Ways pieces, merges their diagnostics into the
-// state in index order, and returns the state.
+// joinPieces validates the Ways pieces, merges the item diagnostics into
+// the state in item order, and returns the state.
 func joinPieces(args []value.Value, what string) (*state, error) {
 	var ordered [Ways]*piece
 	for _, a := range args {
@@ -182,8 +200,11 @@ func joinPieces(args []value.Value, what string) (*state, error) {
 		if pc.st != st {
 			return nil, fmt.Errorf("%s: pieces from different compilations", what)
 		}
-		st.diags.Merge(&pc.diags)
 	}
+	for i := range st.itemDiags {
+		st.diags.Merge(&st.itemDiags[i])
+	}
+	st.itemDiags = nil
 	return st, nil
 }
 
@@ -205,11 +226,20 @@ func funcWeights(funcs []*ast.FuncDecl) []int {
 	return w
 }
 
+// passError is a pass's failing diagnostics; Compile returns them bare,
+// as the sequential driver does.
+type passError struct {
+	pass  string
+	diags error
+}
+
+func (e *passError) Error() string { return fmt.Sprintf("%s failed:\n%v", e.pass, e.diags) }
+
 // failIfErrors aborts the pipeline when diagnostics carry errors, exactly
-// like the direct driver between passes.
+// like the sequential driver between passes.
 func failIfErrors(s *state, pass string) error {
-	if s.diags.HasErrors() {
-		return fmt.Errorf("%s failed:\n%v", pass, s.diags.Err())
+	if err := s.diags.Err(); err != nil {
+		return &passError{pass: pass, diags: err}
 	}
 	return nil
 }

@@ -6,11 +6,14 @@ import (
 	"testing"
 
 	"repro/internal/compile"
+	"repro/internal/operator"
+	"repro/internal/runtime"
+	"repro/internal/value"
 )
 
 func TestSelfHostedCompilerProducesWorkingPrograms(t *testing.T) {
 	src := compile.Generate(60, 5)
-	res, err := Compile("w.dlr", src, nil, 3)
+	res, err := Compile("w.dlr", src, nil, runtime.Simulated, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,11 +47,11 @@ func TestSelfHostedCompilerProducesWorkingPrograms(t *testing.T) {
 }
 
 func TestSelfHostedCompilerErrorsSurface(t *testing.T) {
-	if _, err := Compile("bad.dlr", "main() undefined_op(1)", nil, 3); err == nil ||
+	if _, err := Compile("bad.dlr", "main() undefined_op(1)", nil, runtime.Simulated, 3); err == nil ||
 		!strings.Contains(err.Error(), "undefined name") {
 		t.Errorf("err = %v, want undefined-name diagnostic", err)
 	}
-	if _, err := Compile("bad.dlr", "main() let in", nil, 3); err == nil {
+	if _, err := Compile("bad.dlr", "main() let in", nil, runtime.Simulated, 3); err == nil {
 		t.Error("syntax error should surface")
 	}
 }
@@ -58,11 +61,11 @@ func TestTable1ShapeSimulated(t *testing.T) {
 		t.Skip("short mode")
 	}
 	src := compile.Generate(240, 1990)
-	seq, err := Compile("w.dlr", src, nil, 1)
+	seq, err := Compile("w.dlr", src, nil, runtime.Simulated, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Compile("w.dlr", src, nil, 3)
+	par, err := Compile("w.dlr", src, nil, runtime.Simulated, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,11 +91,11 @@ func TestTable1ShapeSimulated(t *testing.T) {
 
 func TestTable1Deterministic(t *testing.T) {
 	src := compile.Generate(40, 3)
-	a, err := Compile("w.dlr", src, nil, 3)
+	a, err := Compile("w.dlr", src, nil, runtime.Simulated, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Compile("w.dlr", src, nil, 3)
+	b, err := Compile("w.dlr", src, nil, runtime.Simulated, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +129,7 @@ func TestBalanceEvenness(t *testing.T) {
 	for i := range weights {
 		weights[i] = 1 + i%17
 	}
-	groups := balance(weights)
+	groups := balance(weights, nil)
 	var loads [Ways]int
 	seen := make(map[int]bool)
 	for g, items := range groups {
@@ -172,5 +175,57 @@ func TestOpPassMapping(t *testing.T) {
 		if got := opPass(op); got != want {
 			t.Errorf("opPass(%q) = %q, want %q", op, got, want)
 		}
+	}
+}
+
+// TestOptSplitsKeepNestsTogether: the opt and inline splits put every
+// lifted function (named owner$inner...) in the same piece as the
+// top-level function it was lifted out of. The optimizer's walks over an
+// owner descend into its nest's bodies, so a nest split across workers
+// races.
+func TestOptSplitsKeepNestsTogether(t *testing.T) {
+	reg := Operators("n.dlr", compile.Generate(60, 5), operator.Builtins())
+	call := func(name string, args ...value.Value) value.Value {
+		v, err := opCall(t, reg, name, args...)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		return v
+	}
+	st := call("lex")
+	for _, pass := range []string{"parse", "macro", "env", "opt", "inline"} {
+		pieces := call(pass+"_split", st).(value.Tuple)
+		if pass == "opt" || pass == "inline" {
+			s, err := stateOf(st, pass)
+			if err != nil {
+				t.Fatal(err)
+			}
+			at := make(map[string]int)
+			for p, v := range pieces {
+				pc, err := pieceOf(v, pass)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, i := range pc.items {
+					at[s.names[i]] = p
+				}
+			}
+			lifted := 0
+			for name, p := range at {
+				if owner, _, ok := strings.Cut(name, "$"); ok {
+					lifted++
+					if at[owner] != p {
+						t.Errorf("%s split: %s in piece %d, its owner %s in piece %d", pass, name, p, owner, at[owner])
+					}
+				}
+			}
+			if lifted == 0 {
+				t.Fatal("workload has no nested functions")
+			}
+		}
+		for i := range pieces {
+			pieces[i] = call(pass+"_bite", pieces[i])
+		}
+		st = call(pass+"_join", pieces...)
 	}
 }

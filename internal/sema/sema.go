@@ -9,10 +9,11 @@
 // bindings; and marks calls in tail position for the runtime's activation
 // reuse.
 //
-// In the parallel compiler this pass is an inherited-attribute walk
-// (§6.2 strategy 2): the global environment is computed from the program
-// crown, then each function body is analyzed independently, the scope
-// environment flowing down the tree as the inherited attribute.
+// In the parallel compiler (internal/selfcomp) this pass is an
+// inherited-attribute walk (§6.2 strategy 2): the global environment is
+// computed from the program crown, then each function body is analyzed
+// independently, the scope environment flowing down the tree as the
+// inherited attribute.
 package sema
 
 import (
@@ -33,6 +34,11 @@ type Func struct {
 	// TopLevel reports whether the function appeared at the top level of
 	// the source program.
 	TopLevel bool
+	// Owner names the top-level function whose nest this function belongs
+	// to: the function itself when TopLevel, else the function it was
+	// lifted out of. Walks over an owner's body descend into its nest's
+	// lifted bodies, so parallel rewriters keep a nest on one worker.
+	Owner string
 }
 
 // Arity returns the user-visible parameter count (captures excluded).
@@ -65,17 +71,15 @@ func (in *Info) String() string {
 // input program is not modified; diagnostics are appended to diags. The
 // returned Info is meaningful only when diags has no errors.
 //
-// Analyze is the sequential driver; the parallel compiler calls Collect
-// (crown), AnalyzeOne per function (workers), and Finalize (crown) with the
-// same semantics.
+// Analyze is the sequential driver; the parallel compiler (internal/selfcomp)
+// calls Collect (crown), AnalyzeOne per Crown.Decls entry (workers), and
+// Finalize (crown) with the same semantics.
 func Analyze(prog *ast.Program, reg *operator.Registry, diags *source.DiagList) *Info {
 	crown := Collect(prog, reg, diags)
-	units := make([]*FuncUnit, 0, len(crown.Prog.Funcs))
-	for _, f := range crown.Prog.Funcs {
-		if crown.global[f.Name] != f {
-			continue // duplicate definition, already reported
-		}
-		units = append(units, AnalyzeOne(crown, f, diags))
+	decls := crown.Decls()
+	units := make([]*FuncUnit, len(decls))
+	for i, f := range decls {
+		units[i] = AnalyzeOne(crown, f, diags)
 	}
 	return Finalize(crown, units, diags)
 }
@@ -114,6 +118,18 @@ func Collect(prog *ast.Program, reg *operator.Registry, diags *source.DiagList) 
 	return c
 }
 
+// Decls returns the top-level declarations to analyze, in source order,
+// skipping redefinitions (Collect already reported them).
+func (c *Crown) Decls() []*ast.FuncDecl {
+	out := make([]*ast.FuncDecl, 0, len(c.Prog.Funcs))
+	for _, f := range c.Prog.Funcs {
+		if c.global[f.Name] == f {
+			out = append(out, f)
+		}
+	}
+	return out
+}
+
 // FuncUnit is the per-function analysis result: the function itself plus
 // any nested definitions lifted out of it. Binder uniqueness and capture
 // attribution are confined to one top-level function's nest, so units are
@@ -149,12 +165,12 @@ func Finalize(c *Crown, units []*FuncUnit, diags *source.DiagList) *Info {
 	var allScopes []*fnScope
 	for _, u := range units {
 		info.Order = append(info.Order, u.Decl.Name)
-		info.Funcs[u.Decl.Name] = &Func{Decl: u.Decl, TopLevel: true}
+		info.Funcs[u.Decl.Name] = &Func{Decl: u.Decl, TopLevel: true, Owner: u.Decl.Name}
 	}
 	for _, u := range units {
 		for _, lf := range u.Lifted {
 			info.Order = append(info.Order, lf.Name)
-			info.Funcs[lf.Name] = &Func{Decl: lf}
+			info.Funcs[lf.Name] = &Func{Decl: lf, Owner: u.Decl.Name}
 		}
 		propagateCaptures(u.scopes, u.defFS)
 		allScopes = append(allScopes, u.scopes...)

@@ -129,6 +129,17 @@ func (l *DiagList) Len() int { return len(l.diags) }
 // slice is owned by the list; callers must not modify it.
 func (l *DiagList) Diags() []Diagnostic { return l.diags }
 
+// Warnings returns the warning-severity diagnostics as rendered lines.
+func (l *DiagList) Warnings() []string {
+	var out []string
+	for _, d := range l.diags {
+		if d.Severity == Warning {
+			out = append(out, d.Error())
+		}
+	}
+	return out
+}
+
 // Sort orders diagnostics by position (file, then line, then column),
 // keeping the relative order of diagnostics at the same position. Parallel
 // passes produce diagnostics in nondeterministic order; sorting restores the

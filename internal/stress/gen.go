@@ -21,9 +21,9 @@ const (
 type retKind int
 
 const (
-	retInt  retKind = iota // a single integer
-	retBlock               // a single block
-	retPair                // a two-integer package, decomposed by callers
+	retInt   retKind = iota // a single integer
+	retBlock                // a single block
+	retPair                 // a two-integer package, decomposed by callers
 )
 
 // Sig is a generated function's calling shape. First-class selection
