@@ -14,6 +14,8 @@
 //	delprof -runs 200 program.dlr              throughput mode: 200 runs on one reused engine
 //	delprof -adaptive program.dlr              calibrate -> re-fuse -> re-run, keep the winner
 //	delprof -affinity -steals program.dlr      affinity plan + per-worker steal/park report
+//	delprof -sim=false -runs 200 -cpuprofile cpu.out -memprofile mem.out program.dlr
+//	                                           pprof profiles of the run loop
 //
 // -trace writes the structured execution trace in Chrome trace-event JSON
 // (load it at ui.perfetto.dev): one track per worker, a slice per node
@@ -22,6 +24,14 @@
 // over the dependency edges and reports the longest weighted chain,
 // per-operator slack, and an imbalance verdict — the §5.2 workflow made
 // mechanical.
+//
+// -cpuprofile writes a runtime/pprof CPU profile of the run loop (every -runs
+// execution, not compilation); -memprofile writes the allocation profile once
+// the loop is done. It records every allocation (MemProfileRate 1), so its
+// alloc_objects counts are exact rather than sampled, and it counts from
+// start-up: with -runs in the hundreds the run loop dominates it. Read it with
+// `go tool pprof -sample_index=alloc_objects`. Profiled runs are untimed, as
+// a serving engine runs, so the listing and summary stay empty.
 package main
 
 import (
@@ -29,6 +39,7 @@ import (
 	"fmt"
 	"os"
 	goruntime "runtime"
+	"runtime/pprof"
 	"time"
 
 	"repro/cmd/internal/cli"
@@ -56,8 +67,13 @@ func main() {
 		adaptive = flag.Bool("adaptive", false, "run the adaptive loop: calibrate with timing on, re-fuse and re-plan with measured weights, re-run, keep the winning plan (implies -fuse -memplan)")
 		affinity = flag.Bool("affinity", false, "compile the affinity plan and run with locality hints on (implies -fuse); prints the plan and hit/miss counters")
 		steals   = flag.Bool("steals", false, "print the per-worker steal/park/affinity report (enables tracing)")
+		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run loop here")
+		memProf  = flag.String("memprofile", "", "write an allocation profile (every allocation recorded) here after the run loop")
 	)
 	flag.Parse()
+	if *memProf != "" {
+		goruntime.MemProfileRate = 1
+	}
 	if flag.NArg() < 1 {
 		fmt.Fprintln(os.Stderr, "usage: delprof [flags] program.dlr [args...]")
 		flag.PrintDefaults()
@@ -112,7 +128,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "warning: %s\n", w)
 	}
 	eng := runtime.New(res.Program, runtime.Config{
-		Mode: mode, Workers: *workers, Machine: mach, Timing: true,
+		Mode: mode, Workers: *workers, Machine: mach, Timing: *cpuProf == "" && *memProf == "",
 		AffinityHints: *affinity,
 		Trace:         *traceOut != "" || *critpath || *steals})
 	args := cli.ParseArgs(flag.Args()[1:])
@@ -120,6 +136,12 @@ func main() {
 	// between runs, so the warmed activation pools, block free lists, and
 	// scheduler serve every run after the first. The timing log, trace, and
 	// counters below describe the final run.
+	var cpuFile *os.File
+	if *cpuProf != "" {
+		cpuFile, err = os.Create(*cpuProf)
+		fail(err)
+		fail(pprof.StartCPUProfile(cpuFile))
+	}
 	wall := time.Now()
 	out, err := eng.Run(args...)
 	fail(err)
@@ -128,8 +150,15 @@ func main() {
 		out, err = eng.Run(args...)
 		fail(err)
 	}
+	elapsed := time.Since(wall)
+	if cpuFile != nil {
+		pprof.StopCPUProfile()
+		fail(cpuFile.Close())
+	}
+	if *memProf != "" {
+		fail(writeHeapProfile(*memProf))
+	}
 	if *runs > 1 {
-		elapsed := time.Since(wall)
 		fmt.Fprintf(os.Stderr, "throughput: %d runs on one engine in %v (%.0f runs/sec, %v/run)\n",
 			*runs, elapsed.Round(time.Microsecond),
 			float64(*runs)/elapsed.Seconds(), (elapsed / time.Duration(*runs)).Round(time.Microsecond))
@@ -137,6 +166,9 @@ func main() {
 	fmt.Fprintf(os.Stderr, "result: %v\n\n", out)
 
 	log := eng.Timing()
+	if log == nil { // profiled: untimed
+		log = runtime.NewTimingLog()
+	}
 	if *top == 0 {
 		var names map[string]bool
 		if *filter != "" {
@@ -227,6 +259,21 @@ func main() {
 		fmt.Fprintf(os.Stderr, "profile: wrote %d operator weights to %s (feed back via -profile)\n",
 			len(weights), *profout)
 	}
+}
+
+// writeHeapProfile writes the allocation profile after a GC, so every
+// allocation so far has been published to it.
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	goruntime.GC()
+	err = pprof.Lookup("allocs").WriteTo(f, 0)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 func fail(err error) {

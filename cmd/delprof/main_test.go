@@ -84,6 +84,29 @@ func TestDelprofSmoke(t *testing.T) {
 	}
 }
 
+// TestDelprofProfiles runs the eight-queens program a few times on two Real
+// workers with -cpuprofile and -memprofile and checks both profiles were
+// written.
+func TestDelprofProfiles(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	dir := t.TempDir()
+	bin := buildCmd(t, dir, "./cmd/delprof")
+	cpu, mem := filepath.Join(dir, "cpu.out"), filepath.Join(dir, "mem.out")
+	cmd := exec.Command(bin, "-sim=false", "-workers", "2", "-app", "queens", "-fuse", "-runs", "3",
+		"-cpuprofile", cpu, "-memprofile", mem, "programs/queens8.dlr")
+	cmd.Dir = repoRoot(t)
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("delprof failed: %v\n%s", err, out)
+	}
+	for _, f := range []string{cpu, mem} {
+		if st, err := os.Stat(f); err != nil || st.Size() == 0 {
+			t.Errorf("profile %s not written: %v", filepath.Base(f), err)
+		}
+	}
+}
+
 // TestDelprofAdaptive runs the closed loop end to end on the unbalanced
 // retina model: -adaptive must complete unattended, report the
 // baseline-vs-tuned comparison, name post_up in a granularity advisory, and

@@ -22,6 +22,13 @@ type activation struct {
 	buf []value.Value
 	// counts[n] is the number of inputs node n still waits for.
 	counts []int32
+	// tasks[n] is node n's ready-queue entry in the work-stealing scheduler,
+	// which pushes its address instead of allocating one per push. §7's first
+	// assumption makes one slot per node enough: a node (or a fused cluster's
+	// head) is pushed at most once per activation lifetime, the activation
+	// cannot recycle before that node retires, and the scheduler copies the
+	// task out before anything executes.
+	tasks []task
 	// remaining is the number of nodes that have not completed; the
 	// activation recycles when it reaches zero.
 	remaining int32
@@ -53,6 +60,7 @@ func newActivation(t *graph.Template) *activation {
 		tmpl:   t,
 		buf:    make([]value.Value, total),
 		counts: make([]int32, len(t.Nodes)),
+		tasks:  make([]task, len(t.Nodes)),
 	}
 	a.reset()
 	return a
@@ -101,16 +109,136 @@ func (a *activation) deliver(to, port, gate int, v value.Value) bool {
 	return atomic.AddInt32(&a.counts[gate], -1) == 0
 }
 
-// transferRefs settles block reference counts after an operator-like node
-// consumed ins and produced result. Each input value carried one reference
-// per occurrence, owned by this node; the result must end up owning one
-// reference per occurrence of each block it contains.
+// settleMax bounds the linear-scan settle; node executions moving more
+// blocks than this fall back to the map-based transferRefs (correct, just
+// unelided).
+const settleMax = 64
+
+// settleRefs settles block reference counts after an operator-like node n
+// consumed ins and produced result, and returns the result. Each input value
+// carried one reference per occurrence, owned by this node; the result must
+// end up owning one reference per occurrence of each block it contains:
 //
-//   - a block occurrence appearing in both transfers its reference;
-//   - an input occurrence not in the result is released;
-//   - an extra result occurrence of an input block needs a fresh reference;
-//   - a new block's first occurrence is covered by NewBlock's initial
-//     reference, and each further occurrence needs one more.
+//   - an input occurrence transfers its reference to an unclaimed result
+//     occurrence of the same block, or is released (it dies here);
+//   - a new block's first result occurrence is covered by NewBlock's initial
+//     reference, and every other unclaimed result occurrence retains.
+//
+// Under a memory plan (w.mem != nil) three plan facts are exploited as well:
+//
+//   - an input port marked MemOwnedArgs whose blocks die here frees them
+//     without touching the refcount and recycles their payloads;
+//   - any other zero-crossing also feeds the free list;
+//   - when the node's output is marked MemOwned, the claim is verified: a
+//     result block that ends shared (a duplicating operator, or a wrong
+//     Fresh annotation) is copied here at the producer, so every consumer
+//     that trusts the plan stays sound. The copy shows up in Blocks.Copies,
+//     making a lying annotation visible rather than nondeterministic.
+//
+// The scans are linear over the node's block lists, which live in the
+// worker's scratch: operators move a handful of blocks.
+func (w *worker) settleRefs(n *graph.Node, ins []value.Value, result value.Value) value.Value {
+	m := w.mem
+	st := &w.e.stats.Blocks
+
+	res := value.Blocks(result, w.settleRes[:0])
+	inAll := w.settleIns[:0]
+	portEnd := w.settlePorts[:0]
+	for _, in := range ins {
+		inAll = value.Blocks(in, inAll)
+		portEnd = append(portEnd, len(inAll))
+	}
+	w.settleRes, w.settleIns, w.settlePorts = res[:0], inAll[:0], portEnd[:0]
+	if len(inAll) == 0 && len(res) == 0 {
+		return result
+	}
+	if len(res) > settleMax || len(inAll) > settleMax {
+		transferRefs(ins, result, st)
+		return result
+	}
+	claimed := append(w.settleClaims[:0], make([]bool, len(res))...)
+	w.settleClaims = claimed[:0]
+
+	// Pass 1: each input occurrence transfers its reference to an unclaimed
+	// result occurrence of the same block, or dies at this node.
+	pos := 0
+	for i := range ins {
+		owned := m != nil && i < len(n.MemOwnedArgs) && n.MemOwnedArgs[i]
+		for ; pos < portEnd[i]; pos++ {
+			b := inAll[pos]
+			transferred := false
+			for k, rb := range res {
+				if rb == b && !claimed[k] {
+					claimed[k] = true
+					transferred = true
+					break
+				}
+			}
+			if transferred {
+				continue
+			}
+			if owned {
+				if data, ok := b.FreeOwned(st); ok {
+					m.elidedReleases++
+					m.pool.Put(data)
+				}
+				continue
+			}
+			if b.Release(st) && m != nil {
+				m.pool.Put(b.TakeData())
+			}
+		}
+	}
+
+	// Pass 2: unclaimed result occurrences need references of their own. A
+	// fresh block's first occurrence is covered by NewBlock's initial
+	// reference; every other occurrence retains.
+	for k, rb := range res {
+		if claimed[k] {
+			continue
+		}
+		wasInput := false
+		for _, ib := range inAll {
+			if ib == rb {
+				wasInput = true
+				break
+			}
+		}
+		if !wasInput {
+			first := true
+			for k2 := 0; k2 < k; k2++ {
+				if res[k2] == rb {
+					first = false
+					break
+				}
+			}
+			if first {
+				continue
+			}
+		}
+		rb.Retain(st)
+	}
+
+	// Producer-side enforcement of the output-ownership claim.
+	if m != nil && n.MemOwned && n.Kind == graph.OpNode {
+		for _, rb := range res {
+			if rb.Refs() != 1 {
+				nv, copied := makeWritable(result, st)
+				result = nv
+				w.localWords += int64(copied)
+				if w.tr != nil && copied > 0 {
+					w.tr.record(w.proc, TraceEvent{Type: TraceBlockCopy, Ts: w.tr.now(),
+						Node: int32(n.ID), Arg: int64(copied), Name: traceLabel(n)})
+				}
+				break
+			}
+		}
+	}
+	return result
+}
+
+// transferRefs is settleRefs' fallback for node executions moving more than
+// settleMax blocks: the same reference semantics, counted in maps.
 func transferRefs(ins []value.Value, result value.Value, st *value.BlockStats) {
 	var inBlocks, resBlocks []*value.Block
 	for _, in := range ins {

@@ -253,10 +253,11 @@ func (d *deadlines) scan(now int64) {
 }
 
 // settle does for an abandoned call what the stuck worker would have done on
-// a failed terminal attempt: count the timeout, flush the dispatch's charges,
-// close its trace slices, release the node's inputs, retire the fused members
-// that already ran, fail the run with the same structured error, and close
-// the scheduler. Last, it stands in for the stuck goroutine at the run's join.
+// a failed terminal attempt: count the timeout, fold the worker's counters
+// with the dispatch's charges, close its trace slices, release the node's
+// inputs, retire the fused members that already ran, fail the run with the
+// same structured error, and close the scheduler. Last, it stands in for the
+// stuck goroutine at the run's join.
 func (d *deadlines) settle(proc int, s *deadlineSlot, canceled bool) {
 	e, a, n := d.e, s.a, s.n
 	var cause error
@@ -266,9 +267,10 @@ func (d *deadlines) settle(proc int, s *deadlineSlot, canceled bool) {
 		atomic.AddInt64(&e.stats.OpTimeouts, 1)
 		cause = &opTimeoutError{op: n.Op.Name, limit: s.limit}
 	}
-	if c := s.owner.charge; c != 0 {
-		atomic.AddInt64(&e.stats.ChargedUnits, c)
-	}
+	// The stuck goroutine never touches its worker again, and everything it
+	// wrote there happened before it published the deadline this CAS read.
+	s.owner.n.charged += s.owner.charge
+	s.owner.fold()
 	if tr := s.owner.tr; tr != nil {
 		// The stuck worker's trace track is the watchdog's now: close the
 		// brackets the worker left open, the node's and, for a fused member,

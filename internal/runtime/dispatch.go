@@ -19,7 +19,9 @@ import (
 // through the injector from outside the pool) and prov holds the bits below.
 // Provenance feeds the affinity hit/miss counters and the timing log's
 // stolen/affinity marks; it never influences what executes. (Four fields on
-// purpose: the compiler keeps a struct that small in registers.)
+// purpose: the compiler keeps a struct that small in registers.) The
+// work-stealing scheduler keeps each task in its activation's slot for the
+// node (activation.tasks); the serial and simulated queues hold them by value.
 type task struct {
 	act  *activation
 	node *graph.Node
@@ -124,12 +126,14 @@ func (w *worker) end(sp span, t task, n *graph.Node, member bool, err error) {
 // for multi-worker ones, until the scheduler reports the run over or a node
 // fails. It returns errAbandoned, having touched nothing after the call, when
 // the watchdog took over the operator call this goroutine was stuck in, and
-// nil otherwise.
+// nil otherwise. On its way out a worker folds its counters into Stats; the
+// watchdog folds those of a goroutine it abandoned.
 func (e *Engine) loop(w *worker) error {
 	q := w.q
 	for {
 		t, ok := q.next(w)
 		if !ok {
+			w.fold()
 			return nil
 		}
 		if t.prov&taskPref != 0 {
@@ -162,6 +166,7 @@ func (e *Engine) loop(w *worker) error {
 			w.end(sp, t, t.node, false, err)
 		}
 		if err != nil {
+			w.fold()
 			e.failAt(t.act, err)
 			return nil
 		}
@@ -205,7 +210,8 @@ func (e *Engine) run(args []value.Value) (value.Value, error) {
 	if e.tracer != nil {
 		e.tracer.now = q.now
 	}
-	w := &worker{e: e, proc: proc, tr: e.tracer, mem: e.memState(proc), q: q}
+	e.opsClaimed.Store(0)
+	w := e.worker(proc, q)
 	root := e.acquire(proc, e.prog.Main)
 	e.rootAct = root
 	e.stats.noteLive(1, int64(e.prog.Main.ActivationWords()))
@@ -237,7 +243,7 @@ func (e *Engine) run(args []value.Value) (value.Value, error) {
 	}
 	// The run has quiesced: per-worker memory-plan counters merge into Stats
 	// and the engine advances to engFinished, bumping the run generation.
-	if e.memStates != nil {
+	if e.prog.MemPlanned {
 		e.mergeMemStats()
 	}
 	e.gen.Add(1)

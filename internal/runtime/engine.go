@@ -256,17 +256,20 @@ type Engine struct {
 	failedActs []*activation
 	rootAct    *activation
 
-	// memStates, present only for memory-planned programs, holds one
-	// per-worker plan state per processor plus a final slot for the boot
-	// worker (proc -1). Allocated up front in New so workers index it
-	// without synchronization; merged into Stats when the run ends. The block
-	// free lists inside persist across runs of a reused engine — warming
-	// them is exactly what the repeated-run fast path amortizes.
-	memStates []*memState
+	// workers holds one worker per processor plus a final slot for the boot
+	// worker (proc -1), allocated in New and kept across Reset so that their
+	// scratch stays warm; run and poolWorker rebind them to each run. Under a
+	// memory plan each carries its plan state, whose block free list is what
+	// the repeated-run fast path keeps warm.
+	workers []worker
 
 	result atomic.Value // resultBox
 
 	maxOps int64
+	// opsClaimed is the run's node count as a budget sees it: workers count
+	// dispatches in their own counters, and only a bounded engine (maxOps > 0)
+	// also claims them here, so that FailBudget fires at the exact node.
+	opsClaimed atomic.Int64
 
 	// fused mirrors prog.Fused: the executors then dispatch cluster heads
 	// as supernodes and order simultaneously-ready nodes by bottom level.
@@ -310,11 +313,13 @@ func New(prog *graph.Program, cfg Config) *Engine {
 	if cfg.Mode == Simulated {
 		e.simPools = make(map[*graph.Template][]*activation)
 	}
-	if prog.MemPlanned {
-		e.memStates = make([]*memState, cfg.workers()+1)
-		for i := range e.memStates {
-			e.memStates[i] = &memState{}
-			e.memStates[i].pool.SetClassCaps(cfg.PoolClassCaps)
+	e.workers = make([]worker, cfg.workers()+1)
+	for i := range e.workers {
+		w := &e.workers[i]
+		w.e = e
+		if prog.MemPlanned {
+			w.mem = &memState{}
+			w.mem.pool.SetClassCaps(cfg.PoolClassCaps)
 		}
 	}
 	if cfg.Timing {
@@ -326,6 +331,18 @@ func New(prog *graph.Program, cfg Config) *Engine {
 	}
 	e.dl = newDeadlines(e)
 	return e
+}
+
+// worker binds processor proc's worker (-1 selects the boot worker's slot)
+// to the run about to start, which q schedules.
+func (e *Engine) worker(proc int, q scheduler) *worker {
+	i := proc
+	if proc < 0 {
+		i = len(e.workers) - 1
+	}
+	w := &e.workers[i]
+	w.proc, w.q, w.tr = proc, q, e.tracer
+	return w
 }
 
 // ErrNoMain is returned when the program has no main function.

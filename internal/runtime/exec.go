@@ -59,12 +59,56 @@ type worker struct {
 	// prefers the completing producer; the real schedulers copy it into the
 	// task's provenance.
 	pref bool
+
+	// n holds this worker's share of the run's execution counters: plain
+	// adds on the hot path, published into Stats once by fold.
+	n workerCounters
+
+	// Scratch reused across node executions, so a warm dispatch allocates
+	// nothing of its own: args holds an expansion's argument vector while
+	// expand seeds the child, and the settle* slices are settleRefs' block
+	// lists. The worker survives Reset, and its scratch with it.
+	args         []value.Value
+	settleIns    []*value.Block
+	settleRes    []*value.Block
+	settlePorts  []int
+	settleClaims []bool
+
+	// Engine.workers lays workers out side by side; the pad keeps one
+	// worker's per-dispatch writes off its neighbour's cache line.
+	_ [64]byte
+}
+
+// workerCounters are the Stats counters a worker bumps on every dispatch. No
+// other goroutine reads them while the worker runs: the worker folds them as
+// it leaves loop, and the watchdog folds those of a worker it abandoned.
+type workerCounters struct {
+	ops, operators, charged, tailCalls, fusedNodes, fusedSaved int64
+}
+
+// fold adds the worker's counters into the engine's Stats and zeroes them.
+func (w *worker) fold() {
+	st, c := &w.e.stats, &w.n
+	atomic.AddInt64(&st.OpsExecuted, c.ops)
+	atomic.AddInt64(&st.OperatorsRun, c.operators)
+	atomic.AddInt64(&st.ChargedUnits, c.charged)
+	atomic.AddInt64(&st.TailCalls, c.tailCalls)
+	atomic.AddInt64(&st.FusedNodes, c.fusedNodes)
+	atomic.AddInt64(&st.FusedDispatchesSaved, c.fusedSaved)
+	*c = workerCounters{}
+}
+
+// argBuf returns the worker's argument vector, empty with room for n values.
+func (w *worker) argBuf(n int) []value.Value {
+	if cap(w.args) < n {
+		w.args = make([]value.Value, 0, n)
+	}
+	return w.args[:0]
 }
 
 // Charge implements operator.Context. It only bumps the worker-local
-// accumulator; execNode flushes the dispatch's total into the shared stats
-// counter once, so a fused chain of charging operators costs one atomic
-// instead of one per member.
+// accumulator of the dispatch being executed; execNode adds the dispatch's
+// total to the worker's run counters.
 func (w *worker) Charge(units int64) {
 	w.charge += units
 }
@@ -300,7 +344,7 @@ func (e *Engine) invokeOp(w *worker, a *activation, n *graph.Node, ins []value.V
 // place, so a run with retry configured but no failures does no extra
 // copying beyond the snapshots of attempts that had successors.
 func (e *Engine) execOp(w *worker, a *activation, n *graph.Node, ins []value.Value) error {
-	atomic.AddInt64(&e.stats.OperatorsRun, 1)
+	w.n.operators++
 	if e.cfg.Mode == Simulated {
 		w.touchInputs(ins)
 	}
@@ -370,16 +414,12 @@ func (e *Engine) execOp(w *worker, a *activation, n *graph.Node, ins []value.Val
 			if e.cfg.Mode == Simulated {
 				w.homeValue(result)
 			}
-			if w.mem != nil {
-				result = e.settlePlanned(w, n, ins, result)
-				if w.tr != nil {
-					if delta := w.mem.elidedReleases + w.mem.pool.Hits() - memBefore; delta > 0 {
-						w.tr.record(w.proc, TraceEvent{Type: TraceMemElide, Ts: w.tr.now(),
-							Act: a.seq, Node: int32(n.ID), Name: n.Name, Arg: delta})
-					}
+			result = w.settleRefs(n, ins, result)
+			if w.mem != nil && w.tr != nil {
+				if delta := w.mem.elidedReleases + w.mem.pool.Hits() - memBefore; delta > 0 {
+					w.tr.record(w.proc, TraceEvent{Type: TraceMemElide, Ts: w.tr.now(),
+						Act: a.seq, Node: int32(n.ID), Name: n.Name, Arg: delta})
 				}
-			} else {
-				transferRefs(ins, result, &e.stats.Blocks)
 			}
 			// The attempt consumed its (copied) inputs; the pristine
 			// originals held back for a retry are now surplus.
@@ -467,31 +507,32 @@ func (e *Engine) execNode(w *worker, t task) error {
 	var err error
 	if c := t.node.FuseCluster; c != nil {
 		err = e.execFused(w, t, c)
-	} else if err = e.checkOps(t.act, atomic.AddInt64(&e.stats.OpsExecuted, 1), 1); err == nil {
+	} else if err = e.checkOps(w, t.act, 1); err == nil {
 		err = e.execBody(w, t.act, t.node)
 	}
 	if err == errAbandoned {
 		return err
 	}
-	if w.charge != 0 {
-		atomic.AddInt64(&e.stats.ChargedUnits, w.charge)
-	}
+	w.n.charged += w.charge
 	return err
 }
 
-// checkOps enforces the operation budget and polls cancellation at operator
-// boundaries, amortized across executions; the disabled cases cost one nil
-// check each. ops is the OpsExecuted count after adding this dispatch's n
-// nodes. Fused supernodes call it once per cluster with the batched count,
-// so the budget may overshoot by at most the cluster size before the error
-// surfaces, and the poll fires whenever the add crossed a multiple of 64 —
-// serial and simulated runs have no watcher goroutine, so this poll is their
-// only cancellation path and must not be stepped over.
-func (e *Engine) checkOps(a *activation, ops, n int64) error {
-	if e.maxOps > 0 && ops > e.maxOps {
+// checkOps counts a dispatch of n nodes, enforces the operation budget, and
+// polls cancellation at operator boundaries, amortized across executions;
+// the disabled cases cost one nil check each. The count is the worker's own.
+// A budget needs the run's total, so a bounded engine also claims the nodes
+// on one shared counter and fails the dispatch that takes it past MaxOps.
+// Fused supernodes call it once per cluster with the batched count, so the
+// budget may overshoot by at most the cluster size before the error
+// surfaces, and the poll fires whenever the worker's count crossed a
+// multiple of 64 — serial and simulated runs have no watcher goroutine, so
+// this poll is their only cancellation path and must not be stepped over.
+func (e *Engine) checkOps(w *worker, a *activation, n int64) error {
+	w.n.ops += n
+	if e.maxOps > 0 && e.opsClaimed.Add(n) > e.maxOps {
 		return errBudget(e.maxOps, activationPath(a))
 	}
-	if e.ctxDone != nil && ops>>6 != (ops-n)>>6 {
+	if ops := w.n.ops; e.ctxDone != nil && ops>>6 != (ops-n)>>6 {
 		select {
 		case <-e.ctxDone:
 			return &RunError{Kind: FailCanceled, Path: activationPath(a), Err: e.runCtx.Err()}
@@ -542,10 +583,8 @@ func (e *Engine) execBody(w *worker, a *activation, n *graph.Node) error {
 					}
 				}
 			}
-		} else if w.mem != nil {
-			e.settlePlanned(w, n, ins, result)
 		} else {
-			transferRefs(ins, result, &e.stats.Blocks)
+			w.settleRefs(n, ins, result)
 		}
 		clearInputs(ins)
 		e.complete(w, a, n, result)
@@ -560,8 +599,7 @@ func (e *Engine) execBody(w *worker, a *activation, n *graph.Node) error {
 		return nil
 
 	case graph.CallNode:
-		args := make([]value.Value, len(ins))
-		copy(args, ins)
+		args := append(w.argBuf(len(ins)), ins...)
 		clearInputs(ins)
 		return e.expand(w, a, n, n.Callee, args)
 
@@ -578,8 +616,7 @@ func (e *Engine) execBody(w *worker, a *activation, n *graph.Node) error {
 			return e.failNode(a, n, ins, fmt.Errorf("function %s expects %d arguments, got %d",
 				callee.Name, callee.ParamCount(), got))
 		}
-		args := make([]value.Value, 0, len(ins)-1+len(cl.Env))
-		args = append(args, ins[1:]...)
+		args := append(w.argBuf(len(ins)-1+len(cl.Env)), ins[1:]...)
 		if n.MemTransferEnv && w.mem != nil {
 			// This node holds one reference-share of every env value (via the
 			// closure); retaining each for the child and then releasing the
@@ -621,8 +658,7 @@ func (e *Engine) execBody(w *worker, a *activation, n *graph.Node) error {
 		if truth {
 			branch = n.Then
 		}
-		args := make([]value.Value, len(ins)-1)
-		copy(args, ins[1:])
+		args := append(w.argBuf(len(ins)-1), ins[1:]...)
 		clearInputs(ins)
 		return e.expand(w, a, n, branch, args)
 
@@ -639,6 +675,11 @@ func (e *Engine) execBody(w *worker, a *activation, n *graph.Node) error {
 // (§7). This applies to conditional expansions too, so the hidden loop
 // templates that iterate lowers to keep a constant number of live
 // activations regardless of trip count.
+//
+// args is the worker's scratch vector (argBuf). expand and initActivation
+// only read it while seeding the child — they never keep it and never
+// re-enter execBody, which is what makes one vector per worker enough — and
+// expand clears it before returning.
 func (e *Engine) expand(w *worker, a *activation, n *graph.Node, callee *graph.Template, args []value.Value) error {
 	if callee == nil {
 		return e.failNode(a, n, args, fmt.Errorf("internal: unlinked callee"))
@@ -652,17 +693,19 @@ func (e *Engine) expand(w *worker, a *activation, n *graph.Node, callee *graph.T
 	if len(n.Out) == 0 && n.ID == a.tmpl.Result && !a.delegated.Load() {
 		child.cont = a.cont
 		a.delegated.Store(true)
-		atomic.AddInt64(&e.stats.TailCalls, 1)
+		w.n.tailCalls++
 		if w.tr != nil {
 			w.tr.record(w.proc, TraceEvent{Type: TraceTailCall, Ts: w.tr.now(),
 				Act: child.seq, Tmpl: callee.Name, Name: n.Name})
 		}
 		e.initActivation(w, child, args)
+		clear(args)
 		e.finishNode(a)
 		return nil
 	}
 	child.cont = continuation{act: a, node: n}
 	e.initActivation(w, child, args)
+	clear(args)
 	return nil
 }
 

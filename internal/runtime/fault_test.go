@@ -310,25 +310,27 @@ func TestRunContextCancel(t *testing.T) {
 }
 
 // TestCheckOpsPollsOnBoundaryCrossing: a fused cluster adds its whole size
-// to OpsExecuted in one step, so the count jumps over multiples of 64. The
-// poll must fire whenever an add crossed one — with increments 3, 61, 3,
+// to the worker's count in one step, so the count jumps over multiples of 64.
+// The poll must fire whenever an add crossed one — with increments 3, 61, 3,
 // 61, … from 1 the count is never itself a multiple of 64, yet every other
 // add crosses a boundary.
 func TestCheckOpsPollsOnBoundaryCrossing(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	e := &Engine{runCtx: ctx, ctxDone: ctx.Done()}
-	ops, polls := int64(1), 0
+	w := &worker{e: e}
+	w.n.ops = 1
+	polls := 0
 	for i := 0; i < 1000; i++ {
 		n := int64(3)
 		if i%2 == 1 {
 			n = 61
 		}
-		ops += n
+		err := e.checkOps(w, nil, n)
+		ops := w.n.ops
 		if ops&63 == 0 {
 			t.Fatalf("count %d landed on a boundary; the sequence no longer steps over them", ops)
 		}
-		err := e.checkOps(nil, ops, n)
 		if crossed := ops>>6 != (ops-n)>>6; crossed != (err != nil) {
 			t.Fatalf("ops %d (+%d): crossed=%v, err=%v", ops, n, crossed, err)
 		}
@@ -364,7 +366,9 @@ func TestFusedLoopCancelBounded(t *testing.T) {
 			Name: "tick", Arity: 1,
 			Fn: func(_ operator.Context, args []value.Value) (value.Value, error) {
 				if ticks++; ticks == 10*depth {
-					atCancel = e.Stats().OpsExecuted
+					// Stats are folded at run end; the one worker's own
+					// count is the run's so far.
+					atCancel = e.workers[0].n.ops
 					cancel()
 				}
 				return args[0].(value.Int) + 1, nil

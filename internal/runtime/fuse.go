@@ -1,10 +1,6 @@
 package runtime
 
-import (
-	"sync/atomic"
-
-	"repro/internal/graph"
-)
+import "repro/internal/graph"
 
 // Fused supernode dispatch. The fusion pass (internal/opt/fuse.go) proved
 // that once a cluster's head is runnable, every member can execute in the
@@ -46,13 +42,12 @@ func dispatchLabel(n *graph.Node) string {
 // supernode.
 func (e *Engine) execFused(w *worker, t task, c *graph.Cluster) error {
 	a := t.act
-	atomic.AddInt64(&e.stats.FusedNodes, int64(len(c.Nodes)))
-	atomic.AddInt64(&e.stats.FusedDispatchesSaved, int64(len(c.Nodes)-1))
-	// Batch the execution accounting: one OpsExecuted add and one
-	// budget/cancellation check for the whole cluster, instead of one per
-	// member. The budget may overshoot by at most the cluster size.
-	ops := atomic.AddInt64(&e.stats.OpsExecuted, int64(len(c.Nodes)))
-	if err := e.checkOps(a, ops, int64(len(c.Nodes))); err != nil {
+	w.n.fusedNodes += int64(len(c.Nodes))
+	w.n.fusedSaved += int64(len(c.Nodes) - 1)
+	// Batch the execution accounting: one count and one budget/cancellation
+	// check for the whole cluster, instead of one per member. The budget may
+	// overshoot by at most the cluster size.
+	if err := e.checkOps(w, a, int64(len(c.Nodes))); err != nil {
 		return err
 	}
 	tmpl := a.tmpl

@@ -3,14 +3,12 @@ package runtime
 import (
 	"sync/atomic"
 
-	"repro/internal/graph"
 	"repro/internal/value"
 )
 
 // memState is one worker's share of an active memory plan: the block free
-// list operators allocate through, the elision counters, and reusable
-// scratch space for the planned reference settle. Each worker goroutine owns
-// exactly one memState (the boot worker has its own), so nothing here is
+// list operators allocate through and the elision counters. Each of the
+// engine's workers owns one (the boot worker too), so nothing here is
 // synchronized; the engine merges the counters into Stats after the run
 // quiesces.
 //
@@ -26,24 +24,6 @@ type memState struct {
 	// runs of this engine; mergeMemStats reports deltas against it so the
 	// free lists can persist across runs without double-counting.
 	hitsMerged int64
-
-	// Scratch for settlePlanned, reused across node executions.
-	inScratch  []*value.Block
-	resScratch []*value.Block
-	portEnd    []int
-	matched    []bool
-}
-
-// memState returns the per-worker plan state for a processor id (-1 selects
-// the boot worker's slot), or nil when the program was not planned.
-func (e *Engine) memState(proc int) *memState {
-	if e.memStates == nil {
-		return nil
-	}
-	if proc < 0 {
-		return e.memStates[len(e.memStates)-1]
-	}
-	return e.memStates[proc]
 }
 
 // mergeMemStats folds every worker's plan counters into Stats; called once,
@@ -53,10 +33,8 @@ func (e *Engine) memState(proc int) *memState {
 // are zeroed after merging, and the pool's cumulative hit counter is
 // baselined in hitsMerged.
 func (e *Engine) mergeMemStats() {
-	for _, m := range e.memStates {
-		if m == nil {
-			continue
-		}
+	for i := range e.workers {
+		m := e.workers[i].mem
 		atomic.AddInt64(&e.stats.ElidedRetains, m.elidedRetains)
 		atomic.AddInt64(&e.stats.ElidedReleases, m.elidedReleases)
 		atomic.AddInt64(&e.stats.PooledAllocs, m.pool.Hits()-m.hitsMerged)
@@ -96,131 +74,4 @@ func (w *worker) releaseDying(v value.Value, owned bool) {
 			w.releaseDying(el, owned)
 		}
 	}
-}
-
-// settlePlannedMax bounds the linear-scan settle; node executions moving
-// more blocks than this fall back to the map-based transferRefs (correct,
-// just unelided).
-const settlePlannedMax = 64
-
-// settlePlanned is the planned replacement for transferRefs after an
-// operator-like node consumed ins and produced result. Reference semantics
-// are identical — each input occurrence either transfers to a result
-// occurrence, or dies — but three plan facts are exploited:
-//
-//   - an input port marked MemOwnedArgs whose blocks die here frees them
-//     without touching the refcount and recycles their payloads;
-//   - any other zero-crossing also feeds the free list;
-//   - when the node's output is marked MemOwned, the claim is verified: a
-//     result block that ends shared (a duplicating operator, or a wrong
-//     Fresh annotation) is copied here at the producer, so every consumer
-//     that trusts the plan stays sound. The copy shows up in Blocks.Copies,
-//     making a lying annotation visible rather than nondeterministic.
-//
-// The scans are linear over the node's block lists (operators move a handful
-// of blocks; the map-based settle allocates two maps per execution, which is
-// exactly the hot-path cost this pass exists to remove).
-func (e *Engine) settlePlanned(w *worker, n *graph.Node, ins []value.Value, result value.Value) value.Value {
-	m := w.mem
-	st := &e.stats.Blocks
-
-	res := value.Blocks(result, m.resScratch[:0])
-	inAll := m.inScratch[:0]
-	portEnd := m.portEnd[:0]
-	for _, in := range ins {
-		inAll = value.Blocks(in, inAll)
-		portEnd = append(portEnd, len(inAll))
-	}
-	m.resScratch, m.inScratch, m.portEnd = res[:0], inAll[:0], portEnd[:0]
-	if len(res) > settlePlannedMax || len(inAll) > settlePlannedMax {
-		transferRefs(ins, result, st)
-		return result
-	}
-
-	matched := m.matched[:0]
-	for range res {
-		matched = append(matched, false)
-	}
-	m.matched = matched[:0]
-
-	// Pass 1: each input occurrence transfers its reference to an unmatched
-	// result occurrence of the same block, or dies at this node.
-	pos := 0
-	for i := range ins {
-		owned := i < len(n.MemOwnedArgs) && n.MemOwnedArgs[i]
-		for ; pos < portEnd[i]; pos++ {
-			b := inAll[pos]
-			transferred := false
-			for k, rb := range res {
-				if rb == b && !matched[k] {
-					matched[k] = true
-					transferred = true
-					break
-				}
-			}
-			if transferred {
-				continue
-			}
-			if owned {
-				if data, ok := b.FreeOwned(st); ok {
-					m.elidedReleases++
-					m.pool.Put(data)
-				}
-				continue
-			}
-			if b.Release(st) {
-				m.pool.Put(b.TakeData())
-			}
-		}
-	}
-
-	// Pass 2: unmatched result occurrences need references of their own. A
-	// fresh block's first occurrence is covered by NewBlock's initial
-	// reference; every other occurrence retains.
-	for k, rb := range res {
-		if matched[k] {
-			continue
-		}
-		wasInput := false
-		for _, ib := range inAll {
-			if ib == rb {
-				wasInput = true
-				break
-			}
-		}
-		if !wasInput {
-			first := true
-			for k2 := 0; k2 < k; k2++ {
-				if res[k2] == rb {
-					first = false
-					break
-				}
-			}
-			if first {
-				continue
-			}
-		}
-		rb.Retain(st)
-	}
-
-	// Producer-side enforcement of the output-ownership claim.
-	if n.MemOwned && n.Kind == graph.OpNode {
-		shared := false
-		for _, rb := range res {
-			if rb.Refs() != 1 {
-				shared = true
-				break
-			}
-		}
-		if shared {
-			nv, copied := makeWritable(result, st)
-			result = nv
-			w.localWords += int64(copied)
-			if w.tr != nil && copied > 0 {
-				w.tr.record(w.proc, TraceEvent{Type: TraceBlockCopy, Ts: w.tr.now(),
-					Node: int32(n.ID), Arg: int64(copied), Name: traceLabel(n)})
-			}
-		}
-	}
-	return result
 }

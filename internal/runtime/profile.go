@@ -68,12 +68,12 @@ func (e *Engine) ProfileWeights() map[string]int64 {
 // class. Returns nil for programs compiled without a memory plan. The
 // adaptive loop turns this into Config.PoolClassCaps for the tuned engine.
 func (e *Engine) PoolDemand() []int64 {
-	if e.memStates == nil {
+	if !e.prog.MemPlanned {
 		return nil
 	}
 	var out []int64
-	for _, m := range e.memStates {
-		d := m.pool.ClassDemand()
+	for i := range e.workers {
+		d := e.workers[i].mem.pool.ClassDemand()
 		if out == nil {
 			out = d
 			continue

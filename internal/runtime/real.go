@@ -82,7 +82,7 @@ func (e *Engine) runWorkers(s *stealScheduler, w *worker) {
 // the scheduler, which wakes every parked peer on the error path. A worker
 // abandoned to the watchdog returns errAbandoned and touches nothing.
 func (e *Engine) poolWorker(s *stealScheduler, proc int) error {
-	err := e.loop(&worker{e: e, proc: proc, tr: e.tracer, mem: e.memState(proc), q: s})
+	err := e.loop(e.worker(proc, s))
 	if err == nil {
 		s.close()
 	}

@@ -4,75 +4,124 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/graph"
 	"repro/internal/operator"
 	"repro/internal/value"
 )
 
-func TestTransferRefsPassThrough(t *testing.T) {
-	var st value.BlockStats
-	b := value.NewBlockStats(value.FloatVec{1}, &st)
+// settleCase is one reference-settle scenario: build allocates the node's
+// inputs and result against st and returns the blocks involved; refs are
+// those blocks' expected reference counts once the node has settled, and
+// freed the number of blocks it freed.
+type settleCase struct {
+	build func(st *value.BlockStats) (ins []value.Value, result value.Value, blocks []*value.Block)
+	refs  []int64
+	freed int64
+}
+
+func newSettleBlock(st *value.BlockStats) *value.Block {
+	return value.NewBlockStats(value.FloatVec{1}, st)
+}
+
+var settleCases = map[string]settleCase{
 	// Operator returned its input unchanged: the reference transfers.
-	transferRefs([]value.Value{b}, b, &st)
-	if b.Refs() != 1 {
-		t.Errorf("Refs = %d, want 1 (transferred)", b.Refs())
-	}
-}
-
-func TestTransferRefsConsumed(t *testing.T) {
-	var st value.BlockStats
-	b := value.NewBlockStats(value.FloatVec{1}, &st)
-	// Operator consumed the block and returned an atom.
-	transferRefs([]value.Value{b, value.Int(3)}, value.Int(7), &st)
-	if b.Refs() != 0 {
-		t.Errorf("Refs = %d, want 0 (released)", b.Refs())
-	}
-	if st.Freed != 1 {
-		t.Errorf("Freed = %d, want 1", st.Freed)
-	}
-}
-
-func TestTransferRefsNewBlock(t *testing.T) {
-	var st value.BlockStats
-	in := value.NewBlockStats(value.FloatVec{1}, &st)
-	out := value.NewBlockStats(value.FloatVec{2}, &st)
+	"pass-through": {func(st *value.BlockStats) ([]value.Value, value.Value, []*value.Block) {
+		b := newSettleBlock(st)
+		return []value.Value{b}, b, []*value.Block{b}
+	}, []int64{1}, 0},
+	// Operator consumed the block and returned an atom: released, freed.
+	"consumed": {func(st *value.BlockStats) ([]value.Value, value.Value, []*value.Block) {
+		b := newSettleBlock(st)
+		return []value.Value{b, value.Int(3)}, value.Int(7), []*value.Block{b}
+	}, []int64{0}, 1},
 	// Operator consumed in and produced a fresh block: in released, out
 	// keeps its NewBlock reference.
-	transferRefs([]value.Value{in}, out, &st)
-	if in.Refs() != 0 || out.Refs() != 1 {
-		t.Errorf("refs = %d, %d; want 0, 1", in.Refs(), out.Refs())
-	}
-}
-
-func TestTransferRefsDuplicatedInResult(t *testing.T) {
-	var st value.BlockStats
-	b := value.NewBlockStats(value.FloatVec{1}, &st)
+	"new block": {func(st *value.BlockStats) ([]value.Value, value.Value, []*value.Block) {
+		in, out := newSettleBlock(st), newSettleBlock(st)
+		return []value.Value{in}, out, []*value.Block{in, out}
+	}, []int64{0, 1}, 1},
 	// Operator returned the same input block twice: one transfer plus one
 	// fresh reference.
-	transferRefs([]value.Value{b}, value.Tuple{b, b}, &st)
-	if b.Refs() != 2 {
-		t.Errorf("Refs = %d, want 2", b.Refs())
-	}
-}
-
-func TestTransferRefsNewBlockDuplicated(t *testing.T) {
-	var st value.BlockStats
-	out := value.NewBlockStats(value.FloatVec{1}, &st)
-	// A fresh block appearing twice in the result needs one extra ref
+	"duplicated in result": {func(st *value.BlockStats) ([]value.Value, value.Value, []*value.Block) {
+		b := newSettleBlock(st)
+		return []value.Value{b}, value.Tuple{b, b}, []*value.Block{b}
+	}, []int64{2}, 0},
+	// A fresh block appearing twice in the result needs one extra reference
 	// beyond NewBlock's initial one.
-	transferRefs(nil, value.Tuple{out, out}, &st)
-	if out.Refs() != 2 {
-		t.Errorf("Refs = %d, want 2", out.Refs())
-	}
+	"new block duplicated": {func(st *value.BlockStats) ([]value.Value, value.Value, []*value.Block) {
+		out := newSettleBlock(st)
+		return nil, value.Tuple{out, out}, []*value.Block{out}
+	}, []int64{2}, 0},
+	// A block delivered on two input ports holds two references; the result
+	// keeps one occurrence: one transfers, one releases.
+	"fan-in of the same block": {func(st *value.BlockStats) ([]value.Value, value.Value, []*value.Block) {
+		b := newSettleBlock(st)
+		b.Retain(st)
+		return []value.Value{b, b}, b, []*value.Block{b}
+	}, []int64{1}, 0},
+	// 65 result occurrences, more than the linear scan takes: an input
+	// passed through twice beside 63 fresh blocks.
+	"65 blocks": {func(st *value.BlockStats) ([]value.Value, value.Value, []*value.Block) {
+		b := newSettleBlock(st)
+		res, blocks := value.Tuple{b, b}, []*value.Block{b}
+		for len(res) < settleMax+1 {
+			nb := newSettleBlock(st)
+			res, blocks = append(res, nb), append(blocks, nb)
+		}
+		return []value.Value{b}, res, blocks
+	}, append([]int64{2}, ones(settleMax-1)...), 0},
 }
 
-func TestTransferRefsFanInSameBlock(t *testing.T) {
+func ones(n int) []int64 {
+	out := make([]int64, n)
+	for i := range out {
+		out[i] = 1
+	}
+	return out
+}
+
+// checkSettle runs one case through the linear settleRefs and through the
+// map-based transferRefs, each on fresh blocks, and requires both to leave
+// the expected reference counts and identical BlockStats. It reports whether
+// settleRefs took its fallback (its claim scratch never grew).
+func checkSettle(t *testing.T, name string) (fallback bool) {
+	t.Helper()
+	c := settleCases[name]
+	w := &worker{e: &Engine{}}
+	ins, result, linear := c.build(&w.e.stats.Blocks)
+	w.settleRefs(&graph.Node{Kind: graph.OpNode}, ins, result)
 	var st value.BlockStats
-	b := value.NewBlockStats(value.FloatVec{1}, &st)
-	b.Retain(&st) // block delivered on two input ports: two references
-	// Result keeps one occurrence: one ref transfers, one releases.
-	transferRefs([]value.Value{b, b}, b, &st)
-	if b.Refs() != 1 {
-		t.Errorf("Refs = %d, want 1", b.Refs())
+	ins, result, mapped := c.build(&st)
+	transferRefs(ins, result, &st)
+	for i, want := range c.refs {
+		if got, fb := linear[i].Refs(), mapped[i].Refs(); got != want || fb != want {
+			t.Errorf("%s: block %d Refs = %d (settleRefs), %d (transferRefs); want %d", name, i, got, fb, want)
+		}
+	}
+	if w.e.stats.Blocks != st {
+		t.Errorf("%s: BlockStats %+v (settleRefs) != %+v (transferRefs)", name, w.e.stats.Blocks, st)
+	}
+	if st.Freed != c.freed {
+		t.Errorf("%s: Freed = %d, want %d", name, st.Freed, c.freed)
+	}
+	return cap(w.settleClaims) == 0
+}
+
+func TestTransferRefsPassThrough(t *testing.T)        { checkSettle(t, "pass-through") }
+func TestTransferRefsConsumed(t *testing.T)           { checkSettle(t, "consumed") }
+func TestTransferRefsNewBlock(t *testing.T)           { checkSettle(t, "new block") }
+func TestTransferRefsDuplicatedInResult(t *testing.T) { checkSettle(t, "duplicated in result") }
+func TestTransferRefsNewBlockDuplicated(t *testing.T) { checkSettle(t, "new block duplicated") }
+func TestTransferRefsFanInSameBlock(t *testing.T)     { checkSettle(t, "fan-in of the same block") }
+
+// TestSettleRefsFallback: past settleMax blocks settleRefs hands over to the
+// map-based transferRefs, with the same outcome.
+func TestSettleRefsFallback(t *testing.T) {
+	if !checkSettle(t, "65 blocks") {
+		t.Error("a 65-block result took the linear scan, want the map fallback")
+	}
+	if checkSettle(t, "duplicated in result") {
+		t.Error("a one-block node took the map fallback, want the linear scan")
 	}
 }
 

@@ -3,6 +3,7 @@ package runtime
 import (
 	"context"
 	"errors"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/opt"
@@ -283,6 +284,58 @@ func TestRunManyFaultRetry(t *testing.T) {
 			if r.Value != value.Float(48) {
 				t.Errorf("workers %d invocation %d: %v, want 48", workers, i, r.Value)
 			}
+		}
+	}
+}
+
+// raceEnabled reports whether the test binary runs under the race detector,
+// where sync.Pool drops pooled activations at random.
+func raceEnabled() bool {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, set := range bi.Settings {
+			if set.Key == "-race" && set.Value == "true" {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// TestWarmDispatchAllocsFlat: a warm dispatch allocates nothing per node. A
+// counting loop is Reset and re-run at 100 and at 250 iterations, at one and
+// two Real workers. Every iteration pushes its nodes, expands the loop's
+// conditional with an argument vector and settles its operators' references,
+// and every value stays below 256, so boxing never allocates: the two sizes
+// may differ by run-level noise only. The minimum over a few measurements
+// keeps a GC that empties the activation pools out of the comparison.
+func TestWarmDispatchAllocsFlat(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("under the race detector sync.Pool drops pooled activations at random")
+	}
+	g := compile(t, "main(n) iterate { i = 0, incr(i) } while lt(i, n), result i", nil)
+	for _, workers := range []int{1, 2} {
+		e := New(g, Config{Mode: Real, Workers: workers})
+		allocs := func(n int) float64 {
+			best := -1.0
+			for i := 0; i < 3; i++ {
+				a := testing.AllocsPerRun(20, func() {
+					if err := e.Reset(); err != nil {
+						t.Fatal(err)
+					}
+					if v, err := e.Run(value.Int(n)); err != nil || v != value.Int(n) {
+						t.Fatalf("run(%d) = %v, %v", n, v, err)
+					}
+				})
+				if best < 0 || a < best {
+					best = a
+				}
+			}
+			return best
+		}
+		small, large := allocs(100), allocs(250)
+		t.Logf("workers=%d: %.0f allocations per run at 100 iterations, %.0f at 250", workers, small, large)
+		if d := large - small; d > 4 || d < -4 {
+			t.Errorf("workers=%d: 150 more iterations changed allocations per run by %.0f, want at most 4", workers, d)
 		}
 	}
 }

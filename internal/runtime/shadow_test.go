@@ -102,9 +102,10 @@ func checkBrackets(t *testing.T, i int, e *Engine) {
 // batch, so the persistent pool must replace its stuck goroutine before the
 // batch's next run and join only live goroutines when it stops. The fused
 // leg stalls the middle member of an incr -> stall -> bsum supernode, so the
-// watchdog must retire the member that already ran. Every timed-out run's
-// trace closes every node slice it opened. Once every gate is open, every
-// goroutine the legs started must be gone again.
+// watchdog must retire the member that already ran. The counters leg checks
+// that the watchdog publishes the counters of the worker it abandoned. Every
+// timed-out run's trace closes every node slice it opened. Once every gate is
+// open, every goroutine the legs started must be gone again.
 func TestShadowAbandonedAfterReset(t *testing.T) {
 	const rounds = 5
 	legs := []struct {
@@ -114,8 +115,14 @@ func TestShadowAbandonedAfterReset(t *testing.T) {
 		many    bool
 		members int64 // FusedNodes of a clean run
 		charged int64 // ChargedUnits of a clean run
+		// counters checks the timed-out run's OpsExecuted, OperatorsRun and
+		// ChargedUnits: at one worker the stuck goroutine dispatched every
+		// node, so only the watchdog's fold can publish them.
+		counters bool
 	}{
 		{name: "real-1", cfg: Config{Mode: Real, Workers: 1}, charged: stallCharge},
+		// incr charges one unit of its own.
+		{name: "real-1-counters", cfg: Config{Mode: Real, Workers: 1}, counters: true, charged: stallCharge + 2},
 		{name: "real-2", cfg: Config{Mode: Real, Workers: 2}, charged: stallCharge},
 		{name: "runmany-2", cfg: Config{Mode: Real, Workers: 2}, many: true, charged: stallCharge},
 		{name: "sim", cfg: Config{Mode: Simulated, Workers: 2}, charged: stallCharge},
@@ -137,13 +144,29 @@ func TestShadowAbandonedAfterReset(t *testing.T) {
 				gates[i] = make(chan struct{})
 			}
 			src, stalled, clean := "main(n) bsum(stall(n))", 0, value.Int(-1)
-			if leg.fused {
+			switch {
+			case leg.fused:
 				// stall sees n+1.
 				src, stalled, clean = "main(n) bsum(stall(incr(n)))", -1, value.Int(-2)
+			case leg.counters:
+				// stall sees n+2.
+				src, stalled, clean = "main(n) bsum(stall(incr(incr(n))))", -2, value.Int(-3)
 			}
 			g := compile(t, src, shadowOps(gates))
 			if leg.fused {
 				opt.FuseGraph(g, nil)
+			}
+			// What the stalled run dispatched: the serial unbounded run's
+			// counts up to and including stall, i.e. all but bsum and the
+			// charge stall makes only after its gate opens.
+			var wantOps, wantOperators, wantCharged int64
+			if leg.counters {
+				ref := New(g, Config{Mode: Real, Workers: 1})
+				if _, err := ref.Run(clean); err != nil {
+					t.Fatalf("reference run: %v", err)
+				}
+				st := ref.Stats()
+				wantOps, wantOperators, wantCharged = st.OpsExecuted-1, st.OperatorsRun-1, st.ChargedUnits-stallCharge
 			}
 			cfg := leg.cfg
 			cfg.MaxOps, cfg.OpTimeout, cfg.Trace = 100000, 20*time.Millisecond, true
@@ -220,6 +243,10 @@ func TestShadowAbandonedAfterReset(t *testing.T) {
 				}
 				if st.OpTimeouts != 1 {
 					t.Errorf("round %d: OpTimeouts = %d, want 1", i, st.OpTimeouts)
+				}
+				if leg.counters && (st.OpsExecuted != wantOps || st.OperatorsRun != wantOperators || st.ChargedUnits != wantCharged) {
+					t.Errorf("round %d: ops/operators/charged = %d/%d/%d, want %d/%d/%d", i,
+						st.OpsExecuted, st.OperatorsRun, st.ChargedUnits, wantOps, wantOperators, wantCharged)
 				}
 				checkBrackets(t, i, e)
 				if err := e.Reset(); err != nil {

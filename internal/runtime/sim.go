@@ -11,8 +11,7 @@ import (
 
 // simTask is a ready-heap entry: a task, the virtual time it became ready,
 // and a FIFO tie-break within a priority level. The keys stay out of task
-// itself because the work-stealing scheduler heap-allocates one task per
-// ready node, and two more words would move that allocation up a size class.
+// itself, which keeps its four fields (see task).
 type simTask struct {
 	task
 	ready int64

@@ -10,8 +10,11 @@ import (
 	"repro/internal/value"
 )
 
-// Stats aggregates one run's execution counters. All fields are updated
-// atomically; read them after Run returns.
+// Stats aggregates one run's execution counters. The per-dispatch counters
+// (OpsExecuted, OperatorsRun, ChargedUnits, TailCalls, FusedNodes,
+// FusedDispatchesSaved) are counted by each worker on its own and folded in
+// as it leaves the run; the rest are updated atomically as they happen. Read
+// them after Run returns.
 type Stats struct {
 	// OpsExecuted counts scheduled node executions (operators, calls,
 	// conditionals, plumbing nodes) — everything that went through the

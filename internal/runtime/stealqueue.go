@@ -262,19 +262,23 @@ func newStealScheduler(workers int, stats *Stats, tr *tracer) *stealScheduler {
 
 // push schedules the node on the pushing worker's own deque, or through the
 // injector when the push comes from outside the pool (the boot worker's
-// seeding; it completed no producer, so the task carries no preference).
+// seeding; it completed no producer, so the task carries no preference). The
+// task is written into the node's slot in its activation (activation.tasks),
+// never allocated.
 func (s *stealScheduler) push(w *worker, a *activation, n *graph.Node) {
 	s.outstanding.Add(1)
 	pri := w.e.classify(a, n)
+	t := &a.tasks[n.ID]
 	if w.proc < 0 {
 		if s.tr != nil {
 			s.tr.record(-1, TraceEvent{Type: TraceInject, Ts: s.tr.now(),
 				Act: a.seq, Node: int32(n.ID), Name: traceLabel(n), Tmpl: a.tmpl.Name})
 		}
-		s.pushInject(&task{act: a, node: n}, pri)
+		*t = task{act: a, node: n}
+		s.pushInject(t, pri)
 		return
 	}
-	t := &task{act: a, node: n, from: int32(w.proc)}
+	*t = task{act: a, node: n, from: int32(w.proc)}
 	if w.pref {
 		t.prov = taskPref
 	}
@@ -311,6 +315,8 @@ func (s *stealScheduler) next(w *worker) (task, bool) {
 		}
 		if t := s.find(w.proc); t != nil {
 			s.local[w.proc].quiet = true
+			// Copy the task out of its activation slot before it executes:
+			// the slot is rewritten once the activation recycles.
 			tk := *t
 			if tk.prov&taskPref != 0 && tk.from == int32(w.proc) {
 				tk.prov |= taskHit
