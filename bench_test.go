@@ -451,8 +451,8 @@ func BenchmarkRunThroughputFresh(b *testing.B) {
 }
 
 // BenchmarkRunThroughputReused is the throughput mode: one engine serves
-// the whole stream via RunMany — warmed pools, a reopened scheduler, and
-// persistent worker goroutines parked between runs.
+// the whole stream via RunMany — warmed pools and a reopened scheduler,
+// with each run spawning and joining its worker goroutines.
 func BenchmarkRunThroughputReused(b *testing.B) {
 	prog := throughputJacobi(b)
 	eng := rt.New(prog, throughputCfg)

@@ -14,8 +14,7 @@ import (
 
 // runCall implements `delx call`: drive a running delserver from the CLI
 // with concurrent runs, client-side retry honoring Retry-After, and a
-// latency summary. With -bench it emits a benchjson-compatible line so CI
-// can fold the measurement into BENCH_server.json.
+// latency summary.
 //
 //	delx call -addr http://127.0.0.1:8080 -n 120 -c 8 queens6
 //	delx call -args '[3, 4]' myprog
@@ -27,7 +26,6 @@ func runCall(args []string) int {
 	argsJSON := fs.String("args", "", "JSON array of run arguments")
 	timeout := fs.Duration("timeout", 0, "per-run deadline sent to the server (0 = server default)")
 	attempts := fs.Int("attempts", 8, "max attempts per run (retries on 429/503 with backoff + jitter)")
-	bench := fs.Bool("bench", false, "emit a benchjson-compatible Benchmark line")
 	verbose := fs.Bool("v", false, "print each run's result")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -114,12 +112,6 @@ func runCall(args []string) int {
 	fmt.Printf("%s: %d ok, %d failed, %d client retries in %.2fs (%.1f runs/s, p50 %.2fms, p99 %.2fms)\n",
 		prog, ok, failed, retried, elapsed.Seconds(), runsPerSec,
 		pct(0.50).Seconds()*1e3, pct(0.99).Seconds()*1e3)
-	if *bench && ok > 0 {
-		// benchjson format: Benchmark<name><ws>iters<ws>value unit pairs.
-		fmt.Printf("BenchmarkServer_%s\t%d\t%d ns/op\t%.1f runs/s\t%d p50-ns/op\t%d p99-ns/op\n",
-			prog, ok, elapsed.Nanoseconds()/int64(ok), runsPerSec,
-			pct(0.50).Nanoseconds(), pct(0.99).Nanoseconds())
-	}
 	if failed > 0 {
 		return 1
 	}

@@ -101,7 +101,7 @@ type (
 	// Engine executes one compiled program. An engine is reusable: Reset
 	// returns a finished engine to runnable without discarding its warmed
 	// activation pools, block free lists, or scheduler, and RunMany batches
-	// invocations through one engine with persistent workers.
+	// invocations through one engine, Resetting it between them.
 	Engine = runtime.Engine
 	// RunResult is one invocation's outcome in a RunMany batch.
 	RunResult = runtime.RunResult
@@ -303,10 +303,9 @@ func (p *Program) RunContext(ctx context.Context, cfg RunConfig, args ...Value) 
 
 // RunMany executes main once per argument list in batch through one reused
 // engine: activation pools, block free lists, and the work-stealing
-// scheduler warm up on the first invocation and serve the rest, and in
-// multi-worker Real mode the worker goroutines persist across runs instead
-// of being respawned per run — the repeated-run fast path for serving the
-// same compiled graph many times. Each invocation keeps single-run
+// scheduler warm up on the first invocation and serve the rest — the
+// repeated-run fast path for serving the same compiled graph many times.
+// Each invocation keeps single-run
 // semantics (individually deterministic, cancellable, retryable, and
 // fault-injected); a failed invocation records its error in its RunResult
 // slot and the batch continues.

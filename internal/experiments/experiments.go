@@ -621,9 +621,9 @@ func FaultsText(opTimeout time.Duration, retries int) (string, error) {
 // ThroughputText measures the repeated-run fast path (ROADMAP item 2): N
 // invocations of a small jacobi solve, a fresh engine per run versus one
 // reused engine batching the stream through RunMany — warmed activation
-// pools, persistent block free lists, and worker goroutines parked between
-// runs instead of respawned. Every reused result is checked bit-identical
-// to the fresh baseline, so the speedup is reported over proven-equal work.
+// pools, persistent block free lists, and a reopened scheduler. Every reused
+// result is checked bit-identical to the fresh baseline, so the speedup is
+// reported over proven-equal work.
 func ThroughputText(runs int) (string, error) {
 	if runs <= 0 {
 		runs = 200

@@ -179,7 +179,7 @@ func (w *worker) settleRefs(n *graph.Node, ins []value.Value, result value.Value
 			}
 			if owned {
 				if data, ok := b.FreeOwned(st); ok {
-					m.elidedReleases++
+					w.n.elidedReleases++
 					m.pool.Put(data)
 				}
 				continue

@@ -169,7 +169,7 @@ func TestExecutorParity(t *testing.T) {
 		name, tmpl string
 		fused      bool
 	}
-	var refOps [6]int64
+	var refOps [10]int64
 	var refLog map[entry]int
 	for _, fail := range []bool{false, true} {
 		for i, cfg := range []Config{
@@ -209,8 +209,9 @@ func TestExecutorParity(t *testing.T) {
 			if fail {
 				continue
 			}
-			ops := [6]int64{st.OpsExecuted, st.OperatorsRun, st.FusedNodes,
-				st.FusedDispatchesSaved, st.ChargedUnits, st.TailCalls}
+			ops := [10]int64{st.OpsExecuted, st.OperatorsRun, st.FusedNodes,
+				st.FusedDispatchesSaved, st.ChargedUnits, st.TailCalls,
+				st.ElidedRetains, st.ElidedReleases, st.PooledAllocs, st.CopiesAvoided}
 			log := make(map[entry]int)
 			for _, en := range e.Timing().Entries() {
 				log[entry{en.Name, en.Template, en.Fused}]++
@@ -220,7 +221,8 @@ func TestExecutorParity(t *testing.T) {
 				continue
 			}
 			if ops != refOps {
-				t.Errorf("%s: ops/operators/fused/saved/charged/tail = %v, serial run had %v", name, ops, refOps)
+				t.Errorf("%s: ops/operators/fused/saved/charged/tail/elided retains/elided releases/pooled/copies avoided = %v, serial run had %v",
+					name, ops, refOps)
 			}
 			if !reflect.DeepEqual(log, refLog) {
 				t.Errorf("%s: timing log differs from the serial run's:\n got %v\nwant %v", name, log, refLog)

@@ -201,8 +201,8 @@ func (d *deadlines) deregister() {
 	dog.mu.Unlock()
 }
 
-// cancel is the run's cancellation watcher's hand-off: abandon every pending
-// call of the run now rather than at its deadline.
+// cancel is the run's cancellation callback's hand-off: abandon every
+// pending call of the run now rather than at its deadline.
 func (d *deadlines) cancel() {
 	d.canceled.Store(true)
 	dog.poke()
@@ -248,7 +248,7 @@ func (d *deadlines) scan(now int64) {
 			continue // the call completed meanwhile
 		}
 		d.slots[proc] = d.newSlot(proc)
-		d.settle(proc, s, now < deadline)
+		d.settle(s, now < deadline)
 	}
 }
 
@@ -258,7 +258,7 @@ func (d *deadlines) scan(now int64) {
 // inputs, retire the fused members that already ran, fail the run with the
 // same structured error, and close the scheduler. Last, it stands in for the
 // stuck goroutine at the run's join.
-func (d *deadlines) settle(proc int, s *deadlineSlot, canceled bool) {
+func (d *deadlines) settle(s *deadlineSlot, canceled bool) {
 	e, a, n := d.e, s.a, s.n
 	var cause error
 	if canceled {
@@ -301,9 +301,5 @@ func (d *deadlines) settle(proc int, s *deadlineSlot, canceled bool) {
 	if e.sched != nil {
 		e.sched.close()
 	}
-	if e.pool != nil {
-		e.pool.abandon(proc)
-	} else {
-		e.join.Done()
-	}
+	e.join.Done()
 }

@@ -15,8 +15,8 @@ import (
 // sits behind the scheduler interface below.
 
 // task is one runnable node of one activation, tagged with scheduling
-// provenance: from is the worker that pushed it (-1 for pushes arriving
-// through the injector from outside the pool) and prov holds the bits below.
+// provenance: from is the worker that pushed it (-1 for the boot worker's
+// seeds) and prov holds the bits below.
 // Provenance feeds the affinity hit/miss counters and the timing log's
 // stolen/affinity marks; it never influences what executes. (Four fields on
 // purpose: the compiler keeps a struct that small in registers.) The
@@ -122,8 +122,8 @@ func (w *worker) end(sp span, t task, n *graph.Node, member bool, err error) {
 // loop is the one task loop, and its body the one dispatch step: take a
 // task, account its provenance, bracket it for the observers, execute it,
 // retire it. The caller's goroutine runs the loop for unbounded serial and
-// simulated runs, one per-run goroutine for bounded ones, every pool worker
-// for multi-worker ones, until the scheduler reports the run over or a node
+// simulated runs, one spawned goroutine for bounded ones, one per worker for
+// multi-worker ones, until the scheduler reports the run over or a node
 // fails. It returns errAbandoned, having touched nothing after the call, when
 // the watchdog took over the operator call this goroutine was stuck in, and
 // nil otherwise. On its way out a worker folds its counters into Stats; the
@@ -175,8 +175,8 @@ func (e *Engine) loop(w *worker) error {
 }
 
 // run is the one run frame: seed the root activation, run the loop (inline,
-// on one goroutine for a bounded engine, or on the worker pool), and settle
-// the outcome. A bounded engine's run is registered with the deadline
+// on one goroutine for a bounded engine, or on one goroutine per worker), and
+// settle the outcome. A bounded engine's run is registered with the deadline
 // watchdog from seeding to join.
 //
 // Termination: the run ends at quiescence (no scheduled work left), which
@@ -200,9 +200,9 @@ func (e *Engine) run(args []value.Value) (value.Value, error) {
 			e.sched.reopen(e.tracer)
 		}
 		q = e.sched
-		// The boot worker seeds from the caller's goroutine before the pool
-		// runs; proc -1 routes its pushes through the injector and its trace
-		// events to the external (seed) track.
+		// The boot worker seeds from the caller's goroutine before any
+		// worker goroutine exists; proc -1 routes its pushes onto worker
+		// 0's deques and its trace events to the external (seed) track.
 		proc = -1
 	default:
 		q = &serialQueue{wallClock: wallClock{time.Now()}}
@@ -216,14 +216,17 @@ func (e *Engine) run(args []value.Value) (value.Value, error) {
 	e.rootAct = root
 	e.stats.noteLive(1, int64(e.prog.Main.ActivationWords()))
 	e.initActivation(w, root, args)
+	// Seeding's deliveries can elide reference counts; publish its counters
+	// before any worker runs.
+	w.fold()
 	if e.dl != nil {
 		e.dl.register()
 	}
 	switch {
 	case pooled:
-		e.runWorkers(e.sched, nil)
+		e.runWorkers(q, nw)
 	case e.dl != nil:
-		e.runWorkers(nil, w)
+		e.runWorkers(q, 1)
 	default:
 		e.loop(w)
 	}
@@ -241,11 +244,8 @@ func (e *Engine) run(args []value.Value) (value.Value, error) {
 	if e.runErr != nil {
 		e.cleanupAfterError(q.drain())
 	}
-	// The run has quiesced: per-worker memory-plan counters merge into Stats
+	// The run has quiesced, every worker's counters are folded into Stats,
 	// and the engine advances to engFinished, bumping the run generation.
-	if e.prog.MemPlanned {
-		e.mergeMemStats()
-	}
 	e.gen.Add(1)
 	e.state.Store(engFinished)
 	if e.runErr != nil {

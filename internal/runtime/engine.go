@@ -17,11 +17,12 @@
 // number of live activations small by making activations available for
 // reuse as early as possible. The real executor realizes those levels as a
 // work-stealing scheduler: every worker owns one Chase-Lev deque per
-// priority level (LIFO pop for cache locality, FIFO steal), a shared
-// lock-free injector receives pushes from outside the pool, and idle
-// workers spin briefly then park on a one-token parker woken by notifyOne
-// — the priority order is honored per worker and per steal attempt, so the
-// §7 scheme survives the decentralization (see stealqueue.go).
+// priority level (LIFO pop for cache locality, FIFO steal), the run's seeds
+// land on the first worker's deques before any worker starts, and idle
+// workers steal, spin briefly, then park on a one-token parker woken by
+// notifyOne — the priority order is honored per worker and per steal
+// attempt, so the §7 scheme survives the decentralization (see
+// stealqueue.go).
 //
 // Determinism is enforced through the data contention protocol of §8: all
 // shared memory is passed explicitly between operators as reference-counted
@@ -258,7 +259,7 @@ type Engine struct {
 
 	// workers holds one worker per processor plus a final slot for the boot
 	// worker (proc -1), allocated in New and kept across Reset so that their
-	// scratch stays warm; run and poolWorker rebind them to each run. Under a
+	// scratch stays warm; run and runWorkers rebind them to each run. Under a
 	// memory plan each carries its plan state, whose block free list is what
 	// the repeated-run fast path keeps warm.
 	workers []worker
@@ -284,15 +285,13 @@ type Engine struct {
 	// first multi-worker run and reused (reopened) by every run after it so
 	// a reused engine never reallocates deques or parkers.
 	sched *stealScheduler
-	// pool, when non-nil, is the persistent worker pool RunMany installs:
-	// worker goroutines that survive across runs, parking between them,
-	// instead of being respawned and joined per run.
-	pool *runPool
-	// join is the rendezvous of a run's per-run goroutines: the pool workers
-	// of a plain multi-worker Run, or the one loop goroutine of a bounded
-	// serial or simulated run. The watchdog calls Done for a goroutine it
-	// abandons.
+	// join is the rendezvous of a run's spawned goroutines: one per worker
+	// of a multi-worker run, or the one loop goroutine of a bounded serial
+	// or simulated run. The watchdog calls Done for a goroutine it abandons.
 	join sync.WaitGroup
+	// canceling counts the run's cancellation callback (context.AfterFunc)
+	// while it may still run, so that runWorkers can wait for one that fired.
+	canceling sync.WaitGroup
 	// dl, present only on a bounded engine (Config.OpTimeout or some
 	// Operator.Timeout positive), holds the per-worker deadline slots
 	// (deadline.go). Allocated in New and kept across Reset.
@@ -373,9 +372,8 @@ func (e *Engine) Runs() int64 { return e.gen.Load() }
 // trace, the failure record, the result, fault-plan cursors — is cleared;
 // per-program immutable state and every warmed allocation survive: the
 // activation pools, the per-worker block free lists, the work-stealing
-// scheduler's deques and parkers, and (under RunMany) the worker goroutines
-// themselves. Reset on a fresh or validation-rejected engine is a no-op;
-// Reset while a run is in flight returns ErrEngineRunning.
+// scheduler's deques and parkers. Reset on a fresh or validation-rejected
+// engine is a no-op; Reset while a run is in flight returns ErrEngineRunning.
 func (e *Engine) Reset() error {
 	switch e.state.Load() {
 	case engRunning:
@@ -457,6 +455,56 @@ func (e *Engine) RunContext(ctx context.Context, args ...value.Value) (value.Val
 		e.ctxDone = ctx.Done()
 	}
 	return e.run(args)
+}
+
+// RunResult is one invocation's outcome in a RunMany batch. Each invocation
+// is an independent run: Err, when non-nil, is the same *RunError (or
+// validation error) the equivalent single Run would have returned, and a
+// failure leaves the other invocations untouched.
+type RunResult struct {
+	Value value.Value
+	Err   error
+}
+
+// RunMany executes the program once per argument list in batch, reusing
+// this engine for every invocation: it Resets the engine between
+// invocations, so activation pools, block free lists, and the work-stealing
+// scheduler warm up once and serve the whole batch.
+//
+// Every invocation keeps single-run semantics: it is individually
+// deterministic (bit-identical to a fresh-engine run of the same arguments),
+// individually cancellable (a dead ctx fails the remaining invocations with
+// FailCanceled without running them), and individually retryable and
+// fault-injected (Config.Retry applies per run; a stateful Config.Faults
+// plan is rewound before each invocation, so every run sees the same fault
+// schedule). A failed invocation records its error in its RunResult slot and
+// the batch continues.
+//
+// The returned error reports engine-level misuse only (an engine already
+// running, or a program without main); per-invocation failures never abort
+// the batch. After RunMany returns, the engine is left in its final run's
+// finished state — Stats, Timing, and Trace describe the last invocation —
+// and Reset returns it to runnable as usual.
+func (e *Engine) RunMany(ctx context.Context, batch [][]value.Value) ([]RunResult, error) {
+	if e.prog.Main == nil {
+		return nil, ErrNoMain
+	}
+	// Reset refuses a running engine and is a no-op on an idle one (fresh,
+	// or left idle by a rejected invocation).
+	if err := e.Reset(); err != nil {
+		return nil, err
+	}
+	results := make([]RunResult, len(batch))
+	for i, args := range batch {
+		if i > 0 {
+			if err := e.Reset(); err != nil {
+				return results, err
+			}
+		}
+		v, err := e.RunContext(ctx, args...)
+		results[i] = RunResult{Value: v, Err: err}
+	}
+	return results, nil
 }
 
 // Stats returns execution statistics; call after Run returns.

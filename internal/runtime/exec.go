@@ -79,14 +79,19 @@ type worker struct {
 	_ [64]byte
 }
 
-// workerCounters are the Stats counters a worker bumps on every dispatch. No
-// other goroutine reads them while the worker runs: the worker folds them as
-// it leaves loop, and the watchdog folds those of a worker it abandoned.
+// workerCounters are the Stats counters a worker bumps on every dispatch,
+// the memory plan's elision counters among them. No other goroutine reads
+// them while the worker runs: the boot worker folds them after seeding, a
+// worker as it leaves loop, and the watchdog folds those of a worker it
+// abandoned.
 type workerCounters struct {
 	ops, operators, charged, tailCalls, fusedNodes, fusedSaved int64
+	elidedRetains, elidedReleases, copiesAvoided               int64
 }
 
 // fold adds the worker's counters into the engine's Stats and zeroes them.
+// Under a memory plan it also publishes the block free list's hits since the
+// last fold: the list, and its cumulative hit count, survive Reset.
 func (w *worker) fold() {
 	st, c := &w.e.stats, &w.n
 	atomic.AddInt64(&st.OpsExecuted, c.ops)
@@ -95,6 +100,14 @@ func (w *worker) fold() {
 	atomic.AddInt64(&st.TailCalls, c.tailCalls)
 	atomic.AddInt64(&st.FusedNodes, c.fusedNodes)
 	atomic.AddInt64(&st.FusedDispatchesSaved, c.fusedSaved)
+	if m := w.mem; m != nil {
+		atomic.AddInt64(&st.ElidedRetains, c.elidedRetains)
+		atomic.AddInt64(&st.ElidedReleases, c.elidedReleases)
+		atomic.AddInt64(&st.CopiesAvoided, c.copiesAvoided)
+		hits := m.pool.Hits()
+		atomic.AddInt64(&st.PooledAllocs, hits-m.hitsFolded)
+		m.hitsFolded = hits
+	}
 	*c = workerCounters{}
 }
 
@@ -390,7 +403,7 @@ func (e *Engine) execOp(w *worker, a *activation, n *graph.Node, ins []value.Val
 					// The plan proves this value exclusively owned on arrival:
 					// Writable would take the in-place path on every block, so
 					// the walk (and its atomic loads) is skipped outright.
-					w.mem.copiesAvoided += value.CountBlocks(ins[i])
+					w.n.copiesAvoided += value.CountBlocks(ins[i])
 					continue
 				}
 				nv, copied := makeWritable(ins[i], &e.stats.Blocks)
@@ -404,7 +417,7 @@ func (e *Engine) execOp(w *worker, a *activation, n *graph.Node, ins []value.Val
 		}
 		var memBefore int64
 		if w.mem != nil && w.tr != nil {
-			memBefore = w.mem.elidedReleases + w.mem.pool.Hits()
+			memBefore = w.n.elidedReleases + w.mem.pool.Hits()
 		}
 		result, err := e.invokeOp(w, a, n, ins, attempt, maxAttempts)
 		if err == nil {
@@ -416,7 +429,7 @@ func (e *Engine) execOp(w *worker, a *activation, n *graph.Node, ins []value.Val
 			}
 			result = w.settleRefs(n, ins, result)
 			if w.mem != nil && w.tr != nil {
-				if delta := w.mem.elidedReleases + w.mem.pool.Hits() - memBefore; delta > 0 {
+				if delta := w.n.elidedReleases + w.mem.pool.Hits() - memBefore; delta > 0 {
 					w.tr.record(w.proc, TraceEvent{Type: TraceMemElide, Ts: w.tr.now(),
 						Act: a.seq, Node: int32(n.ID), Name: n.Name, Arg: delta})
 				}
@@ -525,8 +538,9 @@ func (e *Engine) execNode(w *worker, t task) error {
 // Fused supernodes call it once per cluster with the batched count, so the
 // budget may overshoot by at most the cluster size before the error
 // surfaces, and the poll fires whenever the worker's count crossed a
-// multiple of 64 — serial and simulated runs have no watcher goroutine, so
-// this poll is their only cancellation path and must not be stepped over.
+// multiple of 64 — no cancellation callback stops a serial or simulated
+// run's queue, so this poll is their only cancellation path and must not be
+// stepped over.
 func (e *Engine) checkOps(w *worker, a *activation, n int64) error {
 	w.n.ops += n
 	if e.maxOps > 0 && e.opsClaimed.Add(n) > e.maxOps {
@@ -628,8 +642,8 @@ func (e *Engine) execBody(w *worker, a *activation, n *graph.Node) error {
 				args = append(args, envV)
 				c += value.CountBlocks(envV)
 			}
-			w.mem.elidedRetains += c
-			w.mem.elidedReleases += c
+			w.n.elidedRetains += c
+			w.n.elidedReleases += c
 			if w.tr != nil && c > 0 {
 				w.tr.record(w.proc, TraceEvent{Type: TraceMemElide, Ts: w.tr.now(),
 					Act: a.seq, Node: int32(n.ID), Name: traceLabel(n), Arg: 2 * c})

@@ -1,11 +1,17 @@
 package runtime
 
 import (
+	"context"
 	"errors"
+	"fmt"
+	goruntime "runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/graph"
+	"repro/internal/operator"
 	"repro/internal/value"
 )
 
@@ -65,5 +71,120 @@ func TestSeedQuiescenceReportsDeadlock(t *testing.T) {
 	_, err := e.Run()
 	if err == nil || !strings.Contains(err.Error(), "deadlocked") {
 		t.Errorf("err = %v, want the deadlock diagnostic", err)
+	}
+}
+
+// TestGoroutinesReturnToBaseline is the run lifecycle's goroutine accounting:
+// however a run ends, every goroutine it started — its workers, the
+// cancellation callback, a goroutine abandoned to the watchdog once its
+// operator returns — is gone after it, on bounded and unbounded engines alike.
+func TestGoroutinesReturnToBaseline(t *testing.T) {
+	// hook is what the hook operator does in the current scenario. A
+	// goroutine abandoned to the watchdog is never joined, so the operator
+	// reads it atomically.
+	var hook atomic.Pointer[func()]
+	setHook := func(f func()) { hook.Store(&f) }
+	reg := operator.NewRegistry(operator.Builtins())
+	reg.MustRegister(&operator.Operator{
+		Name: "hook", Arity: 1,
+		Fn: func(_ operator.Context, args []value.Value) (value.Value, error) {
+			(*hook.Load())()
+			return args[0], nil
+		},
+	})
+	g := compile(t, `
+tree(d) if is_equal(d, 0) then 1 else add(tree(sub(d, 1)), tree(sub(d, 1)))
+main(d) add(tree(d), hook(d))
+`, reg)
+	const want = value.Int(32 + 5)
+	arg := []value.Value{value.Int(5)}
+	wantKind := func(err error, kind FailKind) error {
+		var re *RunError
+		if !errors.As(err, &re) || re.Kind != kind {
+			return fmt.Errorf("err = %v, want a %v RunError", err, kind)
+		}
+		return nil
+	}
+	wantValue := func(v value.Value, err error) error {
+		if err != nil || v != want {
+			return fmt.Errorf("got %v, %v; want %v", v, err, want)
+		}
+		return nil
+	}
+	scenarios := []struct {
+		name string
+		run  func(e *Engine, bounded bool) error
+	}{
+		{"run", func(e *Engine, _ bool) error {
+			return wantValue(e.Run(arg...))
+		}},
+		{"live ctx", func(e *Engine, _ bool) error {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			return wantValue(e.RunContext(ctx, arg...))
+		}},
+		{"canceled", func(e *Engine, _ bool) error {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			setHook(cancel)
+			_, err := e.RunContext(ctx, arg...)
+			return wantKind(err, FailCanceled)
+		}},
+		{"timed out", func(e *Engine, bounded bool) error {
+			if bounded {
+				// The operator overruns the engine's 20ms bound: the watchdog
+				// abandons its goroutine, which exits once the gate opens.
+				gate := make(chan struct{})
+				defer close(gate)
+				setHook(func() { <-gate })
+				_, err := e.Run(arg...)
+				return wantKind(err, FailTimeout)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+			defer cancel()
+			setHook(func() { <-ctx.Done() })
+			_, err := e.RunContext(ctx, arg...)
+			return wantKind(err, FailCanceled)
+		}},
+		{"runmany", func(e *Engine, _ bool) error {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			res, err := e.RunMany(ctx, [][]value.Value{arg, arg, arg})
+			if err != nil {
+				return err
+			}
+			for i, r := range res {
+				if err := wantValue(r.Value, r.Err); err != nil {
+					return fmt.Errorf("invocation %d: %w", i, err)
+				}
+			}
+			return nil
+		}},
+	}
+	setHook(func() {})
+	// The process's deadline watchdog starts with the first bounded run and
+	// outlives every run by design: start it before taking the baseline.
+	if err := wantValue(New(g, Config{Mode: Real, OpTimeout: time.Minute}).Run(arg...)); err != nil {
+		t.Fatal(err)
+	}
+	base := goruntime.NumGoroutine()
+	for _, workers := range []int{1, 2, 8} {
+		for _, bounded := range []bool{false, true} {
+			for _, sc := range scenarios {
+				name := fmt.Sprintf("w%d/bounded=%v/%s", workers, bounded, sc.name)
+				cfg := Config{Mode: Real, Workers: workers}
+				if bounded {
+					cfg.OpTimeout = time.Minute
+					if sc.name == "timed out" {
+						cfg.OpTimeout = 20 * time.Millisecond
+					}
+				}
+				setHook(func() {})
+				if err := sc.run(New(g, cfg), bounded); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				settledGoroutines(t, base)
+			}
+		}
 	}
 }

@@ -162,8 +162,8 @@ func TestResetLifecycle(t *testing.T) {
 	}
 }
 
-// TestRunManyMatchesFresh: a RunMany batch over the persistent worker pool
-// must produce, per invocation, exactly the value a fresh engine produces
+// TestRunManyMatchesFresh: a RunMany batch over one reused engine must
+// produce, per invocation, exactly the value a fresh engine produces
 // for the same arguments.
 func TestRunManyMatchesFresh(t *testing.T) {
 	g := compile(t, pooledLoop, planOps())

@@ -13,21 +13,31 @@ import (
 )
 
 func TestStealSchedulerPriorityOrder(t *testing.T) {
-	// A worker must drain its own deques normal-first, then the injector
-	// normal-first, then steal normal-first — §7's order at every tier.
+	// A worker must drain its own deques normal-first — its own pushes and
+	// the boot worker's seeds alike — then steal normal-first: §7's order at
+	// both tiers.
+	tmpl := &graph.Template{Name: "seeded", Nodes: []*graph.Node{
+		{ID: 0, Kind: graph.CallNode, Name: "recursive", Callee: &graph.Template{Recursive: true}},
+		{ID: 1, Kind: graph.CondNode, Name: "call"},
+		{ID: 2, Kind: graph.OpNode, Name: "normal"},
+	}}
 	nodes := map[Priority]*graph.Node{
-		PriNormal:    {Name: "normal"},
-		PriCall:      {Name: "call"},
-		PriRecursive: {Name: "recursive"},
+		PriNormal:    tmpl.Nodes[2],
+		PriCall:      tmpl.Nodes[1],
+		PriRecursive: tmpl.Nodes[0],
 	}
-	var stats Stats
-	s := newStealScheduler(2, &stats, nil)
+	e := New(&graph.Program{Main: tmpl}, Config{Mode: Real, Workers: 2})
+	s := newStealScheduler(2, &e.stats, nil)
 	for _, tier := range []struct {
 		name string
 		push func(*task, Priority)
 	}{
 		{"local", func(tk *task, pri Priority) { s.pushLocal(0, tk, pri) }},
-		{"inject", s.pushInject},
+		{"seeded", func(tk *task, pri Priority) {
+			// The boot worker pushes through the scheduler before any
+			// worker runs; the task lands in its activation slot.
+			s.push(e.worker(-1, s), newActivation(tmpl), tk.node)
+		}},
 		{"victim", func(tk *task, pri Priority) { s.pushLocal(1, tk, pri) }},
 	} {
 		// Push in reverse priority order; finds must come back normal-first.
@@ -39,13 +49,19 @@ func TestStealSchedulerPriorityOrder(t *testing.T) {
 			if tk == nil || tk.node.Name != w {
 				t.Fatalf("%s tier: find = %v, want %s", tier.name, tk, w)
 			}
+			if tier.name == "seeded" && tk.from != -1 {
+				t.Fatalf("seeded tier: task from = %d, want -1 (the boot worker)", tk.from)
+			}
 		}
 		if tk := s.find(0); tk != nil {
 			t.Fatalf("%s tier: unexpected extra task %v", tier.name, tk)
 		}
 	}
-	if stats.Steals != 3 {
-		t.Errorf("Steals = %d, want 3 (victim tier)", stats.Steals)
+	if e.stats.Steals != 3 {
+		t.Errorf("Steals = %d, want 3 (victim tier)", e.stats.Steals)
+	}
+	if e.stats.InjectedTasks != 3 {
+		t.Errorf("InjectedTasks = %d, want 3 (seeded tier)", e.stats.InjectedTasks)
 	}
 }
 
@@ -158,57 +174,6 @@ func TestWSDequeConcurrentStealers(t *testing.T) {
 	for id, c := range counts {
 		if c != 1 {
 			t.Fatalf("task %d claimed %d times", id, c)
-		}
-	}
-}
-
-func TestInjectorFIFOAndConcurrency(t *testing.T) {
-	var q injQueue
-	q.init()
-	for i := 0; i < 100; i++ {
-		q.push(&task{node: &graph.Node{ID: i}})
-	}
-	for i := 0; i < 100; i++ {
-		tk := q.pop()
-		if tk == nil || tk.node.ID != i {
-			t.Fatalf("pop %d = %v, want FIFO order", i, tk)
-		}
-	}
-	if q.pop() != nil || !q.isEmpty() {
-		t.Fatal("queue should be empty")
-	}
-	// Concurrent producers and consumers: nothing lost, nothing doubled.
-	const perProducer = 5000
-	counts := make([]int32, 4*perProducer)
-	var wg sync.WaitGroup
-	for p := 0; p < 4; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			for i := 0; i < perProducer; i++ {
-				q.push(&task{node: &graph.Node{ID: p*perProducer + i}})
-			}
-		}(p)
-	}
-	var got int64
-	var cg sync.WaitGroup
-	for c := 0; c < 4; c++ {
-		cg.Add(1)
-		go func() {
-			defer cg.Done()
-			for atomic.LoadInt64(&got) < int64(len(counts)) {
-				if tk := q.pop(); tk != nil {
-					atomic.AddInt32(&counts[tk.node.ID], 1)
-					atomic.AddInt64(&got, 1)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	cg.Wait()
-	for id, c := range counts {
-		if c != 1 {
-			t.Fatalf("task %d seen %d times", id, c)
 		}
 	}
 }

@@ -45,8 +45,8 @@ type Stats struct {
 	// taken FIFO from another worker's deque; StealContention counts steal
 	// CAS attempts lost to a racing thief or owner; Parks counts workers
 	// going to sleep after an empty spin-then-steal sweep; InjectedTasks
-	// counts tasks routed through the shared injector (seeding and any
-	// other push from outside the worker pool).
+	// counts the run's seeds: tasks the boot worker pushed onto the first
+	// worker's deques before any worker started.
 	Steals          int64
 	StealContention int64
 	Parks           int64
@@ -205,10 +205,10 @@ type TimingEntry struct {
 	// (Engine.ProfileWeights) uses the flag to normalize the two.
 	Fused bool
 	// Stolen marks a Real-mode entry whose task was pushed by a different
-	// worker than the one that ran it (it crossed the steal path or the
-	// injector); Affinity marks an entry dispatched on its preferred
-	// producer's worker (Real) or processor (Simulated) under an active
-	// affinity plan. The gantt renderer surfaces both.
+	// worker than the one that ran it (it crossed the steal path); Affinity
+	// marks an entry dispatched on its preferred producer's worker (Real) or
+	// processor (Simulated) under an active affinity plan. The gantt
+	// renderer surfaces both.
 	Stolen   bool
 	Affinity bool
 }

@@ -14,20 +14,19 @@ import (
 // priority semantics are preserved per worker and per steal attempt: each
 // worker owns one Chase-Lev deque per priority level and always drains
 // normal operators before non-recursive expansions before recursive
-// expansions, whether taking from its own deques, from the shared
-// injector, or from a victim.
+// expansions, whether taking from its own deques or from a victim.
 //
-// The structure follows the classic three tiers:
+// The structure:
 //
 //   - local deques: the owning worker pushes and pops LIFO at the bottom
 //     (cache locality — a node's consumers run hot on the producer's
 //     worker); thieves steal FIFO from the top, taking the oldest work,
-//     which for this runtime tends to be the widest subtrees.
-//   - a shared lock-free injector (one Michael-Scott queue per priority)
-//     receives pushes from outside the worker pool — seeding from the
-//     caller's goroutine, and any future cross-worker source.
-//   - idle workers spin briefly, then register on an idle list and park on
-//     a private one-token parker. Pushes wake at most one parked worker
+//     which for this runtime tends to be the widest subtrees. The boot
+//     worker seeds worker 0's deques before any worker goroutine exists,
+//     so seeding needs no queue of its own.
+//   - idle workers steal FIFO from their peers (the second tier), spin
+//     briefly, then register on an idle list and park on a private
+//     one-token parker. Pushes wake at most one parked worker
 //     (notifyOne), so a push never pays a condvar-herd broadcast.
 
 // wsArray is one growable ring of a Chase-Lev deque. Slots hold *task so
@@ -130,69 +129,6 @@ func (d *wsDeque) steal() (*task, bool) {
 // transient false negative is corrected by the notifyOne handshake.
 func (d *wsDeque) isEmpty() bool { return d.top.Load() >= d.bottom.Load() }
 
-// injNode is one link of the injector queue.
-type injNode struct {
-	t    *task
-	next atomic.Pointer[injNode]
-}
-
-// injQueue is a Michael-Scott lock-free MPMC FIFO — the shared injector
-// level. head points at a dummy node; the first real element is head.next.
-type injQueue struct {
-	head atomic.Pointer[injNode]
-	tail atomic.Pointer[injNode]
-}
-
-func (q *injQueue) init() {
-	d := &injNode{}
-	q.head.Store(d)
-	q.tail.Store(d)
-}
-
-// push enqueues t. Safe from any goroutine.
-func (q *injQueue) push(t *task) {
-	n := &injNode{t: t}
-	for {
-		tail := q.tail.Load()
-		next := tail.next.Load()
-		if next != nil {
-			// Help a lagging producer swing the tail forward.
-			q.tail.CompareAndSwap(tail, next)
-			continue
-		}
-		if tail.next.CompareAndSwap(nil, n) {
-			q.tail.CompareAndSwap(tail, n)
-			return
-		}
-	}
-}
-
-// pop dequeues the oldest task, or nil when empty. Safe from any
-// goroutine. Only the CAS winner dereferences a node's payload, so the
-// release store below cannot race a reader.
-func (q *injQueue) pop() *task {
-	for {
-		head := q.head.Load()
-		tail := q.tail.Load()
-		next := head.next.Load()
-		if next == nil {
-			return nil
-		}
-		if head == tail {
-			q.tail.CompareAndSwap(tail, next)
-			continue
-		}
-		if q.head.CompareAndSwap(head, next) {
-			t := next.t
-			next.t = nil // next is the new dummy; release the payload
-			return t
-		}
-	}
-}
-
-// isEmpty is the racy probe used by the pre-park re-check.
-func (q *injQueue) isEmpty() bool { return q.head.Load().next.Load() == nil }
-
 // parker is a one-token binary semaphore: unpark is non-blocking and
 // idempotent while a token is pending, park consumes a token. A spurious
 // token only costs one extra scan of the queues.
@@ -220,7 +156,6 @@ type workerDeques struct {
 type stealScheduler struct {
 	wallClock
 	local   []workerDeques
-	inject  [numPriorities]injQueue
 	parkers []parker
 
 	// idle is a LIFO stack of parked worker ids, guarded by idleMu.
@@ -254,17 +189,15 @@ func newStealScheduler(workers int, stats *Stats, tr *tracer) *stealScheduler {
 		}
 		s.parkers[w].ch = make(chan struct{}, 1)
 	}
-	for pri := range s.inject {
-		s.inject[pri].init()
-	}
 	return s
 }
 
-// push schedules the node on the pushing worker's own deque, or through the
-// injector when the push comes from outside the pool (the boot worker's
-// seeding; it completed no producer, so the task carries no preference). The
-// task is written into the node's slot in its activation (activation.tasks),
-// never allocated.
+// push schedules the node on the pushing worker's own deque. The boot
+// worker (proc -1) seeds worker 0's deques instead: it runs before any
+// worker goroutine is spawned, and the go statement orders its pushes before
+// every pop and steal, so it may act as that deque's owner. A seed completed
+// no producer, so it carries no preference. The task is written into the
+// node's slot in its activation (activation.tasks), never allocated.
 func (s *stealScheduler) push(w *worker, a *activation, n *graph.Node) {
 	s.outstanding.Add(1)
 	pri := w.e.classify(a, n)
@@ -274,8 +207,9 @@ func (s *stealScheduler) push(w *worker, a *activation, n *graph.Node) {
 			s.tr.record(-1, TraceEvent{Type: TraceInject, Ts: s.tr.now(),
 				Act: a.seq, Node: int32(n.ID), Name: traceLabel(n), Tmpl: a.tmpl.Name})
 		}
-		*t = task{act: a, node: n}
-		s.pushInject(t, pri)
+		*t = task{act: a, node: n, from: -1}
+		s.local[0].d[pri].push(t)
+		atomic.AddInt64(&s.stats.InjectedTasks, 1)
 		return
 	}
 	*t = task{act: a, node: n, from: int32(w.proc)}
@@ -343,15 +277,6 @@ func (s *stealScheduler) pushLocal(wid int, t *task, pri Priority) {
 	s.notifyOne()
 }
 
-// pushInject enqueues t on the shared injector — the path for pushes that
-// originate outside the worker pool (seeding).
-func (s *stealScheduler) pushInject(t *task, pri Priority) {
-	t.from = -1
-	s.inject[pri].push(t)
-	atomic.AddInt64(&s.stats.InjectedTasks, 1)
-	s.notifyOne()
-}
-
 // notifyOne wakes at most one parked worker. The nidle fast path makes a
 // push by a busy pool a single atomic load.
 func (s *stealScheduler) notifyOne() {
@@ -371,18 +296,13 @@ func (s *stealScheduler) notifyOne() {
 }
 
 // find returns the next task for worker wid, honoring the §7 priority
-// order at every tier: own deques, then the injector, then one steal
-// sweep over the other workers (victims scanned starting after wid so
-// thieves spread out). Returns nil when no work was found anywhere.
+// order at both tiers: own deques, then one steal sweep over the other
+// workers (victims scanned starting after wid so thieves spread out).
+// Returns nil when no work was found anywhere.
 func (s *stealScheduler) find(wid int) *task {
 	own := &s.local[wid]
 	for pri := range own.d {
 		if t := own.d[pri].pop(); t != nil {
-			return t
-		}
-	}
-	for pri := range s.inject {
-		if t := s.inject[pri].pop(); t != nil {
 			return t
 		}
 	}
@@ -424,11 +344,6 @@ func (s *stealScheduler) stealFrom(wid, vid int) *task {
 // the producers, it can never let the last task strand while every worker
 // sleeps.
 func (s *stealScheduler) anyWork() bool {
-	for pri := range s.inject {
-		if !s.inject[pri].isEmpty() {
-			return true
-		}
-	}
 	for w := range s.local {
 		for pri := range s.local[w].d {
 			if !s.local[w].d[pri].isEmpty() {
@@ -477,7 +392,7 @@ func (s *stealScheduler) park(wid int) {
 	}
 }
 
-// drain empties every deque and injector, returning the abandoned tasks so
+// drain empties every deque, returning the abandoned tasks so
 // the error-path teardown can sweep their activations. Callers must
 // guarantee the pool has stopped (post runWorkers): the steal/pop primitives
 // are reused, but the scan assumes no concurrent owner or thief.
@@ -494,20 +409,11 @@ func (s *stealScheduler) drain() []task {
 			}
 		}
 	}
-	for pri := range s.inject {
-		for {
-			t := s.inject[pri].pop()
-			if t == nil {
-				break
-			}
-			out = append(out, *t)
-		}
-	}
 	return out
 }
 
 // reopen readies the scheduler for another run of a reused engine: the
-// deques, injectors, parkers, and idle stack all survive (the deques are
+// deques, parkers, and idle stack all survive (the deques are
 // empty at quiescence and drained on the error path), so only the closed
 // flag and the tracer binding need refreshing. Stray parker tokens left by
 // the close broadcast are swallowed here — a leftover token would merely

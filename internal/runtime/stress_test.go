@@ -213,6 +213,14 @@ tree(d)
 main(d) nap(nap(nap(tree(d))))
 `
 	g := compile(t, src, reg)
+	// The tasks seeding makes runnable, counted on a throwaway serial queue:
+	// every one of them is a boot-worker push in a multi-worker run.
+	probe, pe := &serialQueue{}, New(g, Config{})
+	pe.initActivation(pe.worker(0, probe), newActivation(g.Main), []value.Value{value.Int(7)})
+	seeded := int64(len(probe.drain()))
+	if seeded == 0 {
+		t.Fatal("seeding made nothing runnable")
+	}
 	var sawSteal, sawPark bool
 	for attempt := 0; attempt < 5 && !(sawSteal && sawPark); attempt++ {
 		e := New(g, Config{Mode: Real, Workers: 8, MaxOps: 10_000_000})
@@ -226,8 +234,8 @@ main(d) nap(nap(nap(tree(d))))
 		st := e.Stats()
 		sawSteal = sawSteal || st.Steals > 0
 		sawPark = sawPark || st.Parks > 0
-		if st.InjectedTasks == 0 {
-			t.Error("seeding bypassed the injector")
+		if st.InjectedTasks != seeded {
+			t.Errorf("InjectedTasks = %d, want the %d seeded tasks", st.InjectedTasks, seeded)
 		}
 	}
 	if !sawSteal {

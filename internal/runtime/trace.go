@@ -39,7 +39,8 @@ const (
 	// TracePark/TraceUnpark bracket a worker's sleep on its parker.
 	TracePark
 	TraceUnpark
-	// TraceInject records a task pushed through the shared injector.
+	// TraceInject records a seed: a task the boot worker pushed onto the
+	// first worker's deques before any worker started.
 	TraceInject
 	// TraceActAlloc/TraceActReuse record activation demand: a fresh
 	// allocation versus a pool hit. Tmpl names the template, Act the stamp
