@@ -209,11 +209,11 @@ type CompileOptions struct {
 	// InlineBudget caps inline-expansion candidate size (0 = default).
 	InlineBudget int
 	// MemPlan runs the memory-plan pass: compile-time ownership analysis
-	// that elides refcount traffic, guarantees in-place destructive updates
-	// where proven, and recycles block payloads through per-worker free
-	// lists. Output is bit-identical with or without it; see
-	// Stats.ElidedRetains/ElidedReleases/PooledAllocs/CopiesAvoided for the
-	// effect.
+	// that elides refcount traffic and guarantees in-place destructive
+	// updates where proven. Output is bit-identical with or without it; see
+	// Stats.ElidedRetains/ElidedReleases/CopiesAvoided for the effect. (Block
+	// payloads are recycled through per-worker pools either way; see
+	// Stats.PooledAllocs.)
 	MemPlan bool
 	// Fuse runs the operator-fusion pass: chains (and delay-free trees) of
 	// single-consumer nodes collapse into supernodes the runtime dispatches

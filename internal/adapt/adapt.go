@@ -2,11 +2,12 @@
 // program, runs a short calibration pass with timing and tracing on,
 // extracts measured mean operator costs (per fused member, via the nested
 // per-member timing entries — not just supernode heads), feeds them into
-// fusion's bottom-level priorities and the memory plan's pool size-class
-// caps, re-fuses, re-plans, re-runs on a fresh engine, and keeps whichever
-// plan measures faster. The same loop a delprof user used to drive by hand
-// (-profout, edit, -profile) runs unattended, and a granularity advisor on
-// the critical-path analysis reports which operators a coordination-level
+// fusion's bottom-level priorities, re-fuses, re-runs on a fresh engine, and
+// keeps whichever plan measures faster. Fusion's weights are the only thing
+// it tunes: block recycling belongs to the runtime, with one fixed pool per
+// worker. The same loop a delprof user used to drive by hand (-profout,
+// edit, -profile) runs unattended, and a granularity advisor on the
+// critical-path analysis reports which operators a coordination-level
 // rebalance should attack.
 //
 // The loop is calibrate-once-keep-winner, not continuous online retuning:
@@ -52,10 +53,6 @@ type Config struct {
 type Result struct {
 	// Profile is the measured mean cost per operator (ticks or ns).
 	Profile map[string]int64
-	// PoolCaps is the per-size-class block-pool cap vector derived from the
-	// calibration run's recycle demand; nil when the program has no memory
-	// plan.
-	PoolCaps []int
 	// Advisories are the granularity advisor's verdicts from the
 	// calibration run's critical path.
 	Advisories []runtime.Advisory
@@ -67,8 +64,7 @@ type Result struct {
 	BaselineCost int64
 	TunedCost    int64
 	Unit         string
-	// Winner is "tuned" or "baseline"; Program and PoolCaps describe the
-	// winning plan, ready to run.
+	// Winner is "tuned" or "baseline".
 	Winner string
 	// Baseline and Tuned are the two compilations; Winning points at the
 	// one that won.
@@ -95,40 +91,18 @@ func (r *Result) Gain() float64 {
 	return float64(r.BaselineCost-r.TunedCost) / float64(r.BaselineCost)
 }
 
-// WinningRuntime returns the runtime config for the winning plan: base with
-// the derived pool caps applied when the tuned plan won.
-func (r *Result) WinningRuntime(base runtime.Config) runtime.Config {
-	if r.Winner == "tuned" {
-		base.PoolClassCaps = r.PoolCaps
-	}
-	return base
-}
-
 // Report renders the tuning run for terminal output.
 func (r *Result) Report() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "adaptive: calibrated %d operator(s) at %d worker(s)\n", len(r.Profile), r.Workers)
 	fmt.Fprintf(&b, "adaptive: baseline %d %s, tuned %d %s — keeping %s plan (%+.1f%%)\n",
 		r.BaselineCost, r.Unit, r.TunedCost, r.Unit, r.Winner, r.Gain()*100)
-	if caps := countNonZero(r.PoolCaps); caps > 0 {
-		fmt.Fprintf(&b, "adaptive: pool caps resized for %d size class(es)\n", caps)
-	}
 	if len(r.UnmatchedProfileKeys) > 0 {
 		fmt.Fprintf(&b, "adaptive: warning — measured keys unmatched on recompile: %s\n",
 			strings.Join(r.UnmatchedProfileKeys, ", "))
 	}
 	b.WriteString(runtime.RenderAdvisories(r.Advisories))
 	return b.String()
-}
-
-func countNonZero(v []int) int {
-	n := 0
-	for _, x := range v {
-		if x != 0 {
-			n++
-		}
-	}
-	return n
 }
 
 func (c Config) calibrateRuns() int {
@@ -212,9 +186,8 @@ func Tune(ctx context.Context, file, src string, cfg Config) (*Result, error) {
 	if tr := eng.Trace(); tr != nil {
 		res.Advisories = tr.CriticalPath().Advise(res.Workers)
 	}
-	res.PoolCaps = DerivePoolCaps(eng.PoolDemand(), runs)
 
-	// Re-fuse and re-plan with the measured weights.
+	// Re-fuse with the measured weights.
 	topts := opts
 	topts.FuseProfile = merged
 	tuned, err := compile.Compile(file, src, topts)
@@ -228,13 +201,11 @@ func Tune(ctx context.Context, file, src string, cfg Config) (*Result, error) {
 
 	// Measure both plans on fresh engines (Reset-reused within a plan so
 	// warmed pools amortize equally), folded by minimum.
-	baseCost, err := measure(ctx, baseline, cfg.Runtime, cfg)
+	baseCost, err := measure(ctx, baseline, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("adapt: baseline measure: %w", err)
 	}
-	tunedRT := cfg.Runtime
-	tunedRT.PoolClassCaps = res.PoolCaps
-	tunedCost, err := measure(ctx, tuned, tunedRT, cfg)
+	tunedCost, err := measure(ctx, tuned, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("adapt: tuned measure: %w", err)
 	}
@@ -249,8 +220,8 @@ func Tune(ctx context.Context, file, src string, cfg Config) (*Result, error) {
 // measure times cfg.measureRuns() executions of one plan through a reused
 // engine and returns the best run's cost (MakespanTicks in Simulated mode,
 // RealNanos otherwise).
-func measure(ctx context.Context, comp *compile.Result, rcfg runtime.Config, cfg Config) (int64, error) {
-	eng := runtime.New(comp.Program, rcfg)
+func measure(ctx context.Context, comp *compile.Result, cfg Config) (int64, error) {
+	eng := runtime.New(comp.Program, cfg.Runtime)
 	best := int64(0)
 	for i := 0; i < cfg.measureRuns(); i++ {
 		if i > 0 {
@@ -262,7 +233,7 @@ func measure(ctx context.Context, comp *compile.Result, rcfg runtime.Config, cfg
 			return 0, err
 		}
 		cost := eng.Stats().RealNanos
-		if rcfg.Mode == runtime.Simulated {
+		if cfg.Runtime.Mode == runtime.Simulated {
 			cost = eng.Stats().MakespanTicks
 		}
 		if best == 0 || cost < best {
@@ -270,39 +241,6 @@ func measure(ctx context.Context, comp *compile.Result, rcfg runtime.Config, cfg
 		}
 	}
 	return best, nil
-}
-
-// DerivePoolCaps turns a calibration run's per-size-class recycle demand
-// (Engine.PoolDemand, summed over runs) into Config.PoolClassCaps for the
-// tuned plan: classes the run never recycled keep the default cap, classes
-// with demand are capped at the next power of two of their per-run offer
-// count, clamped to [16, 512]. Returns nil when demand is nil (no memory
-// plan) or every entry is zero.
-func DerivePoolCaps(demand []int64, runs int) []int {
-	if len(demand) == 0 {
-		return nil
-	}
-	if runs < 1 {
-		runs = 1
-	}
-	caps := make([]int, len(demand))
-	any := false
-	for i, d := range demand {
-		perRun := d / int64(runs)
-		if perRun <= 0 {
-			continue
-		}
-		c := 16
-		for int64(c) < perRun && c < 512 {
-			c <<= 1
-		}
-		caps[i] = c
-		any = true
-	}
-	if !any {
-		return nil
-	}
-	return caps
 }
 
 // CompileTuned is the one-call entry the server's live-source path uses:

@@ -99,27 +99,3 @@ func TestTuneConvergence(t *testing.T) {
 		t.Errorf("tuned fusion plans diverged:\n%s\nvs\n%s", ra, rb)
 	}
 }
-
-func TestDerivePoolCaps(t *testing.T) {
-	if got := DerivePoolCaps(nil, 1); got != nil {
-		t.Errorf("nil demand: %v", got)
-	}
-	if got := DerivePoolCaps([]int64{0, 0}, 3); got != nil {
-		t.Errorf("zero demand: %v", got)
-	}
-	got := DerivePoolCaps([]int64{0, 10, 100, 5000}, 1)
-	want := []int{0, 16, 128, 512}
-	if len(got) != len(want) {
-		t.Fatalf("len = %d", len(got))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("caps[%d] = %d, want %d", i, got[i], want[i])
-		}
-	}
-	// Demand is summed across calibration runs; caps derive from per-run demand.
-	got = DerivePoolCaps([]int64{90}, 3) // 30 per run
-	if got[0] != 32 {
-		t.Errorf("per-run cap = %d, want 32", got[0])
-	}
-}

@@ -11,6 +11,7 @@ package circuit
 import (
 	"fmt"
 
+	"repro/internal/operator"
 	"repro/internal/value"
 )
 
@@ -198,6 +199,6 @@ func Equal(a, b *Circuit) bool {
 
 // value.BlockData plumbing shared by the operators.
 
-func circuitBlock(c *Circuit, st *value.BlockStats) *value.Block {
-	return value.NewBlockStats(&value.Opaque{Payload: c, Words: c.Words()}, st)
+func circuitBlock(c *Circuit, ctx operator.Context) *value.Block {
+	return value.NewBlockStats(ctx.Pool().Opaque(c, c.Words()), ctx.BlockStats())
 }

@@ -55,7 +55,7 @@ func Operators(cfg Config) (*operator.Registry, error) {
 		Fn: func(ctx operator.Context, _ []value.Value) (value.Value, error) {
 			c := New(cfg)
 			ctx.Charge(int64(c.Words()))
-			return circuitBlock(c, ctx.BlockStats()), nil
+			return circuitBlock(c, ctx), nil
 		},
 	})
 
@@ -74,8 +74,7 @@ func Operators(cfg Config) (*operator.Registry, error) {
 				if i == 0 {
 					gp.ckt = c
 				}
-				out[i] = value.NewBlockStats(&value.Opaque{Payload: gp, Words: (g1 - g0) * 3},
-					ctx.BlockStats())
+				out[i] = value.NewBlockStats(ctx.Pool().Opaque(gp, (g1-g0)*3), ctx.BlockStats())
 			}
 			return out, nil
 		},
@@ -120,7 +119,7 @@ func Operators(cfg Config) (*operator.Registry, error) {
 			}
 			c.Latch()
 			ctx.Charge(int64(len(c.Prev)))
-			return circuitBlock(c, ctx.BlockStats()), nil
+			return circuitBlock(c, ctx), nil
 		},
 	})
 

@@ -40,9 +40,8 @@ type Options struct {
 	InlineBudget int
 	// MemPlan runs the memory-plan pass (opt.PlanMemory) over the linked
 	// graph: static ownership facts that let the runtime elide refcount
-	// traffic, guarantee in-place destructive updates, and recycle block
-	// payloads. Off by default; planned and unplanned programs produce
-	// bit-identical results.
+	// traffic and guarantee in-place destructive updates. Off by default;
+	// planned and unplanned programs produce bit-identical results.
 	MemPlan bool
 	// Fuse runs the operator-fusion pass (opt.FuseGraph) over the linked
 	// graph: single-consumer chains collapse into supernodes dispatched

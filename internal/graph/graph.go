@@ -388,10 +388,6 @@ type Program struct {
 	// Registry resolves operators at execution time (already resolved into
 	// OpNodes; kept for tooling).
 	Registry *operator.Registry
-	// MemPlanned records that the memory-plan pass ran over this program;
-	// the executors then activate the planned settle paths and per-worker
-	// block free lists.
-	MemPlanned bool
 	// Fused records that the operator-fusion pass ran over this program;
 	// the executors then dispatch fused clusters as supernodes and order
 	// ready nodes by their static bottom levels.

@@ -30,7 +30,7 @@ type Config struct {
 	// grid never reaches). Zero selects 10000.
 	MaxSweeps int
 	// MemPlan runs the memory-plan pass at compile time, activating copy
-	// elision and block recycling in the executors.
+	// elision in the executors.
 	MemPlan bool
 	// Fuse runs the operator-fusion pass at compile time, collapsing
 	// single-consumer chains into supernodes dispatched once.

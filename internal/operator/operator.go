@@ -35,10 +35,17 @@ type Context interface {
 	BlockStats() *value.BlockStats
 	// Processor returns the executing processor's id (0-based).
 	Processor() int
-	// Pool returns the executing worker's block free list, or nil when no
-	// memory plan is active. value.BlockPool's allocation helpers are safe
-	// on a nil receiver, so operators may call ctx.Pool().Floats(n)
-	// unconditionally.
+	// Pool returns the executing worker's block free list: every engine
+	// worker has one, and a block whose last reference is released on the
+	// worker hands its payload to it. Allocate block payloads through it
+	// (ctx.Pool().Opaque, Floats, Ints, Grid). It is nil outside an engine
+	// worker; value.BlockPool's allocation helpers are safe on a nil
+	// receiver, so operators call through unconditionally.
+	//
+	// The ownership rule: a payload belongs to one block. Once that block's
+	// last reference is released on a worker, its storage may be handed to
+	// the next ctx.Pool() allocation. So neither an operator nor the host
+	// may keep a payload, or a slice of one, from a block it gave away.
 	Pool() *value.BlockPool
 }
 

@@ -1,8 +1,8 @@
 // memplan.go implements the memory-plan pass: a whole-program ownership
 // analysis over the linked coordination graph that lets the runtime elide
-// reference-count traffic, hand blocks to destructive operators in place
-// without the copy-on-write check, and recycle freed payloads through
-// per-worker free lists.
+// reference-count traffic and hand blocks to destructive operators in place
+// without the copy-on-write check. (Recycling freed payloads is the
+// runtime's own, planned or not.)
 //
 // The analysis computes, per node, whether the node's output is
 // *exclusively owned* — every block reachable from it has reference count
@@ -81,9 +81,9 @@ type tmplFacts struct {
 	retOwned bool
 }
 
-// PlanMemory analyzes prog and stamps every node's Mem* fields. It returns
-// the report; prog.MemPlanned is set so the executors activate the planned
-// paths. Safe to call once per program, after linking.
+// PlanMemory analyzes prog and stamps every node's Mem* fields, which the
+// executors read straight off the nodes. It returns the report. Safe to call
+// once per program, after linking.
 func PlanMemory(prog *graph.Program) *MemPlan {
 	facts := make(map[*graph.Template]*tmplFacts)
 	var order []*tmplFacts
@@ -194,7 +194,6 @@ func PlanMemory(prog *graph.Program) *MemPlan {
 		}
 		plan.Templates = append(plan.Templates, mt)
 	}
-	prog.MemPlanned = true
 	return plan
 }
 

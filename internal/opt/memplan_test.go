@@ -70,9 +70,6 @@ func node(t *testing.T, g *graph.Program, tmpl *graph.Template, name string) *gr
 
 func TestPlanFreshChainOwned(t *testing.T) {
 	g, p := plan(t, "main() use(mk())", nil)
-	if !g.MemPlanned {
-		t.Fatal("MemPlanned not set")
-	}
 	mk := node(t, g, g.Main, "mk")
 	if !mk.MemOwned {
 		t.Fatal("mk output must be owned: Fresh with no inputs")
@@ -166,7 +163,7 @@ wrap(s) use(s)
 }
 
 func TestPlanRecursionTerminatesAndConverges(t *testing.T) {
-	g, p := plan(t, `
+	_, p := plan(t, `
 main(n) fib(n)
 
 fib(n)
@@ -174,9 +171,6 @@ fib(n)
     then n
     else add(fib(sub(n, 1)), fib(sub(n, 2)))
 `, nil)
-	if !g.MemPlanned {
-		t.Fatal("MemPlanned not set")
-	}
 	if p.TotalNodes == 0 {
 		t.Fatal("plan visited no nodes")
 	}

@@ -31,8 +31,10 @@ type board struct {
 
 func (b *board) words() int { return len(b.positions) + 1 }
 
-func boardBlock(b *board, st *value.BlockStats) *value.Block {
-	return value.NewBlockStats(&value.Opaque{Payload: b, Words: b.words()}, st)
+// boardBlock wraps b in a block whose Opaque shell comes from the worker's
+// pool.
+func boardBlock(b *board, ctx operator.Context) *value.Block {
+	return value.NewBlockStats(ctx.Pool().Opaque(b, b.words()), ctx.BlockStats())
 }
 
 func boardOf(v value.Value, what string) (*board, error) {
@@ -67,7 +69,7 @@ func Operators() *operator.Registry {
 		Name: "empty_board", Arity: 0, Retryable: true,
 		Fn: func(ctx operator.Context, _ []value.Value) (value.Value, error) {
 			ctx.Charge(1)
-			return boardBlock(&board{}, ctx.BlockStats()), nil
+			return boardBlock(&board{}, ctx), nil
 		},
 	})
 
@@ -93,7 +95,7 @@ func Operators() *operator.Registry {
 			copy(np, b.positions)
 			np[len(b.positions)] = int(loc)
 			ctx.Charge(int64(len(np)))
-			return boardBlock(&board{positions: np}, ctx.BlockStats()), nil
+			return boardBlock(&board{positions: np}, ctx), nil
 		},
 	})
 

@@ -48,7 +48,7 @@ func Operators(cfg Config) (*operator.Registry, error) {
 		Fn: func(ctx operator.Context, _ []value.Value) (value.Value, error) {
 			s := NewScene(cfg)
 			ctx.Charge(int64(s.Words()))
-			return value.NewBlockStats(&value.Opaque{Payload: s, Words: s.Words()}, ctx.BlockStats()), nil
+			return value.NewBlockStats(ctx.Pool().Opaque(s, s.Words()), ctx.BlockStats()), nil
 		},
 	})
 
@@ -67,8 +67,7 @@ func Operators(cfg Config) (*operator.Registry, error) {
 				if i == 0 {
 					bp.scene = s
 				}
-				out[i] = value.NewBlockStats(&value.Opaque{Payload: bp, Words: (r1 - r0) * cfg.W * 3},
-					ctx.BlockStats())
+				out[i] = value.NewBlockStats(ctx.Pool().Opaque(bp, (r1-r0)*cfg.W*3), ctx.BlockStats())
 			}
 			return out, nil
 		},
@@ -114,7 +113,7 @@ func Operators(cfg Config) (*operator.Registry, error) {
 				s.Tests += t
 			}
 			ctx.Charge(Bands)
-			return value.NewBlockStats(&value.Opaque{Payload: s, Words: s.Words()}, ctx.BlockStats()), nil
+			return value.NewBlockStats(ctx.Pool().Opaque(s, s.Words()), ctx.BlockStats()), nil
 		},
 	})
 

@@ -124,11 +124,12 @@ const settleMax = 64
 //   - a new block's first result occurrence is covered by NewBlock's initial
 //     reference, and every other unclaimed result occurrence retains.
 //
-// Under a memory plan (w.mem != nil) three plan facts are exploited as well:
+// Blocks that die here go through releaseBlock, which recycles their
+// payloads into the worker's pool. Two memory-plan facts, present only on a
+// planned program, are exploited as well:
 //
 //   - an input port marked MemOwnedArgs whose blocks die here frees them
-//     without touching the refcount and recycles their payloads;
-//   - any other zero-crossing also feeds the free list;
+//     without touching the refcount;
 //   - when the node's output is marked MemOwned, the claim is verified: a
 //     result block that ends shared (a duplicating operator, or a wrong
 //     Fresh annotation) is copied here at the producer, so every consumer
@@ -138,7 +139,6 @@ const settleMax = 64
 // The scans are linear over the node's block lists, which live in the
 // worker's scratch: operators move a handful of blocks.
 func (w *worker) settleRefs(n *graph.Node, ins []value.Value, result value.Value) value.Value {
-	m := w.mem
 	st := &w.e.stats.Blocks
 
 	res := value.Blocks(result, w.settleRes[:0])
@@ -163,7 +163,7 @@ func (w *worker) settleRefs(n *graph.Node, ins []value.Value, result value.Value
 	// result occurrence of the same block, or dies at this node.
 	pos := 0
 	for i := range ins {
-		owned := m != nil && i < len(n.MemOwnedArgs) && n.MemOwnedArgs[i]
+		owned := i < len(n.MemOwnedArgs) && n.MemOwnedArgs[i]
 		for ; pos < portEnd[i]; pos++ {
 			b := inAll[pos]
 			transferred := false
@@ -174,18 +174,8 @@ func (w *worker) settleRefs(n *graph.Node, ins []value.Value, result value.Value
 					break
 				}
 			}
-			if transferred {
-				continue
-			}
-			if owned {
-				if data, ok := b.FreeOwned(st); ok {
-					w.n.elidedReleases++
-					m.pool.Put(data)
-				}
-				continue
-			}
-			if b.Release(st) && m != nil {
-				m.pool.Put(b.TakeData())
+			if !transferred {
+				w.releaseBlock(b, owned)
 			}
 		}
 	}
@@ -220,7 +210,7 @@ func (w *worker) settleRefs(n *graph.Node, ins []value.Value, result value.Value
 	}
 
 	// Producer-side enforcement of the output-ownership claim.
-	if m != nil && n.MemOwned && n.Kind == graph.OpNode {
+	if n.MemOwned && n.Kind == graph.OpNode {
 		for _, rb := range res {
 			if rb.Refs() != 1 {
 				nv, copied := makeWritable(result, st)
@@ -235,6 +225,45 @@ func (w *worker) settleRefs(n *graph.Node, ins []value.Value, result value.Value
 		}
 	}
 	return result
+}
+
+// releaseDying drops a reference to a value that dies at this node, the one
+// way the executor drops a dying reference on a worker. owned marks values
+// the memory plan proved exclusive: their blocks skip the atomic release.
+func (w *worker) releaseDying(v value.Value, owned bool) {
+	switch x := v.(type) {
+	case *value.Block:
+		w.releaseBlock(x, owned)
+	case value.Tuple:
+		for _, el := range x {
+			w.releaseDying(el, owned)
+		}
+	case *value.Closure:
+		for _, el := range x.Env {
+			w.releaseDying(el, owned)
+		}
+	}
+}
+
+// releaseBlock drops one reference to b and, when it was the last, hands
+// b's payload to the worker's pool. A block the plan proved owned is freed
+// without the atomic decrement; if it is in fact shared, FreeOwned degrades
+// to a counted Release and nothing is recycled. Once the run has abandoned
+// an operator call, an unowned block is not recycled: the stuck goroutine
+// may still read it (see Engine.abandoned). An owned block has no reader
+// but this node.
+func (w *worker) releaseBlock(b *value.Block, owned bool) {
+	st := &w.e.stats.Blocks
+	if owned {
+		if data, ok := b.FreeOwned(st); ok {
+			w.n.elidedReleases++
+			w.pool.Put(data)
+		}
+		return
+	}
+	if b.Release(st) && !w.e.abandoned.Load() {
+		w.pool.Put(b.TakeData())
+	}
 }
 
 // transferRefs is settleRefs' fallback for node executions moving more than

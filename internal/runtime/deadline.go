@@ -63,8 +63,11 @@ type deadlineSlot struct {
 	// (the slot then belongs to the stuck goroutine for good).
 	word atomic.Int64
 	// sw is the worker the operator body sees as its Context: the engine and
-	// processor, the private block-stats sink below, and no block pool, so a
-	// goroutine abandoned inside the body can never write into the engine.
+	// processor, the private block-stats sink below, so a goroutine
+	// abandoned inside the body can never write block accounting into the
+	// engine, and the owner's block pool, borrowed for the call. The
+	// watchdog gives an owner whose call it abandons a fresh pool, so the
+	// stuck goroutine keeps the old one to itself.
 	sw   worker
 	sink value.BlockStats
 	argv []value.Value
@@ -127,7 +130,7 @@ func (e *Engine) callInline(w *worker, a *activation, n *graph.Node, ins []value
 	s := e.dl.slots[w.proc]
 	s.argv = append(s.argv[:0], ins...)
 	s.sink = value.BlockStats{}
-	s.sw.charge = 0
+	s.sw.charge, s.sw.pool = 0, w.pool
 	s.owner, s.a, s.n, s.attempt, s.limit = w, a, n, attempt, limit
 	deadline := clock() + int64(limit)
 	if deadline < 0 {
@@ -257,9 +260,13 @@ func (d *deadlines) scan(now int64) {
 // with the dispatch's charges, close its trace slices, release the node's
 // inputs, retire the fused members that already ran, fail the run with the
 // same structured error, and close the scheduler. Last, it stands in for the
-// stuck goroutine at the run's join.
+// stuck goroutine at the run's join. The stuck goroutine keeps the worker's
+// block pool, which the worker replaces with a fresh one; the inputs are
+// released without recycling, and so is every other block the run frees
+// from here on (Engine.abandoned).
 func (d *deadlines) settle(s *deadlineSlot, canceled bool) {
 	e, a, n := d.e, s.a, s.n
+	e.abandoned.Store(true)
 	var cause error
 	if canceled {
 		cause = e.runCtx.Err()
@@ -269,6 +276,9 @@ func (d *deadlines) settle(s *deadlineSlot, canceled bool) {
 	}
 	// The stuck goroutine never touches its worker again, and everything it
 	// wrote there happened before it published the deadline this CAS read.
+	// It keeps the pool it borrowed through the slot, so the worker takes a
+	// fresh one; the old pool's hits since the last fold go unpublished.
+	s.owner.pool, s.owner.hitsFolded = new(value.BlockPool), 0
 	s.owner.n.charged += s.owner.charge
 	s.owner.fold()
 	if tr := s.owner.tr; tr != nil {

@@ -147,12 +147,6 @@ type Config struct {
 	// nil injects nothing. Plans are stateful — use a fresh or Reset plan
 	// per run.
 	Faults *FaultPlan
-	// PoolClassCaps overrides the per-worker block pools' free-list caps by
-	// size class (see value.BlockPool.SetClassCaps); nil keeps the defaults.
-	// The adaptive loop derives these from a calibration run's measured
-	// recycle demand so hot classes keep more payloads warm and cold ones
-	// pin less garbage. Caps only shape pool retention — never results.
-	PoolClassCaps []int
 }
 
 // RetryPolicy controls deterministic operator retry.
@@ -243,6 +237,13 @@ type Engine struct {
 	state   atomic.Int32
 	gen     atomic.Int64
 	stopped atomic.Bool
+	// abandoned is set once the run gives up an operator call it cannot
+	// preempt (a timeout or a cancellation). The stuck goroutine may still
+	// read the blocks it was given, and any worker may free one of them, so
+	// from then on the run recycles no freed payload. Reset clears it: by
+	// then each of those blocks is dead or held by the host, and neither
+	// recycles.
+	abandoned atomic.Bool
 	// failMu guards the first-failure record below; the first failure wins
 	// and later errors are dropped (sync.Once cannot be reused across runs,
 	// a mutex plus a per-run flag can).
@@ -259,9 +260,8 @@ type Engine struct {
 
 	// workers holds one worker per processor plus a final slot for the boot
 	// worker (proc -1), allocated in New and kept across Reset so that their
-	// scratch stays warm; run and runWorkers rebind them to each run. Under a
-	// memory plan each carries its plan state, whose block free list is what
-	// the repeated-run fast path keeps warm.
+	// scratch and block pools stay warm; run and runWorkers rebind them to
+	// each run.
 	workers []worker
 
 	result atomic.Value // resultBox
@@ -269,8 +269,12 @@ type Engine struct {
 	maxOps int64
 	// opsClaimed is the run's node count as a budget sees it: workers count
 	// dispatches in their own counters, and only a bounded engine (maxOps > 0)
-	// also claims them here, so that FailBudget fires at the exact node.
+	// also claims them here, so that FailBudget fires at the exact node. Every
+	// worker adds to it on every dispatch, so the pads keep it off the cache
+	// lines of the fields every dispatch reads (maxOps, fused, affinity, …).
+	_          [64]byte
 	opsClaimed atomic.Int64
+	_          [56]byte
 
 	// fused mirrors prog.Fused: the executors then dispatch cluster heads
 	// as supernodes and order simultaneously-ready nodes by bottom level.
@@ -315,11 +319,7 @@ func New(prog *graph.Program, cfg Config) *Engine {
 	e.workers = make([]worker, cfg.workers()+1)
 	for i := range e.workers {
 		w := &e.workers[i]
-		w.e = e
-		if prog.MemPlanned {
-			w.mem = &memState{}
-			w.mem.pool.SetClassCaps(cfg.PoolClassCaps)
-		}
+		w.e, w.pool = e, new(value.BlockPool)
 	}
 	if cfg.Timing {
 		e.timing = NewTimingLog()
@@ -396,6 +396,7 @@ func (e *Engine) Reset() error {
 	e.failMu.Unlock()
 	e.rootAct = nil
 	e.stopped.Store(false)
+	e.abandoned.Store(false)
 	e.result.Store(resultBox{})
 	e.runCtx = nil
 	e.ctxDone = nil

@@ -27,11 +27,14 @@ type worker struct {
 	// disabled case is a single nil check.
 	tr *tracer
 
-	// mem is this worker's memory-plan state (free list, elision counters),
-	// nil when the program was not planned — every planned code path is
-	// gated on this one field. Shadow workers keep it nil so abandoned
-	// goroutines can never touch a live free list.
-	mem *memState
+	// pool is the worker's block free list: a block freed on this worker
+	// hands it its payload, and the worker's operators allocate from it. It
+	// survives Reset; hitsFolded is its hit count fold already published. A
+	// deadline slot's worker borrows its owner's pool for one call; a retry
+	// attempt's shadow worker has none, so a goroutine abandoned there never
+	// touches a pool a live worker uses.
+	pool       *value.BlockPool
+	hitsFolded int64
 
 	// blocks, when non-nil, overrides the engine-wide counters this
 	// worker's operators reach through Context.BlockStats. Shadow workers
@@ -90,8 +93,8 @@ type workerCounters struct {
 }
 
 // fold adds the worker's counters into the engine's Stats and zeroes them.
-// Under a memory plan it also publishes the block free list's hits since the
-// last fold: the list, and its cumulative hit count, survive Reset.
+// It also publishes the block pool's hits since the last fold: the pool, and
+// its cumulative hit count, survive Reset.
 func (w *worker) fold() {
 	st, c := &w.e.stats, &w.n
 	atomic.AddInt64(&st.OpsExecuted, c.ops)
@@ -100,14 +103,12 @@ func (w *worker) fold() {
 	atomic.AddInt64(&st.TailCalls, c.tailCalls)
 	atomic.AddInt64(&st.FusedNodes, c.fusedNodes)
 	atomic.AddInt64(&st.FusedDispatchesSaved, c.fusedSaved)
-	if m := w.mem; m != nil {
-		atomic.AddInt64(&st.ElidedRetains, c.elidedRetains)
-		atomic.AddInt64(&st.ElidedReleases, c.elidedReleases)
-		atomic.AddInt64(&st.CopiesAvoided, c.copiesAvoided)
-		hits := m.pool.Hits()
-		atomic.AddInt64(&st.PooledAllocs, hits-m.hitsFolded)
-		m.hitsFolded = hits
-	}
+	atomic.AddInt64(&st.ElidedRetains, c.elidedRetains)
+	atomic.AddInt64(&st.ElidedReleases, c.elidedReleases)
+	atomic.AddInt64(&st.CopiesAvoided, c.copiesAvoided)
+	hits := w.pool.Hits()
+	atomic.AddInt64(&st.PooledAllocs, hits-w.hitsFolded)
+	w.hitsFolded = hits
 	*c = workerCounters{}
 }
 
@@ -138,15 +139,10 @@ func (w *worker) BlockStats() *value.BlockStats {
 // Processor implements operator.Context.
 func (w *worker) Processor() int { return w.proc }
 
-// Pool implements operator.Context: the worker's block free list when a
-// memory plan is active, nil otherwise (value.BlockPool allocation helpers
-// are nil-safe, so operators call through unconditionally).
-func (w *worker) Pool() *value.BlockPool {
-	if w.mem == nil {
-		return nil
-	}
-	return &w.mem.pool
-}
+// Pool implements operator.Context: the worker's block free list, nil on a
+// retry attempt's shadow worker (value.BlockPool allocation helpers are
+// nil-safe, so operators call through unconditionally).
+func (w *worker) Pool() *value.BlockPool { return w.pool }
 
 // traceLabel names a node for trace output: the operator or callee name, or
 // the node kind for unnamed plumbing nodes.
@@ -293,12 +289,14 @@ func (e *Engine) callOperatorBounded(w *worker, n *graph.Node, ins []value.Value
 			// for work that actually finished.
 			return accept(<-ch)
 		}
+		e.abandoned.Store(true)
 		atomic.AddInt64(&e.stats.OpTimeouts, 1)
 		return nil, &opTimeoutError{op: n.Op.Name, limit: limit}
 	case <-e.ctxDone:
 		if !state.CompareAndSwap(shadowPending, shadowAbandoned) {
 			return accept(<-ch)
 		}
+		e.abandoned.Store(true)
 		return nil, e.runCtx.Err()
 	}
 }
@@ -399,7 +397,7 @@ func (e *Engine) execOp(w *worker, a *activation, n *graph.Node, ins []value.Val
 				if !n.Op.MayModify(i) {
 					continue
 				}
-				if w.mem != nil && i < len(n.MemOwnedArgs) && n.MemOwnedArgs[i] {
+				if i < len(n.MemOwnedArgs) && n.MemOwnedArgs[i] {
 					// The plan proves this value exclusively owned on arrival:
 					// Writable would take the in-place path on every block, so
 					// the walk (and its atomic loads) is skipped outright.
@@ -416,8 +414,8 @@ func (e *Engine) execOp(w *worker, a *activation, n *graph.Node, ins []value.Val
 			}
 		}
 		var memBefore int64
-		if w.mem != nil && w.tr != nil {
-			memBefore = w.n.elidedReleases + w.mem.pool.Hits()
+		if w.tr != nil {
+			memBefore = w.n.elidedReleases + w.pool.Hits()
 		}
 		result, err := e.invokeOp(w, a, n, ins, attempt, maxAttempts)
 		if err == nil {
@@ -428,8 +426,8 @@ func (e *Engine) execOp(w *worker, a *activation, n *graph.Node, ins []value.Val
 				w.homeValue(result)
 			}
 			result = w.settleRefs(n, ins, result)
-			if w.mem != nil && w.tr != nil {
-				if delta := w.n.elidedReleases + w.mem.pool.Hits() - memBefore; delta > 0 {
+			if w.tr != nil {
+				if delta := w.n.elidedReleases + w.pool.Hits() - memBefore; delta > 0 {
 					w.tr.record(w.proc, TraceEvent{Type: TraceMemElide, Ts: w.tr.now(),
 						Act: a.seq, Node: int32(n.ID), Name: n.Name, Arg: delta})
 				}
@@ -586,14 +584,10 @@ func (e *Engine) execBody(w *worker, a *activation, n *graph.Node) error {
 			// The producer split ownership: this node owns exactly element
 			// Index; the designated sibling releases uncovered elements.
 			if n.CoveredIdx != nil {
-				ownedEls := w.mem != nil && len(n.MemOwnedArgs) > 0 && n.MemOwnedArgs[0]
+				ownedEls := len(n.MemOwnedArgs) > 0 && n.MemOwnedArgs[0]
 				for j, el := range tup {
 					if !intsContain(n.CoveredIdx, j) {
-						if w.mem != nil {
-							w.releaseDying(el, ownedEls)
-						} else {
-							value.Release(el, &e.stats.Blocks)
-						}
+						w.releaseDying(el, ownedEls)
 					}
 				}
 			}
@@ -631,7 +625,7 @@ func (e *Engine) execBody(w *worker, a *activation, n *graph.Node) error {
 				callee.Name, callee.ParamCount(), got))
 		}
 		args := append(w.argBuf(len(ins)-1+len(cl.Env)), ins[1:]...)
-		if n.MemTransferEnv && w.mem != nil {
+		if n.MemTransferEnv {
 			// This node holds one reference-share of every env value (via the
 			// closure); retaining each for the child and then releasing the
 			// closure is a net-zero pair. Transfer the share to the child
@@ -663,11 +657,7 @@ func (e *Engine) execBody(w *worker, a *activation, n *graph.Node) error {
 		if err != nil {
 			return e.failNode(a, n, ins, err)
 		}
-		if w.mem != nil {
-			w.releaseDying(ins[0], len(n.MemOwnedArgs) > 0 && n.MemOwnedArgs[0])
-		} else {
-			value.Release(ins[0], &e.stats.Blocks)
-		}
+		w.releaseDying(ins[0], len(n.MemOwnedArgs) > 0 && n.MemOwnedArgs[0])
 		branch := n.Else
 		if truth {
 			branch = n.Then
@@ -798,11 +788,7 @@ func (e *Engine) complete(w *worker, a *activation, n *graph.Node, v value.Value
 		}
 		switch {
 		case consumers == 0:
-			if w.mem != nil {
-				w.releaseDying(v, n.MemOwned)
-			} else {
-				value.Release(v, &e.stats.Blocks)
-			}
+			w.releaseDying(v, n.MemOwned)
 		default:
 			for i := 1; i < consumers; i++ {
 				value.Retain(v, &e.stats.Blocks)

@@ -11,8 +11,7 @@ import (
 )
 
 // planOps extends the fault-suite registry with a pool-allocating fresh
-// operator: the block's payload comes from the worker free list when a
-// memory plan is active.
+// operator: the block's payload comes from the worker's block pool.
 func planOps() *operator.Registry {
 	r := faultOps()
 	r.MustRegister(&operator.Operator{
@@ -41,7 +40,7 @@ func planOps() *operator.Registry {
 }
 
 // pooledLoop allocates, fills, reads, and frees a block every iteration —
-// with a plan the payload cycles through the worker free list.
+// the payload cycles through the worker's block pool, planned or not.
 const pooledLoop = `
 main(n)
   iterate
@@ -118,22 +117,38 @@ func TestPlannedMatchesUnplanned(t *testing.T) {
 }
 
 // TestPlannedCountersFire checks each counter against the workload built to
-// trigger it: pooled allocations on the alloc/free loop, elided refcount
-// traffic and in-place proofs on the destructive chain, environment-transfer
+// trigger it: pooled allocations on the alloc/free loop, planned or not (the
+// runtime recycles every block freed on a worker), elided refcount traffic
+// and in-place proofs on the destructive chain, environment-transfer
 // elisions on the closure program.
 func TestPlannedCountersFire(t *testing.T) {
-	run := func(src string, workers int, args ...value.Value) *Stats {
+	runPlan := func(src string, planned bool, workers int, args ...value.Value) *Stats {
 		t.Helper()
 		g := compile(t, src, planOps())
-		opt.PlanMemory(g)
+		if planned {
+			opt.PlanMemory(g)
+		}
 		e := New(g, Config{Mode: Real, Workers: workers, MaxOps: 1_000_000})
 		if _, err := e.Run(args...); err != nil {
 			t.Fatalf("run: %v", err)
 		}
 		return e.Stats()
 	}
+	run := func(src string, workers int, args ...value.Value) *Stats {
+		t.Helper()
+		return runPlan(src, true, workers, args...)
+	}
 
-	st := run(pooledLoop, 1, value.Int(50))
+	st := runPlan(pooledLoop, false, 1, value.Int(50))
+	if st.PooledAllocs == 0 {
+		t.Error("unplanned pooled loop: PooledAllocs = 0, want free-list hits")
+	}
+	if st.ElidedRetains != 0 || st.ElidedReleases != 0 || st.CopiesAvoided != 0 {
+		t.Errorf("unplanned pooled loop: elided=%d+%d inplace=%d, want no elision",
+			st.ElidedRetains, st.ElidedReleases, st.CopiesAvoided)
+	}
+
+	st = run(pooledLoop, 1, value.Int(50))
 	if st.PooledAllocs == 0 {
 		t.Error("pooled loop: PooledAllocs = 0, want free-list hits")
 	}

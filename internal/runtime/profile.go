@@ -63,24 +63,3 @@ func (e *Engine) ProfileWeights() map[string]int64 {
 	}
 	return out
 }
-
-// PoolDemand merges the per-worker block pools' recycle-offer counts by size
-// class. Returns nil for programs compiled without a memory plan. The
-// adaptive loop turns this into Config.PoolClassCaps for the tuned engine.
-func (e *Engine) PoolDemand() []int64 {
-	if !e.prog.MemPlanned {
-		return nil
-	}
-	var out []int64
-	for i := range e.workers {
-		d := e.workers[i].mem.pool.ClassDemand()
-		if out == nil {
-			out = d
-			continue
-		}
-		for i, v := range d {
-			out[i] += v
-		}
-	}
-	return out
-}

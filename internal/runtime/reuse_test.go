@@ -20,60 +20,64 @@ var reuseWorkers = []int{1, 2, 8}
 
 func TestReusedEngineMatchesFresh(t *testing.T) {
 	const runs = 3
-	for _, mode := range []Mode{Real, Simulated} {
-		for _, workers := range reuseWorkers {
-			// Fresh baseline: a new engine per run, fully planned and fused —
-			// the maximal composition the reused engine must reproduce.
-			g := compile(t, pooledLoop, planOps())
-			opt.PlanMemory(g)
-			opt.FuseGraph(g, nil)
-			want, err := New(g, Config{Mode: mode, Workers: workers, MaxOps: 1_000_000}).Run(value.Int(50))
-			if err != nil {
-				t.Fatalf("mode %v workers %d: fresh run: %v", mode, workers, err)
-			}
+	for _, planned := range []bool{true, false} {
+		for _, mode := range []Mode{Real, Simulated} {
+			for _, workers := range reuseWorkers {
+				// Fresh baseline: a new engine per run, fused, with and without
+				// the memory plan — the runtime recycles blocks either way.
+				g := compile(t, pooledLoop, planOps())
+				if planned {
+					opt.PlanMemory(g)
+				}
+				opt.FuseGraph(g, nil)
+				want, err := New(g, Config{Mode: mode, Workers: workers, MaxOps: 1_000_000}).Run(value.Int(50))
+				if err != nil {
+					t.Fatalf("planned %v mode %v workers %d: fresh run: %v", planned, mode, workers, err)
+				}
 
-			e := New(g, Config{Mode: mode, Workers: workers, MaxOps: 1_000_000})
-			var prevHits int64
-			for run := 0; run < runs; run++ {
-				if run > 0 {
-					if err := e.Reset(); err != nil {
-						t.Fatalf("mode %v workers %d run %d: Reset: %v", mode, workers, run, err)
+				e := New(g, Config{Mode: mode, Workers: workers, MaxOps: 1_000_000})
+				var prevHits int64
+				for run := 0; run < runs; run++ {
+					if run > 0 {
+						if err := e.Reset(); err != nil {
+							t.Fatalf("planned %v mode %v workers %d run %d: Reset: %v", planned, mode, workers, run, err)
+						}
+					}
+					got, err := e.Run(value.Int(50))
+					if err != nil {
+						t.Fatalf("planned %v mode %v workers %d run %d: %v", planned, mode, workers, run, err)
+					}
+					if got != want {
+						t.Errorf("planned %v mode %v workers %d run %d: reused %v != fresh %v", planned, mode, workers, run, got, want)
+					}
+					st := e.Stats()
+					// The result is a scalar, so every block allocated this run
+					// must have been freed this run — the per-run accounting must
+					// balance even though the free lists carry payloads over.
+					if st.Blocks.Allocated != st.Blocks.Freed {
+						t.Errorf("planned %v mode %v workers %d run %d: allocated %d != freed %d",
+							planned, mode, workers, run, st.Blocks.Allocated, st.Blocks.Freed)
+					}
+					if st.PooledAllocs == 0 {
+						t.Errorf("planned %v mode %v workers %d run %d: PooledAllocs = 0, want free-list hits", planned, mode, workers, run)
+					}
+					if st.FusedNodes == 0 {
+						t.Errorf("planned %v mode %v workers %d run %d: FusedNodes = 0, want fused dispatches", planned, mode, workers, run)
+					}
+					// Cross-run pool persistence: the serial executor's run 2+
+					// starts with a warm free list, so even the first allocation
+					// hits — strictly more hits than the cold run 1.
+					if workers == 1 && run > 0 && st.PooledAllocs <= prevHits {
+						t.Errorf("planned %v mode %v workers %d run %d: PooledAllocs = %d, want > %d (warm pool)",
+							planned, mode, workers, run, st.PooledAllocs, prevHits)
+					}
+					if run == 0 {
+						prevHits = st.PooledAllocs
 					}
 				}
-				got, err := e.Run(value.Int(50))
-				if err != nil {
-					t.Fatalf("mode %v workers %d run %d: %v", mode, workers, run, err)
+				if e.Runs() != runs {
+					t.Errorf("planned %v mode %v workers %d: Runs() = %d, want %d", planned, mode, workers, e.Runs(), runs)
 				}
-				if got != want {
-					t.Errorf("mode %v workers %d run %d: reused %v != fresh %v", mode, workers, run, got, want)
-				}
-				st := e.Stats()
-				// The result is a scalar, so every block allocated this run
-				// must have been freed this run — the per-run accounting must
-				// balance even though the free lists carry payloads over.
-				if st.Blocks.Allocated != st.Blocks.Freed {
-					t.Errorf("mode %v workers %d run %d: allocated %d != freed %d",
-						mode, workers, run, st.Blocks.Allocated, st.Blocks.Freed)
-				}
-				if st.PooledAllocs == 0 {
-					t.Errorf("mode %v workers %d run %d: PooledAllocs = 0, want free-list hits", mode, workers, run)
-				}
-				if st.FusedNodes == 0 {
-					t.Errorf("mode %v workers %d run %d: FusedNodes = 0, want fused dispatches", mode, workers, run)
-				}
-				// Cross-run pool persistence: the serial executor's run 2+
-				// starts with a warm free list, so even the first allocation
-				// hits — strictly more hits than the cold run 1.
-				if workers == 1 && run > 0 && st.PooledAllocs <= prevHits {
-					t.Errorf("mode %v workers %d run %d: PooledAllocs = %d, want > %d (warm pool)",
-						mode, workers, run, st.PooledAllocs, prevHits)
-				}
-				if run == 0 {
-					prevHits = st.PooledAllocs
-				}
-			}
-			if e.Runs() != runs {
-				t.Errorf("mode %v workers %d: Runs() = %d, want %d", mode, workers, e.Runs(), runs)
 			}
 		}
 	}

@@ -71,13 +71,15 @@ type Stats struct {
 	SnapshotCopies int64
 	OpTimeouts     int64
 	FaultsInjected int64
-	// Memory-plan counters, all zero when the program was compiled without
-	// the plan. ElidedRetains/ElidedReleases count reference-count
-	// operations skipped under static ownership proof (closure environment
-	// transfers, single-consumer last uses); PooledAllocs counts operator
-	// allocations served from per-worker block free lists; CopiesAvoided
-	// counts blocks handed to destructive operators in place without the
-	// copy-on-write check because exclusivity was proven at compile time.
+	// Memory counters. PooledAllocs counts operator allocations served from
+	// the per-worker block pools, which every block freed on a worker feeds,
+	// planned or not. The rest are the memory plan's, all zero when the
+	// program was compiled without it: ElidedRetains/ElidedReleases count
+	// reference-count operations skipped under static ownership proof
+	// (closure environment transfers, single-consumer last uses);
+	// CopiesAvoided counts blocks handed to destructive operators in place
+	// without the copy-on-write check because exclusivity was proven at
+	// compile time.
 	ElidedRetains  int64
 	ElidedReleases int64
 	PooledAllocs   int64
@@ -169,8 +171,9 @@ func (s *Stats) Utilization() float64 {
 	return float64(s.BusyTicks) / float64(s.MakespanTicks*int64(len(s.ProcBusyTicks)))
 }
 
-// String summarizes the counters. The memory-plan group is appended only
-// when a plan was active, keeping unplanned output stable.
+// String summarizes the counters. The memory group (elisions, pooled
+// allocations, in-place proofs) is appended only when one of its counters
+// moved, so a run that recycles nothing keeps the plain format.
 func (s *Stats) String() string {
 	out := fmt.Sprintf("ops=%d operators=%d activations=%d(+%d reused) peak=%d tail=%d charged=%d copies=%d steals=%d parks=%d",
 		atomic.LoadInt64(&s.OpsExecuted), atomic.LoadInt64(&s.OperatorsRun),

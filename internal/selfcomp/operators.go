@@ -28,7 +28,7 @@ func Operators(file, src string, reg *operator.Registry) *operator.Registry {
 			if err := failIfErrors(s, "lexing"); err != nil {
 				return nil, err
 			}
-			return stateBlock(s, ctx.BlockStats()), nil
+			return stateBlock(s, ctx), nil
 		},
 	})
 
@@ -83,7 +83,7 @@ func Operators(file, src string, reg *operator.Registry) *operator.Registry {
 			if err := failIfErrors(s, "parsing"); err != nil {
 				return nil, err
 			}
-			return stateBlock(s, ctx.BlockStats()), nil
+			return stateBlock(s, ctx), nil
 		},
 	})
 
@@ -129,7 +129,7 @@ func Operators(file, src string, reg *operator.Registry) *operator.Registry {
 			if err := failIfErrors(s, "macro expansion"); err != nil {
 				return nil, err
 			}
-			return stateBlock(s, ctx.BlockStats()), nil
+			return stateBlock(s, ctx), nil
 		},
 	})
 
@@ -178,7 +178,7 @@ func Operators(file, src string, reg *operator.Registry) *operator.Registry {
 			if err := failIfErrors(s, "environment analysis"); err != nil {
 				return nil, err
 			}
-			return stateBlock(s, ctx.BlockStats()), nil
+			return stateBlock(s, ctx), nil
 		},
 	})
 
@@ -250,7 +250,7 @@ func Operators(file, src string, reg *operator.Registry) *operator.Registry {
 			if err := failIfErrors(s, "graph conversion"); err != nil {
 				return nil, err
 			}
-			return stateBlock(s, ctx.BlockStats()), nil
+			return stateBlock(s, ctx), nil
 		},
 	})
 
@@ -303,7 +303,7 @@ func registerOptPhase(r *operator.Registry, name string, unitCost int,
 			if err := failIfErrors(s, name); err != nil {
 				return nil, err
 			}
-			return stateBlock(s, ctx.BlockStats()), nil
+			return stateBlock(s, ctx), nil
 		},
 	})
 }

@@ -90,8 +90,8 @@ type piece struct {
 	st    *state
 }
 
-func stateBlock(s *state, st *value.BlockStats) *value.Block {
-	return value.NewBlockStats(&value.Opaque{Payload: s, Words: len(s.src) / 8}, st)
+func stateBlock(s *state, ctx operator.Context) *value.Block {
+	return value.NewBlockStats(ctx.Pool().Opaque(s, len(s.src)/8), ctx.BlockStats())
 }
 
 func stateOf(v value.Value, what string) (*state, error) {
@@ -173,7 +173,7 @@ func splitPieces(s *state, weights, unit []int, ctx operator.Context) value.Valu
 	out := make(value.Tuple, Ways)
 	for i := 0; i < Ways; i++ {
 		pc := &piece{idx: i, items: groups[i], st: s}
-		out[i] = value.NewBlockStats(&value.Opaque{Payload: pc, Words: len(pc.items) + 1}, ctx.BlockStats())
+		out[i] = value.NewBlockStats(ctx.Pool().Opaque(pc, len(pc.items)+1), ctx.BlockStats())
 	}
 	return out
 }

@@ -218,7 +218,7 @@ func (s *Server) Register(spec Spec) error {
 	}
 	p := &program{spec: spec}
 	p.prog.Store(spec.Prog)
-	p.pool.Store(s.buildPool(spec, spec.Prog, nil))
+	p.pool.Store(s.buildPool(spec, spec.Prog))
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, dup := s.programs[spec.Name]; dup {
@@ -230,11 +230,10 @@ func (s *Server) Register(spec Spec) error {
 }
 
 // buildPool constructs an engine pool serving prog under spec's base
-// config, with optional adaptive pool-class caps applied to every engine.
-func (s *Server) buildPool(spec Spec, prog *graph.Program, poolCaps []int) *runtime.EnginePool {
+// config.
+func (s *Server) buildPool(spec Spec, prog *graph.Program) *runtime.EnginePool {
 	return runtime.NewEnginePool(s.cfg.PoolIdle, func() *runtime.Engine {
 		cfg := spec.Base
-		cfg.PoolClassCaps = poolCaps
 		if spec.Faults != nil {
 			cfg.Faults = spec.Faults()
 		}

@@ -337,10 +337,14 @@ func TestIdleGoroutinesAfterBurst(t *testing.T) {
 }
 
 // TestBoundedRunAllocs pins the deadline fast path: warm Reset+Run cycles of
-// the queens6 catalog program under the catalog's OpTimeout allocate at most
-// a handful more per run than the same engine unbounded — a bounded operator
-// call allocates nothing. The minimum over a few measurements keeps a GC
-// that empties the activation pools mid-measurement out of the comparison.
+// a catalog program under the catalog's OpTimeout allocate at most a handful
+// more per run than the same engine unbounded — a bounded operator call
+// allocates nothing, and it allocates its blocks from the worker's pool like
+// an unbounded one. jacobi16 is memory-planned and allocates through its
+// operators' pools, so a bounded call that missed the pool shows here as
+// hundreds of extra allocations and a bounded run that pools nothing. The
+// minimum over a few measurements keeps a GC that empties the activation
+// pools mid-measurement out of the comparison.
 func TestBoundedRunAllocs(t *testing.T) {
 	if bi, ok := debug.ReadBuildInfo(); ok {
 		for _, set := range bi.Settings {
@@ -349,37 +353,46 @@ func TestBoundedRunAllocs(t *testing.T) {
 			}
 		}
 	}
-	spec := catalogSpec(t, "queens6", 2, 0)
-	if spec.Base.OpTimeout <= 0 {
-		t.Fatal("catalog queens6 is not bounded; the test is vacuous")
-	}
-	unbounded := spec.Base
-	unbounded.OpTimeout = 0
-	allocs := func(cfg runtime.Config) float64 {
-		e := runtime.New(spec.Prog, cfg)
-		best := -1.0
-		for i := 0; i < 3; i++ {
-			n := testing.AllocsPerRun(20, func() {
-				if err := e.Reset(); err != nil {
-					t.Fatal(err)
-				}
-				v, err := e.Run()
-				if err != nil {
-					t.Fatal(err)
-				}
-				value.Release(v, &e.Stats().Blocks)
-			})
-			if best < 0 || n < best {
-				best = n
+	for _, name := range []string{"queens6", "jacobi16"} {
+		t.Run(name, func(t *testing.T) {
+			spec := catalogSpec(t, name, 2, 0)
+			if spec.Base.OpTimeout <= 0 {
+				t.Fatalf("catalog %s is not bounded; the test is vacuous", name)
 			}
-		}
-		return best
-	}
-	b, u := allocs(spec.Base), allocs(unbounded)
-	t.Logf("allocations per run: bounded %.0f, unbounded %.0f", b, u)
-	if b > u+4 {
-		t.Errorf("bounded run allocates %.0f, unbounded %.0f: the deadline costs %.0f per run, want at most 4",
-			b, u, b-u)
+			unbounded := spec.Base
+			unbounded.OpTimeout = 0
+			allocs := func(cfg runtime.Config) (float64, int64) {
+				e := runtime.New(spec.Prog, cfg)
+				best := -1.0
+				for i := 0; i < 3; i++ {
+					n := testing.AllocsPerRun(20, func() {
+						if err := e.Reset(); err != nil {
+							t.Fatal(err)
+						}
+						v, err := e.Run()
+						if err != nil {
+							t.Fatal(err)
+						}
+						value.Release(v, &e.Stats().Blocks)
+					})
+					if best < 0 || n < best {
+						best = n
+					}
+				}
+				return best, e.Stats().PooledAllocs
+			}
+			b, bPooled := allocs(spec.Base)
+			u, uPooled := allocs(unbounded)
+			t.Logf("allocations per run: bounded %.0f, unbounded %.0f; pooled per run: bounded %d, unbounded %d",
+				b, u, bPooled, uPooled)
+			if b > u+4 {
+				t.Errorf("bounded run allocates %.0f, unbounded %.0f: the deadline costs %.0f per run, want at most 4",
+					b, u, b-u)
+			}
+			if bPooled == 0 {
+				t.Error("bounded run pooled no allocation; want its operators served from the worker's pool")
+			}
+		})
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"runtime/debug"
 	"time"
 
-	"repro/internal/adapt"
 	"repro/internal/graph"
 	"repro/internal/runtime"
 	"repro/internal/value"
@@ -45,13 +44,10 @@ type TuneResponse struct {
 	TunedCost    int64   `json:"tuned_cost"`
 	Unit         string  `json:"unit"`
 	GainPct      float64 `json:"gain_pct"`
-	// Operators is how many operators the calibration run timed;
-	// PoolClassesResized how many block-pool size classes got demand-derived
-	// caps.
-	Operators          int      `json:"operators_calibrated"`
-	PoolClassesResized int      `json:"pool_classes_resized"`
-	Advisories         []string `json:"advisories,omitempty"`
-	ElapsedMS          float64  `json:"elapsed_ms"`
+	// Operators is how many operators the calibration run timed.
+	Operators  int      `json:"operators_calibrated"`
+	Advisories []string `json:"advisories,omitempty"`
+	ElapsedMS  float64  `json:"elapsed_ms"`
 }
 
 // TuneProgram runs the adaptive loop on a registered program. It holds one
@@ -132,7 +128,6 @@ func (s *Server) TuneProgram(ctx context.Context, name string, req TuneRequest) 
 	if tr := eng.Trace(); tr != nil {
 		advisories = tr.CriticalPath().Advise(workers)
 	}
-	poolCaps := adapt.DerivePoolCaps(eng.PoolDemand(), 1)
 
 	// Re-fuse with the measured weights and measure both plans fresh.
 	tunedProg, err := p.spec.Recompile(profile)
@@ -140,11 +135,11 @@ func (s *Server) TuneProgram(ctx context.Context, name string, req TuneRequest) 
 		return nil, &APIError{Status: http.StatusInternalServerError, Code: "internal",
 			Message: fmt.Sprintf("recompile: %v", err)}
 	}
-	baseCost, apiErr := s.measurePlan(runCtx, p, prog, nil, args)
+	baseCost, apiErr := s.measurePlan(runCtx, p, prog, args)
 	if apiErr != nil {
 		return nil, apiErr
 	}
-	tunedCost, apiErr := s.measurePlan(runCtx, p, tunedProg, poolCaps, args)
+	tunedCost, apiErr := s.measurePlan(runCtx, p, tunedProg, args)
 	if apiErr != nil {
 		return nil, apiErr
 	}
@@ -164,11 +159,6 @@ func (s *Server) TuneProgram(ctx context.Context, name string, req TuneRequest) 
 	if baseCost > 0 {
 		resp.GainPct = float64(baseCost-tunedCost) / float64(baseCost) * 100
 	}
-	for _, c := range poolCaps {
-		if c != 0 {
-			resp.PoolClassesResized++
-		}
-	}
 	imbalanced := false
 	for _, a := range advisories {
 		resp.Advisories = append(resp.Advisories, a.String())
@@ -184,7 +174,7 @@ func (s *Server) TuneProgram(ctx context.Context, name string, req TuneRequest) 
 		// In-flight runs keep their captured old-pool pointer and settle
 		// against it; the old pool's idle engines are garbage from here.
 		p.prog.Store(tunedProg)
-		p.pool.Store(s.buildPool(p.spec, tunedProg, poolCaps))
+		p.pool.Store(s.buildPool(p.spec, tunedProg))
 		resp.Swapped = true
 		p.tuneSwaps.Add(1)
 	}
@@ -202,10 +192,9 @@ func (s *Server) TuneProgram(ctx context.Context, name string, req TuneRequest) 
 
 // measurePlan times two runs of one plan through a reused throwaway engine
 // (chaos disarmed, like calibration) and returns the best cost.
-func (s *Server) measurePlan(ctx context.Context, p *program, prog *graph.Program, poolCaps []int, args []value.Value) (int64, *APIError) {
+func (s *Server) measurePlan(ctx context.Context, p *program, prog *graph.Program, args []value.Value) (int64, *APIError) {
 	cfg := p.spec.Base
 	cfg.Faults = nil
-	cfg.PoolClassCaps = poolCaps
 	eng := runtime.New(prog, cfg)
 	best := int64(0)
 	runs := 2

@@ -185,13 +185,14 @@ func checkInvariants(v Variant, s RunSpec, st statsSnap) []string {
 	if st.allocated != st.freed {
 		bad = append(bad, fmt.Sprintf("block leak: Allocated=%d Freed=%d", st.allocated, st.freed))
 	}
-	if !v.MemPlan {
-		if st.elidedRetains != 0 || st.elidedReleases != 0 || st.pooledAllocs != 0 || st.copiesAvoided != 0 {
-			bad = append(bad, fmt.Sprintf(
-				"memplan counters nonzero without memplan: elided=%d/%d pooled=%d copiesAvoided=%d",
-				st.elidedRetains, st.elidedReleases, st.pooledAllocs, st.copiesAvoided))
-		}
-	} else if st.pooledAllocs > st.allocated {
+	// Every variant recycles (the runtime owns the block pools); only the
+	// elisions are the memory plan's.
+	if !v.MemPlan && (st.elidedRetains != 0 || st.elidedReleases != 0 || st.copiesAvoided != 0) {
+		bad = append(bad, fmt.Sprintf(
+			"memplan counters nonzero without memplan: elided=%d/%d copiesAvoided=%d",
+			st.elidedRetains, st.elidedReleases, st.copiesAvoided))
+	}
+	if st.pooledAllocs > st.allocated {
 		bad = append(bad, fmt.Sprintf("PooledAllocs=%d exceeds Allocated=%d", st.pooledAllocs, st.allocated))
 	}
 	if !v.Fuse && (st.fusedNodes != 0 || st.fusedSaved != 0) {

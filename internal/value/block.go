@@ -126,9 +126,11 @@ func (b *Block) Retain(st *BlockStats) {
 }
 
 // Release drops a reference and reports whether this call freed the block
-// (refcount reached zero). Go's garbage collector reclaims the storage; the
-// count still matters because it gates in-place mutation and feeds the
-// activation-reuse statistics.
+// (refcount reached zero). The count gates in-place mutation, and the
+// zero-crossing is where the run-time system recycles the payload: an engine
+// worker that frees a block hands its payload to its BlockPool (TakeData),
+// and the next allocation of matching size may reuse the storage. Outside a
+// worker nothing is recycled and Go's garbage collector reclaims it.
 //
 // The Releases counter is call-site activity and goes to st; the Freed
 // counter is a property of the block's lifetime and goes to the sink the

@@ -3,27 +3,24 @@ package value
 import "math/bits"
 
 // BlockPool is a per-worker free list of recyclable block payloads, size-
-// classed by power-of-two word counts. The memory plan routes payloads of
-// statically freed blocks here instead of dropping them for the garbage
-// collector, and operators allocate through the pool so a freed payload is
-// reused by the next allocation of matching size on the same worker.
+// classed by power-of-two word counts. The run-time system owns it: every
+// engine worker has one, and when a block's last reference is released on a
+// worker its payload goes to that worker's pool. Operators allocate through
+// the pool (operator.Context.Pool), so a dead payload is reused by the next
+// allocation of matching size on the same worker.
+//
+// Reuse is safe only under the ownership rule: a payload belongs to one
+// block, so neither an operator nor the host may keep a payload, or a slice
+// of one, from a block it gave away.
 //
 // A pool is single-owner (one worker goroutine) and needs no locking; the
-// engine merges hit counters into Stats after the run. All allocation
-// helpers are safe on a nil receiver — they simply fall through to a fresh
-// allocation — so operator code can call ctx.Pool().Floats(n) without caring
-// whether a plan is active.
+// engine folds its hit counter into Stats. All allocation helpers are safe
+// on a nil receiver — they simply fall through to a fresh allocation — so
+// code running outside an engine worker can call them too.
 type BlockPool struct {
 	classes [poolClasses][]BlockData
 	puts    int64
 	hits    int64
-	// caps overrides poolClassCap per size class when non-zero; an adaptive
-	// plan sizes hot classes up and cold classes down from measured demand.
-	caps [poolClasses]int32
-	// demand counts every recyclable payload offered per class, including
-	// offers dropped at the cap — the signal the adaptive planner sizes
-	// caps from.
-	demand [poolClasses]int64
 }
 
 const (
@@ -51,21 +48,16 @@ func (p *BlockPool) Put(data BlockData) {
 	if p == nil || data == nil {
 		return
 	}
-	switch data.(type) {
-	case *Opaque, FloatVec, IntVec, *FloatGrid:
+	switch d := data.(type) {
+	case *Opaque:
+		// A pooled shell must not keep its dead payload reachable.
+		d.Payload, d.CopyFunc = nil, nil
+	case FloatVec, IntVec, *FloatGrid:
 	default:
 		return
 	}
 	c := poolClass(data.Size())
-	if c >= poolClasses {
-		return
-	}
-	p.demand[c]++
-	limit := poolClassCap
-	if p.caps[c] > 0 {
-		limit = int(p.caps[c])
-	}
-	if len(p.classes[c]) >= limit {
+	if c >= poolClasses || len(p.classes[c]) >= poolClassCap {
 		return
 	}
 	p.classes[c] = append(p.classes[c], data)
@@ -113,9 +105,9 @@ func (p *BlockPool) OpaqueCopy(payload interface{}, words int, copyFn func(inter
 }
 
 // Floats returns a zeroed FloatVec of length n, reusing recycled storage
-// with sufficient capacity when available. Zeroing keeps planned runs
-// bit-identical to unplanned ones: an operator must never observe stale
-// cells in memory it believes is fresh.
+// with sufficient capacity when available. Zeroing keeps a run bit-identical
+// whether or not its storage was recycled: an operator must never observe
+// stale cells in memory it believes is fresh.
 func (p *BlockPool) Floats(n int) FloatVec {
 	if d := p.take(poolClass(n), func(d BlockData) bool {
 		v, isVec := d.(FloatVec)
@@ -179,38 +171,3 @@ func (p *BlockPool) Puts() int64 {
 	}
 	return p.puts
 }
-
-// SetClassCaps overrides the per-class free-list caps. Entry i caps size
-// class i (payloads of up to 2^i words); zero entries keep the default cap.
-// Slices shorter than the class count leave the remaining classes at the
-// default; longer slices are truncated.
-func (p *BlockPool) SetClassCaps(caps []int) {
-	if p == nil {
-		return
-	}
-	for i := range p.caps {
-		p.caps[i] = 0
-	}
-	for i, c := range caps {
-		if i >= poolClasses {
-			break
-		}
-		if c > 0 {
-			p.caps[i] = int32(c)
-		}
-	}
-}
-
-// ClassDemand returns per-class recycle-offer counts (including offers
-// dropped at the cap), indexed by size class.
-func (p *BlockPool) ClassDemand() []int64 {
-	if p == nil {
-		return nil
-	}
-	out := make([]int64, poolClasses)
-	copy(out, p.demand[:])
-	return out
-}
-
-// PoolClasses is the number of size classes a BlockPool maintains.
-const PoolClasses = poolClasses

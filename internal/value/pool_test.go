@@ -46,6 +46,9 @@ func TestPoolOpaqueShellReuse(t *testing.T) {
 	var p BlockPool
 	o := &Opaque{Payload: "old", Words: 16, CopyFunc: func(x interface{}) interface{} { return x }}
 	p.Put(o)
+	if o.Payload != nil || o.CopyFunc != nil {
+		t.Fatalf("pooled shell still references its dead payload: %+v", o)
+	}
 	got := p.Opaque("new", 16)
 	if got != o {
 		t.Fatal("expected the recycled Opaque shell")
