@@ -50,9 +50,10 @@ func BuildFunc(info *sema.Info, decl *ast.FuncDecl, diags *source.DiagList) []*T
 }
 
 // Link resolves callee names to template pointers in every node, including
-// branch subtemplates, records the program's smallest operator timeout, and
-// validates the result. Call after all templates (from sequential Build or
-// merged parallel workers) are registered.
+// branch subtemplates, records the program's smallest operator timeout,
+// numbers the templates (Number), and validates the result. Call after all
+// templates (from sequential Build or merged parallel workers) are
+// registered.
 func Link(prog *Program, diags *source.DiagList) {
 	var linkTemplate func(t *Template)
 	linkTemplate = func(t *Template) {
@@ -82,12 +83,8 @@ func Link(prog *Program, diags *source.DiagList) {
 	if m, ok := prog.Templates["main"]; ok {
 		prog.Main = m
 	}
-	names := make([]string, 0, len(prog.Templates))
-	for name := range prog.Templates {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	Number(prog)
+	for _, name := range prog.names() {
 		if err := prog.Templates[name].Validate(); err != nil {
 			diags.Errorf(source.Pos{}, "internal: %v", err)
 		}

@@ -13,6 +13,7 @@ package graph
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 
@@ -220,6 +221,10 @@ type Template struct {
 	// Name is the unique function name ("" only for anonymous branch
 	// subtemplates, which get a synthetic name).
 	Name string
+	// ID numbers the template densely within its program, branch
+	// subtemplates included (see Number); the runtime indexes its activation
+	// free lists by it.
+	ID int
 	// NParams is the user-visible parameter count; NCaptures the number of
 	// trailing capture parameters. An activation takes NParams + NCaptures
 	// arguments.
@@ -402,6 +407,46 @@ type Program struct {
 	// any operator call runs under a deadline; a program assembled without
 	// Link sets it itself.
 	OpTimeout time.Duration
+	// NumTemplates is the number of template IDs Number handed out: every
+	// template in Templates and every branch subtemplate beneath them. Zero
+	// means the program was never numbered, and the runtime refuses it.
+	NumTemplates int
+}
+
+// Number assigns every template of p a dense ID in [0, NumTemplates): the
+// templates of Templates in name order, each followed depth-first by its
+// branch subtemplates. Link calls it; a program assembled by hand calls it
+// before execution.
+func Number(p *Program) {
+	next := 0
+	var number func(t *Template)
+	number = func(t *Template) {
+		if t == nil {
+			return // an unlinked branch of a hand-built template
+		}
+		t.ID = next
+		next++
+		for _, n := range t.Nodes {
+			if n.Kind == CondNode {
+				number(n.Then)
+				number(n.Else)
+			}
+		}
+	}
+	for _, name := range p.names() {
+		number(p.Templates[name])
+	}
+	p.NumTemplates = next
+}
+
+// names returns the keys of Templates, sorted.
+func (p *Program) names() []string {
+	names := make([]string, 0, len(p.Templates))
+	for name := range p.Templates {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
 }
 
 // MemoryWords totals template memory over the program.

@@ -257,6 +257,41 @@ main(n)
 	}
 }
 
+// TestLinkNumbersTemplates checks that Link hands every template, branch
+// subtemplates included, a distinct ID in [0, NumTemplates).
+func TestLinkNumbersTemplates(t *testing.T) {
+	g := build(t, `
+main(n)
+  if lt(n, 2)
+    then n
+    else iterate { i = 0, incr(i) } while lt(i, n), result i
+`)
+	seen := map[int]*Template{}
+	var walk func(t0 *Template)
+	walk = func(t0 *Template) {
+		if prev, dup := seen[t0.ID]; dup {
+			t.Errorf("templates %s and %s share ID %d", prev.Name, t0.Name, t0.ID)
+		}
+		seen[t0.ID] = t0
+		if t0.ID < 0 || t0.ID >= g.NumTemplates {
+			t.Errorf("template %s: ID %d outside [0, %d)", t0.Name, t0.ID, g.NumTemplates)
+		}
+		for _, n := range t0.Nodes {
+			if n.Kind == CondNode {
+				walk(n.Then)
+				walk(n.Else)
+			}
+		}
+	}
+	for _, tmpl := range g.Templates {
+		walk(tmpl)
+	}
+	// main with its two branches, the loop with its two.
+	if len(seen) != g.NumTemplates || g.NumTemplates != 6 {
+		t.Errorf("%d templates numbered, NumTemplates = %d, want 6 and 6", len(seen), g.NumTemplates)
+	}
+}
+
 func TestBuildQueensValidates(t *testing.T) {
 	var diags source.DiagList
 	prog := parser.Parse("q.dlr", `

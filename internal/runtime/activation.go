@@ -84,7 +84,11 @@ func (a *activation) reset() {
 	}
 	a.remaining = int32(len(a.tmpl.Nodes))
 	a.cont = continuation{}
-	a.delegated.Store(false)
+	if a.delegated.Load() {
+		// A sequentially consistent store is an exchange; most activations
+		// never delegated, so most resets skip it.
+		a.delegated.Store(false)
+	}
 	for i := range a.readyAt {
 		a.readyAt[i] = 0
 	}

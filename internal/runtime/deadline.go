@@ -256,14 +256,14 @@ func (d *deadlines) scan(now int64) {
 }
 
 // settle does for an abandoned call what the stuck worker would have done on
-// a failed terminal attempt: count the timeout, fold the worker's counters
-// with the dispatch's charges, close its trace slices, release the node's
-// inputs, retire the fused members that already ran, fail the run with the
-// same structured error, and close the scheduler. Last, it stands in for the
-// stuck goroutine at the run's join. The stuck goroutine keeps the worker's
-// block pool, which the worker replaces with a fresh one; the inputs are
-// released without recycling, and so is every other block the run frees
-// from here on (Engine.abandoned).
+// a failed terminal attempt: count the timeout, close its trace slices,
+// release the node's inputs, retire the fused members that already ran (on
+// the worker's free lists), fold the worker's counters with the dispatch's
+// charges, fail the run with the same structured error, and close the
+// scheduler. Last, it stands in for the stuck goroutine at the run's join.
+// The stuck goroutine keeps the worker's block pool, which the worker
+// replaces with a fresh one; the inputs are released without recycling, and
+// so is every other block the run frees from here on (Engine.abandoned).
 func (d *deadlines) settle(s *deadlineSlot, canceled bool) {
 	e, a, n := d.e, s.a, s.n
 	e.abandoned.Store(true)
@@ -279,8 +279,6 @@ func (d *deadlines) settle(s *deadlineSlot, canceled bool) {
 	// It keeps the pool it borrowed through the slot, so the worker takes a
 	// fresh one; the old pool's hits since the last fold go unpublished.
 	s.owner.pool, s.owner.hitsFolded = new(value.BlockPool), 0
-	s.owner.n.charged += s.owner.charge
-	s.owner.fold()
 	if tr := s.owner.tr; tr != nil {
 		// The stuck worker's trace track is the watchdog's now: close the
 		// brackets the worker left open, the node's and, for a fused member,
@@ -303,10 +301,12 @@ func (d *deadlines) settle(s *deadlineSlot, canceled bool) {
 		c := a.tmpl.Nodes[n.FuseHead].FuseCluster
 		for i, id := range c.Nodes[:len(c.Nodes)-1] {
 			if id == n.ID {
-				e.finishNodes(a, int32(i))
+				e.finishNodes(s.owner, a, int32(i))
 			}
 		}
 	}
+	s.owner.n.charged += s.owner.charge
+	s.owner.fold()
 	e.failAt(a, e.nodeError(a, n, cause, s.attempt))
 	if e.sched != nil {
 		e.sched.close()

@@ -212,9 +212,12 @@ func (e *Engine) run(args []value.Value) (value.Value, error) {
 	}
 	e.opsClaimed.Store(0)
 	w := e.worker(proc, q)
-	root := e.acquire(proc, e.prog.Main)
+	if pooled && e.gen.Load() == 1 {
+		e.stock(w)
+	}
+	root := e.acquire(w, e.prog.Main)
 	e.rootAct = root
-	e.stats.noteLive(1, int64(e.prog.Main.ActivationWords()))
+	w.noteLive(1, int64(e.prog.Main.ActivationWords()))
 	e.initActivation(w, root, args)
 	// Seeding's deliveries can elide reference counts; publish its counters
 	// before any worker runs.

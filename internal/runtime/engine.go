@@ -17,12 +17,15 @@
 // number of live activations small by making activations available for
 // reuse as early as possible. The real executor realizes those levels as a
 // work-stealing scheduler: every worker owns one Chase-Lev deque per
-// priority level (LIFO pop for cache locality, FIFO steal), the run's seeds
-// land on the first worker's deques before any worker starts, and idle
-// workers steal, spin briefly, then park on a one-token parker woken by
-// notifyOne — the priority order is honored per worker and per steal
-// attempt, so the §7 scheme survives the decentralization (see
-// stealqueue.go).
+// priority level (LIFO pop for cache locality, FIFO steal) plus a one-task
+// hand-off slot, where the successor a completing node would pop next waits
+// and runs without a deque round trip; the run's seeds land on the first
+// worker's deques before any worker starts, and idle workers steal, spin
+// briefly, then park on a one-token parker woken by notifyOne — the priority
+// order is honored per worker and per steal attempt, so the §7 scheme
+// survives the decentralization (see stealqueue.go). Activations recycle
+// through per-worker free lists indexed by template ID, backed by one
+// per-engine depot that carries activations between workers.
 //
 // Determinism is enforced through the data contention protocol of §8: all
 // shared memory is passed explicitly between operators as reference-counted
@@ -213,8 +216,8 @@ type resultBox struct{ v value.Value }
 // plans, the configuration) and per-run mutable state (activations in
 // flight, statistics, the trace, fault cursors, the result). Reset clears
 // only the latter, so a finished engine returns to runnable without
-// reallocating workers, deques, activation pools, or block free lists —
-// the repeated-run fast path RunMany builds on.
+// reallocating workers, deques, activation free lists, or block free lists
+// — the repeated-run fast path RunMany builds on.
 type Engine struct {
 	prog *graph.Program
 	cfg  Config
@@ -222,15 +225,16 @@ type Engine struct {
 	stats  Stats
 	timing *TimingLog
 	tracer *tracer
-	pools  sync.Map // *graph.Template -> *sync.Pool; persists across runs
-	// simPools replaces the sync.Pools in Simulated mode. The simulated
-	// executor is single-threaded, and sync.Pool may drop items under GC
-	// pressure (and deliberately under the race detector), which would make
-	// activation reuse — and with it the recorded trace — nondeterministic.
-	// A plain per-template free list keeps the determinism contract exact.
-	// Like the sync.Pools, the free lists persist across runs of a reused
-	// engine.
-	simPools map[*graph.Template][]*activation
+	// depot backs the workers' activation free lists (worker.free) in
+	// multi-worker runs, indexed like them by template ID: a list that grows
+	// past freeCap spills half of itself here, a worker leaving the run
+	// stows all of its lists here, and a list that runs dry refills from
+	// here before its worker allocates. Activations migrate between workers
+	// — one recycles on the worker that ran its last node — and the depot
+	// carries them back to the workers that acquire. It persists across
+	// runs, like the lists.
+	depotMu sync.Mutex
+	depot   [][]*activation
 	// state is the engine's run-lifecycle state (engIdle/engRunning/
 	// engFinished); gen counts completed runs — the run-generation counter
 	// that replaced the one-shot started flag.
@@ -309,18 +313,26 @@ type Engine struct {
 }
 
 // New prepares an engine for prog under cfg. The same program can be run by
-// many engines; templates are immutable.
+// many engines; templates are immutable. prog must be numbered (graph.Link
+// numbers a compiled program; see graph.Number): the activation free lists
+// are indexed by template ID.
 func New(prog *graph.Program, cfg Config) *Engine {
-	e := &Engine{prog: prog, cfg: cfg, maxOps: cfg.MaxOps, fused: prog.Fused,
-		affinity: prog.AffinityPlanned && cfg.AffinityHints}
-	if cfg.Mode == Simulated {
-		e.simPools = make(map[*graph.Template][]*activation)
+	if prog.Main != nil && prog.Main.ID >= prog.NumTemplates {
+		panic("runtime: program templates are not numbered; link the program (graph.Link) or number it (graph.Number)")
 	}
+	e := &Engine{prog: prog, cfg: cfg, maxOps: cfg.MaxOps, fused: prog.Fused,
+		affinity: prog.AffinityPlanned && cfg.AffinityHints,
+		depot:    make([][]*activation, prog.NumTemplates)}
 	e.workers = make([]worker, cfg.workers()+1)
 	for i := range e.workers {
 		w := &e.workers[i]
 		w.e, w.pool = e, new(value.BlockPool)
+		w.free = make([][]*activation, prog.NumTemplates)
 	}
+	// The boot worker runs before any worker starts, so it shares worker 0's
+	// free lists: the outer slice never grows, so both headers address the
+	// same lists.
+	e.workers[len(e.workers)-1].free = e.workers[0].free
 	if cfg.Timing {
 		e.timing = NewTimingLog()
 		e.timing.initShards(cfg.workers())
@@ -341,6 +353,7 @@ func (e *Engine) worker(proc int, q scheduler) *worker {
 	}
 	w := &e.workers[i]
 	w.proc, w.q, w.tr = proc, q, e.tracer
+	_, w.pooled = q.(*stealScheduler)
 	return w
 }
 
@@ -371,9 +384,10 @@ func (e *Engine) Runs() int64 { return e.gen.Load() }
 // same program. Per-run mutable state — statistics, the timing log and
 // trace, the failure record, the result, fault-plan cursors — is cleared;
 // per-program immutable state and every warmed allocation survive: the
-// activation pools, the per-worker block free lists, the work-stealing
-// scheduler's deques and parkers. Reset on a fresh or validation-rejected
-// engine is a no-op; Reset while a run is in flight returns ErrEngineRunning.
+// activation free lists and their depot, the per-worker block free lists,
+// the work-stealing scheduler's deques and parkers. Reset on a fresh or
+// validation-rejected engine is a no-op; Reset while a run is in flight
+// returns ErrEngineRunning.
 func (e *Engine) Reset() error {
 	switch e.state.Load() {
 	case engRunning:
@@ -469,7 +483,7 @@ type RunResult struct {
 
 // RunMany executes the program once per argument list in batch, reusing
 // this engine for every invocation: it Resets the engine between
-// invocations, so activation pools, block free lists, and the work-stealing
+// invocations, so activation and block free lists and the work-stealing
 // scheduler warm up once and serve the whole batch.
 //
 // Every invocation keeps single-run semantics: it is individually
@@ -548,51 +562,120 @@ func (e *Engine) finish(v value.Value) {
 	e.stopped.Store(true)
 }
 
-// acquire gets a recycled or fresh activation for t. wid is the acquiring
-// worker for trace attribution (-1 outside the pool); when tracing is on the
+// freeCap bounds one worker's free list for one template in a multi-worker
+// run: a release past it spills the older half of the list to the engine's
+// depot. Activations a worker holds are out of its peers' reach, so the cap
+// is small.
+const freeCap = 8
+
+// acquire gets a recycled or fresh activation for t from w's free list,
+// refilling the list from the depot when it is empty. When tracing is on the
 // activation is stamped with a fresh instance id so every node execution has
-// a unique (activation, node) identity in the trace.
-func (e *Engine) acquire(wid int, t *graph.Template) *activation {
+// a unique (activation, node) identity in the trace. A template the engine
+// did not number (a closure from another program, whose ID may collide with
+// one of ours) never receives another template's activation.
+//
+// In a multi-worker run the first run sizes the pool to what it needed,
+// and stock adds what the peers can hold out of reach before the second.
+func (e *Engine) acquire(w *worker, t *graph.Template) *activation {
 	var a *activation
-	if e.simPools != nil {
-		if list := e.simPools[t]; len(list) > 0 {
+	if id := t.ID; id < len(w.free) {
+		if len(w.free[id]) == 0 && w.pooled {
+			e.refill(w, id)
+		}
+		if list := w.free[id]; len(list) > 0 && list[len(list)-1].tmpl == t {
 			a = list[len(list)-1]
-			e.simPools[t] = list[:len(list)-1]
+			list[len(list)-1] = nil
+			w.free[id] = list[:len(list)-1]
 		}
-	} else {
-		pi, ok := e.pools.Load(t)
-		if !ok {
-			pi, _ = e.pools.LoadOrStore(t, &sync.Pool{})
-		}
-		a, _ = pi.(*sync.Pool).Get().(*activation)
 	}
 	if a != nil {
-		atomic.AddInt64(&e.stats.ActivationsReused, 1)
+		w.n.actsReused++
 		a.reset()
 		if e.tracer != nil {
 			a.seq = e.tracer.nextAct()
-			e.tracer.record(wid, TraceEvent{Type: TraceActReuse, Ts: e.tracer.now(), Act: a.seq, Tmpl: t.Name})
+			e.tracer.record(w.proc, TraceEvent{Type: TraceActReuse, Ts: e.tracer.now(), Act: a.seq, Tmpl: t.Name})
 		}
 		return a
 	}
-	atomic.AddInt64(&e.stats.ActivationsAllocated, 1)
+	w.n.actsAlloc++
 	a = newActivation(t)
+
 	if e.tracer != nil {
 		a.seq = e.tracer.nextAct()
-		e.tracer.record(wid, TraceEvent{Type: TraceActAlloc, Ts: e.tracer.now(), Act: a.seq, Tmpl: t.Name})
+		e.tracer.record(w.proc, TraceEvent{Type: TraceActAlloc, Ts: e.tracer.now(), Act: a.seq, Tmpl: t.Name})
 	}
 	return a
 }
 
-// release returns a finished activation to its template's pool.
-func (e *Engine) release(a *activation) {
-	if e.simPools != nil {
-		e.simPools[a.tmpl] = append(e.simPools[a.tmpl], a)
+// release returns a finished activation to w's free list. Only a worker of a
+// multi-worker run spills: a single worker's list holds everything it
+// frees, in the order it freed them.
+func (e *Engine) release(w *worker, a *activation) {
+	id := a.tmpl.ID
+	if id >= len(w.free) {
 		return
 	}
-	if pi, ok := e.pools.Load(a.tmpl); ok {
-		pi.(*sync.Pool).Put(a)
+	list := append(w.free[id], a)
+	if len(list) > freeCap && w.pooled {
+		half := len(list) / 2
+		e.depotMu.Lock()
+		e.depot[id] = append(e.depot[id], list[:half]...)
+		e.depotMu.Unlock()
+		n := copy(list, list[half:])
+		clear(list[n:])
+		list = list[:n]
 	}
+	w.free[id] = list
+}
+
+// stock adds, for every template the first run used, as many activations
+// to the depot as the worker's peers can hold on their lists (a full list
+// each), so that spares held out of a worker's reach do not make warm runs
+// allocate: once stocked, a miss needs more activations live at once than
+// the first run had. The boot worker w calls it before the second run seeds,
+// when every free activation is in the depot (stow) and no other worker
+// runs.
+func (e *Engine) stock(w *worker) {
+	headroom := (len(e.workers) - 2) * freeCap
+	e.depotMu.Lock()
+	for id, d := range e.depot {
+		if len(d) == 0 {
+			continue
+		}
+		for range headroom {
+			d = append(d, newActivation(d[0].tmpl))
+		}
+		e.depot[id] = d
+		w.n.actsAlloc += int64(headroom)
+	}
+	e.depotMu.Unlock()
+}
+
+// stow moves every activation on w's free lists to the depot, so that a
+// run starts with none held out of reach on one worker.
+func (e *Engine) stow(w *worker) {
+	e.depotMu.Lock()
+	for id, list := range w.free {
+		if len(list) > 0 {
+			e.depot[id] = append(e.depot[id], list...)
+			clear(list)
+			w.free[id] = list[:0]
+		}
+	}
+	e.depotMu.Unlock()
+}
+
+// refill moves up to half a list's worth of template id's activations from
+// the depot to w's empty free list.
+func (e *Engine) refill(w *worker, id int) {
+	e.depotMu.Lock()
+	d := e.depot[id]
+	keep := len(d) - min(len(d), freeCap/2)
+	w.free[id] = append(w.free[id], d[keep:]...)
+	clear(d[keep:])
+	e.depot[id] = d[:keep]
+	e.depotMu.Unlock()
 }
 
 // classify assigns the ready-queue priority for a runnable node. A fused

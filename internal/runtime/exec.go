@@ -67,6 +67,17 @@ type worker struct {
 	// adds on the hot path, published into Stats once by fold.
 	n workerCounters
 
+	// free is the worker's activation free lists, indexed by template ID
+	// (Engine.acquire, Engine.release). They survive Reset. The boot worker
+	// shares worker 0's.
+	free [][]*activation
+	// pooled is set while the worker runs in a multi-worker Real run. Its
+	// free lists then spill to and refill from the engine's depot, and its
+	// live-activation gauge changes collect in live/liveWords, published by
+	// foldLive at the 64-dispatch poll and at loop exit.
+	pooled          bool
+	live, liveWords int64
+
 	// Scratch reused across node executions, so a warm dispatch allocates
 	// nothing of its own: args holds an expansion's argument vector while
 	// expand seeds the child, and the settle* slices are settleRefs' block
@@ -90,11 +101,13 @@ type worker struct {
 type workerCounters struct {
 	ops, operators, charged, tailCalls, fusedNodes, fusedSaved int64
 	elidedRetains, elidedReleases, copiesAvoided               int64
+	actsAlloc, actsReused                                      int64
 }
 
 // fold adds the worker's counters into the engine's Stats and zeroes them.
 // It also publishes the block pool's hits since the last fold: the pool, and
-// its cumulative hit count, survive Reset.
+// its cumulative hit count, survive Reset. A pooled worker publishes its
+// live-activation changes and stows its free activations in the depot.
 func (w *worker) fold() {
 	st, c := &w.e.stats, &w.n
 	atomic.AddInt64(&st.OpsExecuted, c.ops)
@@ -106,10 +119,39 @@ func (w *worker) fold() {
 	atomic.AddInt64(&st.ElidedRetains, c.elidedRetains)
 	atomic.AddInt64(&st.ElidedReleases, c.elidedReleases)
 	atomic.AddInt64(&st.CopiesAvoided, c.copiesAvoided)
+	atomic.AddInt64(&st.ActivationsAllocated, c.actsAlloc)
+	atomic.AddInt64(&st.ActivationsReused, c.actsReused)
 	hits := w.pool.Hits()
 	atomic.AddInt64(&st.PooledAllocs, hits-w.hitsFolded)
 	w.hitsFolded = hits
 	*c = workerCounters{}
+	if w.pooled {
+		w.foldLive()
+		w.e.stow(w)
+	}
+}
+
+// noteLive moves the live-activation gauges by delta activations and words
+// words. Serial and simulated runs update Stats at once, so their peaks are
+// exact. A pooled worker collects the changes and publishes them at
+// foldLive, so its peaks are sampled there; a release that would drive a
+// collected change below zero is published at once instead, which keeps
+// every sample at or below the true live count.
+func (w *worker) noteLive(delta, words int64) {
+	if !w.pooled || w.live+delta < 0 || w.liveWords+words < 0 {
+		w.e.stats.noteLive(delta, words)
+		return
+	}
+	w.live += delta
+	w.liveWords += words
+}
+
+// foldLive publishes the live-activation changes noteLive collected.
+func (w *worker) foldLive() {
+	if w.live != 0 || w.liveWords != 0 {
+		w.e.stats.noteLive(w.live, w.liveWords)
+		w.live, w.liveWords = 0, 0
+	}
 }
 
 // argBuf returns the worker's argument vector, empty with room for n values.
@@ -544,11 +586,14 @@ func (e *Engine) checkOps(w *worker, a *activation, n int64) error {
 	if e.maxOps > 0 && e.opsClaimed.Add(n) > e.maxOps {
 		return errBudget(e.maxOps, activationPath(a))
 	}
-	if ops := w.n.ops; e.ctxDone != nil && ops>>6 != (ops-n)>>6 {
-		select {
-		case <-e.ctxDone:
-			return &RunError{Kind: FailCanceled, Path: activationPath(a), Err: e.runCtx.Err()}
-		default:
+	if ops := w.n.ops; ops>>6 != (ops-n)>>6 {
+		w.foldLive()
+		if e.ctxDone != nil {
+			select {
+			case <-e.ctxDone:
+				return &RunError{Kind: FailCanceled, Path: activationPath(a), Err: e.runCtx.Err()}
+			default:
+			}
 		}
 	}
 	return nil
@@ -692,8 +737,8 @@ func (e *Engine) expand(w *worker, a *activation, n *graph.Node, callee *graph.T
 		return e.failNode(a, n, args, fmt.Errorf("internal: %s expects %d activation arguments, got %d",
 			callee.Name, callee.NumArgs(), len(args)))
 	}
-	child := e.acquire(w.proc, callee)
-	e.stats.noteLive(1, int64(callee.ActivationWords()))
+	child := e.acquire(w, callee)
+	w.noteLive(1, int64(callee.ActivationWords()))
 	if len(n.Out) == 0 && n.ID == a.tmpl.Result && !a.delegated.Load() {
 		child.cont = a.cont
 		a.delegated.Store(true)
@@ -704,7 +749,7 @@ func (e *Engine) expand(w *worker, a *activation, n *graph.Node, callee *graph.T
 		}
 		e.initActivation(w, child, args)
 		clear(args)
-		e.finishNode(a)
+		e.finishNode(w, a)
 		return nil
 	}
 	child.cont = continuation{act: a, node: n}
@@ -778,7 +823,7 @@ func (e *Engine) complete(w *worker, a *activation, n *graph.Node, v value.Value
 				e.deliverEdge(w, a, edge, v)
 			}
 			e.flushReady(w, a)
-			e.finishNode(a) // Spread producers are never the result node
+			e.finishNode(w, a) // Spread producers are never the result node
 			return
 		}
 		isResult := n.ID == a.tmpl.Result && !a.delegated.Load()
@@ -799,11 +844,11 @@ func (e *Engine) complete(w *worker, a *activation, n *graph.Node, v value.Value
 		}
 		e.flushReady(w, a)
 		if !isResult {
-			e.finishNode(a)
+			e.finishNode(w, a)
 			return
 		}
 		cont := a.cont
-		e.finishNode(a)
+		e.finishNode(w, a)
 		if cont.act == nil {
 			e.finish(v)
 			return
@@ -899,23 +944,21 @@ func (e *Engine) schedReady(w *worker, a *activation, n *graph.Node) {
 	w.q.push(w, a, n)
 }
 
-// finishNode retires one node; the last retirement recycles the activation.
-func (e *Engine) finishNode(a *activation) {
-	if atomic.AddInt32(&a.remaining, -1) == 0 {
-		e.stats.noteLive(-1, -int64(a.tmpl.ActivationWords()))
-		e.release(a)
-	}
+// finishNode retires one node on w; the last retirement recycles the
+// activation onto w's free list.
+func (e *Engine) finishNode(w *worker, a *activation) {
+	e.finishNodes(w, a, 1)
 }
 
 // finishNodes applies k node completions at once — the batched form of
 // finishNode used by fused supernodes for their internal members.
-func (e *Engine) finishNodes(a *activation, k int32) {
+func (e *Engine) finishNodes(w *worker, a *activation, k int32) {
 	if k == 0 {
 		return
 	}
 	if atomic.AddInt32(&a.remaining, -k) == 0 {
-		e.stats.noteLive(-1, -int64(a.tmpl.ActivationWords()))
-		e.release(a)
+		w.noteLive(-1, -int64(a.tmpl.ActivationWords()))
+		e.release(w, a)
 	}
 }
 

@@ -511,6 +511,7 @@ func TestDeadlockStructuredError(t *testing.T) {
 	}
 	tmpl.Result = 2
 	prog := &graph.Program{Templates: map[string]*graph.Template{"main": tmpl}, Main: tmpl}
+	graph.Number(prog)
 	for _, workers := range []int{1, 2} {
 		for _, mode := range []Mode{Real, Simulated} {
 			e := New(prog, Config{Mode: mode, Workers: workers, MaxOps: 1000})

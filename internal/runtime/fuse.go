@@ -68,7 +68,7 @@ func (e *Engine) execFused(w *worker, t task, c *graph.Cluster) error {
 	last := len(c.Nodes) - 1
 	for i, id := range c.Nodes {
 		if i == last {
-			e.finishNodes(a, int32(last))
+			e.finishNodes(w, a, int32(last))
 		}
 		n := tmpl.Nodes[id]
 		var sp span
@@ -84,7 +84,7 @@ func (e *Engine) execFused(w *worker, t task, c *graph.Cluster) error {
 		}
 		if err != nil {
 			if i < last {
-				e.finishNodes(a, int32(i))
+				e.finishNodes(w, a, int32(i))
 			}
 			return err
 		}

@@ -55,6 +55,20 @@ func TestRunNoMainDoesNotConsumeEngine(t *testing.T) {
 	}
 }
 
+// TestNewRefusesUnnumberedProgram: the activation free lists are indexed by
+// template ID, so New must refuse a program nobody numbered, by name,
+// rather than fail later with an index out of range.
+func TestNewRefusesUnnumberedProgram(t *testing.T) {
+	tmpl := &graph.Template{Name: "main", Nodes: []*graph.Node{{ID: 0, Kind: graph.ConstNode, Const: value.Int(1)}}}
+	prog := &graph.Program{Templates: map[string]*graph.Template{"main": tmpl}, Main: tmpl}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "not numbered") {
+			t.Errorf("New on an unnumbered program: recovered %v, want the not-numbered panic", r)
+		}
+	}()
+	New(prog, Config{Mode: Real, Workers: 2})
+}
+
 // TestSeedQuiescenceReportsDeadlock pins the early-return path of runWorkers:
 // when seeding schedules nothing and no result was produced, the run must
 // report the same deadlock diagnostic the worker loop emits, not the
@@ -67,6 +81,7 @@ func TestSeedQuiescenceReportsDeadlock(t *testing.T) {
 	}
 	tmpl.Result = 1
 	prog := &graph.Program{Templates: map[string]*graph.Template{"main": tmpl}, Main: tmpl}
+	graph.Number(prog)
 	e := New(prog, Config{Mode: Real, Workers: 4})
 	_, err := e.Run()
 	if err == nil || !strings.Contains(err.Error(), "deadlocked") {

@@ -26,7 +26,9 @@ func TestStealSchedulerPriorityOrder(t *testing.T) {
 		PriCall:      tmpl.Nodes[1],
 		PriRecursive: tmpl.Nodes[0],
 	}
-	e := New(&graph.Program{Main: tmpl}, Config{Mode: Real, Workers: 2})
+	prog := &graph.Program{Templates: map[string]*graph.Template{"main": tmpl}, Main: tmpl}
+	graph.Number(prog)
+	e := New(prog, Config{Mode: Real, Workers: 2})
 	s := newStealScheduler(2, &e.stats, nil)
 	for _, tier := range []struct {
 		name string
@@ -439,6 +441,7 @@ func TestDeadlockDetection(t *testing.T) {
 	}
 	tmpl.Result = 2
 	prog := &graph.Program{Templates: map[string]*graph.Template{"main": tmpl}, Main: tmpl}
+	graph.Number(prog)
 	for _, mode := range []Mode{Real, Simulated} {
 		e := New(prog, Config{Mode: mode, Workers: 2, MaxOps: 1000})
 		_, err := e.Run()
@@ -462,6 +465,7 @@ func TestNoResultDetection(t *testing.T) {
 	}
 	tmpl.Result = 1
 	prog := &graph.Program{Templates: map[string]*graph.Template{"main": tmpl}, Main: tmpl}
+	graph.Number(prog)
 	e := New(prog, Config{Mode: Real, Workers: 1})
 	if _, err := e.Run(); err == nil {
 		t.Error("expected failure for silent graph")

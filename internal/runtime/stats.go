@@ -12,8 +12,9 @@ import (
 
 // Stats aggregates one run's execution counters. The per-dispatch counters
 // (OpsExecuted, OperatorsRun, ChargedUnits, TailCalls, FusedNodes,
-// FusedDispatchesSaved) are counted by each worker on its own and folded in
-// as it leaves the run; the rest are updated atomically as they happen. Read
+// FusedDispatchesSaved) and the activation counters (ActivationsAllocated,
+// ActivationsReused) are counted by each worker on its own and folded in as
+// it leaves the run; the rest are updated atomically as they happen. Read
 // them after Run returns.
 type Stats struct {
 	// OpsExecuted counts scheduled node executions (operators, calls,
@@ -23,18 +24,23 @@ type Stats struct {
 	// OperatorsRun counts sequential operator (OpNode) executions only.
 	OperatorsRun int64
 	// ActivationsAllocated and ActivationsReused split activation demand
-	// between fresh allocations and pool reuse (§7: the priority scheme
+	// between fresh allocations and free-list reuse (§7: the priority scheme
 	// reduces the number of template activations required).
 	ActivationsAllocated int64
 	ActivationsReused    int64
 	// LiveActivations tracks currently-live activations; PeakLive the
-	// maximum observed.
+	// maximum observed. Serial and Simulated runs observe every change, so
+	// their peaks are exact. A multi-worker Real run samples: each worker
+	// publishes its changes every 64 dispatches and as it leaves the run,
+	// so PeakLive never exceeds the true peak but may fall short of it.
+	// LiveActivations is exact once the run is over, in every mode.
 	LiveActivations int64
 	PeakLive        int64
 	// LiveActivationWords tracks the words held by live activation
-	// buffers; PeakActivationWords the maximum observed. Compared against
-	// the program's template memory, this checks §7's claim that templates
-	// represent over 80% of the runtime system's memory.
+	// buffers; PeakActivationWords the maximum observed, exact or sampled
+	// like PeakLive. Compared against the program's template memory, this
+	// checks §7's claim that templates represent over 80% of the runtime
+	// system's memory.
 	LiveActivationWords int64
 	PeakActivationWords int64
 	// TailCalls counts activations replaced in place by a tail call.
@@ -131,23 +137,25 @@ func (s *Stats) reset() {
 	s.ProcBusyTicks = nil
 }
 
-// noteLive bumps the live-activation gauges and refreshes the peaks.
+// noteLive moves the live-activation gauges and refreshes the peaks of the
+// ones that grew (worker.noteLive decides when).
 func (s *Stats) noteLive(delta, words int64) {
 	live := atomic.AddInt64(&s.LiveActivations, delta)
 	liveWords := atomic.AddInt64(&s.LiveActivationWords, words)
-	if delta <= 0 {
-		return
+	if delta > 0 {
+		raise(&s.PeakLive, live)
 	}
-	for {
-		peak := atomic.LoadInt64(&s.PeakLive)
-		if live <= peak || atomic.CompareAndSwapInt64(&s.PeakLive, peak, live) {
-			break
-		}
+	if words > 0 {
+		raise(&s.PeakActivationWords, liveWords)
 	}
+}
+
+// raise lifts *peak to v if v is larger.
+func raise(peak *int64, v int64) {
 	for {
-		peak := atomic.LoadInt64(&s.PeakActivationWords)
-		if liveWords <= peak || atomic.CompareAndSwapInt64(&s.PeakActivationWords, peak, liveWords) {
-			break
+		p := atomic.LoadInt64(peak)
+		if v <= p || atomic.CompareAndSwapInt64(peak, p, v) {
+			return
 		}
 	}
 }

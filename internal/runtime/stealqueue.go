@@ -24,6 +24,16 @@ import (
 //     which for this runtime tends to be the widest subtrees. The boot
 //     worker seeds worker 0's deques before any worker goroutine exists,
 //     so seeding needs no queue of its own.
+//   - the hand-off slot: while no peer is parked, the newest task of the
+//     highest priority that an execution releases waits in a private
+//     one-task slot of its worker instead of a deque, and runs next there
+//     unless a higher-priority task of the worker's own is waiting. That is
+//     exactly the task LIFO order would pop, so §7's order is unchanged; what
+//     goes is the deque round trip and the shared outstanding add and
+//     subtract, because the executing task donates its unit to the slot's.
+//     A thief never sees the slot. While a peer is parked, every task is
+//     pushed and the peer notified, which exposes work as soon as someone
+//     can take it.
 //   - idle workers steal FIFO from their peers (the second tier), spin
 //     briefly, then register on an idle list and park on a private
 //     one-token parker. Pushes wake at most one parked worker
@@ -144,12 +154,21 @@ func (p *parker) unpark() {
 	}
 }
 
-// workerDeques is one worker's trio of priority deques.
+// workerDeques is one worker's trio of priority deques and its hand-off
+// slot. Everything but the deques is owner-only.
 type workerDeques struct {
 	d [numPriorities]wsDeque
-	// quiet, set by next before each task it hands out, lets the first local
-	// push of that execution skip the notifyOne self-wake. Owner only.
-	quiet bool
+	// slot, when non-nil, is the task next hands out first: the newest task
+	// of the highest priority the executing task pushed; slotPri is its
+	// level.
+	slot    *task
+	slotPri Priority
+	// donated says the executing task passed its outstanding unit to a slot
+	// task, so retire must not subtract it.
+	donated bool
+	// The pad keeps the owner's slot writes and deque pushes off the cache
+	// line of its neighbour's deques.
+	_ [64]byte
 }
 
 // stealScheduler coordinates the real executor's workers.
@@ -164,10 +183,15 @@ type stealScheduler struct {
 	idle   []int
 	nidle  atomic.Int64
 
-	// outstanding counts pushed-but-unretired tasks of the current run;
-	// quiescence is outstanding returning to zero, which closes the
-	// scheduler.
+	// outstanding counts the current run's unretired tasks, in units that
+	// hand-off donations move between tasks (push); quiescence is
+	// outstanding returning to zero, which closes the scheduler. Every push
+	// reads nidle and every next reads closed, while outstanding is written
+	// on deque pushes and retires, so the pads give it a cache line of its
+	// own.
+	_           [64]byte
 	outstanding atomic.Int64
+	_           [56]byte
 	closed      atomic.Bool
 	stats       *Stats
 	// tr, when non-nil, records steal and park/unpark events. Each worker
@@ -192,17 +216,24 @@ func newStealScheduler(workers int, stats *Stats, tr *tracer) *stealScheduler {
 	return s
 }
 
-// push schedules the node on the pushing worker's own deque. The boot
-// worker (proc -1) seeds worker 0's deques instead: it runs before any
-// worker goroutine is spawned, and the go statement orders its pushes before
-// every pop and steal, so it may act as that deque's owner. A seed completed
-// no producer, so it carries no preference. The task is written into the
-// node's slot in its activation (activation.tasks), never allocated.
+// push schedules the node on the pushing worker: into its hand-off slot or
+// onto its own deque. The boot worker (proc -1) seeds worker 0's deques
+// instead: it runs before any worker goroutine is spawned, and the go
+// statement orders its pushes before every pop and steal, so it may act as
+// that deque's owner. A seed completed no producer, so it carries no
+// preference. The task is written into the node's slot in its activation
+// (activation.tasks), never allocated.
+//
+// Every task not yet retired holds one unit of outstanding. A task that
+// takes an empty hand-off slot gets the executing task's unit; every other
+// push pays one. When a newcomer of equal or higher priority displaces the
+// slot's task, that task moves to its deque with the unit it holds and the
+// newcomer pays for itself, so either way exactly one add is due.
 func (s *stealScheduler) push(w *worker, a *activation, n *graph.Node) {
-	s.outstanding.Add(1)
 	pri := w.e.classify(a, n)
 	t := &a.tasks[n.ID]
 	if w.proc < 0 {
+		s.outstanding.Add(1)
 		if s.tr != nil {
 			s.tr.record(-1, TraceEvent{Type: TraceInject, Ts: s.tr.now(),
 				Act: a.seq, Node: int32(n.ID), Name: traceLabel(n), Tmpl: a.tmpl.Name})
@@ -216,27 +247,38 @@ func (s *stealScheduler) push(w *worker, a *activation, n *graph.Node) {
 	if w.pref {
 		t.prov = taskPref
 	}
-	if own := &s.local[w.proc]; own.quiet {
-		// First push of the current execution skips the notifyOne: this
-		// worker is guaranteed to scan its own deques (find's first tier)
-		// before it can park, so exactly one task per execution never needs
-		// a wake token — k pushes pay k-1 notifies instead of k. Any later
-		// pushes still notify, preserving the no-stranded-task invariant,
-		// and a thief may take the quiet task at any time (it then runs
-		// there; no token is owed).
-		own.quiet = false
-		own.d[pri].push(t)
+	own := &s.local[w.proc]
+	switch {
+	case own.slot == nil && s.nidle.Load() == 0:
+		own.slot, own.slotPri, own.donated = t, pri, true
 		return
+	case own.slot != nil && pri <= own.slotPri:
+		own.slot, t = t, own.slot
+		own.slotPri, pri = pri, own.slotPri
 	}
+	s.outstanding.Add(1)
 	s.pushLocal(w.proc, t, pri)
 }
 
 // next is one worker's scan-steal-park cycle, until it finds a task or the
-// run closes the scheduler (quiescence, error, or cancellation). It retries
-// find a few times around the Go scheduler before parking — the "spin" half
-// of spin-then-park. Stealing is already a full sweep, so a couple of rounds
-// suffice to ride out a producer that is between push and notify.
+// run closes the scheduler (quiescence, error, or cancellation). A full
+// hand-off slot goes first, unless one of the worker's own deques of higher
+// priority holds a task: then the slot's task returns to its deque, where
+// LIFO order would have kept it, and the scan proceeds as without it. The
+// cycle retries find a few times around the Go scheduler before parking — the
+// "spin" half of spin-then-park. Stealing is already a full sweep, so a
+// couple of rounds suffice to ride out a producer that is between push and
+// notify.
 func (s *stealScheduler) next(w *worker) (task, bool) {
+	own := &s.local[w.proc]
+	own.donated = false
+	if t := own.slot; t != nil {
+		own.slot = nil
+		if !s.closed.Load() && !own.waitingAbove(own.slotPri) {
+			return hand(w, t), true
+		}
+		s.pushLocal(w.proc, t, own.slotPri)
+	}
 	const spins = 4
 	for spin := 0; ; spin++ {
 		if s.closed.Load() {
@@ -248,21 +290,41 @@ func (s *stealScheduler) next(w *worker) (task, bool) {
 			continue
 		}
 		if t := s.find(w.proc); t != nil {
-			s.local[w.proc].quiet = true
-			// Copy the task out of its activation slot before it executes:
-			// the slot is rewritten once the activation recycles.
-			tk := *t
-			if tk.prov&taskPref != 0 && tk.from == int32(w.proc) {
-				tk.prov |= taskHit
-			}
-			return tk, true
+			return hand(w, t), true
 		}
 		runtime.Gosched()
 	}
 }
 
-// retire counts the task out; the last one closes the scheduler.
-func (s *stealScheduler) retire(*worker, task) {
+// waitingAbove reports whether one of the worker's own deques of higher
+// priority than pri holds a task. Owner only: a thief may empty a deque
+// behind the check, which costs one extra pop, but nothing can fill one.
+func (own *workerDeques) waitingAbove(pri Priority) bool {
+	for p := PriNormal; p < pri; p++ {
+		if !own.d[p].isEmpty() {
+			return true
+		}
+	}
+	return false
+}
+
+// hand copies the task out of its activation slot for w to execute (the
+// slot is rewritten once the activation recycles) and resolves its
+// preferred-producer hit.
+func hand(w *worker, t *task) task {
+	tk := *t
+	if tk.prov&taskPref != 0 && tk.from == int32(w.proc) {
+		tk.prov |= taskHit
+	}
+	return tk
+}
+
+// retire counts the task out; the last one closes the scheduler. A task
+// that donated its unit to a slot task has nothing left to count out.
+func (s *stealScheduler) retire(w *worker, _ task) {
+	if s.local[w.proc].donated {
+		return
+	}
 	if s.outstanding.Add(-1) == 0 {
 		s.close()
 	}
@@ -392,13 +454,18 @@ func (s *stealScheduler) park(wid int) {
 	}
 }
 
-// drain empties every deque, returning the abandoned tasks so
-// the error-path teardown can sweep their activations. Callers must
-// guarantee the pool has stopped (post runWorkers): the steal/pop primitives
-// are reused, but the scan assumes no concurrent owner or thief.
+// drain empties every hand-off slot and every deque, returning the
+// abandoned tasks so the error-path teardown can sweep their activations.
+// Callers must guarantee the pool has stopped (post runWorkers): the
+// steal/pop primitives are reused, but the scan assumes no concurrent owner
+// or thief.
 func (s *stealScheduler) drain() []task {
 	var out []task
 	for w := range s.local {
+		if t := s.local[w].slot; t != nil {
+			out = append(out, *t)
+			s.local[w].slot = nil
+		}
 		for pri := range s.local[w].d {
 			for {
 				t, _ := s.local[w].d[pri].steal()
@@ -413,9 +480,9 @@ func (s *stealScheduler) drain() []task {
 }
 
 // reopen readies the scheduler for another run of a reused engine: the
-// deques, parkers, and idle stack all survive (the deques are
-// empty at quiescence and drained on the error path), so only the closed
-// flag and the tracer binding need refreshing. Stray parker tokens left by
+// deques, parkers, and idle stack all survive (the deques and hand-off slots
+// are empty at quiescence and drained on the error path), so only the closed
+// flag, the donation marks and the tracer binding need refreshing. Stray parker tokens left by
 // the close broadcast are swallowed here — a leftover token would merely
 // cost one spurious rescan, but consuming it keeps park accounting exact.
 // A failed run leaves outstanding above zero; the clock restarts.
@@ -428,6 +495,9 @@ func (s *stealScheduler) reopen(tr *tracer) {
 	s.idle = s.idle[:0]
 	s.nidle.Store(0)
 	s.idleMu.Unlock()
+	for w := range s.local {
+		s.local[w].slot, s.local[w].donated = nil, false
+	}
 	for w := range s.parkers {
 		select {
 		case <-s.parkers[w].ch:
