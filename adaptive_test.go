@@ -9,7 +9,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/machine"
 	"repro/internal/operator"
-	"repro/internal/opt"
 	"repro/internal/retina"
 	"repro/internal/runtime"
 	"repro/internal/value"
@@ -251,103 +250,5 @@ func TestAdaptiveChainTunedBeatsUnit(t *testing.T) {
 	u, tu := simMakespan(t, unit.Program, two), simMakespan(t, tuned.Program, two)
 	if float64(tu) > 0.95*float64(u) {
 		t.Errorf("tuned makespan %d vs unit-weight %d ticks: want at least 5%% lower", tu, u)
-	}
-}
-
-// affinityChainRegistry builds the block-chain operators for the locality
-// pair: amk allocates an owned block, astep mutates it in place, asum folds
-// it to a float. Work charges are kept small relative to the block size so
-// the modeled memory traffic — local vs remote words on the NUMA profile —
-// dominates each step's price.
-func affinityChainRegistry() *operator.Registry {
-	reg := operator.NewRegistry(operator.Builtins())
-	reg.MustRegister(&operator.Operator{
-		Name: "amk", Arity: 1, Fresh: true,
-		Fn: func(ctx operator.Context, args []value.Value) (value.Value, error) {
-			n := int(args[0].(value.Int))
-			vec := make(value.FloatVec, n)
-			for i := range vec {
-				vec[i] = float64(i % 7)
-			}
-			ctx.Charge(int64(n / 8))
-			return value.NewBlockStats(vec, ctx.BlockStats()), nil
-		},
-	})
-	reg.MustRegister(&operator.Operator{
-		Name: "astep", Arity: 1, Destructive: []bool{true},
-		Fn: func(ctx operator.Context, args []value.Value) (value.Value, error) {
-			vec := args[0].(*value.Block).Data().(value.FloatVec)
-			for i := range vec {
-				vec[i] += 1
-			}
-			ctx.Charge(int64(len(vec) / 8))
-			return args[0], nil
-		},
-	})
-	reg.MustRegister(&operator.Operator{
-		Name: "asum", Arity: 1,
-		Fn: func(ctx operator.Context, args []value.Value) (value.Value, error) {
-			vec := args[0].(*value.Block).Data().(value.FloatVec)
-			var s float64
-			for _, x := range vec {
-				s += x
-			}
-			ctx.Charge(int64(len(vec) / 8))
-			return value.Float(s), nil
-		},
-	})
-	return reg
-}
-
-// affinityChainSource is `chains` independent destructive block chains of
-// `depth` astep links over `words`-word blocks, folded with adds — one
-// block-carrying chain per processor with room to spare, so a scheduler
-// that follows the compile-time hints keeps every chain on one processor
-// (all-local traffic) while earliest-free placement scatters the links
-// across processors and pays the remote-word rate on each hop.
-func affinityChainSource(chains, depth, words int) string {
-	var sb strings.Builder
-	sb.WriteString("main()\n  let ")
-	for c := 1; c <= chains; c++ {
-		prev := fmt.Sprintf("c%dk0", c)
-		fmt.Fprintf(&sb, "%s = amk(%d)\n      ", prev, words)
-		for k := 1; k <= depth; k++ {
-			v := fmt.Sprintf("c%dk%d", c, k)
-			fmt.Fprintf(&sb, "%s = astep(%s)\n      ", v, prev)
-			prev = v
-		}
-		fmt.Fprintf(&sb, "s%d = asum(%s)\n", c, prev)
-		if c < chains {
-			sb.WriteString("      ")
-		}
-	}
-	fold := "s1"
-	for c := 2; c <= chains; c++ {
-		fold = fmt.Sprintf("add(%s, s%d)", fold, c)
-	}
-	fmt.Fprintf(&sb, "  in %s\n", fold)
-	return sb.String()
-}
-
-// TestAffinityHintsBeatEarliestFree: twelve 8-deep 512-word chains on the
-// simulated BBN Butterfly (16 procs, remote words 6x local). Following the
-// affinity plan's hints must cut the makespan by at least 10 % (4 512 vs
-// 6 816 ticks measured). The program is compiled unfused on purpose — every
-// chain link is then an individual placement decision, which is exactly
-// what the hints arbitrate (fusion would collapse each chain to one
-// supernode and hide the placement problem).
-func TestAffinityHintsBeatEarliestFree(t *testing.T) {
-	res, err := compile.Compile("affinity.dlr", affinityChainSource(12, 8, 512),
-		compile.Options{Registry: affinityChainRegistry(), MemPlan: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt.PlanAffinity(res.Program)
-	butterfly := runtime.Config{Workers: 16, Machine: machine.Butterfly()}
-	off := simMakespan(t, res.Program, butterfly)
-	butterfly.AffinityHints = true
-	on := simMakespan(t, res.Program, butterfly)
-	if float64(on) > 0.90*float64(off) {
-		t.Errorf("hinted makespan %d vs earliest-free %d ticks: want at least 10%% lower", on, off)
 	}
 }

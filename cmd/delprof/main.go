@@ -13,7 +13,7 @@
 //	delprof -fuse -profile weights.json ...    run fused, priorities from a profile
 //	delprof -runs 200 program.dlr              throughput mode: 200 runs on one reused engine
 //	delprof -adaptive program.dlr              calibrate -> re-fuse -> re-run, keep the winner
-//	delprof -affinity -steals program.dlr      affinity plan + per-worker steal/park report
+//	delprof -sim=false -steals program.dlr     per-worker steal/park report
 //	delprof -sim=false -runs 200 -cpuprofile cpu.out -memprofile mem.out program.dlr
 //	                                           pprof profiles of the run loop
 //
@@ -65,8 +65,7 @@ func main() {
 		profout  = flag.String("profout", "", "write the measured mean operator costs as a JSON profile here")
 		runs     = flag.Int("runs", 1, "execute the program this many times on one reused engine (throughput mode); listings describe the last run")
 		adaptive = flag.Bool("adaptive", false, "run the adaptive loop: calibrate with timing on, re-fuse and re-plan with measured weights, re-run, keep the winning plan (implies -fuse -memplan)")
-		affinity = flag.Bool("affinity", false, "compile the affinity plan and run with locality hints on (implies -fuse); prints the plan and hit/miss counters")
-		steals   = flag.Bool("steals", false, "print the per-worker steal/park/affinity report (enables tracing)")
+		steals   = flag.Bool("steals", false, "print the per-worker steal/park report (enables tracing)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run loop here")
 		memProf  = flag.String("memprofile", "", "write an allocation profile (every allocation recorded) here after the run loop")
 	)
@@ -103,8 +102,8 @@ func main() {
 			measure = *runs
 		}
 		tres, err := adapt.Tune(nil, name, src, adapt.Config{
-			Compile:     compile.Options{Registry: reg, MemPlan: true, Fuse: true, FuseProfile: prof, Affinity: *affinity},
-			Runtime:     runtime.Config{Mode: mode, Workers: *workers, Machine: mach, AffinityHints: *affinity},
+			Compile:     compile.Options{Registry: reg, MemPlan: true, Fuse: true, FuseProfile: prof},
+			Runtime:     runtime.Config{Mode: mode, Workers: *workers, Machine: mach},
 			Args:        cli.ParseArgs(flag.Args()[1:]),
 			MeasureRuns: measure,
 		})
@@ -122,15 +121,14 @@ func main() {
 	}
 
 	res, err := compile.Compile(name, src, compile.Options{
-		Registry: reg, MemPlan: *memplan, Fuse: *fuse, FuseProfile: prof, Affinity: *affinity})
+		Registry: reg, MemPlan: *memplan, Fuse: *fuse, FuseProfile: prof})
 	fail(err)
 	for _, w := range res.Warnings {
 		fmt.Fprintf(os.Stderr, "warning: %s\n", w)
 	}
 	eng := runtime.New(res.Program, runtime.Config{
 		Mode: mode, Workers: *workers, Machine: mach, Timing: *cpuProf == "" && *memProf == "",
-		AffinityHints: *affinity,
-		Trace:         *traceOut != "" || *critpath || *steals})
+		Trace: *traceOut != "" || *critpath || *steals})
 	args := cli.ParseArgs(flag.Args()[1:])
 	// Throughput mode: re-run the same program on the same engine, Reset
 	// between runs, so the warmed activation pools, block free lists, and
@@ -228,11 +226,6 @@ func main() {
 	if *steals {
 		fmt.Println()
 		fmt.Print(eng.Trace().SchedReport().Render())
-	}
-	if *affinity {
-		st := eng.Stats()
-		fmt.Printf("\n%s", res.AffinityPlan.Report())
-		fmt.Printf("affinity dispatch: %d hits / %d misses\n", st.AffinityHits, st.AffinityMisses)
 	}
 	if *memplan {
 		st := eng.Stats()

@@ -41,9 +41,25 @@ func delxRepoRoot(t *testing.T) string {
 	}
 }
 
-// TestDelxSmoke builds the experiment driver and runs the cheap experiments
-// end to end: the queens determinism check and the two §5.2 listings with
-// their new critical-path footers.
+// goldenIDs are the deterministic experiments: simulated-machine figures and
+// tables, the §5.2 listings and the queens check. Their output never depends
+// on the host, so each block must match docs/delx-output.txt byte for byte.
+var goldenIDs = []string{"fig1", "tab1", "tab2", "lst1", "lst2", "ovh", "prio", "aff", "mem", "opt", "queens"}
+
+// delxBlocks splits delx output into its "=== id: title ===" blocks, keyed
+// by id, with the blank line that separates blocks trimmed.
+func delxBlocks(out string) map[string]string {
+	blocks := make(map[string]string)
+	for _, b := range strings.Split("\n"+out, "\n=== ")[1:] {
+		if id, _, ok := strings.Cut(b, ":"); ok {
+			blocks[id] = strings.TrimRight("=== "+b, "\n")
+		}
+	}
+	return blocks
+}
+
+// TestDelxSmoke builds the experiment driver and runs every deterministic
+// experiment end to end, checking each block against the committed golden.
 func TestDelxSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -54,24 +70,26 @@ func TestDelxSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatalf("delx -list: %v\n%s", err, out)
 	}
-	for _, id := range []string{"fig1", "lst1", "lst2", "queens"} {
+	for _, id := range goldenIDs {
 		if !strings.Contains(string(out), id) {
 			t.Errorf("-list missing %q:\n%s", id, out)
 		}
 	}
 
-	out, err = exec.Command(bin, "queens", "lst1", "lst2").CombinedOutput()
+	out, err = exec.Command(bin, goldenIDs...).Output()
 	if err != nil {
-		t.Fatalf("delx queens lst1 lst2: %v\n%s", err, out)
+		t.Fatalf("delx %s: %v\n%s", strings.Join(goldenIDs, " "), err, out)
 	}
-	for _, want := range []string{
-		"92 solutions",
-		"call of post_up took",
-		"verdict: imbalanced — post_up",
-		"verdict: balanced",
-	} {
-		if !strings.Contains(string(out), want) {
-			t.Errorf("output missing %q:\n%s", want, out)
+	golden, err := os.ReadFile(filepath.Join(delxRepoRoot(t), "docs", "delx-output.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, want := delxBlocks(string(out)), delxBlocks(string(golden))
+	for _, id := range goldenIDs {
+		if want[id] == "" {
+			t.Errorf("%s: no block in docs/delx-output.txt", id)
+		} else if got[id] != want[id] {
+			t.Errorf("%s differs from docs/delx-output.txt:\n got:\n%s\nwant:\n%s", id, got[id], want[id])
 		}
 	}
 }

@@ -52,14 +52,7 @@ type Options struct {
 	// execution costs from a delprof run (operator name -> mean ticks/ns).
 	// Missing entries fall back to unit weight.
 	FuseProfile map[string]int64
-	// Affinity runs the affinity-plan pass (opt.PlanAffinity) after fusion:
-	// every node gets an advisory preferred-producer edge and a weight tier,
-	// which the Real executor (under Config.AffinityHints) turns into
-	// producer-preferred dispatch, and the Simulated executor into
-	// hint-driven placement. Implies Fuse, since
-	// the tiers come from fusion's bottom levels (and composes with MemPlan,
-	// whose ownership facts pick the block-carrying edges). Hints are
-	// advisory-only: results are bit-identical with the pass on or off.
+	// Deprecated: no effect; kept until benchmark/ stops naming it (ROADMAP item 1).
 	Affinity bool
 }
 
@@ -102,9 +95,6 @@ type Result struct {
 	MemPlan *opt.MemPlan
 	// FusePlan is the operator-fusion report, nil unless Options.Fuse was set.
 	FusePlan *opt.FusePlan
-	// AffinityPlan is the affinity-hint report, nil unless Options.Affinity
-	// was set.
-	AffinityPlan *opt.AffinityPlan
 }
 
 // TotalNanos sums every pass.
@@ -125,9 +115,6 @@ func timePass(r *Result, name string, fn func()) {
 
 // Compile compiles one Delirium source file.
 func Compile(file, src string, opts Options) (*Result, error) {
-	if opts.Affinity {
-		opts.Fuse = true
-	}
 	reg := opts.registry()
 	res := &Result{}
 	var diags source.DiagList
@@ -188,11 +175,6 @@ func Compile(file, src string, opts Options) (*Result, error) {
 	if opts.Fuse {
 		timePass(res, "Fusion", func() {
 			res.FusePlan = opt.FuseGraph(g, opts.FuseProfile)
-		})
-	}
-	if opts.Affinity {
-		timePass(res, "Affinity Plan", func() {
-			res.AffinityPlan = opt.PlanAffinity(g)
 		})
 	}
 	res.Program = g

@@ -172,23 +172,6 @@ type Node struct {
 	// weights otherwise). The real executor uses it as a tie-break priority
 	// so the longest remaining chain is pulled first.
 	BLevel int64
-
-	// The Aff* fields are stamped by the optional affinity-plan pass
-	// (internal/opt.PlanAffinity) and are zero in unplanned programs. They
-	// are advisory placement hints only: executors consult them to decide
-	// WHERE a ready node runs, never WHETHER or with WHAT inputs, so
-	// enabling them can never change results.
-
-	// AffPreferred is the node id of this node's preferred producer: the
-	// input edge whose value (typically an exclusively-owned block, per the
-	// memory plan) this node should inherit hot in the producer's cache.
-	// -1 when the pass found no single-consumer producer edge (or did not
-	// run — but the zero value is only meaningful under Program.AffinityPlanned).
-	AffPreferred int
-	// AffHeavy marks a node on a heavy chain (top tier by bottom level):
-	// preferred dispatch keeps it on its producer's worker, while light
-	// nodes are left free to migrate to thieves.
-	AffHeavy bool
 }
 
 // Cluster describes one fused supernode: a chain (or delay-free small tree)
@@ -397,10 +380,6 @@ type Program struct {
 	// the executors then dispatch fused clusters as supernodes and order
 	// ready nodes by their static bottom levels.
 	Fused bool
-	// AffinityPlanned records that the affinity-plan pass ran over this
-	// program; executors configured with AffinityHints then activate
-	// producer-preferred dispatch and batched, locality-ranked stealing.
-	AffinityPlanned bool
 	// OpTimeout is the smallest positive Operator.Timeout among the
 	// program's operator nodes, recorded by Link (zero when there is none).
 	// With Config.OpTimeout it tells the runtime, without a walk, whether

@@ -47,11 +47,6 @@ type activation struct {
 	// start before every producer has finished, even when the producers
 	// were popped (and their values computed) earlier.
 	readyAt []int64
-	// execProc[n], used only by the simulated executor under an active
-	// affinity plan, records 1 + the virtual processor that executed node
-	// n (0 = not yet run), so placement can follow a consumer's preferred
-	// producer. Lazily allocated like readyAt.
-	execProc []int32
 }
 
 func newActivation(t *graph.Template) *activation {
@@ -91,9 +86,6 @@ func (a *activation) reset() {
 	}
 	for i := range a.readyAt {
 		a.readyAt[i] = 0
-	}
-	for i := range a.execProc {
-		a.execProc[i] = 0
 	}
 }
 

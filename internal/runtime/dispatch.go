@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/graph"
@@ -14,29 +13,16 @@ import (
 // one-worker run, a pool of work-stealing workers and the simulated machine
 // sits behind the scheduler interface below.
 
-// task is one runnable node of one activation, tagged with scheduling
-// provenance: from is the worker that pushed it (-1 for the boot worker's
-// seeds) and prov holds the bits below.
-// Provenance feeds the affinity hit/miss counters and the timing log's
-// stolen/affinity marks; it never influences what executes. (Four fields on
-// purpose: the compiler keeps a struct that small in registers.) The
-// work-stealing scheduler keeps each task in its activation's slot for the
-// node (activation.tasks); the serial and simulated queues hold them by value.
+// task is one runnable node of one activation, tagged with the worker that
+// pushed it (from; -1 for the boot worker's seeds). The tag feeds the timing
+// log's stolen mark; it never influences what executes. The work-stealing
+// scheduler keeps each task in its activation's slot for the node
+// (activation.tasks); the serial and simulated queues hold them by value.
 type task struct {
 	act  *activation
 	node *graph.Node
 	from int32
-	prov uint8
 }
-
-const (
-	// taskPref marks a producer-preferred wakeup in Real mode: the pushing
-	// worker had just completed this node's AffPreferred producer.
-	taskPref uint8 = 1 << iota
-	// taskHit, resolved by the scheduler when it hands the task out, says it
-	// runs where its preferred producer ran.
-	taskHit
-)
 
 // scheduler is the seam between the executor core and the three ready-queue
 // disciplines: the serial FIFO (queue.go), the work-stealing pool
@@ -114,17 +100,15 @@ func (w *worker) end(sp span, t task, n *graph.Node, member bool, err error) {
 			Ticks:    t1 - sp.t0,
 			Fused:    member,
 			Stolen:   t.from >= 0 && t.from != int32(w.proc),
-			Affinity: t.prov&taskHit != 0,
 		})
 	}
 }
 
 // loop is the one task loop, and its body the one dispatch step: take a
-// task, account its provenance, bracket it for the observers, execute it,
-// retire it. The caller's goroutine runs the loop for unbounded serial and
-// simulated runs, one spawned goroutine for bounded ones, one per worker for
-// multi-worker ones, until the scheduler reports the run over or a node
-// fails. It returns errAbandoned, having touched nothing after the call, when
+// task, bracket it for the observers, execute it, retire it. The caller's
+// goroutine runs the loop for unbounded serial and simulated runs, one
+// spawned goroutine for bounded ones, one per worker for multi-worker ones,
+// until the scheduler reports the run over or a node fails. It returns errAbandoned, having touched nothing after the call, when
 // the watchdog took over the operator call this goroutine was stuck in, and
 // nil otherwise. On its way out a worker folds its counters into Stats; the
 // watchdog folds those of a goroutine it abandoned.
@@ -135,23 +119,6 @@ func (e *Engine) loop(w *worker) error {
 		if !ok {
 			w.fold()
 			return nil
-		}
-		if t.prov&taskPref != 0 {
-			// Preferred-edge dispatch outcome (Real mode; the simulated
-			// scheduler accounts its own placements): a hit ran on the worker
-			// that completed its preferred producer (warm cache), a miss
-			// migrated (stolen).
-			var arg int64
-			if t.prov&taskHit != 0 {
-				arg = 1
-				atomic.AddInt64(&e.stats.AffinityHits, 1)
-			} else {
-				atomic.AddInt64(&e.stats.AffinityMisses, 1)
-			}
-			if w.tr != nil {
-				w.tr.record(w.proc, TraceEvent{Type: TraceAffinity, Ts: w.tr.now(),
-					Act: t.act.seq, Node: int32(t.node.ID), Arg: arg})
-			}
 		}
 		observed := e.timing != nil || w.tr != nil
 		var sp span

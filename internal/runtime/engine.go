@@ -116,15 +116,7 @@ type Config struct {
 	Trace bool
 	// Affinity selects the simulated scheduler's placement policy.
 	Affinity AffinityPolicy
-	// AffinityHints activates the compile-time affinity plan's placement
-	// hints (programs compiled with compile.Options.Affinity). In Real mode
-	// the hints drive producer-preferred dispatch (the preferred consumer is
-	// popped first on the completing worker); in Simulated mode they drive
-	// hint-first placement (the
-	// preferred producer's processor, when free). Hints are advisory-only —
-	// they choose WHERE ready work runs, never whether or with what inputs —
-	// so results are bit-identical with hints on or off, and unplanned
-	// programs ignore the flag entirely (scheduling stays byte-identical).
+	// Deprecated: no effect; kept until benchmark/ stops naming it (ROADMAP item 1).
 	AffinityHints bool
 	// DisablePriorities collapses the three-level ready queue into a single
 	// level (a FIFO in Simulated mode, one deque per worker in Real mode) —
@@ -275,7 +267,7 @@ type Engine struct {
 	// dispatches in their own counters, and only a bounded engine (maxOps > 0)
 	// also claims them here, so that FailBudget fires at the exact node. Every
 	// worker adds to it on every dispatch, so the pads keep it off the cache
-	// lines of the fields every dispatch reads (maxOps, fused, affinity, …).
+	// lines of the fields every dispatch reads (maxOps, fused, …).
 	_          [64]byte
 	opsClaimed atomic.Int64
 	_          [56]byte
@@ -283,11 +275,6 @@ type Engine struct {
 	// fused mirrors prog.Fused: the executors then dispatch cluster heads
 	// as supernodes and order simultaneously-ready nodes by bottom level.
 	fused bool
-
-	// affinity is prog.AffinityPlanned && cfg.AffinityHints: producer-
-	// preferred dispatch (Real) and hint-first placement (Simulated) are
-	// then active. Purely advisory — see Config.AffinityHints.
-	affinity bool
 
 	// sched is the real executor's work-stealing scheduler, created on the
 	// first multi-worker run and reused (reopened) by every run after it so
@@ -321,8 +308,7 @@ func New(prog *graph.Program, cfg Config) *Engine {
 		panic("runtime: program templates are not numbered; link the program (graph.Link) or number it (graph.Number)")
 	}
 	e := &Engine{prog: prog, cfg: cfg, maxOps: cfg.MaxOps, fused: prog.Fused,
-		affinity: prog.AffinityPlanned && cfg.AffinityHints,
-		depot:    make([][]*activation, prog.NumTemplates)}
+		depot: make([][]*activation, prog.NumTemplates)}
 	e.workers = make([]worker, cfg.workers()+1)
 	for i := range e.workers {
 		w := &e.workers[i]

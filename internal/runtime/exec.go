@@ -53,15 +53,6 @@ type worker struct {
 	// ready is scratch space complete() uses to batch newly-runnable nodes
 	// so a fused program can release them in bottom-level order.
 	ready []*graph.Node
-	// prodID, under an active affinity plan, is the template-node id whose
-	// output complete() is currently delivering; flushReady compares it
-	// against each ready node's AffPreferred to tag producer-preferred
-	// wakeups. Only meaningful inside complete (engine affinity on).
-	prodID int32
-	// pref is set by schedReady just before each push when the ready node
-	// prefers the completing producer; the real schedulers copy it into the
-	// task's provenance.
-	pref bool
 
 	// n holds this worker's share of the run's execution counters: plain
 	// adds on the hot path, published into Stats once by fold.
@@ -761,9 +752,6 @@ func (e *Engine) expand(w *worker, a *activation, n *graph.Node, callee *graph.T
 // initActivation seeds parameters and constants (never scheduled) and
 // enqueues every node that is runnable from the start.
 func (e *Engine) initActivation(w *worker, a *activation, args []value.Value) {
-	// Start-runnable nodes have no completing producer; clear any
-	// preferred-wakeup tag left by an earlier flushReady on this worker.
-	w.pref = false
 	for _, n := range a.tmpl.Nodes {
 		if n.Fused {
 			// Members never schedule individually; a cluster with no
@@ -792,11 +780,6 @@ func (e *Engine) initActivation(w *worker, a *activation, args []value.Value) {
 // bubbles the value through the continuation chain iteratively.
 func (e *Engine) complete(w *worker, a *activation, n *graph.Node, v value.Value) {
 	for {
-		if e.affinity {
-			// Record the delivering producer so flushReady can tag wakeups
-			// on its preferred out edge (producer-preferred dispatch).
-			w.prodID = int32(n.ID)
-		}
 		if n.FuseInternalOut {
 			// Chain-internal handoff inside a fused supernode: the single
 			// consumer is the next member, already dispatched as part of this
@@ -889,7 +872,7 @@ func (e *Engine) flushReady(w *worker, a *activation) {
 	}
 	if !e.fused || len(ready) == 1 {
 		for _, n := range ready {
-			e.schedReady(w, a, n)
+			w.q.push(w, a, n)
 		}
 	} else {
 		// Stable insertion sort, descending bottom level: ready sets are
@@ -899,49 +882,17 @@ func (e *Engine) flushReady(w *worker, a *activation) {
 				ready[j], ready[j-1] = ready[j-1], ready[j]
 			}
 		}
-		if e.affinity {
-			// Producer-preferred dispatch: the consumer on the completing
-			// node's preferred edge moves to the pop-first slot so it runs
-			// next on this worker, inheriting its block hot. Heavy-tier
-			// nodes win over light ones; everything else keeps the
-			// bottom-level order. Advisory only — membership of the ready
-			// set is untouched, so results cannot change.
-			best := -1
-			for i, n := range ready {
-				if n.AffPreferred >= 0 && int32(n.AffPreferred) == w.prodID {
-					if best < 0 || (n.AffHeavy && !ready[best].AffHeavy) {
-						best = i
-					}
-				}
-			}
-			if best > 0 {
-				n := ready[best]
-				copy(ready[1:best+1], ready[:best])
-				ready[0] = n
-			}
-		}
 		if w.q.lifo() {
 			for i := len(ready) - 1; i >= 0; i-- {
-				e.schedReady(w, a, ready[i])
+				w.q.push(w, a, ready[i])
 			}
 		} else {
 			for _, n := range ready {
-				e.schedReady(w, a, n)
+				w.q.push(w, a, n)
 			}
 		}
 	}
 	w.ready = ready[:0]
-}
-
-// schedReady hands one ready node to the worker's scheduler, tagging it
-// first (under an active affinity plan) as producer-preferred when the
-// node's AffPreferred edge is the one just completed. The real schedulers
-// copy w.pref into the task's provenance; the simulated one ignores it.
-func (e *Engine) schedReady(w *worker, a *activation, n *graph.Node) {
-	if e.affinity {
-		w.pref = n.AffPreferred >= 0 && int32(n.AffPreferred) == w.prodID
-	}
-	w.q.push(w, a, n)
 }
 
 // finishNode retires one node on w; the last retirement recycles the

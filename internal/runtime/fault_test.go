@@ -3,6 +3,7 @@ package runtime
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -169,6 +170,43 @@ func TestRetryRecoversDeterministically(t *testing.T) {
 				t.Errorf("mode %v kind %v: leak after recovery: allocated %d freed %d live %d",
 					mode, kind, st.Blocks.Allocated, st.Blocks.Freed, live)
 			}
+		}
+	}
+}
+
+// TestAffinityBitIdentity: placement is advisory, so seeded faults under
+// retry on the fused, memory-planned block tree recover to the same bits
+// on 1, 2 and 8 stealing workers and under every §9.3 simulated placement
+// policy, and every run frees every block.
+func TestAffinityBitIdentity(t *testing.T) {
+	g := compileBlockTree(t)
+	var ref string
+	for _, cfg := range []Config{
+		{Mode: Real, Workers: 1},
+		{Mode: Real, Workers: 2},
+		{Mode: Real, Workers: 8},
+		{Mode: Simulated, Workers: 4, Affinity: AffinityNone},
+		{Mode: Simulated, Workers: 4, Affinity: AffinityOperator},
+		{Mode: Simulated, Workers: 4, Affinity: AffinityData},
+	} {
+		name := fmt.Sprintf("mode=%d/w%d/%v", cfg.Mode, cfg.Workers, cfg.Affinity)
+		cfg.MaxOps = 5_000_000
+		cfg.Retry = RetryPolicy{MaxAttempts: 3}
+		// Each engine needs a private plan: plans keep cursors.
+		cfg.Faults = SeededFaultPlan(7, []string{"rfill"}, 40)
+		e := New(g, cfg)
+		v, err := e.Run(value.Int(6))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := fmt.Sprintf("%v", v); ref == "" {
+			ref = got
+		} else if got != ref {
+			t.Fatalf("%s diverged: got %s want %s", name, got, ref)
+		}
+		if st := e.Stats(); st.FaultsInjected == 0 || st.Blocks.Allocated != st.Blocks.Freed {
+			t.Fatalf("%s: faults=%d, allocated %d freed %d", name,
+				st.FaultsInjected, st.Blocks.Allocated, st.Blocks.Freed)
 		}
 	}
 }

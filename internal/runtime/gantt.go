@@ -53,13 +53,10 @@ func (l *TimingLog) Gantt(width int) string {
 			c1 = width
 		}
 		label := e.Name
-		// A stolen task's segment opens with '%', an affinity dispatch
-		// (ran on its preferred producer's worker) with '+'.
+		// A stolen task's segment opens with '%'.
 		mark := byte(0)
 		if e.Stolen {
 			mark, marked = '%', true
-		} else if e.Affinity {
-			mark, marked = '+', true
 		}
 		for c := c0; c < c1; c++ {
 			idx := c - c0
@@ -76,7 +73,7 @@ func (l *TimingLog) Gantt(width int) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "virtual time 0..%d ticks, %d cells/row", span, width)
 	if marked {
-		b.WriteString("  (% stolen, + affinity hit)")
+		b.WriteString("  (% stolen)")
 	}
 	b.WriteString("\n")
 	for p, row := range rows {

@@ -38,15 +38,9 @@ type serialQueue struct {
 }
 
 // push enqueues the node at its priority level. The one worker is proc 0,
-// so the zero from already names it, and every preferred dispatch trivially
-// runs where its producer did — a hit, which keeps the hit-rate denominator
-// comparable across worker counts.
+// so the zero from already names it.
 func (q *serialQueue) push(w *worker, a *activation, n *graph.Node) {
-	t := task{act: a, node: n}
-	if w.pref {
-		t.prov = taskPref | taskHit
-	}
-	q.levels[w.e.classify(a, n)].push(t)
+	q.levels[w.e.classify(a, n)].push(task{act: a, node: n})
 }
 
 // next takes the highest-priority available task; quiescence is simply the

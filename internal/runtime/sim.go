@@ -158,30 +158,11 @@ func (s *simScheduler) next(w *worker) (task, bool) {
 		}
 	}
 
-	proc, hit := s.place(item, earliest, t)
+	proc := s.place(item, earliest, t)
 	s.start = max(s.procFree[proc], item.ready)
 	s.clock = s.start
 	w.proc = proc
-	if s.e.affinity {
-		// Record where this node runs BEFORE executing it: the last
-		// node of an activation recycles it inside execNode, and a
-		// post-exec write could poison the next activation's hints.
-		a := item.act
-		if a.execProc == nil {
-			a.execProc = make([]int32, len(a.tmpl.Nodes))
-		}
-		a.execProc[item.node.ID] = int32(proc) + 1
-		if c := item.node.FuseCluster; c != nil {
-			// Every member runs straight-line on this processor.
-			for _, id := range c.Nodes {
-				a.execProc[id] = int32(proc) + 1
-			}
-		}
-	}
 	item.from = int32(proc)
-	if hit {
-		item.prov = taskHit
-	}
 	return item.task, true
 }
 
@@ -250,33 +231,19 @@ func (s *simScheduler) drain() []task {
 }
 
 // place chooses the processor for an item — earliest is the one free
-// soonest, t the time the item can start — under the compile-time
-// affinity plan (when active) or the configured §9.3 policy. Every
-// preference is overridden when the preferred processor would delay the
-// start (§9.3: "this preference is overridden if the desired processor is
-// busy"). The second result reports a plan-hint hit, for the timing log.
-func (s *simScheduler) place(item simTask, earliest int, t int64) (int, bool) {
+// soonest, t the time the item can start — under the configured §9.3
+// policy. Every preference is overridden when the preferred processor would
+// delay the start (§9.3: "this preference is overridden if the desired
+// processor is busy").
+func (s *simScheduler) place(item simTask, earliest int, t int64) int {
 	e, procFree := s.e, s.procFree
-	if e.affinity {
-		// Compile-time hint: run on the processor that executed the
-		// preferred producer, inheriting its blocks at local cost.
-		if pid := item.node.AffPreferred; pid >= 0 && item.act.execProc != nil {
-			if pref := int(item.act.execProc[pid]) - 1; pref >= 0 {
-				if procFree[pref] <= t {
-					e.stats.AffinityHits++
-					return pref, true
-				}
-				e.stats.AffinityMisses++
-			}
-		}
-	}
 	if item.node.Kind != graph.OpNode {
-		return earliest, false
+		return earliest
 	}
 	switch e.cfg.Affinity {
 	case AffinityOperator:
 		if pref, ok := s.lastProc[item.node.Name]; ok && procFree[pref] <= t {
-			return pref, false
+			return pref
 		}
 	case AffinityData:
 		// Weigh candidate processors by resident input words.
@@ -295,8 +262,8 @@ func (s *simScheduler) place(item simTask, earliest int, t int64) (int, bool) {
 			}
 		}
 		if best >= 0 && procFree[best] <= t {
-			return best, false
+			return best
 		}
 	}
-	return earliest, false
+	return earliest
 }

@@ -57,12 +57,9 @@ type Stats struct {
 	StealContention int64
 	Parks           int64
 	InjectedTasks   int64
-	// Affinity-scheduling counters, all zero unless the program carries an
-	// affinity plan and Config.AffinityHints is set. AffinityHits counts
-	// preferred-edge dispatches that ran on their producer's worker (Real)
-	// or processor (Simulated); AffinityMisses counts preferred dispatches
-	// that migrated (stolen, or the preferred processor was busy).
-	AffinityHits   int64
+	// Deprecated: no effect; kept until benchmark/ stops naming it (ROADMAP item 1).
+	AffinityHits int64
+	// Deprecated: no effect; kept until benchmark/ stops naming it (ROADMAP item 1).
 	AffinityMisses int64
 	// Blocks aggregates reference-count traffic (copies = the price of the
 	// determinism guarantee).
@@ -123,7 +120,6 @@ func (s *Stats) reset() {
 		&s.LiveActivationWords, &s.PeakActivationWords,
 		&s.TailCalls, &s.ChargedUnits,
 		&s.Steals, &s.StealContention, &s.Parks, &s.InjectedTasks,
-		&s.AffinityHits, &s.AffinityMisses,
 		&s.Blocks.Allocated, &s.Blocks.Copies, &s.Blocks.Retains,
 		&s.Blocks.Releases, &s.Blocks.Freed,
 		&s.Retries, &s.SnapshotCopies, &s.OpTimeouts, &s.FaultsInjected,
@@ -197,9 +193,6 @@ func (s *Stats) String() string {
 	if fn, fd := atomic.LoadInt64(&s.FusedNodes), atomic.LoadInt64(&s.FusedDispatchesSaved); fn != 0 || fd != 0 {
 		out += fmt.Sprintf(" fused=%d(-%d dispatches)", fn, fd)
 	}
-	if ah, am := atomic.LoadInt64(&s.AffinityHits), atomic.LoadInt64(&s.AffinityMisses); ah != 0 || am != 0 {
-		out += fmt.Sprintf(" affinity=%d/%d", ah, ah+am)
-	}
 	return out
 }
 
@@ -216,12 +209,9 @@ type TimingEntry struct {
 	// (Engine.ProfileWeights) uses the flag to normalize the two.
 	Fused bool
 	// Stolen marks a Real-mode entry whose task was pushed by a different
-	// worker than the one that ran it (it crossed the steal path); Affinity
-	// marks an entry dispatched on its preferred producer's worker (Real) or
-	// processor (Simulated) under an active affinity plan. The gantt
-	// renderer surfaces both.
-	Stolen   bool
-	Affinity bool
+	// worker than the one that ran it (it crossed the steal path). The gantt
+	// renderer marks it.
+	Stolen bool
 }
 
 // TimingLog collects node timings from all workers. The engine's executors

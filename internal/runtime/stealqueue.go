@@ -220,8 +220,7 @@ func newStealScheduler(workers int, stats *Stats, tr *tracer) *stealScheduler {
 // onto its own deque. The boot worker (proc -1) seeds worker 0's deques
 // instead: it runs before any worker goroutine is spawned, and the go
 // statement orders its pushes before every pop and steal, so it may act as
-// that deque's owner. A seed completed no producer, so it carries no
-// preference. The task is written into the node's slot in its activation
+// that deque's owner. The task is written into the node's slot in its activation
 // (activation.tasks), never allocated.
 //
 // Every task not yet retired holds one unit of outstanding. A task that
@@ -244,9 +243,6 @@ func (s *stealScheduler) push(w *worker, a *activation, n *graph.Node) {
 		return
 	}
 	*t = task{act: a, node: n, from: int32(w.proc)}
-	if w.pref {
-		t.prov = taskPref
-	}
 	own := &s.local[w.proc]
 	switch {
 	case own.slot == nil && s.nidle.Load() == 0:
@@ -275,7 +271,7 @@ func (s *stealScheduler) next(w *worker) (task, bool) {
 	if t := own.slot; t != nil {
 		own.slot = nil
 		if !s.closed.Load() && !own.waitingAbove(own.slotPri) {
-			return hand(w, t), true
+			return *t, true
 		}
 		s.pushLocal(w.proc, t, own.slotPri)
 	}
@@ -290,7 +286,7 @@ func (s *stealScheduler) next(w *worker) (task, bool) {
 			continue
 		}
 		if t := s.find(w.proc); t != nil {
-			return hand(w, t), true
+			return *t, true
 		}
 		runtime.Gosched()
 	}
@@ -306,17 +302,6 @@ func (own *workerDeques) waitingAbove(pri Priority) bool {
 		}
 	}
 	return false
-}
-
-// hand copies the task out of its activation slot for w to execute (the
-// slot is rewritten once the activation recycles) and resolves its
-// preferred-producer hit.
-func hand(w *worker, t *task) task {
-	tk := *t
-	if tk.prov&taskPref != 0 && tk.from == int32(w.proc) {
-		tk.prov |= taskHit
-	}
-	return tk
 }
 
 // retire counts the task out; the last one closes the scheduler. A task

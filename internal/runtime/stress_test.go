@@ -2,14 +2,40 @@ package runtime
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/graph"
 	"repro/internal/operator"
+	"repro/internal/opt"
 	"repro/internal/value"
 )
+
+// blockTreeSrc is a block-carrying recursive fan-out: every leaf allocates
+// a fresh block, destructively fills it (retryable — a fault target), and
+// folds the blocks' sums upward in a fixed graph shape, so the float
+// result is bit-identical iff every block was filled and read correctly.
+const blockTreeSrc = `
+tree(n)
+  if is_equal(n, 0)
+  then blocksum(rfill(mkblock(4), 1))
+  else add(tree(sub(n, 1)), add(tree(sub(n, 1)), blocksum(rfill(mkblock(8), n))))
+
+main(n) tree(n)
+`
+
+// compileBlockTree builds blockTreeSrc with the optimizing pipeline in
+// compile-driver order (memplan -> fuse).
+func compileBlockTree(t *testing.T) *graph.Program {
+	t.Helper()
+	g := compile(t, blockTreeSrc, faultOps())
+	opt.PlanMemory(g)
+	opt.FuseGraph(g, nil)
+	return g
+}
 
 // TestDeepNonTailRecursion exercises the continuation chain: a non-tail
 // recursive sum builds thousands of nested activations which unwind
@@ -174,7 +200,7 @@ main(n)
 // its activation. The teardown must sweep every one of those activations,
 // or the later failures' blocks leak.
 func TestBudgetExceededOnEveryWorkerFreesBlocks(t *testing.T) {
-	g := compile(t, affinitySrc, faultOps())
+	g := compile(t, blockTreeSrc, faultOps())
 	for i := 0; i < 200; i++ {
 		e := New(g, Config{Mode: Real, Workers: 4, MaxOps: int64(300 + 7*i)})
 		_, err := e.Run(value.Int(9))
@@ -266,6 +292,108 @@ main(x) f(f(x, 1), f(x, 2))
 				want = v
 			} else if !value.Equal(v, want) {
 				t.Fatalf("run %d: %v != %v", i, v, want)
+			}
+		}
+	}
+}
+
+// TestBlockTreeRepeatedRuns hammers the stealing pool on the block tree:
+// many workers, wide fan-out, a fresh engine each run, every run
+// bit-identical and leak-free.
+func TestBlockTreeRepeatedRuns(t *testing.T) {
+	g := compileBlockTree(t)
+	var ref string
+	for i := 0; i < 5; i++ {
+		e := New(g, Config{Mode: Real, Workers: 8, MaxOps: 5_000_000})
+		v, err := e.Run(value.Int(8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := fmt.Sprintf("%v", v)
+		if ref == "" {
+			ref = got
+		} else if got != ref {
+			t.Fatalf("run %d diverged: %s vs %s", i, got, ref)
+		}
+		st := e.Stats()
+		if st.Blocks.Allocated != st.Blocks.Freed {
+			t.Fatalf("run %d: leak: allocated %d freed %d", i, st.Blocks.Allocated, st.Blocks.Freed)
+		}
+	}
+}
+
+// TestExecutorParity pins what the single dispatch step guarantees in every
+// mode: the same fused+memplanned program does the same work and
+// logs the same operator executions under the serial queue, the
+// work-stealing pool and the simulated machine, every opened trace slice is
+// closed — on a run that fails mid-way too — and no block leaks.
+func TestExecutorParity(t *testing.T) {
+	g := compileBlockTree(t)
+	type entry struct {
+		name, tmpl string
+		fused      bool
+	}
+	var refOps [11]int64
+	var refLog map[entry]int
+	for _, fail := range []bool{false, true} {
+		for i, cfg := range []Config{
+			{Mode: Real, Workers: 1},
+			{Mode: Real, Workers: 2},
+			{Mode: Real, Workers: 8},
+			{Mode: Simulated, Workers: 4},
+		} {
+			name := fmt.Sprintf("fail=%v/mode=%d/w%d", fail, cfg.Mode, cfg.Workers)
+			cfg.MaxOps, cfg.Timing, cfg.Trace = 5_000_000, true, true
+			if fail {
+				cfg.Faults = NewFaultPlan(Fault{Op: "rfill", Execution: 20, Kind: FaultError})
+			}
+			e := New(g, cfg)
+			_, err := e.Run(value.Int(6))
+			if (err != nil) != fail {
+				t.Fatalf("%s: err = %v", name, err)
+			}
+			st := e.Stats()
+			if st.Blocks.Allocated != st.Blocks.Freed {
+				t.Errorf("%s: block leak: allocated %d freed %d", name, st.Blocks.Allocated, st.Blocks.Freed)
+			}
+			var starts, ends int
+			for _, buf := range e.Trace().Events {
+				for _, ev := range buf {
+					switch ev.Type {
+					case TraceNodeStart:
+						starts++
+					case TraceNodeEnd:
+						ends++
+					}
+				}
+			}
+			if starts == 0 || starts != ends {
+				t.Errorf("%s: %d node starts, %d node ends", name, starts, ends)
+			}
+			if fail {
+				continue
+			}
+			// A fresh engine acquires one activation per expansion plus the
+			// root; which acquisitions find a recycled one depends on the
+			// schedule, so only their sum is pinned.
+			ops := [11]int64{st.OpsExecuted, st.OperatorsRun, st.FusedNodes,
+				st.FusedDispatchesSaved, st.ChargedUnits, st.TailCalls,
+				st.ElidedRetains, st.ElidedReleases, st.PooledAllocs, st.CopiesAvoided,
+				st.ActivationsAllocated + st.ActivationsReused}
+			log := make(map[entry]int)
+			for _, en := range e.Timing().Entries() {
+				log[entry{en.Name, en.Template, en.Fused}]++
+			}
+			if i == 0 {
+				refOps, refLog = ops, log
+				continue
+			}
+			if ops != refOps {
+				t.Errorf("%s: ops/operators/fused/saved/charged/tail/elided retains/elided releases/pooled/copies avoided/activations = %v, serial run had %v",
+					name, ops, refOps)
+			}
+			if !reflect.DeepEqual(log, refLog) {
+				t.Errorf("%s: timing log differs from the serial run's:\n got %v\nwant %v", name, log, refLog)
 			}
 		}
 	}

@@ -65,10 +65,6 @@ const (
 	// count. The per-member node start/end pairs follow inside the
 	// supernode's bracketing slice.
 	TraceFused
-	// TraceAffinity records the outcome of one preferred-edge dispatch
-	// under an active affinity plan: Arg is 1 for a hit (the task ran on
-	// its producer's worker) and 0 for a miss (it migrated).
-	TraceAffinity
 )
 
 // String names the event kind.
@@ -104,8 +100,6 @@ func (t TraceEventType) String() string {
 		return "mem-elide"
 	case TraceFused:
 		return "fused"
-	case TraceAffinity:
-		return "affinity"
 	default:
 		return "unknown"
 	}

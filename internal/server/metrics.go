@@ -86,10 +86,6 @@ func (s *Server) MetricsText() string {
 		func(p *program) int64 { return atomic.LoadInt64(&p.agg.faultsInjected) })
 	perProg("delserver_steals_total", "work-stealing scheduler steals",
 		func(p *program) int64 { return atomic.LoadInt64(&p.agg.steals) })
-	perProg("delserver_affinity_hits_total", "preferred-edge dispatches that ran on their producer's worker",
-		func(p *program) int64 { return atomic.LoadInt64(&p.agg.affinityHits) })
-	perProg("delserver_affinity_misses_total", "preferred-edge dispatches that migrated off their producer's worker",
-		func(p *program) int64 { return atomic.LoadInt64(&p.agg.affinityMisses) })
 	perProg("delserver_elided_refcounts_total", "refcount ops skipped by the memory plan",
 		func(p *program) int64 {
 			return atomic.LoadInt64(&p.agg.elidedRetains) + atomic.LoadInt64(&p.agg.elidedReleases)

@@ -136,7 +136,6 @@ type program struct {
 type statsAgg struct {
 	ops, operators, retries, opTimeouts, faultsInjected int64
 	steals, parks                                       int64
-	affinityHits, affinityMisses                        int64
 	elidedRetains, elidedReleases                       int64
 	pooledAllocs, copiesAvoided, fusedNodes             int64
 	snapshotCopies                                      int64
@@ -151,8 +150,6 @@ func (a *statsAgg) merge(st *runtime.Stats) {
 	atomic.AddInt64(&a.faultsInjected, st.FaultsInjected)
 	atomic.AddInt64(&a.steals, st.Steals)
 	atomic.AddInt64(&a.parks, st.Parks)
-	atomic.AddInt64(&a.affinityHits, st.AffinityHits)
-	atomic.AddInt64(&a.affinityMisses, st.AffinityMisses)
 	atomic.AddInt64(&a.elidedRetains, st.ElidedRetains)
 	atomic.AddInt64(&a.elidedReleases, st.ElidedReleases)
 	atomic.AddInt64(&a.pooledAllocs, st.PooledAllocs)

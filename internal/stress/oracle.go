@@ -19,16 +19,10 @@ type Variant struct {
 	// — the adaptive loop's compile path. Profile weights only reorder
 	// ready queues, so every fingerprint must still match the reference.
 	Profiled bool
-	// Affinity compiles the affinity plan and runs with locality hints on
-	// (producer-preferred dispatch, hint-first placement). Hints are advisory —
-	// they move work between workers, never change it — so every
-	// fingerprint must still match the reference.
-	Affinity bool
 }
 
 // Variants returns the compile configurations: the four fuse×memplan
-// combinations, the profile-guided adaptive recompile, and the
-// affinity-scheduled leg.
+// combinations and the profile-guided adaptive recompile.
 func Variants() []Variant {
 	return []Variant{
 		{Name: "plain"},
@@ -36,7 +30,6 @@ func Variants() []Variant {
 		{Name: "memplan", MemPlan: true},
 		{Name: "fuse+memplan", Fuse: true, MemPlan: true},
 		{Name: "adaptive", Fuse: true, MemPlan: true, Profiled: true},
-		{Name: "affinity", Fuse: true, MemPlan: true, Affinity: true},
 	}
 }
 
@@ -157,7 +150,6 @@ type statsSnap struct {
 	pooledAllocs, copiesAvoided   int64
 	fusedNodes, fusedSaved        int64
 	retries, faultsInjected       int64
-	affHits, affMisses            int64
 }
 
 func snap(st *rt.Stats) statsSnap {
@@ -173,8 +165,6 @@ func snap(st *rt.Stats) statsSnap {
 		fusedSaved:     st.FusedDispatchesSaved,
 		retries:        st.Retries,
 		faultsInjected: st.FaultsInjected,
-		affHits:        st.AffinityHits,
-		affMisses:      st.AffinityMisses,
 	}
 }
 
@@ -202,10 +192,6 @@ func checkInvariants(v Variant, s RunSpec, st statsSnap) []string {
 	if st.fusedSaved > st.fusedNodes || st.fusedNodes > st.ops {
 		bad = append(bad, fmt.Sprintf("fusion counters incoherent: saved=%d nodes=%d ops=%d",
 			st.fusedSaved, st.fusedNodes, st.ops))
-	}
-	if !v.Affinity && (st.affHits != 0 || st.affMisses != 0) {
-		bad = append(bad, fmt.Sprintf("affinity counters nonzero without affinity: hits=%d misses=%d",
-			st.affHits, st.affMisses))
 	}
 	if s.Faults {
 		if st.retries < st.faultsInjected {
@@ -250,9 +236,7 @@ func runSpec(rep *Report, v Variant, s RunSpec, res *compile.Result) {
 		}
 	}
 
-	cfg := s.config()
-	cfg.AffinityHints = v.Affinity
-	eng := rt.New(res.Program, cfg)
+	eng := rt.New(res.Program, s.config())
 	switch s.Reuse {
 	case ReuseRunMany:
 		// Stats describe only a batch's last invocation (RunMany Resets
@@ -307,7 +291,6 @@ func CheckSource(file, src string, specs []RunSpec) *Report {
 			Registry: Operators(),
 			Fuse:     v.Fuse,
 			MemPlan:  v.MemPlan,
-			Affinity: v.Affinity,
 		}
 		if v.Profiled {
 			prof, err := calibrate(file, src, opts)
