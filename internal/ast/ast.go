@@ -1,6 +1,7 @@
 // Package ast defines the abstract syntax tree for Delirium coordination
-// programs, along with a generic walker, a deep-clone operation (used by the
-// inliner and the parallel tree-walking passes), and a source printer.
+// programs, along with a generic walker, a copy-on-change rewriter, a
+// deep-clone operation (used by environment analysis, macro expansion and
+// the inliner), and a source printer.
 //
 // The language has exactly the six constructs of §3 of the paper: atomic
 // values, multiple values, let bindings (single value, multiple-value

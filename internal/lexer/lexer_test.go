@@ -244,3 +244,25 @@ func TestScanUnicodeIdentifiers(t *testing.T) {
 		t.Errorf("tok0 = %+v", toks[0])
 	}
 }
+
+// TestDescribeExactOutput pins delc -tokens' format: the position padded
+// to twelve columns, then the token, one per line.
+func TestDescribeExactOutput(t *testing.T) {
+	var diags source.DiagList
+	toks := New("t.dlr", "main() add(1, 2.5) -- c\n  \"s\"", &diags).ScanAll()
+	want := `t.dlr:1:1    identifier "main"
+t.dlr:1:5    '('
+t.dlr:1:6    ')'
+t.dlr:1:8    identifier "add"
+t.dlr:1:11   '('
+t.dlr:1:12   integer "1"
+t.dlr:1:13   ','
+t.dlr:1:15   float "2.5"
+t.dlr:1:18   ')'
+t.dlr:2:3    string "s"
+t.dlr:2:6    EOF
+`
+	if got := Describe(toks); got != want {
+		t.Errorf("Describe =\n%s\nwant\n%s", got, want)
+	}
+}

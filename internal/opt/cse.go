@@ -1,7 +1,10 @@
 package opt
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -68,131 +71,182 @@ type cser struct {
 	round  int
 	st     *Stats
 	nextID int
+
+	// Per-region tables, reused across the lets of one walk. A pure call's
+	// structural key (see appendKey) names a slot; key strings are
+	// allocated only when a slot is created.
+	key    []byte
+	slots  map[string]int
+	counts []int       // occurrences per slot
+	names  []string    // fresh binder per slot, "" until the first replacement
+	extra  []*ast.Bind // binders minted for the current let
 }
 
 // rewrite walks the tree top-down so outer regions are processed before the
-// deferred subtrees they contain.
+// deferred subtrees they contain. It is copy-on-change: an unchanged
+// subtree is returned as is.
 func (c *cser) rewrite(e ast.Expr) ast.Expr {
 	switch x := e.(type) {
-	case nil, *ast.IntLit, *ast.FloatLit, *ast.StrLit, *ast.NullLit, *ast.Ident:
-		return e
 	case *ast.Call:
-		nc := &ast.Call{P: x.P, Fun: c.rewrite(x.Fun), Tail: x.Tail}
-		for _, a := range x.Args {
-			nc.Args = append(nc.Args, c.rewrite(a))
+		fun := c.rewrite(x.Fun)
+		if args, changed := ast.Map(x.Args, c.rewrite); changed || fun != x.Fun {
+			return &ast.Call{P: x.P, Fun: fun, Args: args, Tail: x.Tail}
 		}
-		return nc
+		return x
 	case *ast.TupleExpr:
-		nt := &ast.TupleExpr{P: x.P}
-		for _, el := range x.Elems {
-			nt.Elems = append(nt.Elems, c.rewrite(el))
+		if elems, changed := ast.Map(x.Elems, c.rewrite); changed {
+			return &ast.TupleExpr{P: x.P, Elems: elems}
 		}
-		return nt
+		return x
 	case *ast.If:
-		return &ast.If{P: x.P, Cond: c.rewrite(x.Cond), Then: c.rewrite(x.Then), Else: c.rewrite(x.Else)}
-	case *ast.Iterate:
-		ni := &ast.Iterate{P: x.P}
-		for _, iv := range x.Vars {
-			ni.Vars = append(ni.Vars, &ast.IterVar{P: iv.P, Name: iv.Name, Init: c.rewrite(iv.Init), Next: c.rewrite(iv.Next)})
+		cond, then, els := c.rewrite(x.Cond), c.rewrite(x.Then), c.rewrite(x.Else)
+		if cond != x.Cond || then != x.Then || els != x.Else {
+			return &ast.If{P: x.P, Cond: cond, Then: then, Else: els}
 		}
-		ni.Cond = c.rewrite(x.Cond)
-		ni.Result = c.rewrite(x.Result)
-		return ni
+		return x
+	case *ast.Iterate:
+		vars, changed := ast.Map(x.Vars, func(iv *ast.IterVar) *ast.IterVar {
+			return iv.With(c.rewrite(iv.Init), c.rewrite(iv.Next))
+		})
+		cond, result := c.rewrite(x.Cond), c.rewrite(x.Result)
+		if changed || cond != x.Cond || result != x.Result {
+			return &ast.Iterate{P: x.P, Vars: vars, Cond: cond, Result: result}
+		}
+		return x
 	case *ast.Let:
 		let := c.cseLet(x)
-		nl := &ast.Let{P: let.P}
-		for _, b := range let.Binds {
+		binds, changed := ast.Map(let.Binds, func(b *ast.Bind) *ast.Bind {
 			if b.Kind == ast.BindFunc {
-				nl.Binds = append(nl.Binds, b)
-				continue
+				return b
 			}
-			nl.Binds = append(nl.Binds, &ast.Bind{P: b.P, Kind: b.Kind, Names: b.Names,
-				Init: c.rewrite(b.Init)})
+			return b.WithInit(c.rewrite(b.Init))
+		})
+		if body := c.rewrite(let.Body); changed || body != let.Body {
+			return &ast.Let{P: let.P, Binds: binds, Body: body}
 		}
-		nl.Body = c.rewrite(let.Body)
-		return nl
+		return let
 	default:
 		return e
 	}
 }
 
 // cseLet finds duplicated pure calls in the region rooted at this let and
-// binds each to a fresh name.
+// binds each to a fresh name. It returns let itself when no pure call
+// occurs twice.
 func (c *cser) cseLet(let *ast.Let) *ast.Let {
-	counts := make(map[string]int)
-	c.countRegion(let, counts)
-
-	shared := make(map[string]string) // printed form -> fresh binder
-	var extra []*ast.Bind
-	replace := func(e ast.Expr) (ast.Expr, bool) {
-		call, ok := e.(*ast.Call)
-		if !ok || !c.pureCall(call) {
-			return e, false
-		}
-		key := ast.Print(call)
-		if counts[key] < 2 {
-			return e, false
-		}
-		name, ok := shared[key]
-		if !ok {
-			c.nextID++
-			name = fmt.Sprintf("cse$%s$%d$%d", c.fname, c.round, c.nextID)
-			shared[key] = name
-			extra = append(extra, &ast.Bind{P: call.P, Kind: ast.BindValue,
-				Names: []string{name}, Init: ast.Clone(call)})
-		} else {
-			atomic.AddInt64(&c.st.CSE, 1)
-		}
-		return &ast.Ident{P: call.P, Name: name, Ref: ast.RefLet}, true
+	if c.slots == nil {
+		c.slots = make(map[string]int)
 	}
-
-	out := &ast.Let{P: let.P, Binds: make([]*ast.Bind, 0, len(let.Binds))}
-	for _, b := range let.Binds {
+	clear(c.slots)
+	c.counts, c.names, c.extra = c.counts[:0], c.names[:0], nil
+	if !c.countRegion(let) {
+		return let
+	}
+	binds, _ := ast.Map(let.Binds, func(b *ast.Bind) *ast.Bind {
 		if b.Kind == ast.BindFunc {
-			out.Binds = append(out.Binds, b)
-			continue
+			return b
 		}
-		out.Binds = append(out.Binds, &ast.Bind{P: b.P, Kind: b.Kind, Names: b.Names,
-			Init: c.replaceRegion(b.Init, replace)})
-	}
-	out.Body = c.replaceRegion(let.Body, replace)
-	out.Binds = append(out.Binds, extra...)
-	return out
+		return b.WithInit(c.replaceRegion(b.Init))
+	})
+	body := c.replaceRegion(let.Body)
+	return &ast.Let{P: let.P, Binds: slices.Concat(binds, c.extra), Body: body}
 }
 
-// pureCall reports whether the call invokes a pure operator and every
-// argument is itself region-safe (literal, identifier, or pure call).
-func (c *cser) pureCall(call *ast.Call) bool {
+// replace binds a pure call that occurs at least twice in the region to its
+// slot's fresh name, minting the binder on the first occurrence.
+func (c *cser) replace(call *ast.Call) (ast.Expr, bool) {
+	key, ok := c.appendKey(c.key[:0], call)
+	c.key = key
+	if !ok {
+		return nil, false
+	}
+	slot, ok := c.slots[string(key)]
+	if !ok || c.counts[slot] < 2 {
+		return nil, false
+	}
+	name := c.names[slot]
+	if name == "" {
+		c.nextID++
+		name = fmt.Sprintf("cse$%s$%d$%d", c.fname, c.round, c.nextID)
+		c.names[slot] = name
+		// The call leaves the tree here and nodes are never written, so
+		// the new binder may take it as is.
+		c.extra = append(c.extra, &ast.Bind{P: call.P, Kind: ast.BindValue,
+			Names: []string{name}, Init: call})
+	} else {
+		atomic.AddInt64(&c.st.CSE, 1)
+	}
+	return &ast.Ident{P: call.P, Name: name, Ref: ast.RefLet}, true
+}
+
+// appendKey appends call's structural key to buf and reports whether call
+// is pure: a pure operator applied to literals, identifiers and pure calls.
+// Two pure calls have equal keys exactly when they print alike (binder
+// uniqueness makes that semantic equality), so CSE never prints. Every
+// variable-length field is length-prefixed, and all NaNs share one key as
+// they share one printed form.
+func (c *cser) appendKey(buf []byte, call *ast.Call) ([]byte, bool) {
 	id, ok := call.Fun.(*ast.Ident)
 	if !ok || id.Ref != ast.RefOperator {
-		return false
+		return buf, false
 	}
 	op, ok := c.info.Registry.Lookup(id.Name)
 	if !ok || !op.Pure {
-		return false
+		return buf, false
 	}
+	buf = appendName(append(buf, 'C'), id.Name)
+	buf = binary.AppendUvarint(buf, uint64(len(call.Args)))
 	for _, a := range call.Args {
 		switch x := a.(type) {
-		case *ast.IntLit, *ast.FloatLit, *ast.StrLit, *ast.NullLit, *ast.Ident:
+		case *ast.IntLit:
+			buf = binary.LittleEndian.AppendUint64(append(buf, 'i'), uint64(x.Val))
+		case *ast.FloatLit:
+			bits := math.Float64bits(x.Val)
+			if math.IsNaN(x.Val) {
+				bits = math.Float64bits(math.NaN())
+			}
+			buf = binary.LittleEndian.AppendUint64(append(buf, 'f'), bits)
+		case *ast.StrLit:
+			buf = appendName(append(buf, 's'), x.Val)
+		case *ast.NullLit:
+			buf = append(buf, 'n')
+		case *ast.Ident:
+			buf = appendName(append(buf, 'v'), x.Name)
 		case *ast.Call:
-			if !c.pureCall(x) {
-				return false
+			if buf, ok = c.appendKey(buf, x); !ok {
+				return buf, false
 			}
 		default:
-			return false
+			return buf, false
 		}
 	}
-	return true
+	return buf, true
 }
 
-// countRegion tallies printed forms of pure calls in the let's region.
-func (c *cser) countRegion(let *ast.Let, counts map[string]int) {
+func appendName(buf []byte, s string) []byte {
+	return append(binary.AppendUvarint(buf, uint64(len(s))), s...)
+}
+
+// countRegion tallies the keys of pure calls in the let's region and
+// reports whether any occurs twice.
+func (c *cser) countRegion(let *ast.Let) bool {
+	dup := false
 	var visit func(e ast.Expr)
 	visit = func(e ast.Expr) {
 		switch x := e.(type) {
 		case *ast.Call:
-			if c.pureCall(x) {
-				counts[ast.Print(x)]++
+			key, ok := c.appendKey(c.key[:0], x)
+			c.key = key
+			if ok {
+				slot, seen := c.slots[string(key)]
+				if !seen {
+					slot = len(c.counts)
+					c.slots[string(key)] = slot
+					c.counts = append(c.counts, 0)
+					c.names = append(c.names, "")
+				}
+				c.counts[slot]++
+				dup = dup || c.counts[slot] >= 2
 			}
 			visit(x.Fun)
 			for _, a := range x.Args {
@@ -218,16 +272,15 @@ func (c *cser) countRegion(let *ast.Let, counts map[string]int) {
 		}
 	}
 	visit(let.Body)
+	return dup
 }
 
 // replaceRegion applies replace to every region expression, recursing with
-// the same boundaries as countRegion.
-func (c *cser) replaceRegion(e ast.Expr, replace func(ast.Expr) (ast.Expr, bool)) ast.Expr {
+// the same boundaries as countRegion. It is copy-on-change.
+func (c *cser) replaceRegion(e ast.Expr) ast.Expr {
 	switch x := e.(type) {
-	case nil, *ast.IntLit, *ast.FloatLit, *ast.StrLit, *ast.NullLit, *ast.Ident:
-		return e
 	case *ast.Call:
-		if r, done := replace(x); done {
+		if r, done := c.replace(x); done {
 			return r
 		}
 		// The callee expression evaluates eagerly too — recurse into it,
@@ -236,26 +289,29 @@ func (c *cser) replaceRegion(e ast.Expr, replace func(ast.Expr) (ast.Expr, bool)
 		// in function position) permanently irreplaceable, and the
 		// fixpoint would mint a fresh alias bind for the same expression
 		// every round instead of converging.
-		nc := &ast.Call{P: x.P, Fun: c.replaceRegion(x.Fun, replace), Tail: x.Tail}
-		for _, a := range x.Args {
-			nc.Args = append(nc.Args, c.replaceRegion(a, replace))
+		fun := c.replaceRegion(x.Fun)
+		if args, changed := ast.Map(x.Args, c.replaceRegion); changed || fun != x.Fun {
+			return &ast.Call{P: x.P, Fun: fun, Args: args, Tail: x.Tail}
 		}
-		return nc
+		return x
 	case *ast.TupleExpr:
-		nt := &ast.TupleExpr{P: x.P}
-		for _, el := range x.Elems {
-			nt.Elems = append(nt.Elems, c.replaceRegion(el, replace))
+		if elems, changed := ast.Map(x.Elems, c.replaceRegion); changed {
+			return &ast.TupleExpr{P: x.P, Elems: elems}
 		}
-		return nt
+		return x
 	case *ast.If:
-		return &ast.If{P: x.P, Cond: c.replaceRegion(x.Cond, replace), Then: x.Then, Else: x.Else}
-	case *ast.Iterate:
-		ni := &ast.Iterate{P: x.P, Cond: x.Cond, Result: x.Result}
-		for _, iv := range x.Vars {
-			ni.Vars = append(ni.Vars, &ast.IterVar{P: iv.P, Name: iv.Name,
-				Init: c.replaceRegion(iv.Init, replace), Next: iv.Next})
+		if cond := c.replaceRegion(x.Cond); cond != x.Cond {
+			return &ast.If{P: x.P, Cond: cond, Then: x.Then, Else: x.Else}
 		}
-		return ni
+		return x
+	case *ast.Iterate:
+		vars, changed := ast.Map(x.Vars, func(iv *ast.IterVar) *ast.IterVar {
+			return iv.With(c.replaceRegion(iv.Init), iv.Next)
+		})
+		if changed {
+			return &ast.Iterate{P: x.P, Vars: vars, Cond: x.Cond, Result: x.Result}
+		}
+		return x
 	default:
 		return e
 	}

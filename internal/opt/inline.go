@@ -8,23 +8,29 @@ import (
 	"repro/internal/sema"
 )
 
-// BodySnapshot is a frozen copy of every function body, taken between the
-// local-rewrite phase and the inline phase so that parallel per-function
-// inlining never reads a body another worker is rewriting.
+// BodySnapshot records every function's body as it stood between the
+// local-rewrite phase and the inline phase, so that parallel per-function
+// inlining never reads a body another worker is rewriting. It copies no
+// tree: after environment analysis no pass writes an AST node, so a body
+// pointer taken here stays valid however the function is rewritten later
+// (DESIGN decision 23).
 type BodySnapshot struct {
 	bodies map[string]*ast.FuncDecl
 	sizes  map[string]int
 }
 
 // Snapshot captures the current bodies and node counts of every function.
+// Each entry is a shallow copy of the declaration: the optimizer replaces a
+// function's Body field, never the nodes it points to.
 func Snapshot(info *sema.Info) *BodySnapshot {
 	s := &BodySnapshot{
 		bodies: make(map[string]*ast.FuncDecl, len(info.Funcs)),
 		sizes:  make(map[string]int, len(info.Funcs)),
 	}
 	for name, f := range info.Funcs {
-		s.bodies[name] = ast.CloneFunc(f.Decl)
-		s.sizes[name] = ast.Count(f.Decl.Body)
+		d := *f.Decl
+		s.bodies[name] = &d
+		s.sizes[name] = ast.Count(d.Body)
 	}
 	return s
 }
@@ -55,54 +61,52 @@ type inliner struct {
 // rewrite walks the body. tail tracks whether the current position is a
 // tail position: tail calls are not inlined, preserving the runtime's O(1)
 // activation reuse for loops (an inlined self-tail-call would unroll once
-// and then still recurse).
+// and then still recurse). It is copy-on-change: an unchanged subtree is
+// returned as is.
 func (in *inliner) rewrite(e ast.Expr, tail bool) ast.Expr {
+	inner := func(e ast.Expr) ast.Expr { return in.rewrite(e, false) }
 	switch x := e.(type) {
-	case nil, *ast.IntLit, *ast.FloatLit, *ast.StrLit, *ast.NullLit, *ast.Ident:
-		return e
 	case *ast.Call:
-		nc := &ast.Call{P: x.P, Fun: x.Fun, Tail: x.Tail}
-		for _, a := range x.Args {
-			nc.Args = append(nc.Args, in.rewrite(a, false))
+		if args, changed := ast.Map(x.Args, inner); changed {
+			x = &ast.Call{P: x.P, Fun: x.Fun, Args: args, Tail: x.Tail}
 		}
 		if !tail {
-			if r, ok := in.tryInline(nc); ok {
+			if r, ok := in.tryInline(x); ok {
 				return r
 			}
 		}
-		return nc
+		return x
 	case *ast.TupleExpr:
-		nt := &ast.TupleExpr{P: x.P}
-		for _, el := range x.Elems {
-			nt.Elems = append(nt.Elems, in.rewrite(el, false))
+		if elems, changed := ast.Map(x.Elems, inner); changed {
+			return &ast.TupleExpr{P: x.P, Elems: elems}
 		}
-		return nt
+		return x
 	case *ast.Let:
-		nl := &ast.Let{P: x.P}
-		for _, b := range x.Binds {
+		binds, changed := ast.Map(x.Binds, func(b *ast.Bind) *ast.Bind {
 			if b.Kind == ast.BindFunc {
-				nl.Binds = append(nl.Binds, b)
-				continue
+				return b
 			}
-			nl.Binds = append(nl.Binds, &ast.Bind{P: b.P, Kind: b.Kind, Names: b.Names,
-				Init: in.rewrite(b.Init, false)})
+			return b.WithInit(in.rewrite(b.Init, false))
+		})
+		if body := in.rewrite(x.Body, tail); changed || body != x.Body {
+			return &ast.Let{P: x.P, Binds: binds, Body: body}
 		}
-		nl.Body = in.rewrite(x.Body, tail)
-		return nl
+		return x
 	case *ast.If:
-		return &ast.If{P: x.P,
-			Cond: in.rewrite(x.Cond, false),
-			Then: in.rewrite(x.Then, tail),
-			Else: in.rewrite(x.Else, tail)}
-	case *ast.Iterate:
-		ni := &ast.Iterate{P: x.P}
-		for _, iv := range x.Vars {
-			ni.Vars = append(ni.Vars, &ast.IterVar{P: iv.P, Name: iv.Name,
-				Init: in.rewrite(iv.Init, false), Next: in.rewrite(iv.Next, false)})
+		cond, then, els := in.rewrite(x.Cond, false), in.rewrite(x.Then, tail), in.rewrite(x.Else, tail)
+		if cond != x.Cond || then != x.Then || els != x.Else {
+			return &ast.If{P: x.P, Cond: cond, Then: then, Else: els}
 		}
-		ni.Cond = in.rewrite(x.Cond, false)
-		ni.Result = in.rewrite(x.Result, false)
-		return ni
+		return x
+	case *ast.Iterate:
+		vars, changed := ast.Map(x.Vars, func(iv *ast.IterVar) *ast.IterVar {
+			return iv.With(in.rewrite(iv.Init, false), in.rewrite(iv.Next, false))
+		})
+		cond, result := in.rewrite(x.Cond, false), in.rewrite(x.Result, false)
+		if changed || cond != x.Cond || result != x.Result {
+			return &ast.Iterate{P: x.P, Vars: vars, Cond: cond, Result: result}
+		}
+		return x
 	default:
 		return e
 	}

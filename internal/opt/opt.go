@@ -8,16 +8,24 @@
 // The pass runs on the alpha-renamed, resolved AST produced by environment
 // analysis, which makes every transformation a local rewrite:
 //
-//   - textual equality of pure expressions implies semantic equality
-//     (single assignment plus unique names), enabling CSE by printed form;
+//   - structural equality of pure expressions implies semantic equality
+//     (single assignment plus unique names), so CSE keys a pure call by a
+//     structural key that matches exactly when the printed forms would;
 //   - binder uniqueness lets inlined bodies keep their free names, so a
 //     lifted function's captures resolve correctly at any inline site.
 //
+// That AST is persistent (DESIGN decision 23): every walk here is
+// copy-on-change, returning an unchanged subtree as the node it was given,
+// and no pass writes a node it did not just allocate. The one field
+// written in place is a function's Body, which the drivers replace with
+// each walk's result.
+//
 // In the parallel compiler (internal/selfcomp) the local transformations
 // are a synthesized-attribute walk (§6.2 strategy 3) run independently per
-// top-level unit — a function and the functions lifted out of it; inlining reads a frozen snapshot of callee bodies between two
-// local phases so that parallel workers never observe each other's
-// rewrites.
+// top-level unit — a function and the functions lifted out of it; inlining
+// reads a snapshot of callee bodies taken between two local phases, so
+// parallel workers never observe each other's rewrites. Because bodies are
+// never written, the snapshot shares them rather than copying.
 package opt
 
 import (
@@ -107,6 +115,7 @@ func OptimizeFunc(info *sema.Info, f *ast.FuncDecl, opts Options, st *Stats) {
 	if opts.Level <= 0 {
 		return
 	}
+	f.Body = ownNested(info, f.Body)
 	for round := 0; round < opts.maxRounds(); round++ {
 		before := snapshotCounts(st)
 		f.Body = foldExpr(info, f.Body, st)
@@ -117,6 +126,36 @@ func OptimizeFunc(info *sema.Info, f *ast.FuncDecl, opts Options, st *Stats) {
 			return
 		}
 	}
+}
+
+// ownNested gives the tree its own declaration node for each nested
+// definition that is still the lifted declaration sema registered. The
+// optimizer replaces a lifted function's Body field (DESIGN decision 23);
+// a tree that shared the declaration would see that write, and so would a
+// snapshot of the enclosing function. The copies share their bodies: the
+// enclosing function keeps the nest as it stood when its own optimization
+// began.
+func ownNested(info *sema.Info, e ast.Expr) ast.Expr {
+	return ast.Rewrite(e, func(e ast.Expr) ast.Expr {
+		let, ok := e.(*ast.Let)
+		if !ok {
+			return e
+		}
+		binds, changed := ast.Map(let.Binds, func(b *ast.Bind) *ast.Bind {
+			if b.Kind != ast.BindFunc {
+				return b
+			}
+			if lf := info.Funcs[b.Fn.Name]; lf == nil || lf.Decl != b.Fn {
+				return b
+			}
+			nf := *b.Fn
+			return &ast.Bind{P: b.P, Kind: b.Kind, Names: b.Names, Fn: &nf}
+		})
+		if !changed {
+			return e
+		}
+		return &ast.Let{P: let.P, Binds: binds, Body: let.Body}
+	})
 }
 
 func snapshotCounts(s *Stats) [5]int64 {
@@ -179,13 +218,14 @@ func foldExpr(info *sema.Info, e ast.Expr, st *Stats) ast.Expr {
 			if !ok || !op.Pure {
 				return e
 			}
-			args := make([]value.Value, len(x.Args))
-			for i, a := range x.Args {
-				v, lit := litValue(a)
-				if !lit {
+			for _, a := range x.Args {
+				if _, lit := litValue(a); !lit {
 					return e
 				}
-				args[i] = v
+			}
+			args := make([]value.Value, len(x.Args))
+			for i, a := range x.Args {
+				args[i], _ = litValue(a)
 			}
 			v, ok := operator.Fold(op, args)
 			if !ok {
@@ -258,7 +298,7 @@ func propagate(e ast.Expr, st *Stats) ast.Expr {
 				if id, ok := n.(*ast.Ident); ok {
 					if lit, ok := consts[id.Name]; ok {
 						atomic.AddInt64(&st.Propagated, 1)
-						return ast.Clone(lit)
+						return lit // shared: nodes are never written
 					}
 				}
 				return n
