@@ -135,7 +135,7 @@ const settleMax = 64
 // The scans are linear over the node's block lists, which live in the
 // worker's scratch: operators move a handful of blocks.
 func (w *worker) settleRefs(n *graph.Node, ins []value.Value, result value.Value) value.Value {
-	st := &w.e.stats.Blocks
+	st := &w.shard
 
 	res := value.Blocks(result, w.settleRes[:0])
 	inAll := w.settleIns[:0]
@@ -209,7 +209,7 @@ func (w *worker) settleRefs(n *graph.Node, ins []value.Value, result value.Value
 	if n.MemOwned && n.Kind == graph.OpNode {
 		for _, rb := range res {
 			if rb.Refs() != 1 {
-				nv, copied := makeWritable(result, st)
+				nv, copied := w.makeWritable(result)
 				result = nv
 				w.localWords += int64(copied)
 				if w.tr != nil && copied > 0 {
@@ -249,7 +249,7 @@ func (w *worker) releaseDying(v value.Value, owned bool) {
 // may still read it (see Engine.abandoned). An owned block has no reader
 // but this node.
 func (w *worker) releaseBlock(b *value.Block, owned bool) {
-	st := &w.e.stats.Blocks
+	st := &w.shard
 	if owned {
 		if data, ok := b.FreeOwned(st); ok {
 			w.n.elidedReleases++
@@ -298,23 +298,25 @@ func transferRefs(ins []value.Value, result value.Value, st *value.BlockStats) {
 }
 
 // makeWritable rewrites v so that every contained block is exclusively
-// owned, copying shared blocks (§8 rule 2). It consumes the caller's
-// references to replaced blocks and returns the number of words copied.
-func makeWritable(v value.Value, st *value.BlockStats) (value.Value, int) {
+// owned, copying shared blocks (§8 rule 2); a copy inherits its source's
+// placement. It consumes the caller's references to replaced blocks and
+// returns the number of words copied.
+func (w *worker) makeWritable(v value.Value) (value.Value, int) {
 	switch x := v.(type) {
 	case *value.Block:
-		nb, copied := x.Writable(st)
-		if copied {
-			return nb, nb.Size()
+		nb, copied := x.Writable(&w.shard)
+		if !copied {
+			return nb, 0
 		}
-		return nb, 0
+		w.inherit(x, nb)
+		return nb, nb.Size()
 	case value.Tuple:
 		var words int
 		out := make(value.Tuple, len(x))
 		for i, el := range x {
-			w := 0
-			out[i], w = makeWritable(el, st)
-			words += w
+			n := 0
+			out[i], n = w.makeWritable(el)
+			words += n
 		}
 		return out, words
 	default:

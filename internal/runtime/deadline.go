@@ -141,7 +141,7 @@ func (e *Engine) callInline(w *worker, a *activation, n *graph.Node, ins []value
 	if !s.word.CompareAndSwap(deadline, slotIdle) {
 		return nil, errAbandoned
 	}
-	e.adopt(w, &s.sw, v)
+	adopt(w, &s.sw)
 	clear(s.argv)
 	return v, err
 }

@@ -36,11 +36,11 @@ type worker struct {
 	pool       *value.BlockPool
 	hitsFolded int64
 
-	// blocks, when non-nil, overrides the engine-wide counters this
-	// worker's operators reach through Context.BlockStats. Shadow workers
-	// carry a private sink here so that a goroutine abandoned by a timeout
-	// can never write block accounting into the engine — which may since
-	// have been Reset() and reused for a different run.
+	// blocks, when non-nil, overrides the shard as the sink this worker's
+	// operators reach through Context.BlockStats. Shadow workers carry a
+	// private sink here so that a goroutine abandoned by a timeout can never
+	// write block accounting into the engine — which may since have been
+	// Reset() and reused for a different run.
 	blocks *value.BlockStats
 
 	// charge accumulates Context.Charge units of the node being executed.
@@ -57,6 +57,10 @@ type worker struct {
 	// n holds this worker's share of the run's execution counters: plain
 	// adds on the hot path, published into Stats once by fold.
 	n workerCounters
+	// shard is this worker's share of Stats.Blocks: every allocation,
+	// retain, release, copy and free the worker makes counts here, on a
+	// cache line no other worker writes, and fold adds it to Stats.Blocks.
+	shard value.BlockStats
 
 	// free is the worker's activation free lists, indexed by template ID
 	// (Engine.acquire, Engine.release). They survive Reset. The boot worker
@@ -95,10 +99,11 @@ type workerCounters struct {
 	actsAlloc, actsReused                                      int64
 }
 
-// fold adds the worker's counters into the engine's Stats and zeroes them.
-// It also publishes the block pool's hits since the last fold: the pool, and
-// its cumulative hit count, survive Reset. A pooled worker publishes its
-// live-activation changes and stows its free activations in the depot.
+// fold adds the worker's counters and its block-accounting shard into the
+// engine's Stats and zeroes them. It also publishes the block pool's hits
+// since the last fold: the pool, and its cumulative hit count, survive
+// Reset. A pooled worker publishes its live-activation changes and stows its
+// free activations in the depot.
 func (w *worker) fold() {
 	st, c := &w.e.stats, &w.n
 	atomic.AddInt64(&st.OpsExecuted, c.ops)
@@ -112,6 +117,8 @@ func (w *worker) fold() {
 	atomic.AddInt64(&st.CopiesAvoided, c.copiesAvoided)
 	atomic.AddInt64(&st.ActivationsAllocated, c.actsAlloc)
 	atomic.AddInt64(&st.ActivationsReused, c.actsReused)
+	st.Blocks.Add(w.shard)
+	w.shard = value.BlockStats{}
 	hits := w.pool.Hits()
 	atomic.AddInt64(&st.PooledAllocs, hits-w.hitsFolded)
 	w.hitsFolded = hits
@@ -161,12 +168,12 @@ func (w *worker) Charge(units int64) {
 }
 
 // BlockStats implements operator.Context: the worker's private sink when
-// one is installed (shadow workers), the engine's counters otherwise.
+// one is installed (shadow workers), its shard otherwise.
 func (w *worker) BlockStats() *value.BlockStats {
 	if w.blocks != nil {
 		return w.blocks
 	}
-	return &w.e.stats.Blocks
+	return &w.shard
 }
 
 // Processor implements operator.Context.
@@ -300,14 +307,14 @@ func (e *Engine) callOperatorBounded(w *worker, n *graph.Node, ins []value.Value
 		// engine is still in the same run generation. A lost CAS or a stale
 		// generation means this call was abandoned: drop the result on the
 		// floor. Its block allocations were counted against the private sink,
-		// never the engine's, so the engine's Allocated == Freed invariant is
+		// never a worker's shard, so the run's Allocated == Freed invariant is
 		// untouched by the discard.
 		if e.gen.Load() == gen && state.CompareAndSwap(shadowPending, shadowCompleted) {
 			ch <- opResult{v, err}
 		}
 	}()
 	accept := func(r opResult) (value.Value, error) {
-		e.adopt(w, sw, r.v)
+		adopt(w, sw)
 		return r.v, r.err
 	}
 	timer := time.NewTimer(limit)
@@ -336,15 +343,13 @@ func (e *Engine) callOperatorBounded(w *worker, n *graph.Node, ins []value.Value
 
 // adopt merges a completed shadow call into the dispatching worker w.
 // Merging into w.charge routes the shadow's units through execNode's
-// end-of-dispatch stats flush. The shadow's private block accounting merges
-// into the engine's counters, and blocks the operator allocated against the
-// private sink, reachable from its result v, re-home to the engine's so their
-// eventual Freed lands where Allocated was just credited.
-func (e *Engine) adopt(w, sw *worker, v value.Value) {
+// end-of-dispatch stats flush, and the shadow's private block accounting
+// merges into w's shard. The blocks the call allocated count their Freed
+// wherever their last reference drops.
+func adopt(w, sw *worker) {
 	w.charge += sw.charge
 	if sink := sw.blocks; *sink != (value.BlockStats{}) {
-		e.stats.Blocks.Add(*sink)
-		value.RebindStats(v, sink, &e.stats.Blocks)
+		w.shard.Add(*sink)
 	}
 }
 
@@ -390,7 +395,7 @@ func (e *Engine) invokeOp(w *worker, a *activation, n *graph.Node, ins []value.V
 func (e *Engine) execOp(w *worker, a *activation, n *graph.Node, ins []value.Value) error {
 	w.n.operators++
 	if e.cfg.Mode == Simulated {
-		w.touchInputs(ins)
+		w.q.(*simScheduler).touch(w, ins)
 	}
 	maxAttempts := 1
 	if e.cfg.Retry.enabled() && n.Op.CanRetry() {
@@ -412,7 +417,7 @@ func (e *Engine) execOp(w *worker, a *activation, n *graph.Node, ins []value.Val
 				if pristine[i] == nil {
 					pristine[i] = ins[i]
 				}
-				cp, words := snapshotValue(pristine[i], &e.stats.Blocks, &snaps)
+				cp, words := w.snapshotValue(pristine[i], &snaps)
 				ins[i] = cp
 				w.localWords += int64(words)
 			}
@@ -437,7 +442,7 @@ func (e *Engine) execOp(w *worker, a *activation, n *graph.Node, ins []value.Val
 					w.n.copiesAvoided += value.CountBlocks(ins[i])
 					continue
 				}
-				nv, copied := makeWritable(ins[i], &e.stats.Blocks)
+				nv, copied := w.makeWritable(ins[i])
 				ins[i] = nv
 				w.localWords += int64(copied)
 				if w.tr != nil && copied > 0 {
@@ -456,7 +461,7 @@ func (e *Engine) execOp(w *worker, a *activation, n *graph.Node, ins []value.Val
 				result = value.Null{}
 			}
 			if e.cfg.Mode == Simulated {
-				w.homeValue(result)
+				w.q.(*simScheduler).homeValue(w, result)
 			}
 			result = w.settleRefs(n, ins, result)
 			if w.tr != nil {
@@ -469,7 +474,7 @@ func (e *Engine) execOp(w *worker, a *activation, n *graph.Node, ins []value.Val
 			// originals held back for a retry are now surplus.
 			for i := range pristine {
 				if pristine[i] != nil {
-					value.Release(pristine[i], &e.stats.Blocks)
+					value.Release(pristine[i], &w.shard)
 					pristine[i] = nil
 				}
 			}
@@ -490,7 +495,7 @@ func (e *Engine) execOp(w *worker, a *activation, n *graph.Node, ins []value.Val
 			// originals take their place for the next attempt.
 			for i := range pristine {
 				if pristine[i] != nil {
-					value.Release(ins[i], &e.stats.Blocks)
+					value.Release(ins[i], &w.shard)
 					ins[i] = pristine[i]
 				}
 			}
@@ -504,9 +509,9 @@ func (e *Engine) execOp(w *worker, a *activation, n *graph.Node, ins []value.Val
 		// pristine originals alike, so the teardown sweep finds no stale
 		// slots.
 		for i := range ins {
-			value.Release(ins[i], &e.stats.Blocks)
+			value.Release(ins[i], &w.shard)
 			if pristine != nil && pristine[i] != nil {
-				value.Release(pristine[i], &e.stats.Blocks)
+				value.Release(pristine[i], &w.shard)
 			}
 		}
 		clearInputs(ins)
@@ -515,16 +520,16 @@ func (e *Engine) execOp(w *worker, a *activation, n *graph.Node, ins []value.Val
 }
 
 // snapshotValue deep-copies every block reachable from v into a fresh,
-// exclusively-owned block (affinity preserved), leaving v and its
+// exclusively-owned block (placement inherited), leaving v and its
 // reference counts untouched; copies counts the blocks duplicated.
 // Closures are shared rather than copied — they are never destructively
 // modified — but the snapshot retains their environment so the attempt
 // copy owns its own references and settle/release stays balanced.
-func snapshotValue(v value.Value, st *value.BlockStats, copies *int64) (value.Value, int) {
+func (w *worker) snapshotValue(v value.Value, copies *int64) (value.Value, int) {
 	switch x := v.(type) {
 	case *value.Block:
-		nb := value.NewBlockStats(x.Data().Copy(), st)
-		nb.SetAffinity(x.Affinity())
+		nb := value.NewBlockStats(x.Data().Copy(), &w.shard)
+		w.inherit(x, nb)
 		*copies++
 		return nb, nb.Size()
 	case value.Tuple:
@@ -532,12 +537,12 @@ func snapshotValue(v value.Value, st *value.BlockStats, copies *int64) (value.Va
 		words := 0
 		for i, el := range x {
 			var ew int
-			out[i], ew = snapshotValue(el, st, copies)
+			out[i], ew = w.snapshotValue(el, copies)
 			words += ew
 		}
 		return out, words
 	case *value.Closure:
-		value.Retain(x, st)
+		value.Retain(x, &w.shard)
 		return x, 0
 	default:
 		return v, 0
@@ -680,10 +685,10 @@ func (e *Engine) execBody(w *worker, a *activation, n *graph.Node) error {
 			}
 		} else {
 			for _, envV := range cl.Env {
-				value.Retain(envV, &e.stats.Blocks) // the child owns its copy
+				value.Retain(envV, &w.shard) // the child owns its copy
 				args = append(args, envV)
 			}
-			value.Release(cl, &e.stats.Blocks) // drops the closure's env refs
+			value.Release(cl, &w.shard) // drops the closure's env refs
 		}
 		clearInputs(ins)
 		return e.expand(w, a, n, callee, args)
@@ -819,7 +824,7 @@ func (e *Engine) complete(w *worker, a *activation, n *graph.Node, v value.Value
 			w.releaseDying(v, n.MemOwned)
 		default:
 			for i := 1; i < consumers; i++ {
-				value.Retain(v, &e.stats.Blocks)
+				value.Retain(v, &w.shard)
 			}
 		}
 		for _, edge := range n.Out {
@@ -983,32 +988,4 @@ func intsContain(xs []int, v int) bool {
 		}
 	}
 	return false
-}
-
-// touchInputs prices the block traffic of an OpNode's inputs for the
-// simulated memory model and re-homes the blocks to this processor.
-func (w *worker) touchInputs(ins []value.Value) {
-	proc := int32(w.proc)
-	var blocks []*value.Block
-	for _, in := range ins {
-		blocks = value.Blocks(in, blocks)
-	}
-	for _, b := range blocks {
-		if aff := b.Affinity(); aff == value.NoAffinity || aff == proc {
-			w.localWords += int64(b.Size())
-		} else {
-			w.remoteWords += int64(b.Size())
-		}
-		b.SetAffinity(proc)
-	}
-}
-
-// homeValue assigns freshly produced blocks to this processor's cache.
-func (w *worker) homeValue(v value.Value) {
-	proc := int32(w.proc)
-	for _, b := range value.Blocks(v, nil) {
-		if b.Affinity() == value.NoAffinity {
-			b.SetAffinity(proc)
-		}
-	}
 }

@@ -82,14 +82,17 @@ func ones(n int) []int64 {
 
 // checkSettle runs one case through the linear settleRefs and through the
 // map-based transferRefs, each on fresh blocks, and requires both to leave
-// the expected reference counts and identical BlockStats. It reports whether
-// settleRefs took its fallback (its claim scratch never grew).
+// the expected reference counts and identical BlockStats. settleRefs counts
+// into the worker's shard, so its counts are read once fold has added the
+// shard to the engine's Stats.Blocks, where the case allocated. It reports
+// whether settleRefs took its fallback (its claim scratch never grew).
 func checkSettle(t *testing.T, name string) (fallback bool) {
 	t.Helper()
 	c := settleCases[name]
 	w := &worker{e: &Engine{}}
 	ins, result, linear := c.build(&w.e.stats.Blocks)
 	w.settleRefs(&graph.Node{Kind: graph.OpNode}, ins, result)
+	w.fold()
 	var st value.BlockStats
 	ins, result, mapped := c.build(&st)
 	transferRefs(ins, result, &st)

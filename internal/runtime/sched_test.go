@@ -313,6 +313,51 @@ main()
 	}
 }
 
+// TestSimulatedCopyInheritsPlacement: §9.3's data affinity is the simulated
+// executor's placement table, not a word in the block header, and a copy — a
+// copy-on-write at a destructive operator or a retry attempt's snapshot — is
+// placed where its source is. A source with no placement gives its copy none,
+// and a Real-mode worker keeps no table at all.
+func TestSimulatedCopyInheritsPlacement(t *testing.T) {
+	e := &Engine{cfg: Config{Mode: Simulated, Workers: 2}}
+	s := newSimScheduler(e, 2)
+	w := &worker{e: e, q: s}
+	shared := func() *value.Block {
+		b := value.NewBlock(value.FloatVec{1, 2})
+		b.Retain(nil) // a second consumer holds a reference
+		return b
+	}
+
+	src := shared()
+	s.home[src] = 1
+	cp, words := w.makeWritable(src)
+	if cp == value.Value(src) || words != 2 {
+		t.Fatalf("makeWritable on a shared block: same=%v words=%d, want a 2-word copy", cp == value.Value(src), words)
+	}
+	if p, ok := s.home[cp.(*value.Block)]; !ok || p != 1 {
+		t.Errorf("copy-on-write copy placed at %d (placed=%v), want inherited 1", p, ok)
+	}
+	var snaps int64
+	snap, _ := w.snapshotValue(value.Tuple{src}, &snaps)
+	if p, ok := s.home[snap.(value.Tuple)[0].(*value.Block)]; !ok || p != 1 || snaps != 1 {
+		t.Errorf("retry snapshot placed at %d (placed=%v, %d copies), want inherited 1 and one copy", p, ok, snaps)
+	}
+
+	unplaced := shared()
+	cp, _ = w.makeWritable(unplaced)
+	if p, ok := s.home[cp.(*value.Block)]; ok {
+		t.Errorf("copy of an unplaced block placed at %d, want no placement", p)
+	}
+
+	rw := &worker{e: &Engine{}}
+	if cp, _ := rw.makeWritable(shared()); !cp.(*value.Block).Exclusive() {
+		t.Error("Real-mode makeWritable returned a shared block")
+	}
+	if got := w.shard.Copies + rw.shard.Copies; got != 3 {
+		t.Errorf("shards counted %d copies, want 3", got)
+	}
+}
+
 func TestSimulatedUtilizationBounds(t *testing.T) {
 	g := compile(t, `
 main(x)

@@ -320,11 +320,12 @@ func TestWatchdogParksWhenIdle(t *testing.T) {
 	}
 }
 
-// TestShadowCompletionRebindsBlocks pins the accept path: a block allocated
-// inside a bounded (shadow) operator call that completes in time must be
-// re-homed from the shadow's private sink onto the engine's counters, so
-// its later release lands Freed where Allocated was credited.
-func TestShadowCompletionRebindsBlocks(t *testing.T) {
+// TestShadowCompletionAccounting pins the accept path: a block allocated
+// inside a bounded (shadow) operator call that completes in time is counted
+// on the call's private sink, which merges into the dispatching worker's
+// shard on accept; its later release counts Freed where it happens, and the
+// folded totals balance.
+func TestShadowCompletionAccounting(t *testing.T) {
 	g := compile(t, "main(n) bsum(stall(n))", shadowOps(nil))
 	e := New(g, Config{Mode: Real, Workers: 2, MaxOps: 100000,
 		OpTimeout: 5 * time.Second})
@@ -340,7 +341,7 @@ func TestShadowCompletionRebindsBlocks(t *testing.T) {
 		t.Fatal("no allocations recorded; shadow sink never merged")
 	}
 	if st.Blocks.Allocated != st.Blocks.Freed {
-		t.Errorf("allocated %d, freed %d; shadow-allocated block not rebound to the engine sink",
+		t.Errorf("allocated %d, freed %d; the shadow's allocation was not merged on accept",
 			st.Blocks.Allocated, st.Blocks.Freed)
 	}
 }

@@ -68,8 +68,11 @@ type simScheduler struct {
 	procFree []int64
 	busy     []int64
 	lastProc map[string]int // operator name -> last processor
-	heaps    [numPriorities]simHeap
-	seq      int64
+	// home is the run's §9.3 data-placement table: the processor whose cache
+	// last touched each block. A block not in it has no placement yet.
+	home  map[*value.Block]int32
+	heaps [numPriorities]simHeap
+	seq   int64
 	// start is the executing item's start time. clock is what the tracer
 	// reads: events recorded mid-execution (deliveries, copies) stamp the
 	// executing node's virtual start, and a fused dispatch advances it past
@@ -84,7 +87,8 @@ type simScheduler struct {
 
 func newSimScheduler(e *Engine, nproc int) *simScheduler {
 	s := &simScheduler{e: e, prof: e.cfg.profile(), procFree: make([]int64, nproc),
-		busy: make([]int64, nproc), lastProc: make(map[string]int)}
+		busy: make([]int64, nproc), lastProc: make(map[string]int),
+		home: make(map[*value.Block]int32)}
 	e.stats.ProcBusyTicks = s.busy
 	return s
 }
@@ -250,8 +254,8 @@ func (s *simScheduler) place(item simTask, earliest int, t int64) int {
 		weight := make(map[int32]int64)
 		for _, in := range item.act.inputs(item.node) {
 			for _, b := range value.Blocks(in, nil) {
-				if aff := b.Affinity(); aff != value.NoAffinity {
-					weight[aff] += int64(b.Size())
+				if p, ok := s.home[b]; ok {
+					weight[p] += int64(b.Size())
 				}
 			}
 		}
@@ -266,4 +270,41 @@ func (s *simScheduler) place(item simTask, earliest int, t int64) int {
 		}
 	}
 	return earliest
+}
+
+// touch prices the block traffic of an OpNode's inputs for the simulated
+// memory model and re-homes the blocks to w's processor.
+func (s *simScheduler) touch(w *worker, ins []value.Value) {
+	proc := int32(w.proc)
+	var blocks []*value.Block
+	for _, in := range ins {
+		blocks = value.Blocks(in, blocks)
+	}
+	for _, b := range blocks {
+		if p, ok := s.home[b]; !ok || p == proc {
+			w.localWords += int64(b.Size())
+		} else {
+			w.remoteWords += int64(b.Size())
+		}
+		s.home[b] = proc
+	}
+}
+
+// homeValue places freshly produced blocks in w's processor's cache.
+func (s *simScheduler) homeValue(w *worker, v value.Value) {
+	for _, b := range value.Blocks(v, nil) {
+		if _, ok := s.home[b]; !ok {
+			s.home[b] = int32(w.proc)
+		}
+	}
+}
+
+// inherit places a copy of src where src is: on the simulated machine the
+// copy is made in the cache holding its source. Real runs keep no placement.
+func (w *worker) inherit(src, cp *value.Block) {
+	if s, ok := w.q.(*simScheduler); ok {
+		if p, ok := s.home[src]; ok {
+			s.home[cp] = p
+		}
+	}
 }

@@ -12,10 +12,10 @@ import (
 
 // Stats aggregates one run's execution counters. The per-dispatch counters
 // (OpsExecuted, OperatorsRun, ChargedUnits, TailCalls, FusedNodes,
-// FusedDispatchesSaved) and the activation counters (ActivationsAllocated,
-// ActivationsReused) are counted by each worker on its own and folded in as
-// it leaves the run; the rest are updated atomically as they happen. Read
-// them after Run returns.
+// FusedDispatchesSaved), the activation counters (ActivationsAllocated,
+// ActivationsReused) and the block counters (Blocks) are counted by each
+// worker on its own and folded in as it leaves the run; the rest are updated
+// atomically as they happen. Read them after Run returns.
 type Stats struct {
 	// OpsExecuted counts scheduled node executions (operators, calls,
 	// conditionals, plumbing nodes) — everything that went through the
@@ -62,7 +62,9 @@ type Stats struct {
 	// Deprecated: no effect; kept until benchmark/ stops naming it (ROADMAP item 1).
 	AffinityMisses int64
 	// Blocks aggregates reference-count traffic (copies = the price of the
-	// determinism guarantee).
+	// determinism guarantee). Each worker counts into its own shard, and a
+	// block's Freed lands on the shard of the worker that drops its last
+	// reference, so Allocated == Freed holds on the folded totals only.
 	Blocks value.BlockStats
 	// Fault-tolerance counters. Retries counts re-executed operator
 	// attempts; SnapshotCopies counts blocks deep-copied to keep pristine

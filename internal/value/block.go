@@ -17,35 +17,31 @@ type BlockData interface {
 	Size() int
 }
 
-// NoAffinity marks a block with no preferred processor.
-const NoAffinity int32 = -1
-
 // Block is a reference-counted shared memory block (§8 coordination model,
 // rules 1 and 2). All shared memory is explicitly passed between operators
 // as blocks; a sub-computation may destructively modify a block only if it
 // owns the sole reference to it.
 //
-// The affinity field realizes the data-affinity extension of §9.3: the
-// header of each data block carries a processor preference that the
-// scheduler may consult when placing the consuming operator.
+// The header is the count and the payload and nothing else: 24 bytes, Go's
+// 24-byte size class. Accounting goes to the sink each call site passes, and
+// the §9.3 data-affinity preference is the simulated executor's own table,
+// the only code that reads it.
 type Block struct {
-	refs     int64
-	affinity int32
-	data     BlockData
-	// stats is the accounting sink the block was allocated against. The
-	// zero-crossing (Freed) must be charged to the same sink as Allocated or
-	// the teardown invariant Allocated == Freed breaks whenever the *last*
-	// Release happens to run at a call site with a nil or different
-	// *BlockStats (error sweeps, detached shadow workers, test harnesses).
-	// Release therefore routes Freed through this field, falling back to the
-	// call-site sink only for blocks created via bare NewBlock.
-	stats *BlockStats
+	refs int64
+	data BlockData
 }
 
 // BlockStats aggregates reference-counting activity for one program run.
 // The copy counter is the observable cost of the determinism guarantee: a
 // careful Delirium programmer arranges splits so that large structures are
 // never copied (§2.1).
+//
+// Every counter goes to the sink passed at the call site that did the work:
+// Allocated where the block is created, Freed where its last reference is
+// dropped, which may be a different sink. Allocated == Freed therefore holds
+// on the sum of every sink a run counted into (a run's worker shards fold into
+// Stats.Blocks as each worker leaves), not on any one of them. A nil sink
+// counts nothing.
 type BlockStats struct {
 	Allocated int64 // blocks created
 	Copies    int64 // copy-on-write duplications
@@ -54,7 +50,9 @@ type BlockStats struct {
 	Freed     int64 // refcount reached zero
 }
 
-// Add atomically accumulates other into s. Used to merge per-worker stats.
+// Add atomically accumulates other into s: a worker folding its shard into
+// the engine's Stats.Blocks as it leaves a run, or a bounded operator call's
+// private sink merging into the dispatching worker's shard on accept.
 func (s *BlockStats) Add(other BlockStats) {
 	atomic.AddInt64(&s.Allocated, other.Allocated)
 	atomic.AddInt64(&s.Copies, other.Copies)
@@ -66,19 +64,15 @@ func (s *BlockStats) Add(other BlockStats) {
 // NewBlock wraps data in a fresh block holding one reference, owned by the
 // creating operator.
 func NewBlock(data BlockData) *Block {
-	return &Block{refs: 1, affinity: NoAffinity, data: data}
+	return &Block{refs: 1, data: data}
 }
 
-// NewBlockStats creates a block via stats accounting. The sink is remembered
-// on the block so the matching Freed increment lands there no matter which
-// call site drops the last reference.
+// NewBlockStats creates a block and counts its allocation on st.
 func NewBlockStats(data BlockData, st *BlockStats) *Block {
 	if st != nil {
 		atomic.AddInt64(&st.Allocated, 1)
 	}
-	b := NewBlock(data)
-	b.stats = st
-	return b
+	return NewBlock(data)
 }
 
 // Kind returns KindBlock.
@@ -132,10 +126,7 @@ func (b *Block) Retain(st *BlockStats) {
 // and the next allocation of matching size may reuse the storage. Outside a
 // worker nothing is recycled and Go's garbage collector reclaims it.
 //
-// The Releases counter is call-site activity and goes to st; the Freed
-// counter is a property of the block's lifetime and goes to the sink the
-// block was allocated against, so Allocated == Freed holds even when the
-// last reference is dropped at a nil-stats call site.
+// Releases and, on the zero-crossing, Freed are counted on st.
 func (b *Block) Release(st *BlockStats) bool {
 	n := atomic.AddInt64(&b.refs, -1)
 	if n < 0 {
@@ -145,9 +136,7 @@ func (b *Block) Release(st *BlockStats) bool {
 		atomic.AddInt64(&st.Releases, 1)
 	}
 	if n == 0 {
-		if sink := b.stats; sink != nil {
-			atomic.AddInt64(&sink.Freed, 1)
-		} else if st != nil {
+		if st != nil {
 			atomic.AddInt64(&st.Freed, 1)
 		}
 		return true
@@ -159,8 +148,8 @@ func (b *Block) Release(st *BlockStats) bool {
 // (refcount 1), skipping the atomic decrement and the Releases counter, and
 // detaches the payload for recycling. If the block is in fact shared the
 // call degrades to a plain Release and returns (nil, false) — the memory
-// plan's elisions stay sound even against a wrong static claim. Freed
-// accounting is identical to Release's zero-crossing.
+// plan's elisions stay sound even against a wrong static claim. Freed is
+// counted on st, as at Release's zero-crossing.
 func (b *Block) FreeOwned(st *BlockStats) (BlockData, bool) {
 	if atomic.LoadInt64(&b.refs) != 1 {
 		b.Release(st)
@@ -169,9 +158,7 @@ func (b *Block) FreeOwned(st *BlockStats) (BlockData, bool) {
 	atomic.StoreInt64(&b.refs, 0)
 	data := b.data
 	b.data = nil
-	if sink := b.stats; sink != nil {
-		atomic.AddInt64(&sink.Freed, 1)
-	} else if st != nil {
+	if st != nil {
 		atomic.AddInt64(&st.Freed, 1)
 	}
 	return data, true
@@ -197,32 +184,17 @@ func (b *Block) Writable(st *BlockStats) (*Block, bool) {
 	if atomic.LoadInt64(&b.refs) == 1 {
 		return b, false
 	}
-	// The copy inherits the source's accounting sink, and Allocated must be
-	// bumped *before* the source reference is dropped: releasing first opens
-	// a window where a concurrent reader of the counters sees Freed ahead of
-	// Allocated, breaking the Allocated >= Freed invariant under fan-out.
-	sink := st
-	if sink == nil {
-		sink = b.stats
-	}
-	if sink != nil {
-		atomic.AddInt64(&sink.Copies, 1)
-		atomic.AddInt64(&sink.Allocated, 1)
+	// Allocated must be bumped *before* the source reference is dropped:
+	// releasing first opens a window where a concurrent reader of a shared
+	// sink sees Freed ahead of Allocated under fan-out.
+	if st != nil {
+		atomic.AddInt64(&st.Copies, 1)
+		atomic.AddInt64(&st.Allocated, 1)
 	}
 	nb := NewBlock(b.data.Copy())
-	nb.affinity = atomic.LoadInt32(&b.affinity)
-	nb.stats = sink
 	b.Release(st)
 	return nb, true
 }
-
-// Affinity returns the block's preferred processor, or NoAffinity.
-func (b *Block) Affinity() int32 { return atomic.LoadInt32(&b.affinity) }
-
-// SetAffinity records the processor whose cache most recently touched the
-// block. The scheduler updates this after each operator execution when the
-// data-affinity policy is active.
-func (b *Block) SetAffinity(proc int32) { atomic.StoreInt32(&b.affinity, proc) }
 
 // Retain walks v and retains every block reachable through tuples. It is
 // used when a produced value fans out to several consumers.
@@ -253,29 +225,6 @@ func Release(v Value, st *BlockStats) {
 	case *Closure:
 		for _, e := range x.Env {
 			Release(e, st)
-		}
-	}
-}
-
-// RebindStats walks v and re-homes every reachable block whose stats sink
-// is from so that its eventual Freed lands on to instead. The shadow-worker
-// accept path uses this after merging a private sink's counters into the
-// engine's: blocks remember the sink that counted their allocation, so
-// without the rebind their release would credit Freed to a sink whose
-// Allocated was already transferred away.
-func RebindStats(v Value, from, to *BlockStats) {
-	switch x := v.(type) {
-	case *Block:
-		if x.stats == from {
-			x.stats = to
-		}
-	case Tuple:
-		for _, e := range x {
-			RebindStats(e, from, to)
-		}
-	case *Closure:
-		for _, e := range x.Env {
-			RebindStats(e, from, to)
 		}
 	}
 }

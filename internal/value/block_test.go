@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestNewBlockStartsExclusive(t *testing.T) {
@@ -17,8 +18,14 @@ func TestNewBlockStartsExclusive(t *testing.T) {
 	if b.Size() != 3 {
 		t.Errorf("Size = %d, want 3", b.Size())
 	}
-	if b.Affinity() != NoAffinity {
-		t.Errorf("Affinity = %d, want NoAffinity", b.Affinity())
+}
+
+// TestBlockHeaderSize pins the header at the count and the payload: 24
+// bytes, which Go serves from its 24-byte size class. One more word would
+// move every block up to the 32-byte class.
+func TestBlockHeaderSize(t *testing.T) {
+	if got := unsafe.Sizeof(Block{}); got != 24 {
+		t.Fatalf("unsafe.Sizeof(Block{}) = %d, want 24 (the 24-byte size class)", got)
 	}
 }
 
@@ -70,7 +77,6 @@ func TestWritableExclusiveNoCopy(t *testing.T) {
 func TestWritableSharedCopies(t *testing.T) {
 	var st BlockStats
 	b := NewBlockStats(FloatVec{1, 2}, &st)
-	b.SetAffinity(2)
 	b.Retain(&st) // a second consumer holds a reference
 	w, copied := b.Writable(&st)
 	if !copied {
@@ -84,9 +90,6 @@ func TestWritableSharedCopies(t *testing.T) {
 	}
 	if b.Refs() != 1 {
 		t.Errorf("original Refs = %d after CoW, want 1 (other consumer)", b.Refs())
-	}
-	if w.Affinity() != 2 {
-		t.Errorf("copy affinity = %d, want inherited 2", w.Affinity())
 	}
 	// Mutating the copy must not affect the original (determinism).
 	w.Data().(FloatVec)[0] = 99

@@ -7,10 +7,11 @@ import (
 	"testing"
 )
 
-// The accounting invariant: Allocated == Freed after every block dies, no
-// matter which call site drops the last reference. Before the sink field,
-// a last Release through a nil (or different) *BlockStats lost the Freed
-// increment and the teardown assertions reported leaks that were not there.
+// The accounting contract: every counter goes to the sink passed at the call
+// site that did the work. Freed lands on the sink of the release that drops
+// the last reference, which need not be the one that counted Allocated, and a
+// nil sink counts nothing. Allocated == Freed is a property of a run's sinks
+// summed (TestCrossShardLastReleaseAccounting), not of any one of them.
 func TestReleaseNilStatsFreedAccounting(t *testing.T) {
 	var st BlockStats
 	b := NewBlockStats(FloatVec{1}, &st)
@@ -21,31 +22,93 @@ func TestReleaseNilStatsFreedAccounting(t *testing.T) {
 	if !b.Release(nil) {
 		t.Fatal("last release did not report freeing")
 	}
-	if st.Freed != 1 {
-		t.Fatalf("Freed = %d through nil-stats call sites, want 1", st.Freed)
-	}
-	if st.Releases != 0 {
-		t.Fatalf("Releases = %d, want 0: call-site activity must not be charged to the sink", st.Releases)
+	if st.Freed != 0 || st.Releases != 0 {
+		t.Fatalf("nil-sink releases counted Freed = %d, Releases = %d on the allocating sink, want 0 and 0",
+			st.Freed, st.Releases)
 	}
 
-	// A different sink at the last release: Freed still lands on the
-	// allocating sink, Releases on the call site's.
+	// A different sink at the last release: Freed lands there, with the
+	// call site's Releases.
 	var other BlockStats
 	c := NewBlockStats(FloatVec{1}, &st)
 	c.Release(&other)
-	if st.Freed != 2 || other.Freed != 0 {
-		t.Fatalf("Freed: sink=%d other=%d, want 2 and 0", st.Freed, other.Freed)
+	if st.Freed != 0 || other.Freed != 1 {
+		t.Fatalf("Freed: allocating sink=%d releasing sink=%d, want 0 and 1", st.Freed, other.Freed)
 	}
 	if other.Releases != 1 {
 		t.Fatalf("other.Releases = %d, want 1", other.Releases)
 	}
 
-	// Bare NewBlock has no sink; the call-site stats are the only fallback.
-	var fallback BlockStats
-	d := NewBlock(FloatVec{1})
-	d.Release(&fallback)
-	if fallback.Freed != 1 {
-		t.Fatalf("fallback Freed = %d, want 1", fallback.Freed)
+	// FreeOwned's zero-crossing follows the same rule.
+	var owner BlockStats
+	d := NewBlockStats(FloatVec{1}, &st)
+	if _, ok := d.FreeOwned(&owner); !ok || owner.Freed != 1 || st.Freed != 0 {
+		t.Fatalf("FreeOwned: ok=%v, releasing sink Freed=%d, allocating sink Freed=%d; want true, 1, 0",
+			ok, owner.Freed, st.Freed)
+	}
+
+	// Bare NewBlock counts no allocation; its last release still counts Freed
+	// on the call site's sink.
+	var site BlockStats
+	NewBlock(FloatVec{1}).Release(&site)
+	if site.Freed != 1 {
+		t.Fatalf("bare block: Freed = %d, want 1", site.Freed)
+	}
+}
+
+// TestCrossShardLastReleaseAccounting is the runtime's pattern in miniature:
+// each worker counts into its own shard, blocks allocated on one worker are
+// last released on another, and every shard folds into the run's total as its
+// worker leaves. Worker w allocates (w+1)·blocks and frees its predecessor's,
+// so no single shard balances; the folded total must. Run with -race: each
+// shard is written by one goroutine only, and the fold is the one shared
+// write.
+func TestCrossShardLastReleaseAccounting(t *testing.T) {
+	const workers = 4
+	const blocks = 100
+	var total BlockStats
+	handoff := make([]chan *Block, workers)
+	for i := range handoff {
+		handoff[i] = make(chan *Block, workers*blocks)
+	}
+	shards := make([]BlockStats, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			st := &shards[w]
+			next := handoff[(w+1)%workers]
+			for i := 0; i < (w+1)*blocks; i++ {
+				b := NewBlockStats(FloatVec{float64(i)}, st)
+				b.Retain(st)
+				b.Release(st)
+				next <- b // the last reference crosses to the next worker
+			}
+			prev := (w + workers - 1) % workers
+			for i := 0; i < (prev+1)*blocks; i++ {
+				if !(<-handoff[w]).Release(st) {
+					t.Error("handed-off block survived its last release")
+				}
+			}
+			total.Add(*st) // the worker leaves the run
+		}(w)
+	}
+	wg.Wait()
+	for w := range shards {
+		prev := (w + workers - 1) % workers
+		if shards[w].Allocated != int64((w+1)*blocks) || shards[w].Freed != int64((prev+1)*blocks) {
+			t.Errorf("shard %d: Allocated %d, Freed %d, want %d and %d",
+				w, shards[w].Allocated, shards[w].Freed, (w+1)*blocks, (prev+1)*blocks)
+		}
+	}
+	const all = workers * (workers + 1) / 2 * blocks
+	if total.Allocated != all || total.Allocated != total.Freed {
+		t.Fatalf("folded: Allocated %d, Freed %d, want %d each", total.Allocated, total.Freed, all)
+	}
+	if total.Retains != total.Releases-total.Freed {
+		t.Fatalf("folded: Retains %d, Releases %d, Freed %d: one release per retain plus one per free",
+			total.Retains, total.Releases, total.Freed)
 	}
 }
 
