@@ -10,7 +10,6 @@
 //	delc -tokens program.dlr         print the token stream
 //	delc -memplan program.dlr        run the memory-plan pass, print the plan
 //	delc -fuse program.dlr           run operator fusion, print the supernode plan
-//	delc -fuse -profile p.json ...   seed fusion priorities from delprof -profout
 //	delc -O -1 ...                   optimization level
 package main
 
@@ -37,7 +36,6 @@ func main() {
 		tokens   = flag.Bool("tokens", false, "print the token stream and exit")
 		memplan  = flag.Bool("memplan", false, "run the memory-plan pass and print the ownership report")
 		fuse     = flag.Bool("fuse", false, "run the operator-fusion pass and print the supernode plan")
-		profile  = flag.String("profile", "", "JSON operator-weight profile seeding fusion priorities (delprof -profout)")
 		quiet    = flag.Bool("q", false, "suppress the pass-time report")
 	)
 	flag.Parse()
@@ -68,11 +66,8 @@ func main() {
 
 	reg, err := cli.Registry(*app)
 	fail(err)
-	prof, err := cli.LoadProfile(*profile)
-	fail(err)
 	res, err := compile.Compile(name, src, compile.Options{
-		Registry: reg, OptLevel: *optLevel, MemPlan: *memplan,
-		Fuse: *fuse, FuseProfile: prof})
+		Registry: reg, OptLevel: *optLevel, MemPlan: *memplan, Fuse: *fuse})
 	fail(err)
 	for _, w := range res.Warnings {
 		fmt.Fprintln(os.Stderr, w)

@@ -9,10 +9,7 @@
 //	delprof -top 5 program.dlr                 summary only, five rows
 //	delprof -trace out.json program.dlr        Chrome/Perfetto trace export
 //	delprof -critpath program.dlr              critical-path analysis
-//	delprof -profout weights.json program.dlr  write mean operator costs as JSON
-//	delprof -fuse -profile weights.json ...    run fused, priorities from a profile
 //	delprof -runs 200 program.dlr              throughput mode: 200 runs on one reused engine
-//	delprof -adaptive program.dlr              calibrate -> re-fuse -> re-run, keep the winner
 //	delprof -sim=false -steals program.dlr     per-worker steal/park report
 //	delprof -sim=false -runs 200 -cpuprofile cpu.out -memprofile mem.out program.dlr
 //	                                           pprof profiles of the run loop
@@ -43,7 +40,6 @@ import (
 	"time"
 
 	"repro/cmd/internal/cli"
-	"repro/internal/adapt"
 	"repro/internal/compile"
 	"repro/internal/runtime"
 )
@@ -61,10 +57,7 @@ func main() {
 		critpath = flag.Bool("critpath", false, "print critical-path analysis and imbalance verdict")
 		memplan  = flag.Bool("memplan", false, "compile with the memory plan and report elision/pool counters")
 		fuse     = flag.Bool("fuse", false, "compile with operator fusion and report supernode counters")
-		profile  = flag.String("profile", "", "JSON operator-weight profile seeding fusion priorities")
-		profout  = flag.String("profout", "", "write the measured mean operator costs as a JSON profile here")
 		runs     = flag.Int("runs", 1, "execute the program this many times on one reused engine (throughput mode); listings describe the last run")
-		adaptive = flag.Bool("adaptive", false, "run the adaptive loop: calibrate with timing on, re-fuse and re-plan with measured weights, re-run, keep the winning plan (implies -fuse -memplan)")
 		steals   = flag.Bool("steals", false, "print the per-worker steal/park report (enables tracing)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run loop here")
 		memProf  = flag.String("memprofile", "", "write an allocation profile (every allocation recorded) here after the run loop")
@@ -86,9 +79,6 @@ func main() {
 	mach, err := cli.Machine(*machName)
 	fail(err)
 
-	prof, err := cli.LoadProfile(*profile)
-	fail(err)
-
 	mode := runtime.Real
 	unit := "ns"
 	if *sim {
@@ -96,32 +86,8 @@ func main() {
 		unit = "ticks"
 	}
 
-	if *adaptive {
-		measure := 0
-		if *runs > 1 {
-			measure = *runs
-		}
-		tres, err := adapt.Tune(nil, name, src, adapt.Config{
-			Compile:     compile.Options{Registry: reg, MemPlan: true, Fuse: true, FuseProfile: prof},
-			Runtime:     runtime.Config{Mode: mode, Workers: *workers, Machine: mach},
-			Args:        cli.ParseArgs(flag.Args()[1:]),
-			MeasureRuns: measure,
-		})
-		fail(err)
-		fmt.Print(tres.Report())
-		for _, w := range tres.Winning().Warnings {
-			fmt.Fprintf(os.Stderr, "warning: %s\n", w)
-		}
-		if *profout != "" {
-			fail(cli.WriteProfile(*profout, tres.Profile))
-			fmt.Fprintf(os.Stderr, "profile: wrote %d operator weights to %s (feed back via -profile)\n",
-				len(tres.Profile), *profout)
-		}
-		return
-	}
-
 	res, err := compile.Compile(name, src, compile.Options{
-		Registry: reg, MemPlan: *memplan, Fuse: *fuse, FuseProfile: prof})
+		Registry: reg, MemPlan: *memplan, Fuse: *fuse})
 	fail(err)
 	for _, w := range res.Warnings {
 		fmt.Fprintf(os.Stderr, "warning: %s\n", w)
@@ -236,21 +202,6 @@ func main() {
 		st := eng.Stats()
 		fmt.Printf("\nfusion: %d supernode clusters compiled, %d nodes ran fused, %d dispatches saved\n",
 			res.FusePlan.Clusters, st.FusedNodes, st.FusedDispatchesSaved)
-	}
-	if *profout != "" {
-		// ProfileWeights (not the summary table): it normalizes the dispatch
-		// charge out of unfused Simulated entries so fused and unfused runs
-		// measure the same per-operator costs, rounds rather than truncates,
-		// and never emits a zero weight.
-		weights := eng.ProfileWeights()
-		for name, w := range weights {
-			if w <= 0 {
-				delete(weights, name)
-			}
-		}
-		fail(cli.WriteProfile(*profout, weights))
-		fmt.Fprintf(os.Stderr, "profile: wrote %d operator weights to %s (feed back via -profile)\n",
-			len(weights), *profout)
 	}
 }
 

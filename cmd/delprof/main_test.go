@@ -44,10 +44,12 @@ func repoRoot(t *testing.T) string {
 	}
 }
 
-// TestDelprofSmoke builds the profiler and runs it end to end on the
-// eight-queens program with tracing and critical-path analysis on, checking
-// exit status, the summary table, the verdict line, and that the trace file
-// is valid Chrome trace-event JSON.
+// TestDelprofSmoke builds the profiler and runs it end to end with
+// critical-path analysis on: the eight-queens program with tracing (exit
+// status, the summary table, the verdict line, and a trace file of valid
+// Chrome trace-event JSON), and the unbalanced retina on 8 simulated Cray
+// workers, where the granularity advisor must name post_up — the operator
+// the paper's authors found by reading the §5.2 listing.
 func TestDelprofSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -56,16 +58,25 @@ func TestDelprofSmoke(t *testing.T) {
 	bin := buildCmd(t, dir, "./cmd/delprof")
 	traceFile := filepath.Join(dir, "out.json")
 
-	cmd := exec.Command(bin, "-sim", "-app", "queens", "-top", "5",
-		"-trace", traceFile, "-critpath", "programs/queens8.dlr")
-	cmd.Dir = repoRoot(t)
-	out, err := cmd.CombinedOutput()
-	if err != nil {
-		t.Fatalf("delprof failed: %v\n%s", err, out)
-	}
-	for _, want := range []string{"result:", "operator", "critical path:", "verdict:", "trace: wrote"} {
-		if !strings.Contains(string(out), want) {
-			t.Errorf("output missing %q:\n%s", want, out)
+	for _, c := range []struct {
+		args []string
+		want []string
+	}{
+		{[]string{"-sim", "-app", "queens", "-top", "5", "-trace", traceFile, "-critpath", "programs/queens8.dlr"},
+			[]string{"result:", "operator", "critical path:", "verdict:", "trace: wrote"}},
+		{[]string{"-sim", "-app", "retina", "-workers", "8", "-top", "3", "-critpath", "programs/retina1.dlr"},
+			[]string{"critical path:", "verdict: imbalanced", "advisory: `post_up`"}},
+	} {
+		cmd := exec.Command(bin, c.args...)
+		cmd.Dir = repoRoot(t)
+		out, err := cmd.CombinedOutput()
+		if err != nil {
+			t.Fatalf("delprof %s failed: %v\n%s", strings.Join(c.args, " "), err, out)
+		}
+		for _, want := range c.want {
+			if !strings.Contains(string(out), want) {
+				t.Errorf("delprof %s: output missing %q:\n%s", strings.Join(c.args, " "), want, out)
+			}
 		}
 	}
 
@@ -104,45 +115,6 @@ func TestDelprofProfiles(t *testing.T) {
 		if st, err := os.Stat(f); err != nil || st.Size() == 0 {
 			t.Errorf("profile %s not written: %v", filepath.Base(f), err)
 		}
-	}
-}
-
-// TestDelprofAdaptive runs the closed loop end to end on the unbalanced
-// retina model: -adaptive must complete unattended, report the
-// baseline-vs-tuned comparison, name post_up in a granularity advisory, and
-// write a loadable profile.
-func TestDelprofAdaptive(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	dir := t.TempDir()
-	bin := buildCmd(t, dir, "./cmd/delprof")
-	profFile := filepath.Join(dir, "prof.json")
-
-	cmd := exec.Command(bin, "-sim", "-app", "retina", "-adaptive",
-		"-workers", "8", "-profout", profFile, "programs/retina1.dlr")
-	cmd.Dir = repoRoot(t)
-	out, err := cmd.CombinedOutput()
-	if err != nil {
-		t.Fatalf("delprof -adaptive failed: %v\n%s", err, out)
-	}
-	for _, want := range []string{"adaptive: calibrated", "keeping tuned plan",
-		"advisory:", "post_up"} {
-		if !strings.Contains(string(out), want) {
-			t.Errorf("output missing %q:\n%s", want, out)
-		}
-	}
-
-	data, err := os.ReadFile(profFile)
-	if err != nil {
-		t.Fatalf("profile file: %v", err)
-	}
-	var prof map[string]int64
-	if err := json.Unmarshal(data, &prof); err != nil {
-		t.Fatalf("profile is not valid JSON: %v\n%s", err, data)
-	}
-	if prof["post_up"] < 1 || prof["convol_bite"] < 1 {
-		t.Errorf("profile missing measured operators: %v", prof)
 	}
 }
 

@@ -7,7 +7,7 @@
 //	delx -list            list experiment ids
 //
 // Experiments: fig1, tab1, tab1wall, tab2, lst1, lst2, ovh, prio, aff,
-// mem, opt, walks, queens, faults, thru, stress, serve, tune.
+// mem, opt, walks, queens, faults, thru, stress, serve.
 //
 // `delx call` is a subcommand, not an experiment: it drives a running
 // delserver over HTTP with concurrent runs and retrying backoff
@@ -80,8 +80,6 @@ func all(opTimeout time.Duration, retries, seeds int) []experiment {
 			func() (string, error) { return experiments.StressText(seeds) }},
 		{"serve", "coordination server: registry, overload shedding, chaos, graceful drain",
 			func() (string, error) { return experiments.ServeText(60) }},
-		{"tune", "adaptive loop: calibrate, re-fuse with measured weights, keep the winner",
-			experiments.TuneText},
 	}
 }
 

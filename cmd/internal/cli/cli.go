@@ -4,10 +4,8 @@
 package cli
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -65,50 +63,11 @@ func Registry(app string) (*operator.Registry, error) {
 	}
 }
 
-// LoadProfile reads an operator-weight profile — a JSON object mapping
-// operator names to mean costs — as written by delprof -profout. The
-// weights seed the fusion pass's critical-path priorities.
-func LoadProfile(path string) (map[string]int64, error) {
-	if path == "" {
-		return nil, nil
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var prof map[string]int64
-	if err := json.Unmarshal(data, &prof); err != nil {
-		return nil, fmt.Errorf("%s: %v", path, err)
-	}
-	return prof, nil
-}
-
-// WriteProfile writes an operator-weight profile with sorted keys so
-// repeated profiling runs diff cleanly.
-func WriteProfile(path string, prof map[string]int64) error {
-	names := make([]string, 0, len(prof))
-	for n := range prof {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	var b strings.Builder
-	b.WriteString("{\n")
-	for i, n := range names {
-		sep := ","
-		if i == len(names)-1 {
-			sep = ""
-		}
-		fmt.Fprintf(&b, "  %q: %d%s\n", n, prof[n], sep)
-	}
-	b.WriteString("}\n")
-	return os.WriteFile(path, []byte(b.String()), 0o644)
-}
-
-// MeanWeight computes a profile weight from a timing summary: the mean cost
+// MeanWeight computes the mean column of a timing summary: the mean cost
 // rounded half-up, floored at 1 so a sub-unit mean never truncates to a
 // "free" operator, and 0 for zero-call summaries (possible when a faulted or
-// budget-aborted run recorded an operator name with no completed calls) —
-// callers drop zero entries instead of dividing by zero.
+// budget-aborted run recorded an operator name with no completed calls)
+// instead of dividing by zero.
 func MeanWeight(total int64, calls int) int64 {
 	if calls <= 0 {
 		return 0

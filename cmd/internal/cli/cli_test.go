@@ -94,38 +94,6 @@ func TestParseArgs(t *testing.T) {
 	}
 }
 
-func TestProfileRoundTrip(t *testing.T) {
-	prof := map[string]int64{"post_up": 4200, "convol_bite": 1050, "incr": 1}
-	dir := t.TempDir()
-	a := filepath.Join(dir, "a.json")
-	b := filepath.Join(dir, "b.json")
-	if err := WriteProfile(a, prof); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadProfile(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(prof) {
-		t.Fatalf("round trip lost keys: %v", got)
-	}
-	for k, v := range prof {
-		if got[k] != v {
-			t.Errorf("%s = %d, want %d", k, got[k], v)
-		}
-	}
-	// The file must be byte-deterministic regardless of map iteration order:
-	// the adaptive loop's convergence test compares profiles textually.
-	if err := WriteProfile(b, got); err != nil {
-		t.Fatal(err)
-	}
-	da, _ := os.ReadFile(a)
-	db, _ := os.ReadFile(b)
-	if string(da) != string(db) {
-		t.Errorf("WriteProfile not deterministic:\n%s\nvs\n%s", da, db)
-	}
-}
-
 func TestMeanWeight(t *testing.T) {
 	cases := []struct {
 		total int64

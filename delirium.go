@@ -221,10 +221,6 @@ type CompileOptions struct {
 	// bit-identical with or without it; see Stats.FusedNodes and
 	// Stats.FusedDispatchesSaved for the effect.
 	Fuse bool
-	// FuseProfile optionally seeds fusion's critical-path weights with mean
-	// operator costs (e.g. from a delprof run); missing operators fall back
-	// to unit weight. Ignored unless Fuse is set.
-	FuseProfile map[string]int64
 }
 
 // PassTime reports one compiler pass's wall time.
@@ -244,7 +240,6 @@ func Compile(file, src string, opts CompileOptions) (*Program, error) {
 		InlineBudget: opts.InlineBudget,
 		MemPlan:      opts.MemPlan,
 		Fuse:         opts.Fuse,
-		FuseProfile:  opts.FuseProfile,
 	})
 	if err != nil {
 		return nil, err

@@ -10,8 +10,10 @@ import (
 
 	"repro/internal/compile"
 	"repro/internal/jacobi"
+	"repro/internal/machine"
 	"repro/internal/operator"
 	"repro/internal/queens"
+	"repro/internal/retina"
 	"repro/internal/runtime"
 	"repro/internal/value"
 )
@@ -95,6 +97,70 @@ func TestFusionJacobiConsistency(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestFusionRetinaConsistency checks the unbalanced retina, fused on top of
+// the memory plan, against the sequential reference at every worker count
+// in both executors, on an engine reused through Reset, and with seeded
+// faults on two operators driving the retry machinery through the fused
+// plan.
+func TestFusionRetinaConsistency(t *testing.T) {
+	cfg := retina.Config{W: 32, H: 32, K: 5, Slabs: 4, Timesteps: 2,
+		TargetsPerQuarter: 8, TargetWork: 200, Seed: 77}
+	ref := retina.Reference(cfg)
+	reg, err := retina.Operators(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := compile.Compile("retina1.dlr", retina.Source(cfg, retina.V1), compile.Options{
+		Registry: reg, Fuse: true, MemPlan: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(what string, out value.Value) {
+		t.Helper()
+		scene, err := retina.ExtractScene(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !retina.Equal(scene, ref) {
+			t.Errorf("%s diverged from reference", what)
+		}
+	}
+	for _, workers := range fusionWorkers {
+		for _, mode := range []runtime.Mode{runtime.Simulated, runtime.Real} {
+			rcfg := runtime.Config{Mode: mode, Workers: workers, MaxOps: 50_000_000}
+			if mode == runtime.Simulated {
+				rcfg.Machine = machine.CrayYMP()
+			}
+			eng := runtime.New(res.Program, rcfg)
+			for run := 0; run < 2; run++ { // reuse leg: Reset must not perturb results
+				if run > 0 {
+					if err := eng.Reset(); err != nil {
+						t.Fatalf("w%d %v: reset: %v", workers, mode, err)
+					}
+				}
+				out, err := eng.Run()
+				if err != nil {
+					t.Fatalf("w%d %v run %d: %v", workers, mode, run, err)
+				}
+				check(fmt.Sprintf("w%d %v run %d", workers, mode, run), out)
+			}
+		}
+	}
+
+	// Fault leg: seeded chaos on two operators plus retry, 2 workers.
+	eng := runtime.New(res.Program, runtime.Config{Mode: runtime.Real, Workers: 2, MaxOps: 50_000_000,
+		Retry:  runtime.RetryPolicy{MaxAttempts: 3},
+		Faults: runtime.SeededFaultPlan(7, []string{"convol_bite", "post_up"}, 8)})
+	out, err := eng.Run()
+	if err != nil {
+		t.Fatalf("fault leg: %v", err)
+	}
+	if eng.Stats().FaultsInjected == 0 {
+		t.Error("fault leg injected nothing")
+	}
+	check("fault leg", out)
 }
 
 // fusionFaultRegistry registers a fresh block producer and a destructive

@@ -9,8 +9,6 @@
 package compile
 
 import (
-	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/ast"
@@ -48,10 +46,6 @@ type Options struct {
 	// once, and static bottom-level priorities order the ready queues. Off
 	// by default; fused and unfused programs produce bit-identical results.
 	Fuse bool
-	// FuseProfile optionally seeds fusion's operator weights with mean
-	// execution costs from a delprof run (operator name -> mean ticks/ns).
-	// Missing entries fall back to unit weight.
-	FuseProfile map[string]int64
 	// Deprecated: no effect; kept until benchmark/ stops naming it (ROADMAP item 1).
 	Affinity bool
 }
@@ -174,25 +168,10 @@ func Compile(file, src string, opts Options) (*Result, error) {
 	}
 	if opts.Fuse {
 		timePass(res, "Fusion", func() {
-			res.FusePlan = opt.FuseGraph(g, opts.FuseProfile)
+			res.FusePlan = opt.FuseGraph(g)
 		})
 	}
 	res.Program = g
 	res.Warnings = diags.Warnings()
-	appendFuseWarnings(res)
 	return res, nil
-}
-
-// appendFuseWarnings surfaces fusion-plan diagnostics — profile keys that
-// matched no operator — as ordinary compile warnings, so a stale or
-// mistargeted profile is visible wherever warnings are printed.
-func appendFuseWarnings(res *Result) {
-	if res.FusePlan == nil {
-		return
-	}
-	if keys := res.FusePlan.UnmatchedProfileKeys; len(keys) > 0 {
-		res.Warnings = append(res.Warnings, fmt.Sprintf(
-			"fusion profile: %d key(s) matched no operator (unmatched operators use unit weight): %s",
-			len(keys), strings.Join(keys, ", ")))
-	}
 }

@@ -689,7 +689,7 @@ func ThroughputText(runs int) (string, error) {
 }
 
 // StressText drives the differential stress harness: seeds random
-// coordination graphs through the full oracle matrix (5 compile variants
+// coordination graphs through the full oracle matrix (4 compile variants
 // × 9 run specs per seed), plus one large-graph seed at the ROADMAP's
 // 10k-node floor, and reports bit-identity and invariant status. Any
 // failing seed is shrunk automatically and the repro saved under

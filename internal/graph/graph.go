@@ -167,9 +167,8 @@ type Node struct {
 	// ready-queue round trip.
 	FuseInternalOut bool
 	// BLevel is the node's static bottom level: the weight of the longest
-	// chain from this node to any sink of its template, with operator
-	// weights seeded from a delprof profile when one was supplied (unit
-	// weights otherwise). The real executor uses it as a tie-break priority
+	// chain from this node to any sink of its template, every operator
+	// weighing one unit. The real executor uses it as a tie-break priority
 	// so the longest remaining chain is pulled first.
 	BLevel int64
 }

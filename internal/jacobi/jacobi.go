@@ -35,9 +35,6 @@ type Config struct {
 	// Fuse runs the operator-fusion pass at compile time, collapsing
 	// single-consumer chains into supernodes dispatched once.
 	Fuse bool
-	// FuseProfile optionally seeds fusion's operator weights with measured
-	// mean costs (the adaptive loop's calibrate→re-fuse path); implies Fuse.
-	FuseProfile map[string]int64
 }
 
 func (c Config) withDefaults() Config {
@@ -269,8 +266,7 @@ func Operators(cfg Config) *operator.Registry {
 func CompileProgram(cfg Config) (*graph.Program, error) {
 	cfg = cfg.withDefaults()
 	res, err := compile.Compile("jacobi.dlr", Source(cfg), compile.Options{
-		Registry: Operators(cfg), MemPlan: cfg.MemPlan,
-		Fuse: cfg.Fuse || len(cfg.FuseProfile) > 0, FuseProfile: cfg.FuseProfile})
+		Registry: Operators(cfg), MemPlan: cfg.MemPlan, Fuse: cfg.Fuse})
 	if err != nil {
 		return nil, err
 	}

@@ -17,10 +17,9 @@
 //
 // Alongside clustering, the pass computes each node's static bottom level
 // (the weight of the longest chain from the node to any sink of its
-// template, flowing through call and cond boundaries), seeded from delprof
-// timing data when a profile is supplied and unit weights otherwise. The
-// executors use bottom levels to order simultaneously-ready nodes so the
-// longest remaining chain is pulled first.
+// template, flowing through call and cond boundaries), with every operator
+// weighing one unit. The executors use bottom levels to order
+// simultaneously-ready nodes so the longest remaining chain is pulled first.
 package opt
 
 import (
@@ -45,23 +44,6 @@ type FusePlan struct {
 	// DispatchesSaved counts ready-queue dispatches eliminated per single
 	// execution of each template: sum over clusters of (members - 1).
 	DispatchesSaved int
-	// Profiled records whether operator weights came from a delprof profile.
-	Profiled bool
-	// UnmatchedProfileKeys lists profile entries (sorted) that matched no
-	// operator node in the program — a renamed operator, a stale profile, or
-	// a profile taken from a different workload. Operators the profile does
-	// not cover fall back to unit weight, never zero, so a partial profile
-	// can skew priorities but can never make a real operator look free;
-	// the unmatched list is surfaced as a compile warning so the skew is
-	// visible.
-	UnmatchedProfileKeys []string
-	// Advisories are static granularity warnings, computed only for
-	// profiled plans: an operator holding a dominant share of a template's
-	// static critical path (its weight summed along the heaviest
-	// bottom-level chain) is flagged as a split candidate. The runtime
-	// advisor (runtime.CritPath.Advise) is the measured counterpart; this
-	// one needs no execution, so delc can render it at compile time.
-	Advisories []string
 }
 
 // FusePlanTemplate reports one template's clusters and critical path.
@@ -84,10 +66,6 @@ type FusePlanCluster struct {
 
 // fuser carries the pass state across templates.
 type fuser struct {
-	prof map[string]int64
-	// opNames records every operator name seen while processing, for the
-	// unmatched-profile-key diff.
-	opNames map[string]bool
 	// critLen memoizes per-template critical-path weights; inProgress
 	// breaks recursion cycles (a recursive call contributes one unit,
 	// since its true depth is dynamic).
@@ -98,18 +76,14 @@ type fuser struct {
 
 // FuseGraph clusters prog's templates into supernodes and stamps every
 // node's fusion fields (Fused, FuseHead, FuseCluster, FuseInternalOut,
-// BLevel). prof optionally maps operator names to mean execution cost (the
-// delprof summary); nil or missing entries fall back to unit weight. It
-// returns the report; prog.Fused is set so the executors activate supernode
-// dispatch and bottom-level ordering. Safe to call once per program, after
-// linking (and after PlanMemory when both passes run).
-func FuseGraph(prog *graph.Program, prof map[string]int64) *FusePlan {
+// BLevel). It returns the report; prog.Fused is set so the executors
+// activate supernode dispatch and bottom-level ordering. Safe to call once
+// per program, after linking (and after PlanMemory when both passes run).
+func FuseGraph(prog *graph.Program) *FusePlan {
 	f := &fuser{
-		prof:       prof,
-		opNames:    make(map[string]bool),
 		critLen:    make(map[*graph.Template]int64),
 		inProgress: make(map[*graph.Template]bool),
-		plan:       &FusePlan{Profiled: len(prof) > 0},
+		plan:       &FusePlan{},
 	}
 	names := make([]string, 0, len(prog.Templates))
 	for name := range prog.Templates {
@@ -120,12 +94,6 @@ func FuseGraph(prog *graph.Program, prof map[string]int64) *FusePlan {
 		f.critical(prog.Templates[name])
 	}
 	f.critical(prog.Main)
-	for key := range prof {
-		if !f.opNames[key] {
-			f.plan.UnmatchedProfileKeys = append(f.plan.UnmatchedProfileKeys, key)
-		}
-	}
-	sort.Strings(f.plan.UnmatchedProfileKeys)
 	prog.Fused = true
 	return f.plan
 }
@@ -149,15 +117,10 @@ func (f *fuser) critical(t *graph.Template) int64 {
 	return v
 }
 
-// weight is the static cost of executing node n once, in profile units.
+// weight is the static cost of executing node n once: one unit per
+// operator, a callee's or branch's critical path for calls and conds.
 func (f *fuser) weight(n *graph.Node) int64 {
 	switch n.Kind {
-	case graph.OpNode:
-		f.opNames[n.Name] = true
-		if w := f.prof[n.Name]; w > 0 {
-			return w
-		}
-		return 1
 	case graph.CallNode:
 		return f.critical(n.Callee)
 	case graph.CondNode:
@@ -314,14 +277,6 @@ func (f *fuser) process(t *graph.Template) int64 {
 		clusterOf[v.ID] = ci
 	}
 
-	// Static granularity advisory (profiled plans only; unit weights make
-	// every chain look flat): walk the heaviest bottom-level chain and
-	// attribute its weight per operator. An operator owning a dominant
-	// share of the chain is a split candidate regardless of scheduling.
-	if f.plan.Profiled && crit > 0 {
-		f.adviseStatic(t, topo, crit)
-	}
-
 	// Stamp nodes and record the report (every cluster has >= 2 members by
 	// construction).
 	rep := FusePlanTemplate{Name: t.Name, CritLen: crit}
@@ -356,72 +311,12 @@ func (f *fuser) process(t *graph.Template) int64 {
 	return crit
 }
 
-// staticDominance is the share of a template's static critical path one
-// operator must hold before the plan flags it as a split candidate; it
-// matches the runtime advisor's dominance threshold.
-const staticDominance = 0.40
-
-// adviseStatic appends a granularity advisory for t when one operator's
-// weight dominates the heaviest bottom-level chain.
-func (f *fuser) adviseStatic(t *graph.Template, topo []int, crit int64) {
-	start := -1
-	for _, id := range topo {
-		if t.Nodes[id].BLevel == crit {
-			start = id
-			break
-		}
-	}
-	share := make(map[string]int64)
-	for id := start; id >= 0; {
-		nd := t.Nodes[id]
-		if nd.Kind == graph.OpNode {
-			share[nd.Name] += f.weight(nd)
-		}
-		next, best := -1, int64(-1)
-		for _, e := range nd.Out {
-			if b := t.Nodes[e.To].BLevel; b > best {
-				best, next = b, e.To
-			}
-		}
-		id = next
-	}
-	names := make([]string, 0, len(share))
-	for n := range share {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	var topName string
-	var topW int64
-	for _, n := range names {
-		if share[n] > topW {
-			topName, topW = n, share[n]
-		}
-	}
-	if topName == "" || float64(topW) < staticDominance*float64(crit) {
-		return
-	}
-	f.plan.Advisories = append(f.plan.Advisories, fmt.Sprintf(
-		"template %s: `%s` holds %d%% of the static critical path — consider splitting it into finer operators",
-		t.Name, topName, 100*topW/crit))
-}
-
 // Report renders the plan as a human-readable listing, one template per
 // block with its clusters and critical-path weight.
 func (p *FusePlan) Report() string {
 	var b strings.Builder
-	src := "unit weights"
-	if p.Profiled {
-		src = "profile weights"
-	}
-	fmt.Fprintf(&b, "fusion plan (%s): %d clusters, %d/%d nodes fused, %d dispatches saved per pass\n",
-		src, p.Clusters, p.FusedNodes, p.TotalNodes, p.DispatchesSaved)
-	if len(p.UnmatchedProfileKeys) > 0 {
-		fmt.Fprintf(&b, "warning: %d profile key(s) matched no operator (fell back to unit weight elsewhere): %s\n",
-			len(p.UnmatchedProfileKeys), strings.Join(p.UnmatchedProfileKeys, ", "))
-	}
-	for _, a := range p.Advisories {
-		fmt.Fprintf(&b, "advisory: %s\n", a)
-	}
+	fmt.Fprintf(&b, "fusion plan (unit weights): %d clusters, %d/%d nodes fused, %d dispatches saved per pass\n",
+		p.Clusters, p.FusedNodes, p.TotalNodes, p.DispatchesSaved)
 	for _, t := range p.Templates {
 		if len(t.Clusters) == 0 {
 			continue

@@ -8,11 +8,11 @@ import (
 )
 
 // fuse compiles src with the shared plan() front half and runs the fusion
-// pass with the given profile.
-func fuse(t *testing.T, src string, prof map[string]int64) (*graph.Program, *FusePlan) {
+// pass over it.
+func fuse(t *testing.T, src string) (*graph.Program, *FusePlan) {
 	t.Helper()
 	g, _ := planFront(t, src)
-	return g, FuseGraph(g, prof)
+	return g, FuseGraph(g)
 }
 
 // planFront compiles src through graph.Build without running any pass.
@@ -23,7 +23,7 @@ func planFront(t *testing.T, src string) (*graph.Program, *MemPlan) {
 }
 
 func TestFuseChain(t *testing.T) {
-	g, p := fuse(t, "main(x) peek(peek(peek(x)))", nil)
+	g, p := fuse(t, "main(x) peek(peek(peek(x)))")
 	if !g.Fused {
 		t.Fatal("Fused not set on program")
 	}
@@ -61,7 +61,7 @@ func TestFuseDiamondStaysParallel(t *testing.T) {
 	// Two independent peeks feeding a join: fusing either branch into the
 	// join would serialize the other branch behind it, so the pass must
 	// leave the diamond alone.
-	_, p := fuse(t, "main(x) join(peek(x), peek(x))", nil)
+	_, p := fuse(t, "main(x) join(peek(x), peek(x))")
 	if p.Clusters != 0 {
 		t.Fatalf("diamond fused into %d clusters; fusion must preserve the fork", p.Clusters)
 	}
@@ -70,7 +70,7 @@ func TestFuseDiamondStaysParallel(t *testing.T) {
 func TestFuseChainIntoJoinWithParamSide(t *testing.T) {
 	// join's second input is the parameter, which is present before any
 	// node runs — the delay-free rule admits the join as the chain's tail.
-	g, p := fuse(t, "main(x) join(peek(peek(x)), x)", nil)
+	g, p := fuse(t, "main(x) join(peek(peek(x)), x)")
 	if p.Clusters != 1 {
 		t.Fatalf("got %d clusters, want 1", p.Clusters)
 	}
@@ -94,7 +94,7 @@ main()
   let
     a = mk()
   in join(peek(a), a)
-`, nil)
+`)
 	var joined bool
 	for _, c := range g.Main.Clusters {
 		for _, id := range c.Nodes {
@@ -109,33 +109,29 @@ main()
 }
 
 func TestFuseBLevelMonotoneAlongChain(t *testing.T) {
-	g, _ := fuse(t, "main(x) peek(peek(peek(x)))", nil)
+	g, p := fuse(t, "main(x) peek(peek(peek(x)))")
 	c := g.Main.Clusters[0]
 	for i := 1; i < len(c.Nodes); i++ {
 		prev, cur := g.Main.Nodes[c.Nodes[i-1]], g.Main.Nodes[c.Nodes[i]]
-		if prev.BLevel <= cur.BLevel {
-			t.Fatalf("BLevel must strictly decrease along the chain: n%d=%d, n%d=%d",
+		// Every operator weighs one unit, so each peek adds exactly one.
+		if prev.BLevel != cur.BLevel+1 {
+			t.Fatalf("BLevel must drop by one unit along the chain: n%d=%d, n%d=%d",
 				prev.ID, prev.BLevel, cur.ID, cur.BLevel)
 		}
 	}
-}
-
-func TestFuseProfileWeights(t *testing.T) {
-	// With unit weights the three-peek chain's critical path counts one
-	// per node; a profile pricing peek at 10 scales it accordingly.
-	_, unit := fuse(t, "main(x) peek(peek(peek(x)))", nil)
-	_, prof := fuse(t, "main(x) peek(peek(peek(x)))", map[string]int64{"peek": 10})
-	if unit.Profiled || !prof.Profiled {
-		t.Fatalf("Profiled flags: unit=%v prof=%v", unit.Profiled, prof.Profiled)
+	var top int64
+	for _, nd := range g.Main.Nodes {
+		if nd.BLevel > top {
+			top = nd.BLevel
+		}
 	}
-	uc, pc := unit.Templates[len(unit.Templates)-1].CritLen, prof.Templates[len(prof.Templates)-1].CritLen
-	if pc != uc+27 { // three nodes go from weight 1 to weight 10 each
-		t.Fatalf("profile critical path = %d, unit = %d; want +27", pc, uc)
+	if crit := p.Templates[len(p.Templates)-1].CritLen; crit != top {
+		t.Fatalf("main's critical path = %d, want the top bottom level %d", crit, top)
 	}
 }
 
 func TestFuseReport(t *testing.T) {
-	_, p := fuse(t, "main(x) peek(peek(x))", nil)
+	_, p := fuse(t, "main(x) peek(peek(x))")
 	r := p.Report()
 	if !strings.Contains(r, "1 clusters") || !strings.Contains(r, "unit weights") {
 		t.Fatalf("report missing summary line:\n%s", r)

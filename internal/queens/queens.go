@@ -183,18 +183,11 @@ func CompileProgram(n int) (*graph.Program, error) {
 // CompileProgramFused compiles the n-queens program, optionally running the
 // operator-fusion pass.
 func CompileProgramFused(n int, fuse bool) (*graph.Program, error) {
-	return CompileProgramProfiled(n, fuse, nil)
-}
-
-// CompileProgramProfiled compiles the n-queens program with fusion
-// priorities seeded from a measured operator profile (the adaptive loop's
-// re-fuse path). A non-empty profile implies fusion.
-func CompileProgramProfiled(n int, fuse bool, prof map[string]int64) (*graph.Program, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("queens: n must be positive, got %d", n)
 	}
 	res, err := compile.Compile(fmt.Sprintf("queens%d.dlr", n), Program(n), compile.Options{
-		Registry: Operators(), Fuse: fuse || len(prof) > 0, FuseProfile: prof})
+		Registry: Operators(), Fuse: fuse})
 	if err != nil {
 		return nil, err
 	}

@@ -9,10 +9,10 @@ import (
 // analysis. The critpath verdict says *whether* the run is imbalanced; the
 // advisor says *which* operators to attack and *why*, in a form tools can
 // render ("post_up holds 62% of the critical path at 8 workers — consider
-// splitting") and the server can count. The S-Net vs CnC comparison in the
-// related work makes the case that granularity choice, not raw scheduling,
-// decides coordination-language throughput — the advisor is the system
-// telling the user which granularity decision to revisit.
+// splitting"). The S-Net vs CnC comparison in the related work makes the
+// case that granularity choice, not raw scheduling, decides
+// coordination-language throughput — the advisor is the system telling the
+// user which granularity decision to revisit.
 
 // Advisory severities.
 const (

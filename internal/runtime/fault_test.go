@@ -413,7 +413,7 @@ func TestFusedLoopCancelBounded(t *testing.T) {
 			},
 		})
 		g := compile(t, src, reg)
-		opt.FuseGraph(g, nil)
+		opt.FuseGraph(g)
 		e = New(g, Config{Mode: mode, Workers: 1, MaxOps: 5_000_000})
 		_, err := e.RunContext(ctx, value.Int(1_000_000))
 		var re *RunError

@@ -29,7 +29,7 @@ func TestReusedEngineMatchesFresh(t *testing.T) {
 				if planned {
 					opt.PlanMemory(g)
 				}
-				opt.FuseGraph(g, nil)
+				opt.FuseGraph(g)
 				want, err := New(g, Config{Mode: mode, Workers: workers, MaxOps: 1_000_000}).Run(value.Int(50))
 				if err != nil {
 					t.Fatalf("planned %v mode %v workers %d: fresh run: %v", planned, mode, workers, err)

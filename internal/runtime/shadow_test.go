@@ -154,7 +154,7 @@ func TestShadowAbandonedAfterReset(t *testing.T) {
 			}
 			g := compile(t, src, shadowOps(gates))
 			if leg.fused {
-				opt.FuseGraph(g, nil)
+				opt.FuseGraph(g)
 			}
 			// What the stalled run dispatched: the serial unbounded run's
 			// counts up to and including stall, i.e. all but bsum and the

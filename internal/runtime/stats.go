@@ -207,8 +207,7 @@ type TimingEntry struct {
 	Ticks    int64 // virtual ticks (Simulated) or nanoseconds (Real)
 	// Fused marks an entry recorded inside a fused supernode. Fused member
 	// entries price the operator body only, while unfused Simulated entries
-	// also include the machine's dispatch charge; profile extraction
-	// (Engine.ProfileWeights) uses the flag to normalize the two.
+	// also include the machine's dispatch charge.
 	Fused bool
 	// Stolen marks a Real-mode entry whose task was pushed by a different
 	// worker than the one that ran it (it crossed the steal path). The gantt

@@ -33,7 +33,7 @@ func compileBlockTree(t *testing.T) *graph.Program {
 	t.Helper()
 	g := compile(t, blockTreeSrc, faultOps())
 	opt.PlanMemory(g)
-	opt.FuseGraph(g, nil)
+	opt.FuseGraph(g)
 	return g
 }
 

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/compile"
-	"repro/internal/graph"
 	"repro/internal/jacobi"
 	"repro/internal/operator"
 	"repro/internal/prelude"
@@ -72,11 +71,6 @@ func jacobiSpec(name string, n, workers int) (Spec, error) {
 		Prog: prog,
 		Base: runtime.Config{Mode: runtime.Real, Workers: workers,
 			MaxOps: 100_000_000, OpTimeout: 5 * time.Second},
-		Recompile: func(prof map[string]int64) (*graph.Program, error) {
-			c := cfg
-			c.FuseProfile = prof
-			return jacobi.CompileProgram(c)
-		},
 		Render: func(v value.Value) (any, error) {
 			st, err := jacobi.StateOf(v)
 			if err != nil {
@@ -122,9 +116,6 @@ func queensSpec(name string, n, workers int, chaosSeed int64) (Spec, error) {
 		Prog:   prog,
 		Base:   base,
 		Faults: faults,
-		Recompile: func(prof map[string]int64) (*graph.Program, error) {
-			return queens.CompileProgramProfiled(n, true, prof)
-		},
 		Render: func(v value.Value) (any, error) {
 			sols, err := queens.Solutions(v)
 			if err != nil {
@@ -156,17 +147,5 @@ func CompileSource(name, src string, workers int, fuse, memPlan, withPrelude boo
 		Prog: res.Program,
 		Base: runtime.Config{Mode: runtime.Real, Workers: workers,
 			MaxOps: 100_000_000, OpTimeout: 5 * time.Second},
-		Recompile: func(prof map[string]int64) (*graph.Program, error) {
-			// Re-fuse the posted source with measured weights. Fusion is
-			// forced on even when registration skipped it: the profile is
-			// only consumable through fusion priorities.
-			tuned, err := compile.Compile(name+".dlr", src, compile.Options{
-				Registry: operator.Builtins(), Fuse: true, MemPlan: memPlan,
-				FuseProfile: prof})
-			if err != nil {
-				return nil, err
-			}
-			return tuned.Program, nil
-		},
 	}, nil
 }

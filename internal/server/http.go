@@ -16,7 +16,6 @@ import (
 //	GET  /programs       registered program names
 //	POST /programs       compile + register Delirium source
 //	POST /run/{name}     execute one run
-//	POST /programs/{name}/tune  adaptive calibrate→re-fuse→swap
 //
 // Every handler is panic-isolated: a bug in request handling returns a
 // structured 500 instead of killing the daemon.
@@ -41,7 +40,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /programs", s.handleListPrograms)
 	mux.HandleFunc("POST /programs", s.handleRegister)
 	mux.HandleFunc("POST /run/{name}", s.handleRun)
-	mux.HandleFunc("POST /programs/{name}/tune", s.handleTune)
 	return panicGuard(s, mux)
 }
 

@@ -71,9 +71,9 @@ func (s *Server) MetricsText() string {
 		"runs that violated Allocated==Freed (engine quarantined)",
 		func(p *program) int64 { return p.leakRuns.Load() })
 	perProg("delserver_engine_pool_created_total", "engines constructed",
-		func(p *program) int64 { c, _, _ := p.pool.Load().Counters(); return c })
+		func(p *program) int64 { c, _, _ := p.pool.Counters(); return c })
 	perProg("delserver_engine_pool_reused_total", "engine checkouts served from the warm pool",
-		func(p *program) int64 { _, r, _ := p.pool.Load().Counters(); return r })
+		func(p *program) int64 { _, r, _ := p.pool.Counters(); return r })
 	perProg("delserver_ops_executed_total", "scheduled node executions",
 		func(p *program) int64 { return atomic.LoadInt64(&p.agg.ops) })
 	perProg("delserver_operators_run_total", "sequential operator executions",
@@ -98,24 +98,6 @@ func (s *Server) MetricsText() string {
 		func(p *program) int64 { return atomic.LoadInt64(&p.agg.blocksAllocated) })
 	perProg("delserver_blocks_freed_total", "blocks freed",
 		func(p *program) int64 { return atomic.LoadInt64(&p.agg.blocksFreed) })
-
-	// Adaptive-tune telemetry (POST /programs/{name}/tune).
-	perProg("delserver_tunes_total", "completed adaptive tune requests",
-		func(p *program) int64 { return p.tunes.Load() })
-	perProg("delserver_tune_swaps_total", "tunes whose re-fused plan won and was swapped in",
-		func(p *program) int64 { return p.tuneSwaps.Load() })
-	perProg("delserver_tune_advisories_total", "granularity advisories emitted by tunes",
-		func(p *program) int64 { return p.tuneAdvisories.Load() })
-	perProgGauge := func(name, help string, get func(p *program) int64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n", name, help, name)
-		for _, n := range names {
-			fmt.Fprintf(&b, "%s{program=%q} %d\n", name, n, get(progs[n]))
-		}
-	}
-	perProgGauge("delserver_tune_last_imbalanced", "1 when the last tune advised splitting an operator",
-		func(p *program) int64 { return p.lastImbalanced.Load() })
-	perProgGauge("delserver_tune_last_gain_basis_points", "last tune's measured gain in 1/100 percent",
-		func(p *program) int64 { return p.lastGainPct.Load() })
 
 	return b.String()
 }

@@ -95,41 +95,19 @@ type Spec struct {
 	// must not retain v (the server releases it after rendering); nil =
 	// generic encoding.
 	Render func(v value.Value) (any, error)
-	// Recompile, when non-nil, rebuilds the program with fusion priorities
-	// seeded from a measured operator profile — the hook POST
-	// /programs/{name}/tune uses to re-fuse under traffic. Programs without
-	// it are not tunable.
-	Recompile func(prof map[string]int64) (*graph.Program, error)
 }
 
-// program is one registered entry: the spec, its current program graph and
-// engine pool (both swappable — the adaptive tune path replaces them under
-// traffic), and its aggregated counters (all atomics; read by /metrics while
-// runs mutate).
+// program is one registered entry: the spec, the engine pool serving
+// spec.Prog (built once at registration), and its aggregated counters (all
+// atomics; read by /metrics while runs mutate).
 type program struct {
 	spec Spec
-	// prog is the currently-served graph: spec.Prog until a tune wins, the
-	// re-fused graph after. pool serves engines for exactly that graph; the
-	// two swap together (pool last) and every run captures one pool pointer
-	// for its whole checkout/return cycle, so a mid-run swap can never
-	// return an engine to a pool built for a different graph.
-	prog atomic.Pointer[graph.Program]
-	pool atomic.Pointer[runtime.EnginePool]
-	// tuneMu serializes tunes per program; running tunes concurrently would
-	// race the swap and waste calibration work.
-	tuneMu sync.Mutex
+	pool *runtime.EnginePool
 
 	runs     atomic.Int64 // completed successfully
 	failures [6]atomic.Int64
 	agg      statsAgg
 	leakRuns atomic.Int64
-
-	// Adaptive-tune telemetry for /metrics.
-	tunes          atomic.Int64 // completed tune requests
-	tuneSwaps      atomic.Int64 // tunes whose re-fused plan won and was swapped in
-	tuneAdvisories atomic.Int64 // granularity advisories emitted across tunes
-	lastImbalanced atomic.Int64 // 1 when the last tune saw a split advisory
-	lastGainPct    atomic.Int64 // last tune's gain in basis points (1/100 %)
 }
 
 // statsAgg accumulates runtime.Stats across runs for /metrics.
@@ -213,9 +191,13 @@ func (s *Server) Register(spec Spec) error {
 	if spec.Base.Faults != nil {
 		return fmt.Errorf("server: set Spec.Faults (per-engine factory), not Base.Faults — fault plans are stateful and must not be shared across pooled engines")
 	}
-	p := &program{spec: spec}
-	p.prog.Store(spec.Prog)
-	p.pool.Store(s.buildPool(spec, spec.Prog))
+	p := &program{spec: spec, pool: runtime.NewEnginePool(s.cfg.PoolIdle, func() *runtime.Engine {
+		cfg := spec.Base
+		if spec.Faults != nil {
+			cfg.Faults = spec.Faults()
+		}
+		return runtime.New(spec.Prog, cfg)
+	})}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, dup := s.programs[spec.Name]; dup {
@@ -224,18 +206,6 @@ func (s *Server) Register(spec Spec) error {
 	}
 	s.programs[spec.Name] = p
 	return nil
-}
-
-// buildPool constructs an engine pool serving prog under spec's base
-// config.
-func (s *Server) buildPool(spec Spec, prog *graph.Program) *runtime.EnginePool {
-	return runtime.NewEnginePool(s.cfg.PoolIdle, func() *runtime.Engine {
-		cfg := spec.Base
-		if spec.Faults != nil {
-			cfg.Faults = spec.Faults()
-		}
-		return runtime.New(prog, cfg)
-	})
 }
 
 // Programs returns the registered program names, sorted.
@@ -391,15 +361,11 @@ func (s *Server) execute(ctx context.Context, p *program, req RunRequest, args [
 		}
 	}()
 
-	// Capture one pool pointer for the whole checkout/return cycle: a tune
-	// swapping p.pool mid-run must not see this engine returned to the new
-	// pool (it was built for the old graph).
-	pool := p.pool.Load()
-	eng := pool.Get()
+	eng := p.pool.Get()
 	reusedEngine := eng.Runs() > 0
 	if err := eng.SetMaxOps(s.clampMaxOps(req.MaxOps)); err != nil {
 		// A pooled engine is never running; treat this as the bug it is.
-		pool.Put(eng)
+		p.pool.Put(eng)
 		return nil, &APIError{Status: http.StatusInternalServerError, Code: "internal",
 			Message: fmt.Sprintf("budget: %v", err)}
 	}
@@ -424,7 +390,7 @@ func (s *Server) execute(ctx context.Context, p *program, req RunRequest, args [
 		} else {
 			p.recordFailure(0)
 		}
-		s.finishRun(p, pool, eng)
+		s.finishRun(p, eng)
 		return nil, apiErr
 	}
 
@@ -440,7 +406,7 @@ func (s *Server) execute(ctx context.Context, p *program, req RunRequest, args [
 	// returns to the pool — Reset would zero the counters Freed lands on.
 	value.Release(v, &eng.Stats().Blocks)
 	if rerr != nil {
-		s.finishRun(p, pool, eng)
+		s.finishRun(p, eng)
 		return nil, &APIError{Status: http.StatusInternalServerError, Code: "internal",
 			Message: fmt.Sprintf("render: %v", rerr)}
 	}
@@ -463,23 +429,22 @@ func (s *Server) execute(ctx context.Context, p *program, req RunRequest, args [
 		},
 	}
 	p.runs.Add(1)
-	s.finishRun(p, pool, eng)
+	s.finishRun(p, eng)
 	return resp, nil
 }
 
 // finishRun settles one run's accounting: merge the engine's counters into
 // the program aggregate, assert the leak invariant, and return the engine
-// to the pool it was checked out of — unless it leaked, in which case it is
-// quarantined (dropped) so a corrupted engine can never serve another
-// request.
-func (s *Server) finishRun(p *program, pool *runtime.EnginePool, eng *runtime.Engine) {
+// to the program's pool — unless it leaked, in which case it is quarantined
+// (dropped) so a corrupted engine can never serve another request.
+func (s *Server) finishRun(p *program, eng *runtime.Engine) {
 	st := eng.Stats()
 	p.agg.merge(st)
 	if st.Blocks.Allocated != st.Blocks.Freed {
 		p.leakRuns.Add(1)
 		return // quarantine: do not repool
 	}
-	pool.Put(eng)
+	p.pool.Put(eng)
 }
 
 // classifyRunError maps a runtime failure to the API error surface.

@@ -15,21 +15,16 @@ type Variant struct {
 	Name    string
 	Fuse    bool
 	MemPlan bool
-	// Profiled re-fuses with operator weights measured by a calibration run
-	// — the adaptive loop's compile path. Profile weights only reorder
-	// ready queues, so every fingerprint must still match the reference.
-	Profiled bool
 }
 
 // Variants returns the compile configurations: the four fuse×memplan
-// combinations and the profile-guided adaptive recompile.
+// combinations.
 func Variants() []Variant {
 	return []Variant{
 		{Name: "plain"},
 		{Name: "fuse", Fuse: true},
 		{Name: "memplan", MemPlan: true},
 		{Name: "fuse+memplan", Fuse: true, MemPlan: true},
-		{Name: "adaptive", Fuse: true, MemPlan: true, Profiled: true},
 	}
 }
 
@@ -292,16 +287,6 @@ func CheckSource(file, src string, specs []RunSpec) *Report {
 			Fuse:     v.Fuse,
 			MemPlan:  v.MemPlan,
 		}
-		if v.Profiled {
-			prof, err := calibrate(file, src, opts)
-			if err != nil {
-				rep.Failures = append(rep.Failures, Failure{
-					Variant: v, Kind: "error", Msg: fmt.Sprintf("calibrate: %v", err),
-				})
-				continue
-			}
-			opts.FuseProfile = prof
-		}
 		res, err := compile.Compile(file, src, opts)
 		if err != nil {
 			rep.Failures = append(rep.Failures, Failure{
@@ -314,23 +299,6 @@ func CheckSource(file, src string, specs []RunSpec) *Report {
 		}
 	}
 	return rep
-}
-
-// calibrate compiles with unit weights and measures mean operator costs on
-// a single-worker simulated run — the adaptive loop's calibration pass,
-// inlined so the stress matrix exercises measured-weight recompiles on
-// arbitrary generated programs.
-func calibrate(file, src string, opts compile.Options) (map[string]int64, error) {
-	res, err := compile.Compile(file, src, opts)
-	if err != nil {
-		return nil, err
-	}
-	eng := rt.New(res.Program, rt.Config{
-		Workers: 1, Mode: rt.Simulated, MaxOps: maxOps, Timing: true})
-	if _, err := eng.Run(); err != nil {
-		return nil, err
-	}
-	return eng.ProfileWeights(), nil
 }
 
 // CheckProgram runs a generated program through the full oracle matrix.
