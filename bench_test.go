@@ -305,19 +305,11 @@ main(n)
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/iters, "ns/operator")
 }
 
-// BenchmarkDispatch is the trace-disabled, plan-disabled baseline. The
-// tracer and the memory plan must each cost exactly one nil pointer check
-// per site here; compare against BenchmarkDispatchTraced and
-// BenchmarkDispatchMemPlan for the price of turning either on.
+// BenchmarkDispatch is the trace-disabled baseline. The tracer must cost
+// exactly one nil pointer check per site here; compare against
+// BenchmarkDispatchTraced for the price of turning it on.
 func BenchmarkDispatch(b *testing.B) {
 	benchDispatch(b, compile.Options{}, rt.Config{Mode: rt.Real, Workers: 1})
-}
-
-// BenchmarkDispatchMemPlan is the same loop compiled with the memory plan —
-// the guard pair for the copy-elision machinery. The loop moves no blocks,
-// so this prices the planned settle path's bookkeeping alone.
-func BenchmarkDispatchMemPlan(b *testing.B) {
-	benchDispatch(b, compile.Options{MemPlan: true}, rt.Config{Mode: rt.Real, Workers: 1})
 }
 
 // BenchmarkDispatchTraced is the same loop with structured tracing enabled —
@@ -383,12 +375,6 @@ func BenchmarkDispatchFused(b *testing.B) {
 	benchDispatchChain(b, compile.Options{Fuse: true}, rt.Config{Mode: rt.Real, Workers: 1})
 }
 
-// BenchmarkDispatchFusedMemPlan stacks fusion on the memory plan — the
-// full optimization pipeline on the chain shape.
-func BenchmarkDispatchFusedMemPlan(b *testing.B) {
-	benchDispatchChain(b, compile.Options{Fuse: true, MemPlan: true}, rt.Config{Mode: rt.Real, Workers: 1})
-}
-
 func BenchmarkCompileWorkload(b *testing.B) {
 	src := compile.Generate(200, 7)
 	b.SetBytes(int64(len(src)))
@@ -427,7 +413,7 @@ func BenchmarkWalksTable(b *testing.B) {
 // pools) dominate — exactly what the reusable-engine fast path amortizes.
 func throughputJacobi(b *testing.B) *graph.Program {
 	b.Helper()
-	prog, err := jacobi.CompileProgram(jacobi.Config{N: 6, Tol: 1e6, MemPlan: true})
+	prog, err := jacobi.CompileProgram(jacobi.Config{N: 6, Tol: 1e6})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -477,11 +463,11 @@ func BenchmarkRunThroughputReused(b *testing.B) {
 }
 
 // stressProgram compiles one seeded stress program at the given scale.
-func stressProgram(b *testing.B, funcs int, fuse, memplan bool) *graph.Program {
+func stressProgram(b *testing.B, funcs int, fuse bool) *graph.Program {
 	b.Helper()
 	src := stress.Generate(stress.GenConfig{Funcs: funcs, Seed: 1990})
 	res, err := compile.Compile("stress.dlr", src, compile.Options{
-		Registry: stress.Operators(), Fuse: fuse, MemPlan: memplan})
+		Registry: stress.Operators(), Fuse: fuse})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -493,7 +479,7 @@ func stressProgram(b *testing.B, funcs int, fuse, memplan bool) *graph.Program {
 func BenchmarkStressGenerate(b *testing.B) {
 	var nodes int
 	for i := 0; i < b.N; i++ {
-		prog := stressProgram(b, 600, false, false)
+		prog := stressProgram(b, 600, false)
 		nodes = 0
 		for _, t := range prog.Templates {
 			nodes += len(t.Nodes)
@@ -503,10 +489,10 @@ func BenchmarkStressGenerate(b *testing.B) {
 }
 
 // BenchmarkStressRun measures executing one mid-size stress program on the
-// real executor with both optimization passes on — the per-seed runtime
-// cost that dominates a stress sweep.
+// real executor with fusion on — the per-seed runtime cost that dominates
+// a stress sweep.
 func BenchmarkStressRun(b *testing.B) {
-	prog := stressProgram(b, 64, true, true)
+	prog := stressProgram(b, 64, true)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eng := rt.New(prog, rt.Config{Mode: rt.Real, Workers: 4, MaxOps: 50_000_000})

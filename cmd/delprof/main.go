@@ -55,7 +55,6 @@ func main() {
 		gantt    = flag.Int("gantt", 0, "render a per-processor timeline this many cells wide")
 		traceOut = flag.String("trace", "", "write a Chrome/Perfetto trace-event JSON file here")
 		critpath = flag.Bool("critpath", false, "print critical-path analysis and imbalance verdict")
-		memplan  = flag.Bool("memplan", false, "compile with the memory plan and report elision/pool counters")
 		fuse     = flag.Bool("fuse", false, "compile with operator fusion and report supernode counters")
 		runs     = flag.Int("runs", 1, "execute the program this many times on one reused engine (throughput mode); listings describe the last run")
 		steals   = flag.Bool("steals", false, "print the per-worker steal/park report (enables tracing)")
@@ -87,7 +86,7 @@ func main() {
 	}
 
 	res, err := compile.Compile(name, src, compile.Options{
-		Registry: reg, MemPlan: *memplan, Fuse: *fuse})
+		Registry: reg, Fuse: *fuse})
 	fail(err)
 	for _, w := range res.Warnings {
 		fmt.Fprintf(os.Stderr, "warning: %s\n", w)
@@ -192,11 +191,6 @@ func main() {
 	if *steals {
 		fmt.Println()
 		fmt.Print(eng.Trace().SchedReport().Render())
-	}
-	if *memplan {
-		st := eng.Stats()
-		fmt.Printf("\nmemory plan: %d retains + %d releases elided, %d pooled allocations, %d in-place updates proven (copies: %d)\n",
-			st.ElidedRetains, st.ElidedReleases, st.PooledAllocs, st.CopiesAvoided, st.Blocks.Copies)
 	}
 	if *fuse {
 		st := eng.Stats()

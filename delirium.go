@@ -208,13 +208,6 @@ type CompileOptions struct {
 	OptLevel int
 	// InlineBudget caps inline-expansion candidate size (0 = default).
 	InlineBudget int
-	// MemPlan runs the memory-plan pass: compile-time ownership analysis
-	// that elides refcount traffic and guarantees in-place destructive
-	// updates where proven. Output is bit-identical with or without it; see
-	// Stats.ElidedRetains/ElidedReleases/CopiesAvoided for the effect. (Block
-	// payloads are recycled through per-worker pools either way; see
-	// Stats.PooledAllocs.)
-	MemPlan bool
 	// Fuse runs the operator-fusion pass: chains (and delay-free trees) of
 	// single-consumer nodes collapse into supernodes the runtime dispatches
 	// once, and every node gets a static critical-path priority. Output is
@@ -238,7 +231,6 @@ func Compile(file, src string, opts CompileOptions) (*Program, error) {
 		Registry:     opts.Registry,
 		OptLevel:     opts.OptLevel,
 		InlineBudget: opts.InlineBudget,
-		MemPlan:      opts.MemPlan,
 		Fuse:         opts.Fuse,
 	})
 	if err != nil {
@@ -249,13 +241,6 @@ func Compile(file, src string, opts CompileOptions) (*Program, error) {
 
 // Passes returns per-pass compile times in pipeline order.
 func (p *Program) Passes() []PassTime { return p.res.Passes }
-
-// MemPlan returns the memory-plan report, nil unless the program was
-// compiled with CompileOptions.MemPlan.
-func (p *Program) MemPlan() *MemPlan { return p.res.MemPlan }
-
-// MemPlan is the memory-plan pass report (see CompileOptions.MemPlan).
-type MemPlan = opt.MemPlan
 
 // FusePlan returns the operator-fusion report, nil unless the program was
 // compiled with CompileOptions.Fuse.

@@ -18,10 +18,9 @@ func main() {
 	n := flag.Int("n", 96, "grid size")
 	tol := flag.Float64("tol", 1e-3, "convergence tolerance")
 	workers := flag.Int("workers", 4, "worker goroutines")
-	memplan := flag.Bool("memplan", false, "compile with the memory plan (copy elision + block recycling)")
 	flag.Parse()
 
-	cfg := jacobi.Config{N: *n, Tol: *tol, MemPlan: *memplan}
+	cfg := jacobi.Config{N: *n, Tol: *tol}
 	fmt.Println("coordination framework:")
 	fmt.Print(jacobi.Source(cfg))
 	fmt.Println()

@@ -20,11 +20,10 @@ func main() {
 	steps := flag.Int("steps", 2, "simulation timesteps")
 	listings := flag.Bool("listings", true, "print the §5.2 node timing listings")
 	curve := flag.Bool("curve", true, "print the Figure 1 speedup curve")
-	memplan := flag.Bool("memplan", false, "compile with the memory plan (copy elision + block recycling)")
 	flag.Parse()
 
 	cfg := retina.Config{W: *size, H: *size, K: 5, Slabs: 4, Timesteps: *steps,
-		TargetsPerQuarter: 16, TargetWork: 1600, Seed: 1990, MemPlan: *memplan}
+		TargetsPerQuarter: 16, TargetWork: 1600, Seed: 1990}
 
 	// Correctness first: both programs must equal the sequential code.
 	ref := retina.Reference(cfg)

@@ -65,45 +65,39 @@ func TestFusionQueensConsistency(t *testing.T) {
 }
 
 // TestFusionJacobiConsistency checks the solver against its sequential
-// reference with fusion on, alone and stacked on the memory plan, and that
-// fused supernode dispatches surface in the Chrome trace export.
+// reference with fusion on, and that fused supernode dispatches surface in
+// the Chrome trace export.
 func TestFusionJacobiConsistency(t *testing.T) {
-	cfg := jacobi.Config{N: 24, Tol: 1e-2}
+	cfg := jacobi.Config{N: 24, Tol: 1e-2, Fuse: true}
 	ref := jacobi.Reference(cfg)
-	for _, memplan := range []bool{false, true} {
-		for _, workers := range fusionWorkers {
-			c := cfg
-			c.Fuse = true
-			c.MemPlan = memplan
-			s, eng, err := jacobi.Run(c, runtime.Config{Mode: runtime.Real, Workers: workers, Trace: workers == 1})
-			if err != nil {
-				t.Fatalf("memplan=%v workers=%d: %v", memplan, workers, err)
+	for _, workers := range fusionWorkers {
+		s, eng, err := jacobi.Run(cfg, runtime.Config{Mode: runtime.Real, Workers: workers, Trace: workers == 1})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if !jacobi.Matches(s, ref) {
+			t.Fatalf("workers=%d: fused solve diverged from reference (sweeps %d vs %d)",
+				workers, s.Sweeps, ref.Sweeps)
+		}
+		if eng.Stats().FusedNodes == 0 {
+			t.Errorf("workers=%d: no fused dispatches recorded", workers)
+		}
+		if tr := eng.Trace(); tr != nil {
+			var buf bytes.Buffer
+			if err := tr.WriteChrome(&buf); err != nil {
+				t.Fatal(err)
 			}
-			if !jacobi.Matches(s, ref) {
-				t.Fatalf("memplan=%v workers=%d: fused solve diverged from reference (sweeps %d vs %d)",
-					memplan, workers, s.Sweeps, ref.Sweeps)
-			}
-			if eng.Stats().FusedNodes == 0 {
-				t.Errorf("memplan=%v workers=%d: no fused dispatches recorded", memplan, workers)
-			}
-			if tr := eng.Trace(); tr != nil {
-				var buf bytes.Buffer
-				if err := tr.WriteChrome(&buf); err != nil {
-					t.Fatal(err)
-				}
-				if !strings.Contains(buf.String(), `"name":"fused x`) {
-					t.Errorf("memplan=%v: trace export misses fused supernode markers", memplan)
-				}
+			if !strings.Contains(buf.String(), `"name":"fused x`) {
+				t.Error("trace export misses fused supernode markers")
 			}
 		}
 	}
 }
 
-// TestFusionRetinaConsistency checks the unbalanced retina, fused on top of
-// the memory plan, against the sequential reference at every worker count
-// in both executors, on an engine reused through Reset, and with seeded
-// faults on two operators driving the retry machinery through the fused
-// plan.
+// TestFusionRetinaConsistency checks the unbalanced retina, fused, against
+// the sequential reference at every worker count in both executors, on an
+// engine reused through Reset, and with seeded faults on two operators
+// driving the retry machinery through the fused plan.
 func TestFusionRetinaConsistency(t *testing.T) {
 	cfg := retina.Config{W: 32, H: 32, K: 5, Slabs: 4, Timesteps: 2,
 		TargetsPerQuarter: 8, TargetWork: 200, Seed: 77}
@@ -113,7 +107,7 @@ func TestFusionRetinaConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := compile.Compile("retina1.dlr", retina.Source(cfg, retina.V1), compile.Options{
-		Registry: reg, Fuse: true, MemPlan: true})
+		Registry: reg, Fuse: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,13 +158,13 @@ func TestFusionRetinaConsistency(t *testing.T) {
 }
 
 // fusionFaultRegistry registers a fresh block producer and a destructive
-// chain step, the shape that exercises fusion x memory plan x retry: the
+// chain step, the shape that exercises fusion x retry: the
 // chain fuses into a supernode, vstep destroys its input (so retry needs
 // the pristine snapshot), and an injected fault kills it mid-chain.
 func fusionFaultRegistry() *operator.Registry {
 	reg := operator.NewRegistry(operator.Builtins())
 	reg.MustRegister(&operator.Operator{
-		Name: "vinit", Arity: 0, Fresh: true, Retryable: true,
+		Name: "vinit", Arity: 0, Retryable: true,
 		Fn: func(ctx operator.Context, _ []value.Value) (value.Value, error) {
 			return value.NewBlockStats(value.FloatVec{0}, ctx.BlockStats()), nil
 		},
@@ -217,8 +211,8 @@ func chainResult(t *testing.T, v value.Value) float64 {
 	return vec[0]
 }
 
-// TestFusionFaultRetryConsistency is the three-way composition test:
-// fusion x memory plan x deterministic retry. A seeded fault plan kills
+// TestFusionFaultRetryConsistency is the composition test of fusion and
+// deterministic retry. A seeded fault plan kills
 // vstep mid-supernode; retry must re-execute from the member's pristine
 // snapshot and the final block must match the fault-free unfused result
 // bit for bit at every worker count.
@@ -235,35 +229,31 @@ func TestFusionFaultRetryConsistency(t *testing.T) {
 	}
 	want := chainResult(t, wantV)
 
-	for _, memplan := range []bool{false, true} {
-		copts := compile.Options{Registry: fusionFaultRegistry(), Fuse: true, MemPlan: memplan}
-		fres, err := compile.Compile("vchain.dlr", fusionFaultSrc, copts)
-		if err != nil {
-			t.Fatalf("memplan=%v: %v", memplan, err)
-		}
-		if fres.FusePlan == nil || fres.FusePlan.Clusters == 0 {
-			t.Fatalf("memplan=%v: vstep chain did not fuse", memplan)
-		}
-		for _, workers := range fusionWorkers {
-			for seed := int64(1); seed <= 4; seed++ {
-				e := runtime.New(fres.Program, runtime.Config{
-					Mode:    runtime.Real,
-					Workers: workers,
-					Retry:   runtime.RetryPolicy{MaxAttempts: 4},
-					Faults:  runtime.SeededFaultPlan(seed, []string{"vstep"}, 60),
-				})
-				got, err := e.Run(value.Int(20))
-				if err != nil {
-					t.Fatalf("memplan=%v workers=%d seed=%d: %v", memplan, workers, seed, err)
-				}
-				if gf := chainResult(t, got); gf != want {
-					t.Errorf("memplan=%v workers=%d seed=%d: %v != fault-free unfused %v",
-						memplan, workers, seed, gf, want)
-				}
-				if e.Stats().Retries == 0 && e.Stats().FaultsInjected > 0 {
-					t.Errorf("memplan=%v workers=%d seed=%d: faults fired but nothing retried",
-						memplan, workers, seed)
-				}
+	copts := compile.Options{Registry: fusionFaultRegistry(), Fuse: true}
+	fres, err := compile.Compile("vchain.dlr", fusionFaultSrc, copts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fres.FusePlan == nil || fres.FusePlan.Clusters == 0 {
+		t.Fatal("vstep chain did not fuse")
+	}
+	for _, workers := range fusionWorkers {
+		for seed := int64(1); seed <= 4; seed++ {
+			e := runtime.New(fres.Program, runtime.Config{
+				Mode:    runtime.Real,
+				Workers: workers,
+				Retry:   runtime.RetryPolicy{MaxAttempts: 4},
+				Faults:  runtime.SeededFaultPlan(seed, []string{"vstep"}, 60),
+			})
+			got, err := e.Run(value.Int(20))
+			if err != nil {
+				t.Fatalf("workers=%d seed=%d: %v", workers, seed, err)
+			}
+			if gf := chainResult(t, got); gf != want {
+				t.Errorf("workers=%d seed=%d: %v != fault-free unfused %v", workers, seed, gf, want)
+			}
+			if e.Stats().Retries == 0 && e.Stats().FaultsInjected > 0 {
+				t.Errorf("workers=%d seed=%d: faults fired but nothing retried", workers, seed)
 			}
 		}
 	}

@@ -36,10 +36,7 @@ type Options struct {
 	OptLevel int
 	// InlineBudget caps inline-candidate size (0 = optimizer default).
 	InlineBudget int
-	// MemPlan runs the memory-plan pass (opt.PlanMemory) over the linked
-	// graph: static ownership facts that let the runtime elide refcount
-	// traffic and guarantee in-place destructive updates. Off by default;
-	// planned and unplanned programs produce bit-identical results.
+	// Deprecated: no effect; kept until benchmark/ stops naming it (ROADMAP item 1).
 	MemPlan bool
 	// Fuse runs the operator-fusion pass (opt.FuseGraph) over the linked
 	// graph: single-consumer chains collapse into supernodes dispatched
@@ -85,8 +82,6 @@ type Result struct {
 	Passes []PassTime
 	// Warnings carries non-fatal diagnostics (e.g. unused parameters).
 	Warnings []string
-	// MemPlan is the memory-plan report, nil unless Options.MemPlan was set.
-	MemPlan *opt.MemPlan
 	// FusePlan is the operator-fusion report, nil unless Options.Fuse was set.
 	FusePlan *opt.FusePlan
 }
@@ -160,11 +155,6 @@ func Compile(file, src string, opts Options) (*Result, error) {
 	})
 	if err := diags.Err(); err != nil {
 		return nil, err
-	}
-	if opts.MemPlan {
-		timePass(res, "Memory Plan", func() {
-			res.MemPlan = opt.PlanMemory(g)
-		})
 	}
 	if opts.Fuse {
 		timePass(res, "Fusion", func() {

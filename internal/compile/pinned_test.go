@@ -40,7 +40,7 @@ func pinnedDigests(t *testing.T) []string {
 		name string
 		opts compile.Options
 	}{
-		{"fuse+memplan", compile.Options{Fuse: true, MemPlan: true}},
+		{"fuse", compile.Options{Fuse: true}},
 		{"default", compile.Options{}},
 		{"o1", compile.Options{OptLevel: 1}},
 		{"o0", compile.Options{OptLevel: -1}},

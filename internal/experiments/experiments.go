@@ -16,7 +16,7 @@
 //	thru   throughput mode: fresh engine per run vs one reused engine
 //	       (RunMany), results bit-identical, reuse speedup reported
 //	stress differential stress harness: seeded random coordination graphs
-//	       through the executor × workers × fuse×memplan × reuse × faults
+//	       through the executor × workers × fuse × reuse × faults
 //	       matrix, bit-identity and block accounting on every run
 //
 // Absolute numbers depend on the host and the virtual-machine calibration;
@@ -628,7 +628,7 @@ func ThroughputText(runs int) (string, error) {
 	if runs <= 0 {
 		runs = 200
 	}
-	prog, err := jacobi.CompileProgram(jacobi.Config{N: 8, Tol: 1e6, MemPlan: true})
+	prog, err := jacobi.CompileProgram(jacobi.Config{N: 8, Tol: 1e6})
 	if err != nil {
 		return "", err
 	}
@@ -673,7 +673,7 @@ func ThroughputText(runs int) (string, error) {
 	perFresh := freshDur / time.Duration(runs)
 	perReused := reusedDur / time.Duration(runs)
 	var b strings.Builder
-	fmt.Fprintf(&b, "Throughput mode: %d runs of a small jacobi solve (N=8, memplan), 4 workers\n\n", runs)
+	fmt.Fprintf(&b, "Throughput mode: %d runs of a small jacobi solve (N=8), 4 workers\n\n", runs)
 	fmt.Fprintf(&b, "%-22s %14s %12s\n", "engine", "per run", "runs/sec")
 	fmt.Fprintf(&b, "%-22s %14v %12.0f\n", "fresh per run", perFresh.Round(time.Microsecond),
 		float64(runs)/freshDur.Seconds())
@@ -689,7 +689,7 @@ func ThroughputText(runs int) (string, error) {
 }
 
 // StressText drives the differential stress harness: seeds random
-// coordination graphs through the full oracle matrix (4 compile variants
+// coordination graphs through the full oracle matrix (2 compile variants
 // × 9 run specs per seed), plus one large-graph seed at the ROADMAP's
 // 10k-node floor, and reports bit-identity and invariant status. Any
 // failing seed is shrunk automatically and the repro saved under

@@ -131,25 +131,6 @@ type Node struct {
 	// Pos points back at the source expression for node timing listings.
 	Pos source.Pos
 
-	// The Mem* fields are stamped by the optional memory-plan pass
-	// (internal/opt.PlanMemory) and are all false/nil in unplanned programs.
-
-	// MemOwned marks a node whose output the plan proves exclusively owned:
-	// every block reachable from it has refcount 1 when it leaves the node.
-	// The runtime enforces the claim at OpNodes (copying any shared result
-	// block), which is what lets consumers trust it without checking.
-	MemOwned bool
-	// MemOwnedArgs marks, per input port, values proven exclusively owned on
-	// arrival: the producer's output is owned and this is its only consumer.
-	// A destructive operator may take such an argument in place without the
-	// Writable walk, and a port whose value dies here may skip the atomic
-	// release and recycle the payload.
-	MemOwnedArgs []bool
-	// MemTransferEnv marks a CallClosureNode that transfers the closure's
-	// environment references directly to the callee activation, eliding the
-	// per-value retain (for the callee) + release (of the closure) pair.
-	MemTransferEnv bool
-
 	// The fusion fields are stamped by the optional operator-fusion pass
 	// (internal/opt.FuseGraph) and are all zero in unfused programs.
 

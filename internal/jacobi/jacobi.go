@@ -29,9 +29,6 @@ type Config struct {
 	// MaxSweeps bounds the iteration (safety against a tolerance that the
 	// grid never reaches). Zero selects 10000.
 	MaxSweeps int
-	// MemPlan runs the memory-plan pass at compile time, activating copy
-	// elision in the executors.
-	MemPlan bool
 	// Fuse runs the operator-fusion pass at compile time, collapsing
 	// single-consumer chains into supernodes dispatched once.
 	Fuse bool
@@ -172,14 +169,14 @@ func Operators(cfg Config) *operator.Registry {
 	}
 
 	reg.MustRegister(&operator.Operator{
-		Name: "jb_setup", Arity: 0, Fresh: true,
+		Name: "jb_setup", Arity: 0,
 		Fn: func(ctx operator.Context, _ []value.Value) (value.Value, error) {
 			ctx.Charge(int64(n * n))
 			return stBlock(NewState(n, tol), ctx), nil
 		},
 	})
 	reg.MustRegister(&operator.Operator{
-		Name: "jb_split", Arity: 1, Destructive: []bool{true}, Fresh: true,
+		Name: "jb_split", Arity: 1, Destructive: []bool{true},
 		Fn: func(ctx operator.Context, args []value.Value) (value.Value, error) {
 			blk, ok := args[0].(*value.Block)
 			if !ok {
@@ -214,7 +211,7 @@ func Operators(cfg Config) *operator.Registry {
 		},
 	})
 	reg.MustRegister(&operator.Operator{
-		Name: "jb_join", Arity: 4, Destructive: []bool{true, true, true, true}, Fresh: true,
+		Name: "jb_join", Arity: 4, Destructive: []bool{true, true, true, true},
 		Fn: func(ctx operator.Context, args []value.Value) (value.Value, error) {
 			var s *State
 			var residuals [4]float64
@@ -266,7 +263,7 @@ func Operators(cfg Config) *operator.Registry {
 func CompileProgram(cfg Config) (*graph.Program, error) {
 	cfg = cfg.withDefaults()
 	res, err := compile.Compile("jacobi.dlr", Source(cfg), compile.Options{
-		Registry: Operators(cfg), MemPlan: cfg.MemPlan, Fuse: cfg.Fuse})
+		Registry: Operators(cfg), Fuse: cfg.Fuse})
 	if err != nil {
 		return nil, err
 	}

@@ -71,14 +71,6 @@ type Operator struct {
 	// Pure operators have no side effects and may be folded at compile time
 	// when every argument is a constant.
 	Pure bool
-	// Fresh declares that every block in the operator's result is newly
-	// allocated by the operator itself (or passed through from an argument
-	// declared Destructive, which the runtime hands over exclusively) —
-	// never a shared alias of a non-destructive argument. The memory-plan
-	// pass uses the annotation to prove outputs exclusively owned even when
-	// an input is shared; the runtime verifies the claim after each planned
-	// execution, so a wrong annotation costs a copy, not determinism.
-	Fresh bool
 	// Retryable declares that a failed execution may be re-run from its
 	// inputs. The §8 contention protocol guarantees the inputs themselves:
 	// the runtime snapshots destructively-declared arguments before a

@@ -78,7 +78,7 @@ type fuser struct {
 // node's fusion fields (Fused, FuseHead, FuseCluster, FuseInternalOut,
 // BLevel). It returns the report; prog.Fused is set so the executors
 // activate supernode dispatch and bottom-level ordering. Safe to call once
-// per program, after linking (and after PlanMemory when both passes run).
+// per program, after linking.
 func FuseGraph(prog *graph.Program) *FusePlan {
 	f := &fuser{
 		critLen:    make(map[*graph.Template]int64),
@@ -328,4 +328,13 @@ func (p *FusePlan) Report() string {
 		}
 	}
 	return b.String()
+}
+
+// nodeLabel names a node for reports: its operator or callee name, or its
+// kind.
+func nodeLabel(n *graph.Node) string {
+	if n.Name != "" {
+		return n.Name
+	}
+	return n.Kind.String()
 }

@@ -5,21 +5,48 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/macro"
+	"repro/internal/operator"
+	"repro/internal/parser"
+	"repro/internal/sema"
+	"repro/internal/source"
+	"repro/internal/value"
 )
 
-// fuse compiles src with the shared plan() front half and runs the fusion
+// fuseReg registers block-moving test operators: mk allocates a fresh
+// block, peek reads one, join merges two destructively.
+func fuseReg() *operator.Registry {
+	r := operator.NewRegistry(operator.Builtins())
+	passthrough := func(ctx operator.Context, args []value.Value) (value.Value, error) {
+		return args[0], nil
+	}
+	r.MustRegister(&operator.Operator{Name: "mk", Arity: 0,
+		Fn: func(ctx operator.Context, _ []value.Value) (value.Value, error) {
+			return value.NewBlockStats(value.FloatVec{1}, ctx.BlockStats()), nil
+		}})
+	r.MustRegister(&operator.Operator{Name: "peek", Arity: 1, Fn: passthrough})
+	r.MustRegister(&operator.Operator{Name: "join", Arity: 2, Destructive: []bool{true, true}, Fn: passthrough})
+	return r
+}
+
+// fuse compiles src against fuseReg through graph.Build and runs the fusion
 // pass over it.
 func fuse(t *testing.T, src string) (*graph.Program, *FusePlan) {
 	t.Helper()
-	g, _ := planFront(t, src)
+	var diags source.DiagList
+	prog := parser.Parse("t.dlr", src, &diags)
+	if diags.HasErrors() {
+		t.Fatalf("parse: %v", diags.Err())
+	}
+	info := sema.Analyze(macro.ExpandProgram(prog, &diags), fuseReg(), &diags)
+	if diags.HasErrors() {
+		t.Fatalf("analyze: %v", diags.Err())
+	}
+	g := graph.Build(info, &diags)
+	if diags.HasErrors() {
+		t.Fatalf("build: %v", diags.Err())
+	}
 	return g, FuseGraph(g)
-}
-
-// planFront compiles src through graph.Build without running any pass.
-func planFront(t *testing.T, src string) (*graph.Program, *MemPlan) {
-	t.Helper()
-	g, _ := plan(t, src, nil)
-	return g, nil
 }
 
 func TestFuseChain(t *testing.T) {

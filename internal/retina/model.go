@@ -46,8 +46,7 @@ type Config struct {
 	TargetWork int
 	// Seed makes target initialization deterministic.
 	Seed int64
-	// MemPlan runs the memory-plan pass at compile time, activating copy
-	// elision and block recycling in the executors.
+	// Deprecated: no effect; kept until benchmark/ stops naming it (ROADMAP item 1).
 	MemPlan bool
 }
 

@@ -39,7 +39,7 @@ type updatePiece struct {
 }
 
 // sceneBlock wraps a scene in a fresh exclusive block, recycling an Opaque
-// shell through the worker's free list when a memory plan is active.
+// shell through the worker's free list.
 func sceneBlock(s *Scene, ctx operator.Context) *value.Block {
 	return value.NewBlockStats(ctx.Pool().Opaque(s, s.Words()), ctx.BlockStats())
 }
@@ -94,7 +94,7 @@ func Operators(cfg Config) (*operator.Registry, error) {
 	r := operator.NewRegistry(operator.Builtins())
 
 	r.MustRegister(&operator.Operator{
-		Name: "set_up", Arity: 0, Retryable: true, Fresh: true,
+		Name: "set_up", Arity: 0, Retryable: true,
 		Fn: func(ctx operator.Context, _ []value.Value) (value.Value, error) {
 			s := NewScene(cfg)
 			ctx.Charge(int64(cfg.W * cfg.H))
@@ -103,7 +103,7 @@ func Operators(cfg Config) (*operator.Registry, error) {
 	})
 
 	r.MustRegister(&operator.Operator{
-		Name: "target_split", Arity: 1, Destructive: []bool{true}, Retryable: true, Fresh: true,
+		Name: "target_split", Arity: 1, Destructive: []bool{true}, Retryable: true,
 		Fn: func(ctx operator.Context, args []value.Value) (value.Value, error) {
 			p, err := payload(args[0], "target_split")
 			if err != nil {
@@ -144,7 +144,7 @@ func Operators(cfg Config) (*operator.Registry, error) {
 	})
 
 	r.MustRegister(&operator.Operator{
-		Name: "pre_update", Arity: Quarters, Retryable: true, Fresh: true,
+		Name: "pre_update", Arity: Quarters, Retryable: true,
 		Destructive: []bool{true, true, true, true},
 		Fn: func(ctx operator.Context, args []value.Value) (value.Value, error) {
 			var s *Scene
@@ -184,7 +184,7 @@ func Operators(cfg Config) (*operator.Registry, error) {
 	})
 
 	r.MustRegister(&operator.Operator{
-		Name: "convol_split", Arity: 1, Destructive: []bool{true}, Retryable: true, Fresh: true,
+		Name: "convol_split", Arity: 1, Destructive: []bool{true}, Retryable: true,
 		Fn: func(ctx operator.Context, args []value.Value) (value.Value, error) {
 			p, err := payload(args[0], "convol_split")
 			if err != nil {
@@ -235,7 +235,7 @@ func Operators(cfg Config) (*operator.Registry, error) {
 	})
 
 	r.MustRegister(&operator.Operator{
-		Name: "post_up", Arity: 1 + Quarters, Retryable: true, Fresh: true,
+		Name: "post_up", Arity: 1 + Quarters, Retryable: true,
 		Destructive: []bool{false, true, true, true, true},
 		Fn: func(ctx operator.Context, args []value.Value) (value.Value, error) {
 			s, slab, err := mergeConvolPieces(args)
@@ -263,7 +263,7 @@ func Operators(cfg Config) (*operator.Registry, error) {
 	})
 
 	r.MustRegister(&operator.Operator{
-		Name: "update_split", Arity: Quarters, Retryable: true, Fresh: true,
+		Name: "update_split", Arity: Quarters, Retryable: true,
 		Destructive: []bool{true, true, true, true},
 		Fn: func(ctx operator.Context, args []value.Value) (value.Value, error) {
 			s, slab, err := mergeConvolPieces(args)
@@ -309,7 +309,7 @@ func Operators(cfg Config) (*operator.Registry, error) {
 	})
 
 	r.MustRegister(&operator.Operator{
-		Name: "done_up", Arity: 1 + Quarters, Retryable: true, Fresh: true,
+		Name: "done_up", Arity: 1 + Quarters, Retryable: true,
 		Destructive: []bool{false, true, true, true, true},
 		Fn: func(ctx operator.Context, args []value.Value) (value.Value, error) {
 			var s *Scene

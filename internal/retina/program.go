@@ -123,7 +123,7 @@ func CompileProgram(cfg Config, v Version) (*graph.Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := compile.Compile(fmt.Sprintf("retina-%s.dlr", v), Source(cfg, v), compile.Options{Registry: reg, MemPlan: cfg.MemPlan})
+	res, err := compile.Compile(fmt.Sprintf("retina-%s.dlr", v), Source(cfg, v), compile.Options{Registry: reg})
 	if err != nil {
 		return nil, err
 	}

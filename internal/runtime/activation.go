@@ -106,14 +106,13 @@ func (a *activation) deliver(to, port, gate int, v value.Value) bool {
 }
 
 // settleMax bounds the linear-scan settle; node executions moving more
-// blocks than this fall back to the map-based transferRefs (correct, just
-// unelided).
+// blocks than this fall back to the map-based transferRefs.
 const settleMax = 64
 
-// settleRefs settles block reference counts after an operator-like node n
-// consumed ins and produced result, and returns the result. Each input value
-// carried one reference per occurrence, owned by this node; the result must
-// end up owning one reference per occurrence of each block it contains:
+// settleRefs settles block reference counts after an operator-like node
+// consumed ins and produced result. Each input value carried one reference
+// per occurrence, owned by this node; the result must end up owning one
+// reference per occurrence of each block it contains:
 //
 //   - an input occurrence transfers its reference to an unclaimed result
 //     occurrence of the same block, or is released (it dies here);
@@ -121,58 +120,42 @@ const settleMax = 64
 //     reference, and every other unclaimed result occurrence retains.
 //
 // Blocks that die here go through releaseBlock, which recycles their
-// payloads into the worker's pool. Two memory-plan facts, present only on a
-// planned program, are exploited as well:
-//
-//   - an input port marked MemOwnedArgs whose blocks die here frees them
-//     without touching the refcount;
-//   - when the node's output is marked MemOwned, the claim is verified: a
-//     result block that ends shared (a duplicating operator, or a wrong
-//     Fresh annotation) is copied here at the producer, so every consumer
-//     that trusts the plan stays sound. The copy shows up in Blocks.Copies,
-//     making a lying annotation visible rather than nondeterministic.
+// payloads into the worker's pool.
 //
 // The scans are linear over the node's block lists, which live in the
 // worker's scratch: operators move a handful of blocks.
-func (w *worker) settleRefs(n *graph.Node, ins []value.Value, result value.Value) value.Value {
+func (w *worker) settleRefs(ins []value.Value, result value.Value) {
 	st := &w.shard
 
 	res := value.Blocks(result, w.settleRes[:0])
 	inAll := w.settleIns[:0]
-	portEnd := w.settlePorts[:0]
 	for _, in := range ins {
 		inAll = value.Blocks(in, inAll)
-		portEnd = append(portEnd, len(inAll))
 	}
-	w.settleRes, w.settleIns, w.settlePorts = res[:0], inAll[:0], portEnd[:0]
+	w.settleRes, w.settleIns = res[:0], inAll[:0]
 	if len(inAll) == 0 && len(res) == 0 {
-		return result
+		return
 	}
 	if len(res) > settleMax || len(inAll) > settleMax {
 		transferRefs(ins, result, st)
-		return result
+		return
 	}
 	claimed := append(w.settleClaims[:0], make([]bool, len(res))...)
 	w.settleClaims = claimed[:0]
 
 	// Pass 1: each input occurrence transfers its reference to an unclaimed
 	// result occurrence of the same block, or dies at this node.
-	pos := 0
-	for i := range ins {
-		owned := i < len(n.MemOwnedArgs) && n.MemOwnedArgs[i]
-		for ; pos < portEnd[i]; pos++ {
-			b := inAll[pos]
-			transferred := false
-			for k, rb := range res {
-				if rb == b && !claimed[k] {
-					claimed[k] = true
-					transferred = true
-					break
-				}
+	for _, b := range inAll {
+		transferred := false
+		for k, rb := range res {
+			if rb == b && !claimed[k] {
+				claimed[k] = true
+				transferred = true
+				break
 			}
-			if !transferred {
-				w.releaseBlock(b, owned)
-			}
+		}
+		if !transferred {
+			w.releaseBlock(b)
 		}
 	}
 
@@ -204,60 +187,31 @@ func (w *worker) settleRefs(n *graph.Node, ins []value.Value, result value.Value
 		}
 		rb.Retain(st)
 	}
-
-	// Producer-side enforcement of the output-ownership claim.
-	if n.MemOwned && n.Kind == graph.OpNode {
-		for _, rb := range res {
-			if rb.Refs() != 1 {
-				nv, copied := w.makeWritable(result)
-				result = nv
-				w.localWords += int64(copied)
-				if w.tr != nil && copied > 0 {
-					w.tr.record(w.proc, TraceEvent{Type: TraceBlockCopy, Ts: w.tr.now(),
-						Node: int32(n.ID), Arg: int64(copied), Name: traceLabel(n)})
-				}
-				break
-			}
-		}
-	}
-	return result
 }
 
 // releaseDying drops a reference to a value that dies at this node, the one
-// way the executor drops a dying reference on a worker. owned marks values
-// the memory plan proved exclusive: their blocks skip the atomic release.
-func (w *worker) releaseDying(v value.Value, owned bool) {
+// way the executor drops a dying reference on a worker.
+func (w *worker) releaseDying(v value.Value) {
 	switch x := v.(type) {
 	case *value.Block:
-		w.releaseBlock(x, owned)
+		w.releaseBlock(x)
 	case value.Tuple:
 		for _, el := range x {
-			w.releaseDying(el, owned)
+			w.releaseDying(el)
 		}
 	case *value.Closure:
 		for _, el := range x.Env {
-			w.releaseDying(el, owned)
+			w.releaseDying(el)
 		}
 	}
 }
 
 // releaseBlock drops one reference to b and, when it was the last, hands
-// b's payload to the worker's pool. A block the plan proved owned is freed
-// without the atomic decrement; if it is in fact shared, FreeOwned degrades
-// to a counted Release and nothing is recycled. Once the run has abandoned
-// an operator call, an unowned block is not recycled: the stuck goroutine
-// may still read it (see Engine.abandoned). An owned block has no reader
-// but this node.
-func (w *worker) releaseBlock(b *value.Block, owned bool) {
-	st := &w.shard
-	if owned {
-		if data, ok := b.FreeOwned(st); ok {
-			w.n.elidedReleases++
-			w.pool.Put(data)
-		}
-		return
-	}
-	if b.Release(st) && !w.e.abandoned.Load() {
+// b's payload to the worker's pool. Once the run has abandoned an operator
+// call, a block is not recycled: the stuck goroutine may still read it (see
+// Engine.abandoned).
+func (w *worker) releaseBlock(b *value.Block) {
+	if b.Release(&w.shard) && !w.e.abandoned.Load() {
 		w.pool.Put(b.TakeData())
 	}
 }

@@ -186,8 +186,7 @@ func (e *Engine) run(args []value.Value) (value.Value, error) {
 	e.rootAct = root
 	w.noteLive(1, int64(e.prog.Main.ActivationWords()))
 	e.initActivation(w, root, args)
-	// Seeding's deliveries can elide reference counts; publish its counters
-	// before any worker runs.
+	// Publish the counters seeding moved before any worker runs.
 	w.fold()
 	if e.dl != nil {
 		e.dl.register()

@@ -80,7 +80,6 @@ type worker struct {
 	args         []value.Value
 	settleIns    []*value.Block
 	settleRes    []*value.Block
-	settlePorts  []int
 	settleClaims []bool
 
 	// Engine.workers lays workers out side by side; the pad keeps one
@@ -88,14 +87,12 @@ type worker struct {
 	_ [64]byte
 }
 
-// workerCounters are the Stats counters a worker bumps on every dispatch,
-// the memory plan's elision counters among them. No other goroutine reads
-// them while the worker runs: the boot worker folds them after seeding, a
-// worker as it leaves loop, and the watchdog folds those of a worker it
-// abandoned.
+// workerCounters are the Stats counters a worker bumps on every dispatch.
+// No other goroutine reads them while the worker runs: the boot worker folds
+// them after seeding, a worker as it leaves loop, and the watchdog folds
+// those of a worker it abandoned.
 type workerCounters struct {
 	ops, operators, charged, tailCalls, fusedNodes, fusedSaved int64
-	elidedRetains, elidedReleases, copiesAvoided               int64
 	actsAlloc, actsReused                                      int64
 }
 
@@ -112,9 +109,6 @@ func (w *worker) fold() {
 	atomic.AddInt64(&st.TailCalls, c.tailCalls)
 	atomic.AddInt64(&st.FusedNodes, c.fusedNodes)
 	atomic.AddInt64(&st.FusedDispatchesSaved, c.fusedSaved)
-	atomic.AddInt64(&st.ElidedRetains, c.elidedRetains)
-	atomic.AddInt64(&st.ElidedReleases, c.elidedReleases)
-	atomic.AddInt64(&st.CopiesAvoided, c.copiesAvoided)
 	atomic.AddInt64(&st.ActivationsAllocated, c.actsAlloc)
 	atomic.AddInt64(&st.ActivationsReused, c.actsReused)
 	st.Blocks.Add(w.shard)
@@ -435,13 +429,6 @@ func (e *Engine) execOp(w *worker, a *activation, n *graph.Node, ins []value.Val
 				if !n.Op.MayModify(i) {
 					continue
 				}
-				if i < len(n.MemOwnedArgs) && n.MemOwnedArgs[i] {
-					// The plan proves this value exclusively owned on arrival:
-					// Writable would take the in-place path on every block, so
-					// the walk (and its atomic loads) is skipped outright.
-					w.n.copiesAvoided += value.CountBlocks(ins[i])
-					continue
-				}
 				nv, copied := w.makeWritable(ins[i])
 				ins[i] = nv
 				w.localWords += int64(copied)
@@ -451,10 +438,6 @@ func (e *Engine) execOp(w *worker, a *activation, n *graph.Node, ins []value.Val
 				}
 			}
 		}
-		var memBefore int64
-		if w.tr != nil {
-			memBefore = w.n.elidedReleases + w.pool.Hits()
-		}
 		result, err := e.invokeOp(w, a, n, ins, attempt, maxAttempts)
 		if err == nil {
 			if result == nil {
@@ -463,13 +446,7 @@ func (e *Engine) execOp(w *worker, a *activation, n *graph.Node, ins []value.Val
 			if e.cfg.Mode == Simulated {
 				w.q.(*simScheduler).homeValue(w, result)
 			}
-			result = w.settleRefs(n, ins, result)
-			if w.tr != nil {
-				if delta := w.n.elidedReleases + w.pool.Hits() - memBefore; delta > 0 {
-					w.tr.record(w.proc, TraceEvent{Type: TraceMemElide, Ts: w.tr.now(),
-						Act: a.seq, Node: int32(n.ID), Name: n.Name, Arg: delta})
-				}
-			}
+			w.settleRefs(ins, result)
 			// The attempt consumed its (copied) inputs; the pristine
 			// originals held back for a retry are now surplus.
 			for i := range pristine {
@@ -625,15 +602,14 @@ func (e *Engine) execBody(w *worker, a *activation, n *graph.Node) error {
 			// The producer split ownership: this node owns exactly element
 			// Index; the designated sibling releases uncovered elements.
 			if n.CoveredIdx != nil {
-				ownedEls := len(n.MemOwnedArgs) > 0 && n.MemOwnedArgs[0]
 				for j, el := range tup {
 					if !intsContain(n.CoveredIdx, j) {
-						w.releaseDying(el, ownedEls)
+						w.releaseDying(el)
 					}
 				}
 			}
 		} else {
-			w.settleRefs(n, ins, result)
+			w.settleRefs(ins, result)
 		}
 		clearInputs(ins)
 		e.complete(w, a, n, result)
@@ -666,30 +642,11 @@ func (e *Engine) execBody(w *worker, a *activation, n *graph.Node) error {
 				callee.Name, callee.ParamCount(), got))
 		}
 		args := append(w.argBuf(len(ins)-1+len(cl.Env)), ins[1:]...)
-		if n.MemTransferEnv {
-			// This node holds one reference-share of every env value (via the
-			// closure); retaining each for the child and then releasing the
-			// closure is a net-zero pair. Transfer the share to the child
-			// directly. Always sound — other consumers of the same closure
-			// hold their own shares.
-			var c int64
-			for _, envV := range cl.Env {
-				args = append(args, envV)
-				c += value.CountBlocks(envV)
-			}
-			w.n.elidedRetains += c
-			w.n.elidedReleases += c
-			if w.tr != nil && c > 0 {
-				w.tr.record(w.proc, TraceEvent{Type: TraceMemElide, Ts: w.tr.now(),
-					Act: a.seq, Node: int32(n.ID), Name: traceLabel(n), Arg: 2 * c})
-			}
-		} else {
-			for _, envV := range cl.Env {
-				value.Retain(envV, &w.shard) // the child owns its copy
-				args = append(args, envV)
-			}
-			value.Release(cl, &w.shard) // drops the closure's env refs
+		for _, envV := range cl.Env {
+			value.Retain(envV, &w.shard) // the child owns its copy
+			args = append(args, envV)
 		}
+		value.Release(cl, &w.shard) // drops the closure's env refs
 		clearInputs(ins)
 		return e.expand(w, a, n, callee, args)
 
@@ -698,7 +655,7 @@ func (e *Engine) execBody(w *worker, a *activation, n *graph.Node) error {
 		if err != nil {
 			return e.failNode(a, n, ins, err)
 		}
-		w.releaseDying(ins[0], len(n.MemOwnedArgs) > 0 && n.MemOwnedArgs[0])
+		w.releaseDying(ins[0])
 		branch := n.Else
 		if truth {
 			branch = n.Then
@@ -821,7 +778,7 @@ func (e *Engine) complete(w *worker, a *activation, n *graph.Node, v value.Value
 		}
 		switch {
 		case consumers == 0:
-			w.releaseDying(v, n.MemOwned)
+			w.releaseDying(v)
 		default:
 			for i := 1; i < consumers; i++ {
 				value.Retain(v, &w.shard)

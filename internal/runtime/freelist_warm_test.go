@@ -18,7 +18,7 @@ import (
 // them: once warm, a run allocates no activation.
 func TestFreeListWarmRunsAllocateNone(t *testing.T) {
 	rcfg := retina.Config{W: 64, H: 64, K: 5, Slabs: 4, Timesteps: 1,
-		TargetsPerQuarter: 16, TargetWork: 400, MemPlan: true, Seed: 1990}
+		TargetsPerQuarter: 16, TargetWork: 400, Seed: 1990}
 	reg, err := retina.Operators(rcfg)
 	if err != nil {
 		t.Fatal(err)
@@ -28,7 +28,7 @@ func TestFreeListWarmRunsAllocateNone(t *testing.T) {
 		opts            compile.Options
 	}{
 		{"queens7", "queens7.dlr", queens.Program(7), compile.Options{Registry: queens.Operators(), Fuse: true}},
-		{"retina", "retina-V2.dlr", retina.Source(rcfg, retina.V2), compile.Options{Registry: reg, MemPlan: true}},
+		{"retina", "retina-V2.dlr", retina.Source(rcfg, retina.V2), compile.Options{Registry: reg}},
 	} {
 		res, err := compile.Compile(c.file, c.src, c.opts)
 		if err != nil {

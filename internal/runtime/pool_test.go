@@ -10,7 +10,33 @@ import (
 	"repro/internal/value"
 )
 
-// handOverOps extends planOps' pooled allocators with the operators of the
+// poolOps extends the fault-suite registry with pmkblock, which allocates
+// its block's payload from the worker's block pool.
+func poolOps() *operator.Registry {
+	r := faultOps()
+	r.MustRegister(&operator.Operator{
+		Name: "pmkblock", Arity: 1,
+		Fn: func(ctx operator.Context, args []value.Value) (value.Value, error) {
+			n := int(args[0].(value.Int))
+			return value.NewBlockStats(ctx.Pool().Floats(n), ctx.BlockStats()), nil
+		},
+	})
+	return r
+}
+
+// pooledLoop allocates, fills, reads, and frees a block every iteration:
+// the payload cycles through the worker's block pool.
+const pooledLoop = `
+main(n)
+  iterate
+  {
+    i = 0, incr(i)
+    total = 0.0, add(total, blocksum(fill(pmkblock(8), i)))
+  } while lt(i, n),
+  result total
+`
+
+// handOverOps extends poolOps' pooled allocators with the operators of the
 // pool hand-over suite, all bounded by timeout (zero leaves them unbounded).
 // For n < 0 each returns at once; for n >= 0 each overruns its bound and
 // keeps working until stop closes, after the watchdog has taken it over:
@@ -22,7 +48,7 @@ import (
 // hold(b, n) is unbounded: it sums b, first sleeping holdFor when n >= 0 so
 // that it drops its reference to b after the watchdog dropped peek's.
 func handOverOps(timeout time.Duration, stop chan struct{}) *operator.Registry {
-	r := planOps()
+	r := poolOps()
 	overrun := func(n value.Value, work func()) {
 		if n.(value.Int) < 0 {
 			return
@@ -110,13 +136,13 @@ spin(k)
   iterate
   {
     i = 0, incr(i)
-    total = 0.0, add(total, blocksum(pfill(pmkblock(8), i)))
+    total = 0.0, add(total, blocksum(fill(pmkblock(8), i)))
   } while lt(i, k),
   result total
 `
 	const sharedInput = `
 main(n)
-  let b = pfill(pmkblock(8), 3)
+  let b = fill(pmkblock(8), 3)
   in add(peek(b, n), hold(b, n))
 `
 	legs := []struct {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/graph"
 	"repro/internal/operator"
 	"repro/internal/value"
 )
@@ -91,7 +90,7 @@ func checkSettle(t *testing.T, name string) (fallback bool) {
 	c := settleCases[name]
 	w := &worker{e: &Engine{}}
 	ins, result, linear := c.build(&w.e.stats.Blocks)
-	w.settleRefs(&graph.Node{Kind: graph.OpNode}, ins, result)
+	w.settleRefs(ins, result)
 	w.fold()
 	var st value.BlockStats
 	ins, result, mapped := c.build(&st)
@@ -130,7 +129,7 @@ func TestSettleRefsFallback(t *testing.T) {
 
 // leakCheck runs a program and verifies that every allocated block was
 // released except those still reachable from the result value.
-func leakCheck(t *testing.T, src string, reg *operator.Registry, cfg Config, args ...value.Value) {
+func leakCheck(t *testing.T, src string, reg *operator.Registry, cfg Config, args ...value.Value) value.Value {
 	t.Helper()
 	g := compile(t, src, reg)
 	e := New(g, cfg)
@@ -150,6 +149,7 @@ func leakCheck(t *testing.T, src string, reg *operator.Registry, cfg Config, arg
 			t.Errorf("result block over-released: %v", b)
 		}
 	}
+	return v
 }
 
 // blockOps is a registry with operators that create, transform, consume,
@@ -346,6 +346,19 @@ main()
 	}
 }
 
+// closureEnvBlocks captures a block in two closure environments and calls
+// through a dynamically chosen function value, so the closure call sites
+// stay CallClosureNodes: each call retains the environment for the callee
+// and releases the closure.
+const closureEnvBlocks = `
+main(n)
+  let b = fill(mkblock(8), n)
+      f1(i) add(float(i), blocksum(b))
+      f2(i) add(float(mul(i, 2)), blocksum(b))
+      g = if lt(n, 100) then f1 else f2
+  in add(g(1), g(2))
+`
+
 func TestNoLeakThroughClosures(t *testing.T) {
 	src := `
 main()
@@ -355,6 +368,15 @@ main()
   in use(f)
 `
 	leakCheck(t, src, blockOps(), Config{Mode: Real, Workers: 2, MaxOps: 100000})
+	for _, mode := range []Mode{Real, Simulated} {
+		for _, workers := range []int{1, 2, 8} {
+			cfg := Config{Mode: mode, Workers: workers, MaxOps: 100000}
+			// 1 + 24 + 2 + 24: both calls go through f1 and read b = 8 x 3.
+			if v := leakCheck(t, closureEnvBlocks, blockOps(), cfg, value.Int(3)); v != value.Float(51) {
+				t.Errorf("closure env, mode %v workers %d: result = %v, want 51", mode, workers, v)
+			}
+		}
+	}
 }
 
 func TestNoLeakInLoops(t *testing.T) {

@@ -11,8 +11,8 @@ import (
 )
 
 // Engine reuse suite: a Reset engine must behave bit-identically to a fresh
-// one — across worker counts, executor modes, and the memplan/fuse/retry/
-// faults composition — while its warmed pools persist and its per-run block
+// one — across worker counts, executor modes, and the fuse/retry/faults
+// composition — while its warmed pools persist and its per-run block
 // accounting stays balanced.
 
 // reuseWorkers are the worker counts every reuse property is checked at.
@@ -20,64 +20,58 @@ var reuseWorkers = []int{1, 2, 8}
 
 func TestReusedEngineMatchesFresh(t *testing.T) {
 	const runs = 3
-	for _, planned := range []bool{true, false} {
-		for _, mode := range []Mode{Real, Simulated} {
-			for _, workers := range reuseWorkers {
-				// Fresh baseline: a new engine per run, fused, with and without
-				// the memory plan — the runtime recycles blocks either way.
-				g := compile(t, pooledLoop, planOps())
-				if planned {
-					opt.PlanMemory(g)
-				}
-				opt.FuseGraph(g)
-				want, err := New(g, Config{Mode: mode, Workers: workers, MaxOps: 1_000_000}).Run(value.Int(50))
-				if err != nil {
-					t.Fatalf("planned %v mode %v workers %d: fresh run: %v", planned, mode, workers, err)
-				}
+	for _, mode := range []Mode{Real, Simulated} {
+		for _, workers := range reuseWorkers {
+			// Fresh baseline: a new engine per run, fused.
+			g := compile(t, pooledLoop, poolOps())
+			opt.FuseGraph(g)
+			want, err := New(g, Config{Mode: mode, Workers: workers, MaxOps: 1_000_000}).Run(value.Int(50))
+			if err != nil {
+				t.Fatalf("mode %v workers %d: fresh run: %v", mode, workers, err)
+			}
 
-				e := New(g, Config{Mode: mode, Workers: workers, MaxOps: 1_000_000})
-				var prevHits int64
-				for run := 0; run < runs; run++ {
-					if run > 0 {
-						if err := e.Reset(); err != nil {
-							t.Fatalf("planned %v mode %v workers %d run %d: Reset: %v", planned, mode, workers, run, err)
-						}
-					}
-					got, err := e.Run(value.Int(50))
-					if err != nil {
-						t.Fatalf("planned %v mode %v workers %d run %d: %v", planned, mode, workers, run, err)
-					}
-					if got != want {
-						t.Errorf("planned %v mode %v workers %d run %d: reused %v != fresh %v", planned, mode, workers, run, got, want)
-					}
-					st := e.Stats()
-					// The result is a scalar, so every block allocated this run
-					// must have been freed this run — the per-run accounting must
-					// balance even though the free lists carry payloads over.
-					if st.Blocks.Allocated != st.Blocks.Freed {
-						t.Errorf("planned %v mode %v workers %d run %d: allocated %d != freed %d",
-							planned, mode, workers, run, st.Blocks.Allocated, st.Blocks.Freed)
-					}
-					if st.PooledAllocs == 0 {
-						t.Errorf("planned %v mode %v workers %d run %d: PooledAllocs = 0, want free-list hits", planned, mode, workers, run)
-					}
-					if st.FusedNodes == 0 {
-						t.Errorf("planned %v mode %v workers %d run %d: FusedNodes = 0, want fused dispatches", planned, mode, workers, run)
-					}
-					// Cross-run pool persistence: the serial executor's run 2+
-					// starts with a warm free list, so even the first allocation
-					// hits — strictly more hits than the cold run 1.
-					if workers == 1 && run > 0 && st.PooledAllocs <= prevHits {
-						t.Errorf("planned %v mode %v workers %d run %d: PooledAllocs = %d, want > %d (warm pool)",
-							planned, mode, workers, run, st.PooledAllocs, prevHits)
-					}
-					if run == 0 {
-						prevHits = st.PooledAllocs
+			e := New(g, Config{Mode: mode, Workers: workers, MaxOps: 1_000_000})
+			var prevHits int64
+			for run := 0; run < runs; run++ {
+				if run > 0 {
+					if err := e.Reset(); err != nil {
+						t.Fatalf("mode %v workers %d run %d: Reset: %v", mode, workers, run, err)
 					}
 				}
-				if e.Runs() != runs {
-					t.Errorf("planned %v mode %v workers %d: Runs() = %d, want %d", planned, mode, workers, e.Runs(), runs)
+				got, err := e.Run(value.Int(50))
+				if err != nil {
+					t.Fatalf("mode %v workers %d run %d: %v", mode, workers, run, err)
 				}
+				if got != want {
+					t.Errorf("mode %v workers %d run %d: reused %v != fresh %v", mode, workers, run, got, want)
+				}
+				st := e.Stats()
+				// The result is a scalar, so every block allocated this run
+				// must have been freed this run — the per-run accounting must
+				// balance even though the free lists carry payloads over.
+				if st.Blocks.Allocated != st.Blocks.Freed {
+					t.Errorf("mode %v workers %d run %d: allocated %d != freed %d",
+						mode, workers, run, st.Blocks.Allocated, st.Blocks.Freed)
+				}
+				if st.PooledAllocs == 0 {
+					t.Errorf("mode %v workers %d run %d: PooledAllocs = 0, want free-list hits", mode, workers, run)
+				}
+				if st.FusedNodes == 0 {
+					t.Errorf("mode %v workers %d run %d: FusedNodes = 0, want fused dispatches", mode, workers, run)
+				}
+				// Cross-run pool persistence: the serial executor's run 2+
+				// starts with a warm free list, so even the first allocation
+				// hits — strictly more hits than the cold run 1.
+				if workers == 1 && run > 0 && st.PooledAllocs <= prevHits {
+					t.Errorf("mode %v workers %d run %d: PooledAllocs = %d, want > %d (warm pool)",
+						mode, workers, run, st.PooledAllocs, prevHits)
+				}
+				if run == 0 {
+					prevHits = st.PooledAllocs
+				}
+			}
+			if e.Runs() != runs {
+				t.Errorf("mode %v workers %d: Runs() = %d, want %d", mode, workers, e.Runs(), runs)
 			}
 		}
 	}
@@ -89,8 +83,7 @@ func TestReusedEngineMatchesFresh(t *testing.T) {
 func TestReusedEngineFaultRetry(t *testing.T) {
 	for _, mode := range []Mode{Real, Simulated} {
 		for _, workers := range reuseWorkers {
-			g := compile(t, contendedBlocks, planOps())
-			opt.PlanMemory(g)
+			g := compile(t, contendedBlocks, poolOps())
 			e := New(g, Config{Mode: mode, Workers: workers, MaxOps: 100000,
 				Retry:  RetryPolicy{MaxAttempts: 3},
 				Faults: KillOnce(FaultError, "rfill"),
@@ -166,12 +159,11 @@ func TestResetLifecycle(t *testing.T) {
 	}
 }
 
-// TestRunManyMatchesFresh: a RunMany batch over one reused engine must
-// produce, per invocation, exactly the value a fresh engine produces
+// TestRunManyMatchesFresh checks that a RunMany batch over one reused engine
+// produces, per invocation, exactly the value a fresh engine produces
 // for the same arguments.
 func TestRunManyMatchesFresh(t *testing.T) {
-	g := compile(t, pooledLoop, planOps())
-	opt.PlanMemory(g)
+	g := compile(t, pooledLoop, poolOps())
 	args := []value.Value{value.Int(10), value.Int(25), value.Int(50), value.Int(25), value.Int(10)}
 	for _, workers := range reuseWorkers {
 		cfg := Config{Mode: Real, Workers: workers, MaxOps: 1_000_000}
@@ -269,8 +261,7 @@ func TestRunManyCanceled(t *testing.T) {
 // pool: every invocation of the batch sees the same rewound fault schedule
 // and retries it away to the fault-free value.
 func TestRunManyFaultRetry(t *testing.T) {
-	g := compile(t, contendedBlocks, planOps())
-	opt.PlanMemory(g)
+	g := compile(t, contendedBlocks, poolOps())
 	for _, workers := range reuseWorkers {
 		e := New(g, Config{Mode: Real, Workers: workers, MaxOps: 100000,
 			Retry:  RetryPolicy{MaxAttempts: 3},

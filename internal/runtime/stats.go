@@ -76,19 +76,13 @@ type Stats struct {
 	SnapshotCopies int64
 	OpTimeouts     int64
 	FaultsInjected int64
-	// Memory counters. PooledAllocs counts operator allocations served from
-	// the per-worker block pools, which every block freed on a worker feeds,
-	// planned or not. The rest are the memory plan's, all zero when the
-	// program was compiled without it: ElidedRetains/ElidedReleases count
-	// reference-count operations skipped under static ownership proof
-	// (closure environment transfers, single-consumer last uses);
-	// CopiesAvoided counts blocks handed to destructive operators in place
-	// without the copy-on-write check because exclusivity was proven at
-	// compile time.
-	ElidedRetains  int64
+	// Deprecated: no effect; kept until benchmark/ stops naming it (ROADMAP item 1).
+	ElidedRetains int64
+	// Deprecated: no effect; kept until benchmark/ stops naming it (ROADMAP item 1).
 	ElidedReleases int64
-	PooledAllocs   int64
-	CopiesAvoided  int64
+	// PooledAllocs counts operator allocations served from the per-worker
+	// block pools, which every block freed on a worker feeds.
+	PooledAllocs int64
 	// Operator-fusion counters, all zero when the program was compiled
 	// without fusion. FusedNodes counts node executions performed inside
 	// fused supernodes (these still count in OpsExecuted); FusedDispatches-
@@ -125,7 +119,7 @@ func (s *Stats) reset() {
 		&s.Blocks.Allocated, &s.Blocks.Copies, &s.Blocks.Retains,
 		&s.Blocks.Releases, &s.Blocks.Freed,
 		&s.Retries, &s.SnapshotCopies, &s.OpTimeouts, &s.FaultsInjected,
-		&s.ElidedRetains, &s.ElidedReleases, &s.PooledAllocs, &s.CopiesAvoided,
+		&s.PooledAllocs,
 		&s.FusedNodes, &s.FusedDispatchesSaved,
 		&s.MakespanTicks, &s.BusyTicks, &s.DispatchTicks, &s.MemoryTicks,
 		&s.RealNanos,
@@ -177,9 +171,9 @@ func (s *Stats) Utilization() float64 {
 	return float64(s.BusyTicks) / float64(s.MakespanTicks*int64(len(s.ProcBusyTicks)))
 }
 
-// String summarizes the counters. The memory group (elisions, pooled
-// allocations, in-place proofs) is appended only when one of its counters
-// moved, so a run that recycles nothing keeps the plain format.
+// String summarizes the counters. Pooled allocations are appended only when
+// the run recycled a block, so a run that recycles nothing keeps the plain
+// format.
 func (s *Stats) String() string {
 	out := fmt.Sprintf("ops=%d operators=%d activations=%d(+%d reused) peak=%d tail=%d charged=%d copies=%d steals=%d parks=%d",
 		atomic.LoadInt64(&s.OpsExecuted), atomic.LoadInt64(&s.OperatorsRun),
@@ -187,10 +181,8 @@ func (s *Stats) String() string {
 		atomic.LoadInt64(&s.PeakLive), atomic.LoadInt64(&s.TailCalls),
 		atomic.LoadInt64(&s.ChargedUnits), atomic.LoadInt64(&s.Blocks.Copies),
 		atomic.LoadInt64(&s.Steals), atomic.LoadInt64(&s.Parks))
-	er, el := atomic.LoadInt64(&s.ElidedRetains), atomic.LoadInt64(&s.ElidedReleases)
-	pa, ca := atomic.LoadInt64(&s.PooledAllocs), atomic.LoadInt64(&s.CopiesAvoided)
-	if er != 0 || el != 0 || pa != 0 || ca != 0 {
-		out += fmt.Sprintf(" elided=%d+%d pooled=%d inplace=%d", er, el, pa, ca)
+	if pa := atomic.LoadInt64(&s.PooledAllocs); pa != 0 {
+		out += fmt.Sprintf(" pooled=%d", pa)
 	}
 	if fn, fd := atomic.LoadInt64(&s.FusedNodes), atomic.LoadInt64(&s.FusedDispatchesSaved); fn != 0 || fd != 0 {
 		out += fmt.Sprintf(" fused=%d(-%d dispatches)", fn, fd)

@@ -27,12 +27,10 @@ tree(n)
 main(n) tree(n)
 `
 
-// compileBlockTree builds blockTreeSrc with the optimizing pipeline in
-// compile-driver order (memplan -> fuse).
+// compileBlockTree builds blockTreeSrc and runs the fusion pass over it.
 func compileBlockTree(t *testing.T) *graph.Program {
 	t.Helper()
 	g := compile(t, blockTreeSrc, faultOps())
-	opt.PlanMemory(g)
 	opt.FuseGraph(g)
 	return g
 }
@@ -323,7 +321,7 @@ func TestBlockTreeRepeatedRuns(t *testing.T) {
 }
 
 // TestExecutorParity pins what the single dispatch step guarantees in every
-// mode: the same fused+memplanned program does the same work and
+// mode: the same fused program does the same work and
 // logs the same operator executions under the serial queue, the
 // work-stealing pool and the simulated machine, every opened trace slice is
 // closed — on a run that fails mid-way too — and no block leaks.
@@ -333,7 +331,7 @@ func TestExecutorParity(t *testing.T) {
 		name, tmpl string
 		fused      bool
 	}
-	var refOps [11]int64
+	var refOps [8]int64
 	var refLog map[entry]int
 	for _, fail := range []bool{false, true} {
 		for i, cfg := range []Config{
@@ -376,9 +374,8 @@ func TestExecutorParity(t *testing.T) {
 			// A fresh engine acquires one activation per expansion plus the
 			// root; which acquisitions find a recycled one depends on the
 			// schedule, so only their sum is pinned.
-			ops := [11]int64{st.OpsExecuted, st.OperatorsRun, st.FusedNodes,
-				st.FusedDispatchesSaved, st.ChargedUnits, st.TailCalls,
-				st.ElidedRetains, st.ElidedReleases, st.PooledAllocs, st.CopiesAvoided,
+			ops := [8]int64{st.OpsExecuted, st.OperatorsRun, st.FusedNodes,
+				st.FusedDispatchesSaved, st.ChargedUnits, st.TailCalls, st.PooledAllocs,
 				st.ActivationsAllocated + st.ActivationsReused}
 			log := make(map[entry]int)
 			for _, en := range e.Timing().Entries() {
@@ -389,7 +386,7 @@ func TestExecutorParity(t *testing.T) {
 				continue
 			}
 			if ops != refOps {
-				t.Errorf("%s: ops/operators/fused/saved/charged/tail/elided retains/elided releases/pooled/copies avoided/activations = %v, serial run had %v",
+				t.Errorf("%s: ops/operators/fused/saved/charged/tail/pooled/activations = %v, serial run had %v",
 					name, ops, refOps)
 			}
 			if !reflect.DeepEqual(log, refLog) {

@@ -58,9 +58,6 @@ const (
 	// TraceFault records an injected fault firing; Arg is the operator's
 	// execution index the fault was armed for.
 	TraceFault
-	// TraceMemElide records memory-plan savings at one node execution; Arg
-	// is the number of refcount operations elided plus free-list hits.
-	TraceMemElide
 	// TraceFused records one fused supernode dispatch; Arg is the member
 	// count. The per-member node start/end pairs follow inside the
 	// supernode's bracketing slice.
@@ -96,8 +93,6 @@ func (t TraceEventType) String() string {
 		return "retry"
 	case TraceFault:
 		return "fault"
-	case TraceMemElide:
-		return "mem-elide"
 	case TraceFused:
 		return "fused"
 	default:

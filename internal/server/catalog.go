@@ -18,7 +18,7 @@ import (
 
 // This file is the built-in program catalog: the named workloads
 // cmd/delserver can register at startup. Each builder compiles once (with
-// fusion and the memory plan where the workload supports them) and attaches
+// fusion where the workload supports it) and attaches
 // a typed renderer, so catalog responses are structured JSON rather than
 // generic value dumps.
 
@@ -61,7 +61,7 @@ func Catalog(name string, workers int, chaosSeed int64) (Spec, error) {
 }
 
 func jacobiSpec(name string, n, workers int) (Spec, error) {
-	cfg := jacobi.Config{N: n, Tol: 1e-2, MaxSweeps: 2000, MemPlan: true, Fuse: true}
+	cfg := jacobi.Config{N: n, Tol: 1e-2, MaxSweeps: 2000, Fuse: true}
 	prog, err := jacobi.CompileProgram(cfg)
 	if err != nil {
 		return Spec{}, err
@@ -127,10 +127,10 @@ func queensSpec(name string, n, workers int, chaosSeed int64) (Spec, error) {
 }
 
 // CompileSource compiles Delirium source posted to POST /programs into a
-// Spec: builtin operators (plus the prelude when asked), optional fusion
-// and memory planning, generic decode/render. This is the "register a new
+// Spec: builtin operators (plus the prelude when asked), optional fusion,
+// generic decode/render. This is the "register a new
 // program into the live service" path.
-func CompileSource(name, src string, workers int, fuse, memPlan, withPrelude bool) (Spec, error) {
+func CompileSource(name, src string, workers int, fuse, withPrelude bool) (Spec, error) {
 	if workers <= 0 {
 		workers = 2
 	}
@@ -138,7 +138,7 @@ func CompileSource(name, src string, workers int, fuse, memPlan, withPrelude boo
 		src = prelude.Source() + "\n" + src
 	}
 	res, err := compile.Compile(name+".dlr", src, compile.Options{
-		Registry: operator.Builtins(), Fuse: fuse, MemPlan: memPlan})
+		Registry: operator.Builtins(), Fuse: fuse})
 	if err != nil {
 		return Spec{}, err
 	}

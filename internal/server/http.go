@@ -65,12 +65,13 @@ func (s *Server) handleListPrograms(w http.ResponseWriter, r *http.Request) {
 
 // RegisterRequest is the body of POST /programs.
 type RegisterRequest struct {
-	Name    string `json:"name"`
-	Source  string `json:"source"`
-	Fuse    bool   `json:"fuse,omitempty"`
-	MemPlan bool   `json:"memplan,omitempty"`
-	Prelude bool   `json:"prelude,omitempty"`
-	Workers int    `json:"workers,omitempty"`
+	Name   string `json:"name"`
+	Source string `json:"source"`
+	Fuse   bool   `json:"fuse,omitempty"`
+	// Deprecated: no effect; kept until benchmark/ stops naming it (ROADMAP item 1).
+	MemPlan bool `json:"memplan,omitempty"`
+	Prelude bool `json:"prelude,omitempty"`
+	Workers int  `json:"workers,omitempty"`
 }
 
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
@@ -93,7 +94,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	if workers <= 0 || workers > 16 {
 		workers = s.cfg.Workers
 	}
-	spec, err := CompileSource(req.Name, req.Source, workers, req.Fuse, req.MemPlan, req.Prelude)
+	spec, err := CompileSource(req.Name, req.Source, workers, req.Fuse, req.Prelude)
 	if err != nil {
 		writeError(w, &APIError{Status: http.StatusBadRequest, Code: "bad_request",
 			Message: fmt.Sprintf("compile: %v", err)})

@@ -86,10 +86,6 @@ func (s *Server) MetricsText() string {
 		func(p *program) int64 { return atomic.LoadInt64(&p.agg.faultsInjected) })
 	perProg("delserver_steals_total", "work-stealing scheduler steals",
 		func(p *program) int64 { return atomic.LoadInt64(&p.agg.steals) })
-	perProg("delserver_elided_refcounts_total", "refcount ops skipped by the memory plan",
-		func(p *program) int64 {
-			return atomic.LoadInt64(&p.agg.elidedRetains) + atomic.LoadInt64(&p.agg.elidedReleases)
-		})
 	perProg("delserver_pooled_allocs_total", "block allocations served from free lists",
 		func(p *program) int64 { return atomic.LoadInt64(&p.agg.pooledAllocs) })
 	perProg("delserver_fused_nodes_total", "node executions inside fused supernodes",

@@ -303,7 +303,7 @@ func TestIdleGoroutinesAfterBurst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fib, err := CompileSource("fib", string(src), 2, true, true, false)
+	fib, err := CompileSource("fib", string(src), 2, true, false)
 	if err != nil {
 		t.Fatalf("compile fib: %v", err)
 	}
@@ -340,9 +340,9 @@ func TestIdleGoroutinesAfterBurst(t *testing.T) {
 // a catalog program under the catalog's OpTimeout allocate at most a handful
 // more per run than the same engine unbounded — a bounded operator call
 // allocates nothing, and it allocates its blocks from the worker's pool like
-// an unbounded one. jacobi16 is memory-planned and allocates through its
-// operators' pools, so a bounded call that missed the pool shows here as
-// hundreds of extra allocations and a bounded run that pools nothing. The
+// an unbounded one. jacobi16 allocates through its operators' pools, so a
+// bounded call that missed the pool shows here as hundreds of extra
+// allocations and a bounded run that pools nothing. The
 // minimum over a few measurements keeps a GC that empties the activation
 // pools mid-measurement out of the comparison.
 func TestBoundedRunAllocs(t *testing.T) {

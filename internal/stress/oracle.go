@@ -12,19 +12,15 @@ import (
 
 // Variant is one compile-time configuration of the oracle matrix.
 type Variant struct {
-	Name    string
-	Fuse    bool
-	MemPlan bool
+	Name string
+	Fuse bool
 }
 
-// Variants returns the compile configurations: the four fuse×memplan
-// combinations.
+// Variants returns the compile configurations: without and with fusion.
 func Variants() []Variant {
 	return []Variant{
 		{Name: "plain"},
 		{Name: "fuse", Fuse: true},
-		{Name: "memplan", MemPlan: true},
-		{Name: "fuse+memplan", Fuse: true, MemPlan: true},
 	}
 }
 
@@ -139,12 +135,11 @@ func (r *Report) OK() bool { return len(r.Failures) == 0 }
 // statsSnap captures the per-run counters the invariant checks need;
 // Reset zeroes Engine.Stats, so reuse legs snapshot before resetting.
 type statsSnap struct {
-	ops                           int64
-	allocated, freed              int64
-	elidedRetains, elidedReleases int64
-	pooledAllocs, copiesAvoided   int64
-	fusedNodes, fusedSaved        int64
-	retries, faultsInjected       int64
+	ops                     int64
+	allocated, freed        int64
+	pooledAllocs            int64
+	fusedNodes, fusedSaved  int64
+	retries, faultsInjected int64
 }
 
 func snap(st *rt.Stats) statsSnap {
@@ -152,10 +147,7 @@ func snap(st *rt.Stats) statsSnap {
 		ops:            st.OpsExecuted,
 		allocated:      st.Blocks.Allocated,
 		freed:          st.Blocks.Freed,
-		elidedRetains:  st.ElidedRetains,
-		elidedReleases: st.ElidedReleases,
 		pooledAllocs:   st.PooledAllocs,
-		copiesAvoided:  st.CopiesAvoided,
 		fusedNodes:     st.FusedNodes,
 		fusedSaved:     st.FusedDispatchesSaved,
 		retries:        st.Retries,
@@ -169,13 +161,6 @@ func checkInvariants(v Variant, s RunSpec, st statsSnap) []string {
 	var bad []string
 	if st.allocated != st.freed {
 		bad = append(bad, fmt.Sprintf("block leak: Allocated=%d Freed=%d", st.allocated, st.freed))
-	}
-	// Every variant recycles (the runtime owns the block pools); only the
-	// elisions are the memory plan's.
-	if !v.MemPlan && (st.elidedRetains != 0 || st.elidedReleases != 0 || st.copiesAvoided != 0) {
-		bad = append(bad, fmt.Sprintf(
-			"memplan counters nonzero without memplan: elided=%d/%d copiesAvoided=%d",
-			st.elidedRetains, st.elidedReleases, st.copiesAvoided))
 	}
 	if st.pooledAllocs > st.allocated {
 		bad = append(bad, fmt.Sprintf("PooledAllocs=%d exceeds Allocated=%d", st.pooledAllocs, st.allocated))
@@ -285,7 +270,6 @@ func CheckSource(file, src string, specs []RunSpec) *Report {
 		opts := compile.Options{
 			Registry: Operators(),
 			Fuse:     v.Fuse,
-			MemPlan:  v.MemPlan,
 		}
 		res, err := compile.Compile(file, src, opts)
 		if err != nil {

@@ -4,8 +4,8 @@
 // language's core guarantee mechanically: a Delirium program produces
 // bit-identical results regardless of schedule, worker count, executor,
 // compile-time optimization, engine reuse, or injected-and-retried
-// faults. Runtime invariants (per-run Allocated == Freed, elision and
-// pool counters coherent, no deadlock diagnostics on valid graphs) ride
+// faults. Runtime invariants (per-run Allocated == Freed, pool and
+// fusion counters coherent, no deadlock diagnostics on valid graphs) ride
 // along on every run. When a seed fails, an automatic shrinker minimizes
 // the generated program and writes the repro to testdata/regressions/,
 // turning every caught failure into a permanent gating test.
@@ -64,7 +64,7 @@ func Operators() *operator.Registry {
 	// st_cell(n): allocate a fresh block whose length and contents derive
 	// deterministically from n.
 	r.MustRegister(&operator.Operator{
-		Name: "st_cell", Arity: 1, Fresh: true, Retryable: true,
+		Name: "st_cell", Arity: 1, Retryable: true,
 		Fn: func(ctx operator.Context, args []value.Value) (value.Value, error) {
 			n, err := intOf("st_cell", args[0])
 			if err != nil {
@@ -82,7 +82,7 @@ func Operators() *operator.Registry {
 
 	// st_stir(b, x): destructively perturb every cell of b with x.
 	r.MustRegister(&operator.Operator{
-		Name: "st_stir", Arity: 2, Destructive: []bool{true, false}, Fresh: true, Retryable: true,
+		Name: "st_stir", Arity: 2, Destructive: []bool{true, false}, Retryable: true,
 		Fn: func(ctx operator.Context, args []value.Value) (value.Value, error) {
 			cells, err := vecOf("st_stir", args[0])
 			if err != nil {
@@ -102,7 +102,7 @@ func Operators() *operator.Registry {
 
 	// st_blend(a, b): destructively fold b's cells into a.
 	r.MustRegister(&operator.Operator{
-		Name: "st_blend", Arity: 2, Destructive: []bool{true, false}, Fresh: true, Retryable: true,
+		Name: "st_blend", Arity: 2, Destructive: []bool{true, false}, Retryable: true,
 		Fn: func(ctx operator.Context, args []value.Value) (value.Value, error) {
 			a, err := vecOf("st_blend", args[0])
 			if err != nil {
@@ -124,7 +124,7 @@ func Operators() *operator.Registry {
 	// decomposition path). Halves are tagged so they diverge even when b
 	// is tiny.
 	r.MustRegister(&operator.Operator{
-		Name: "st_fork", Arity: 1, Destructive: []bool{true}, Fresh: true, Retryable: true,
+		Name: "st_fork", Arity: 1, Destructive: []bool{true}, Retryable: true,
 		Fn: func(ctx operator.Context, args []value.Value) (value.Value, error) {
 			cells, err := vecOf("st_fork", args[0])
 			if err != nil {

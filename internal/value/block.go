@@ -144,26 +144,6 @@ func (b *Block) Release(st *BlockStats) bool {
 	return false
 }
 
-// FreeOwned releases a block the caller believes it owns exclusively
-// (refcount 1), skipping the atomic decrement and the Releases counter, and
-// detaches the payload for recycling. If the block is in fact shared the
-// call degrades to a plain Release and returns (nil, false) — the memory
-// plan's elisions stay sound even against a wrong static claim. Freed is
-// counted on st, as at Release's zero-crossing.
-func (b *Block) FreeOwned(st *BlockStats) (BlockData, bool) {
-	if atomic.LoadInt64(&b.refs) != 1 {
-		b.Release(st)
-		return nil, false
-	}
-	atomic.StoreInt64(&b.refs, 0)
-	data := b.data
-	b.data = nil
-	if st != nil {
-		atomic.AddInt64(&st.Freed, 1)
-	}
-	return data, true
-}
-
 // TakeData detaches the payload of a dead block (refcount 0) so it can be
 // recycled through a free list. It returns nil for live blocks.
 func (b *Block) TakeData() BlockData {
@@ -245,29 +225,6 @@ func Blocks(v Value, dst []*Block) []*Block {
 		}
 	}
 	return dst
-}
-
-// CountBlocks returns the number of block references reachable from v
-// (through tuples and closure environments). The runtime uses it to count
-// elided refcount operations without materializing the block list.
-func CountBlocks(v Value) int64 {
-	switch x := v.(type) {
-	case *Block:
-		return 1
-	case Tuple:
-		var n int64
-		for _, e := range x {
-			n += CountBlocks(e)
-		}
-		return n
-	case *Closure:
-		var n int64
-		for _, e := range x.Env {
-			n += CountBlocks(e)
-		}
-		return n
-	}
-	return 0
 }
 
 // TotalSize returns the summed word size of every block reachable from v.

@@ -39,14 +39,6 @@ func TestReleaseNilStatsFreedAccounting(t *testing.T) {
 		t.Fatalf("other.Releases = %d, want 1", other.Releases)
 	}
 
-	// FreeOwned's zero-crossing follows the same rule.
-	var owner BlockStats
-	d := NewBlockStats(FloatVec{1}, &st)
-	if _, ok := d.FreeOwned(&owner); !ok || owner.Freed != 1 || st.Freed != 0 {
-		t.Fatalf("FreeOwned: ok=%v, releasing sink Freed=%d, allocating sink Freed=%d; want true, 1, 0",
-			ok, owner.Freed, st.Freed)
-	}
-
 	// Bare NewBlock counts no allocation; its last release still counts Freed
 	// on the call site's sink.
 	var site BlockStats
@@ -165,9 +157,8 @@ func TestWritableConcurrentFanOutAccounting(t *testing.T) {
 func TestStringSafeOnRecycledBlock(t *testing.T) {
 	var st BlockStats
 	b := NewBlockStats(FloatVec{1, 2}, &st)
-	data, ok := b.FreeOwned(&st)
-	if !ok || data == nil {
-		t.Fatal("FreeOwned on an exclusive block must detach the payload")
+	if !b.Release(&st) || b.TakeData() == nil {
+		t.Fatal("the last release must let TakeData detach the payload")
 	}
 	s := b.String()
 	if !strings.Contains(s, "recycled") {
@@ -175,26 +166,6 @@ func TestStringSafeOnRecycledBlock(t *testing.T) {
 	}
 	if b.Size() != 0 {
 		t.Fatalf("Size() on recycled block = %d, want 0", b.Size())
-	}
-}
-
-func TestFreeOwnedSharedDegradesToRelease(t *testing.T) {
-	var st BlockStats
-	b := NewBlockStats(FloatVec{1}, &st)
-	b.Retain(&st)
-	data, ok := b.FreeOwned(&st)
-	if ok || data != nil {
-		t.Fatal("FreeOwned must refuse a shared block")
-	}
-	if b.Refs() != 1 {
-		t.Fatalf("refs = %d after degraded FreeOwned, want 1", b.Refs())
-	}
-	if b.Data() == nil {
-		t.Fatal("degraded FreeOwned must not detach the payload")
-	}
-	b.Release(&st)
-	if st.Allocated != st.Freed {
-		t.Fatalf("Allocated %d != Freed %d", st.Allocated, st.Freed)
 	}
 }
 
