@@ -172,43 +172,6 @@ func TestRetryRecoversDeterministically(t *testing.T) {
 			}
 		}
 	}
-
-	// Seeded faults on a loop whose blocks cycle through the worker's pool:
-	// every recovered run equals the fault-free value and frees every block.
-	const retryLoop = `
-main(n)
-  iterate
-  {
-    i = 0, rinc(i)
-    total = 0.0, add(total, blocksum(rfill(pmkblock(8), i)))
-  } while lt(i, n),
-  result total
-`
-	g := compile(t, retryLoop, poolOps())
-	want, err := New(g, Config{Mode: Real, Workers: 1, MaxOps: 1_000_000}).Run(value.Int(30))
-	if err != nil {
-		t.Fatalf("pooled loop baseline: %v", err)
-	}
-	for _, workers := range []int{1, 2, 8} {
-		for seed := int64(1); seed <= 3; seed++ {
-			e := New(g, Config{Mode: Real, Workers: workers, MaxOps: 1_000_000,
-				Retry:  RetryPolicy{MaxAttempts: 4},
-				Faults: SeededFaultPlan(seed, []string{"rinc", "rfill"}, 10),
-			})
-			got, err := e.Run(value.Int(30))
-			if err != nil {
-				t.Fatalf("pooled loop workers %d seed %d: %v", workers, seed, err)
-			}
-			if got != want {
-				t.Errorf("pooled loop workers %d seed %d: %v != fault-free %v", workers, seed, got, want)
-			}
-			st := e.Stats()
-			if st.FaultsInjected == 0 || st.Blocks.Allocated != st.Blocks.Freed {
-				t.Errorf("pooled loop workers %d seed %d: faults %d, allocated %d freed %d",
-					workers, seed, st.FaultsInjected, st.Blocks.Allocated, st.Blocks.Freed)
-			}
-		}
-	}
 }
 
 // TestAffinityBitIdentity: placement is advisory, so seeded faults under
@@ -608,23 +571,19 @@ func TestDeadlockStructuredError(t *testing.T) {
 	}
 }
 
-// TestBudgetStructuredError: the operation-budget failure is a RunError
-// too, and the mid-flight teardown frees every block, whether the loop
-// allocates its blocks plainly or from the worker's pool.
+// TestBudgetStructuredError: the operation-budget failure is a RunError too.
 func TestBudgetStructuredError(t *testing.T) {
-	for _, src := range []string{loopBlocks, pooledLoop} {
-		g := compile(t, src, poolOps())
-		e := New(g, Config{Mode: Real, Workers: 2, MaxOps: 50})
-		_, err := e.Run(value.Int(1000))
-		var re *RunError
-		if !errors.As(err, &re) || re.Kind != FailBudget {
-			t.Fatalf("err = %v, want RunError{FailBudget}", err)
-		}
-		if !strings.Contains(err.Error(), "operation budget") {
-			t.Errorf("err = %q, want the budget diagnostic", err)
-		}
-		failedRunLeakCheck(t, e)
+	g := compile(t, loopBlocks, faultOps())
+	e := New(g, Config{Mode: Real, Workers: 2, MaxOps: 50})
+	_, err := e.Run(value.Int(1000))
+	var re *RunError
+	if !errors.As(err, &re) || re.Kind != FailBudget {
+		t.Fatalf("err = %v, want RunError{FailBudget}", err)
 	}
+	if !strings.Contains(err.Error(), "operation budget") {
+		t.Errorf("err = %q, want the budget diagnostic", err)
+	}
+	failedRunLeakCheck(t, e)
 }
 
 // TestRetryBackoffApplied: a configured backoff must actually delay the
