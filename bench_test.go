@@ -330,13 +330,12 @@ func BenchmarkDispatchRetry(b *testing.B) {
 }
 
 // benchDispatchChain measures dispatch cost on a chain-shaped body: each
-// loop iteration runs a 32-operator incr chain, the shape operator fusion
-// targets. With fusion off, every link is a separate ready-queue dispatch;
-// with fusion on the whole chain (plus the loop-carried call) executes as
-// one supernode. The chain is deep enough that the loop's fixed costs
+// loop iteration runs a 32-operator incr chain, every link a separate
+// dispatch that hands its single successor to the next through the worker's
+// hand-off slot. The chain is deep enough that the loop's fixed costs
 // (cond, activation turnover) amortize away and the per-link dispatch
 // price dominates the metric.
-func benchDispatchChain(b *testing.B, copts compile.Options, cfg rt.Config) {
+func benchDispatchChain(b *testing.B, cfg rt.Config) {
 	b.Helper()
 	const depth = 32
 	body := "i"
@@ -344,7 +343,7 @@ func benchDispatchChain(b *testing.B, copts compile.Options, cfg rt.Config) {
 		body = "incr(" + body + ")"
 	}
 	src := "main(n)\n  iterate { i = 0, " + body + " } while lt(i, n), result i\n"
-	res, err := compile.Compile("chain.dlr", src, copts)
+	res, err := compile.Compile("chain.dlr", src, compile.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -361,18 +360,11 @@ func benchDispatchChain(b *testing.B, copts compile.Options, cfg rt.Config) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/iters, "ns/operator")
 }
 
-// BenchmarkDispatchChain is the unfused chain baseline — the number
-// BenchmarkDispatchFused is measured against.
+// BenchmarkDispatchChain is the per-link price of a 32-operator chain on the
+// serial queue, where BenchmarkDispatch's loop body is one operator and the
+// loop's own nodes weigh in its metric.
 func BenchmarkDispatchChain(b *testing.B) {
-	benchDispatchChain(b, compile.Options{}, rt.Config{Mode: rt.Real, Workers: 1})
-}
-
-// BenchmarkDispatchFused is the same chain compiled with operator fusion:
-// the eight incr links collapse into one supernode dispatched once per
-// iteration, eliminating seven ready-queue round trips and their counter
-// traffic.
-func BenchmarkDispatchFused(b *testing.B) {
-	benchDispatchChain(b, compile.Options{Fuse: true}, rt.Config{Mode: rt.Real, Workers: 1})
+	benchDispatchChain(b, rt.Config{Mode: rt.Real, Workers: 1})
 }
 
 func BenchmarkCompileWorkload(b *testing.B) {
@@ -463,11 +455,10 @@ func BenchmarkRunThroughputReused(b *testing.B) {
 }
 
 // stressProgram compiles one seeded stress program at the given scale.
-func stressProgram(b *testing.B, funcs int, fuse bool) *graph.Program {
+func stressProgram(b *testing.B, funcs int) *graph.Program {
 	b.Helper()
 	src := stress.Generate(stress.GenConfig{Funcs: funcs, Seed: 1990})
-	res, err := compile.Compile("stress.dlr", src, compile.Options{
-		Registry: stress.Operators(), Fuse: fuse})
+	res, err := compile.Compile("stress.dlr", src, compile.Options{Registry: stress.Operators()})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -479,7 +470,7 @@ func stressProgram(b *testing.B, funcs int, fuse bool) *graph.Program {
 func BenchmarkStressGenerate(b *testing.B) {
 	var nodes int
 	for i := 0; i < b.N; i++ {
-		prog := stressProgram(b, 600, false)
+		prog := stressProgram(b, 600)
 		nodes = 0
 		for _, t := range prog.Templates {
 			nodes += len(t.Nodes)
@@ -489,10 +480,10 @@ func BenchmarkStressGenerate(b *testing.B) {
 }
 
 // BenchmarkStressRun measures executing one mid-size stress program on the
-// real executor with fusion on — the per-seed runtime cost that dominates
+// real executor — the per-seed runtime cost that dominates
 // a stress sweep.
 func BenchmarkStressRun(b *testing.B) {
-	prog := stressProgram(b, 64, true)
+	prog := stressProgram(b, 64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eng := rt.New(prog, rt.Config{Mode: rt.Real, Workers: 4, MaxOps: 50_000_000})
@@ -503,7 +494,7 @@ func BenchmarkStressRun(b *testing.B) {
 }
 
 // BenchmarkStressOracle measures one seed's full trip through the
-// differential matrix (every compile variant × every run spec) — the
+// differential matrix (every run spec) — the
 // end-to-end unit the nightly job multiplies by its seed count.
 func BenchmarkStressOracle(b *testing.B) {
 	p := stress.NewProgram(stress.GenConfig{Funcs: 24, Seed: 1990})

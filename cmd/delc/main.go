@@ -8,7 +8,6 @@
 //	delc -ast program.dlr            print the analyzed program
 //	delc -fmt program.dlr            pretty-print (format) the program
 //	delc -tokens program.dlr         print the token stream
-//	delc -fuse program.dlr           run operator fusion, print the supernode plan
 //	delc -O -1 ...                   optimization level
 package main
 
@@ -33,7 +32,6 @@ func main() {
 		dumpAST  = flag.Bool("ast", false, "print the analyzed program")
 		format   = flag.Bool("fmt", false, "parse and pretty-print the program, then exit")
 		tokens   = flag.Bool("tokens", false, "print the token stream and exit")
-		fuse     = flag.Bool("fuse", false, "run the operator-fusion pass and print the supernode plan")
 		quiet    = flag.Bool("q", false, "suppress the pass-time report")
 	)
 	flag.Parse()
@@ -65,7 +63,7 @@ func main() {
 	reg, err := cli.Registry(*app)
 	fail(err)
 	res, err := compile.Compile(name, src, compile.Options{
-		Registry: reg, OptLevel: *optLevel, Fuse: *fuse})
+		Registry: reg, OptLevel: *optLevel})
 	fail(err)
 	for _, w := range res.Warnings {
 		fmt.Fprintln(os.Stderr, w)
@@ -76,8 +74,6 @@ func main() {
 		fmt.Print(res.Program.Dot())
 	case *dumpAST:
 		fmt.Print(ast.PrintProgram(res.Info.Prog))
-	case *fuse:
-		fmt.Print(res.FusePlan.Report())
 	}
 
 	if !*quiet {

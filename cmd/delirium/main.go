@@ -6,7 +6,6 @@
 //	delirium -workers 4 program.dlr 3 5      run with arguments
 //	delirium -sim -machine cray program.dlr  deterministic simulated run
 //	delirium -app queens queens.dlr          run with application operators
-//	delirium -fuse program.dlr               supernode (fused) dispatch
 //	delirium -e 'add(2, mul(5, 8))'          evaluate one expression
 package main
 
@@ -33,7 +32,6 @@ func main() {
 		affName  = flag.String("affinity", "none", "simulated affinity policy: none, operator, data")
 		stats    = flag.Bool("stats", false, "print execution statistics")
 		nopri    = flag.Bool("no-priorities", false, "replace the 3-level ready queue with a FIFO")
-		fuse     = flag.Bool("fuse", false, "compile with operator fusion (supernode dispatch)")
 		expr     = flag.String("e", "", "evaluate a single expression (builtins + prelude) and exit")
 	)
 	flag.Parse()
@@ -59,7 +57,7 @@ func main() {
 	fail(err)
 
 	res, err := compile.Compile(name, src, compile.Options{
-		Registry: reg, OptLevel: *optLevel, Fuse: *fuse})
+		Registry: reg, OptLevel: *optLevel})
 	fail(err)
 
 	mode := runtime.Real

@@ -55,7 +55,6 @@ func main() {
 		gantt    = flag.Int("gantt", 0, "render a per-processor timeline this many cells wide")
 		traceOut = flag.String("trace", "", "write a Chrome/Perfetto trace-event JSON file here")
 		critpath = flag.Bool("critpath", false, "print critical-path analysis and imbalance verdict")
-		fuse     = flag.Bool("fuse", false, "compile with operator fusion and report supernode counters")
 		runs     = flag.Int("runs", 1, "execute the program this many times on one reused engine (throughput mode); listings describe the last run")
 		steals   = flag.Bool("steals", false, "print the per-worker steal/park report (enables tracing)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run loop here")
@@ -85,8 +84,7 @@ func main() {
 		unit = "ticks"
 	}
 
-	res, err := compile.Compile(name, src, compile.Options{
-		Registry: reg, Fuse: *fuse})
+	res, err := compile.Compile(name, src, compile.Options{Registry: reg})
 	fail(err)
 	for _, w := range res.Warnings {
 		fmt.Fprintf(os.Stderr, "warning: %s\n", w)
@@ -191,11 +189,6 @@ func main() {
 	if *steals {
 		fmt.Println()
 		fmt.Print(eng.Trace().SchedReport().Render())
-	}
-	if *fuse {
-		st := eng.Stats()
-		fmt.Printf("\nfusion: %d supernode clusters compiled, %d nodes ran fused, %d dispatches saved\n",
-			res.FusePlan.Clusters, st.FusedNodes, st.FusedDispatchesSaved)
 	}
 }
 

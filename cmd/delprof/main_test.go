@@ -105,7 +105,7 @@ func TestDelprofProfiles(t *testing.T) {
 	dir := t.TempDir()
 	bin := buildCmd(t, dir, "./cmd/delprof")
 	cpu, mem := filepath.Join(dir, "cpu.out"), filepath.Join(dir, "mem.out")
-	cmd := exec.Command(bin, "-sim=false", "-workers", "2", "-app", "queens", "-fuse", "-runs", "3",
+	cmd := exec.Command(bin, "-sim=false", "-workers", "2", "-app", "queens", "-runs", "3",
 		"-cpuprofile", cpu, "-memprofile", mem, "programs/queens8.dlr")
 	cmd.Dir = repoRoot(t)
 	if out, err := cmd.CombinedOutput(); err != nil {

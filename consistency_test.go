@@ -37,7 +37,6 @@ func TestCrossCuttingConsistency(t *testing.T) {
 				{OptLevel: -1},
 				{OptLevel: 1},
 				{OptLevel: 2},
-				{OptLevel: 2, Fuse: true},
 			}
 			for ci, copts := range compileVariants {
 				res, err := compile.Compile("gen.dlr", src, copts)

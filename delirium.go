@@ -36,7 +36,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/machine"
 	"repro/internal/operator"
-	"repro/internal/opt"
 	"repro/internal/prelude"
 	"repro/internal/runtime"
 	"repro/internal/value"
@@ -208,12 +207,6 @@ type CompileOptions struct {
 	OptLevel int
 	// InlineBudget caps inline-expansion candidate size (0 = default).
 	InlineBudget int
-	// Fuse runs the operator-fusion pass: chains (and delay-free trees) of
-	// single-consumer nodes collapse into supernodes the runtime dispatches
-	// once, and every node gets a static critical-path priority. Output is
-	// bit-identical with or without it; see Stats.FusedNodes and
-	// Stats.FusedDispatchesSaved for the effect.
-	Fuse bool
 }
 
 // PassTime reports one compiler pass's wall time.
@@ -231,7 +224,6 @@ func Compile(file, src string, opts CompileOptions) (*Program, error) {
 		Registry:     opts.Registry,
 		OptLevel:     opts.OptLevel,
 		InlineBudget: opts.InlineBudget,
-		Fuse:         opts.Fuse,
 	})
 	if err != nil {
 		return nil, err
@@ -241,13 +233,6 @@ func Compile(file, src string, opts CompileOptions) (*Program, error) {
 
 // Passes returns per-pass compile times in pipeline order.
 func (p *Program) Passes() []PassTime { return p.res.Passes }
-
-// FusePlan returns the operator-fusion report, nil unless the program was
-// compiled with CompileOptions.Fuse.
-func (p *Program) FusePlan() *FusePlan { return p.res.FusePlan }
-
-// FusePlan is the operator-fusion pass report (see CompileOptions.Fuse).
-type FusePlan = opt.FusePlan
 
 // NodeCount returns the total coordination-graph node count.
 func (p *Program) NodeCount() int { return p.res.Program.NodeCount() }

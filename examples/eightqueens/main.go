@@ -17,14 +17,13 @@ func main() {
 	n := flag.Int("n", 8, "board size")
 	workers := flag.Int("workers", 4, "worker goroutines")
 	show := flag.Int("show", 4, "solutions to print (0 = all)")
-	fuse := flag.Bool("fuse", false, "compile with operator fusion (supernode dispatch)")
 	flag.Parse()
 
 	fmt.Println("coordination framework (the paper's §3 program):")
 	fmt.Print(queens.Program(*n))
 	fmt.Println()
 
-	sols, eng, err := queens.RunFused(*n, *fuse, runtime.Config{
+	sols, eng, err := queens.Run(*n, runtime.Config{
 		Mode: runtime.Real, Workers: *workers, MaxOps: 200_000_000})
 	if err != nil {
 		log.Fatal(err)

@@ -24,7 +24,6 @@ main(n) parreduce(plus, 0.0, parmap(chunk, iota(n)))
 func main() {
 	n := flag.Int("n", 64, "integration intervals (parallel width)")
 	steps := flag.Int("steps", 20000, "sub-steps per interval")
-	fuse := flag.Bool("fuse", false, "compile with operator fusion (supernode dispatch)")
 	flag.Parse()
 
 	reg := delirium.NewRegistry(delirium.Builtins())
@@ -48,7 +47,7 @@ func main() {
 	})
 
 	prog, err := delirium.Compile("pi.dlr", delirium.Prelude()+src,
-		delirium.CompileOptions{Registry: reg, Fuse: *fuse})
+		delirium.CompileOptions{Registry: reg})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -68,10 +67,6 @@ func main() {
 		pi := float64(out.(delirium.Float))
 		fmt.Printf("procs=%d  pi≈%.10f (err %.2e)  virtual makespan=%d ticks\n",
 			workers, pi, math.Abs(pi-math.Pi), stats.MakespanTicks)
-		if *fuse {
-			fmt.Printf("         %d nodes ran fused, %d dispatches saved\n",
-				stats.FusedNodes, stats.FusedDispatchesSaved)
-		}
 	}
 	fmt.Println("\nthe same program scales with the processor count: no hard-wired split width")
 }

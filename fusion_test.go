@@ -2,9 +2,7 @@ package delirium_test
 
 import (
 	"bytes"
-	"flag"
 	"fmt"
-	"os"
 	"strings"
 	"testing"
 
@@ -18,29 +16,32 @@ import (
 	"repro/internal/value"
 )
 
-// fusionWorkers are the worker counts every fusion test sweeps: serial,
-// the smallest concurrent pool, and an oversubscribed one.
+// The tests in this file were written for operator fusion, which ran
+// single-consumer chains as one dispatch; fusion is gone, and they keep
+// checking the same programs on the one dispatch path: bit-identical results
+// at every worker count in both executors, on engines reused through Reset,
+// and under seeded faults with retry.
+
+// fusionWorkers are the worker counts every test here sweeps: serial, the
+// smallest concurrent pool, and an oversubscribed one.
 var fusionWorkers = []int{1, 2, 8}
 
-// updateDot regenerates the fused-DOT golden file instead of comparing.
-var updateDot = flag.Bool("update-dot", false, "rewrite testdata/jacobi_fused.dot")
-
-// TestFusionQueensConsistency checks that operator fusion is invisible to
-// n-queens: fused solutions match the unfused ones exactly at every worker
-// count in both executors, and the fused counters confirm supernodes
-// actually dispatched.
+// TestFusionQueensConsistency checks that n-queens finds the same solutions
+// in the same order at every worker count in both executors, and that every
+// run dispatches the same number of nodes.
 func TestFusionQueensConsistency(t *testing.T) {
 	const n = 6
 	want, base, err := queens.Run(n, runtime.Config{Mode: runtime.Real, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := base.Stats().FusedNodes; got != 0 {
-		t.Fatalf("unfused run counted %d fused nodes", got)
+	wantOps := base.Stats().OpsExecuted
+	if wantOps == 0 {
+		t.Fatal("reference run counted no dispatches")
 	}
 	for _, mode := range []runtime.Mode{runtime.Real, runtime.Simulated} {
 		for _, workers := range fusionWorkers {
-			sols, eng, err := queens.RunFused(n, true, runtime.Config{Mode: mode, Workers: workers})
+			sols, eng, err := queens.Run(n, runtime.Config{Mode: mode, Workers: workers})
 			if err != nil {
 				t.Fatalf("%v workers=%d: %v", mode, workers, err)
 			}
@@ -52,23 +53,18 @@ func TestFusionQueensConsistency(t *testing.T) {
 					t.Fatalf("%v workers=%d: solution %d = %v, want %v", mode, workers, i, sols[i], want[i])
 				}
 			}
-			st := eng.Stats()
-			if st.FusedNodes == 0 || st.FusedDispatchesSaved == 0 {
-				t.Errorf("%v workers=%d: fused counters empty (nodes=%d saved=%d)",
-					mode, workers, st.FusedNodes, st.FusedDispatchesSaved)
-			}
-			if !strings.Contains(st.String(), "fused=") {
-				t.Errorf("%v workers=%d: Stats.String misses fused counters: %s", mode, workers, st)
+			if got := eng.Stats().OpsExecuted; got != wantOps {
+				t.Errorf("%v workers=%d: %d dispatches, want %d", mode, workers, got, wantOps)
 			}
 		}
 	}
 }
 
 // TestFusionJacobiConsistency checks the solver against its sequential
-// reference with fusion on, and that fused supernode dispatches surface in
-// the Chrome trace export.
+// reference at every worker count, and that its node executions surface as
+// slices in the Chrome trace export.
 func TestFusionJacobiConsistency(t *testing.T) {
-	cfg := jacobi.Config{N: 24, Tol: 1e-2, Fuse: true}
+	cfg := jacobi.Config{N: 24, Tol: 1e-2}
 	ref := jacobi.Reference(cfg)
 	for _, workers := range fusionWorkers {
 		s, eng, err := jacobi.Run(cfg, runtime.Config{Mode: runtime.Real, Workers: workers, Trace: workers == 1})
@@ -76,28 +72,28 @@ func TestFusionJacobiConsistency(t *testing.T) {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if !jacobi.Matches(s, ref) {
-			t.Fatalf("workers=%d: fused solve diverged from reference (sweeps %d vs %d)",
+			t.Fatalf("workers=%d: solve diverged from reference (sweeps %d vs %d)",
 				workers, s.Sweeps, ref.Sweeps)
 		}
-		if eng.Stats().FusedNodes == 0 {
-			t.Errorf("workers=%d: no fused dispatches recorded", workers)
+		if eng.Stats().OperatorsRun == 0 {
+			t.Errorf("workers=%d: no operator executions recorded", workers)
 		}
 		if tr := eng.Trace(); tr != nil {
 			var buf bytes.Buffer
 			if err := tr.WriteChrome(&buf); err != nil {
 				t.Fatal(err)
 			}
-			if !strings.Contains(buf.String(), `"name":"fused x`) {
-				t.Error("trace export misses fused supernode markers")
+			if !strings.Contains(buf.String(), `"cat":"node","ph":"X"`) {
+				t.Error("trace export misses node slices")
 			}
 		}
 	}
 }
 
-// TestFusionRetinaConsistency checks the unbalanced retina, fused, against
-// the sequential reference at every worker count in both executors, on an
+// TestFusionRetinaConsistency checks the unbalanced retina against the
+// sequential reference at every worker count in both executors, on an
 // engine reused through Reset, and with seeded faults on two operators
-// driving the retry machinery through the fused plan.
+// driving the retry machinery.
 func TestFusionRetinaConsistency(t *testing.T) {
 	cfg := retina.Config{W: 32, H: 32, K: 5, Slabs: 4, Timesteps: 2,
 		TargetsPerQuarter: 8, TargetWork: 200, Seed: 77}
@@ -107,7 +103,7 @@ func TestFusionRetinaConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := compile.Compile("retina1.dlr", retina.Source(cfg, retina.V1), compile.Options{
-		Registry: reg, Fuse: true})
+		Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,9 +154,9 @@ func TestFusionRetinaConsistency(t *testing.T) {
 }
 
 // fusionFaultRegistry registers a fresh block producer and a destructive
-// chain step, the shape that exercises fusion x retry: the
-// chain fuses into a supernode, vstep destroys its input (so retry needs
-// the pristine snapshot), and an injected fault kills it mid-chain.
+// chain step, the shape that exercises retry mid-chain: vstep destroys its
+// input (so retry needs the pristine snapshot), and an injected fault kills
+// it between two other steps of the chain.
 func fusionFaultRegistry() *operator.Registry {
 	reg := operator.NewRegistry(operator.Builtins())
 	reg.MustRegister(&operator.Operator{
@@ -211,11 +207,10 @@ func chainResult(t *testing.T, v value.Value) float64 {
 	return vec[0]
 }
 
-// TestFusionFaultRetryConsistency is the composition test of fusion and
-// deterministic retry. A seeded fault plan kills
-// vstep mid-supernode; retry must re-execute from the member's pristine
-// snapshot and the final block must match the fault-free unfused result
-// bit for bit at every worker count.
+// TestFusionFaultRetryConsistency is the composition test of a destructive
+// chain and deterministic retry. A seeded fault plan kills vstep mid-chain;
+// retry must re-execute from the pristine snapshot and the final block must
+// match the fault-free serial result bit for bit at every worker count.
 func TestFusionFaultRetryConsistency(t *testing.T) {
 	reg := fusionFaultRegistry()
 	res, err := compile.Compile("vchain.dlr", fusionFaultSrc, compile.Options{Registry: reg})
@@ -229,17 +224,10 @@ func TestFusionFaultRetryConsistency(t *testing.T) {
 	}
 	want := chainResult(t, wantV)
 
-	copts := compile.Options{Registry: fusionFaultRegistry(), Fuse: true}
-	fres, err := compile.Compile("vchain.dlr", fusionFaultSrc, copts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fres.FusePlan == nil || fres.FusePlan.Clusters == 0 {
-		t.Fatal("vstep chain did not fuse")
-	}
+	var faults int64
 	for _, workers := range fusionWorkers {
 		for seed := int64(1); seed <= 4; seed++ {
-			e := runtime.New(fres.Program, runtime.Config{
+			e := runtime.New(res.Program, runtime.Config{
 				Mode:    runtime.Real,
 				Workers: workers,
 				Retry:   runtime.RetryPolicy{MaxAttempts: 4},
@@ -250,38 +238,15 @@ func TestFusionFaultRetryConsistency(t *testing.T) {
 				t.Fatalf("workers=%d seed=%d: %v", workers, seed, err)
 			}
 			if gf := chainResult(t, got); gf != want {
-				t.Errorf("workers=%d seed=%d: %v != fault-free unfused %v", workers, seed, gf, want)
+				t.Errorf("workers=%d seed=%d: %v != fault-free %v", workers, seed, gf, want)
 			}
 			if e.Stats().Retries == 0 && e.Stats().FaultsInjected > 0 {
 				t.Errorf("workers=%d seed=%d: faults fired but nothing retried", workers, seed)
 			}
+			faults += e.Stats().FaultsInjected
 		}
 	}
-}
-
-// TestFusedJacobiDotGolden pins the DOT rendering of the fused jacobi
-// program: supernodes appear as nested dashed subgraphs and internal
-// handoff edges render bold. Regenerate with
-//
-//	go test -run TestFusedJacobiDotGolden -update-dot
-func TestFusedJacobiDotGolden(t *testing.T) {
-	prog, err := jacobi.CompileProgram(jacobi.Config{Fuse: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := prog.Dot()
-	const golden = "testdata/jacobi_fused.dot"
-	if *updateDot {
-		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != string(want) {
-		t.Fatalf("fused jacobi DOT drifted from %s; run with -update-dot to regenerate.\ngot:\n%s", golden, got)
+	if faults == 0 {
+		t.Error("no seeded fault fired across the sweep")
 	}
 }

@@ -38,10 +38,7 @@ type Options struct {
 	InlineBudget int
 	// Deprecated: no effect; kept until benchmark/ stops naming it (ROADMAP item 1).
 	MemPlan bool
-	// Fuse runs the operator-fusion pass (opt.FuseGraph) over the linked
-	// graph: single-consumer chains collapse into supernodes dispatched
-	// once, and static bottom-level priorities order the ready queues. Off
-	// by default; fused and unfused programs produce bit-identical results.
+	// Deprecated: no effect; kept until benchmark/ stops naming it (ROADMAP item 1).
 	Fuse bool
 	// Deprecated: no effect; kept until benchmark/ stops naming it (ROADMAP item 1).
 	Affinity bool
@@ -82,8 +79,6 @@ type Result struct {
 	Passes []PassTime
 	// Warnings carries non-fatal diagnostics (e.g. unused parameters).
 	Warnings []string
-	// FusePlan is the operator-fusion report, nil unless Options.Fuse was set.
-	FusePlan *opt.FusePlan
 }
 
 // TotalNanos sums every pass.
@@ -155,11 +150,6 @@ func Compile(file, src string, opts Options) (*Result, error) {
 	})
 	if err := diags.Err(); err != nil {
 		return nil, err
-	}
-	if opts.Fuse {
-		timePass(res, "Fusion", func() {
-			res.FusePlan = opt.FuseGraph(g)
-		})
 	}
 	res.Program = g
 	res.Warnings = diags.Warnings()

@@ -40,7 +40,6 @@ func pinnedDigests(t *testing.T) []string {
 		name string
 		opts compile.Options
 	}{
-		{"fuse", compile.Options{Fuse: true}},
 		{"default", compile.Options{}},
 		{"o1", compile.Options{OptLevel: 1}},
 		{"o0", compile.Options{OptLevel: -1}},

@@ -16,7 +16,7 @@
 //	thru   throughput mode: fresh engine per run vs one reused engine
 //	       (RunMany), results bit-identical, reuse speedup reported
 //	stress differential stress harness: seeded random coordination graphs
-//	       through the executor × workers × fuse × reuse × faults
+//	       through the executor × workers × reuse × faults
 //	       matrix, bit-identity and block accounting on every run
 //
 // Absolute numbers depend on the host and the virtual-machine calibration;
@@ -689,8 +689,8 @@ func ThroughputText(runs int) (string, error) {
 }
 
 // StressText drives the differential stress harness: seeds random
-// coordination graphs through the full oracle matrix (2 compile variants
-// × 9 run specs per seed), plus one large-graph seed at the ROADMAP's
+// coordination graphs through the full oracle matrix (9 run specs per
+// seed), plus one large-graph seed at the ROADMAP's
 // 10k-node floor, and reports bit-identity and invariant status. Any
 // failing seed is shrunk automatically and the repro saved under
 // testdata/regressions/.
@@ -699,8 +699,8 @@ func StressText(seeds int) (string, error) {
 		seeds = 25
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "Differential stress: %d seeds x %d compile variants x %d run specs\n\n",
-		seeds, len(stress.Variants()), len(stress.Specs()))
+	fmt.Fprintf(&b, "Differential stress: %d seeds x %d run specs\n\n",
+		seeds, len(stress.Specs()))
 	fmt.Fprintf(&b, "%-8s %8s %8s  %s\n", "seed", "runs", "fails", "status")
 	totalRuns, failedSeeds := 0, 0
 	var totalFaults int64

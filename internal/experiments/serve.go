@@ -47,7 +47,7 @@ func ServeText(runs int) (string, error) {
 	// live service, not just at startup.
 	if err := client.RegisterSource(context.Background(), server.RegisterRequest{
 		Name: "sumsq", Source: "main(n) parreduce(plus, 0, parmap(sq, iota(n)))\nsq(x) mul(x, x)\nplus(a, b) add(a, b)\n",
-		Prelude: true, Fuse: true,
+		Prelude: true,
 	}); err != nil {
 		return "", err
 	}

@@ -38,53 +38,22 @@ func writeTemplate(b *strings.Builder, t *Template, prefix string, depth int) {
 	ind := strings.Repeat("  ", depth)
 	fmt.Fprintf(b, "%ssubgraph cluster_%s {\n", ind, prefix)
 	fmt.Fprintf(b, "%s  label=%q;\n", ind, t.Name)
-	// Cond-branch prefixes are assigned by node id up front, so the
-	// numbering is stable whether a cond is emitted inline or pulled into a
-	// fused-supernode subgraph below.
-	condSub := make(map[int]int)
 	sub := 0
 	for _, n := range t.Nodes {
+		fmt.Fprintf(b, "%s  %s_n%d [label=%q, shape=%s];\n", ind, prefix, n.ID, nodeLabel(t, n), nodeShape(n))
 		if n.Kind == CondNode {
-			condSub[n.ID] = sub
+			tp := fmt.Sprintf("%s_s%d", prefix, sub)
+			ep := fmt.Sprintf("%s_s%d", prefix, sub+1)
 			sub += 2
-		}
-	}
-	emit := func(n *Node, ind string, depth int) {
-		label := nodeLabel(t, n)
-		shape := nodeShape(n)
-		fmt.Fprintf(b, "%s  %s_n%d [label=%q, shape=%s];\n", ind, prefix, n.ID, label, shape)
-		if n.Kind == CondNode {
-			tp := fmt.Sprintf("%s_s%d", prefix, condSub[n.ID])
-			ep := fmt.Sprintf("%s_s%d", prefix, condSub[n.ID]+1)
 			writeTemplate(b, n.Then, tp, depth+1)
 			writeTemplate(b, n.Else, ep, depth+1)
 			fmt.Fprintf(b, "%s  %s_n%d -> %s_n%d [style=dashed, label=\"then\"];\n", ind, prefix, n.ID, tp, n.Then.Result)
 			fmt.Fprintf(b, "%s  %s_n%d -> %s_n%d [style=dashed, label=\"else\"];\n", ind, prefix, n.ID, ep, n.Else.Result)
 		}
 	}
-	// Fused supernodes render as nested subgraphs; a template compiled
-	// without fusion has no clusters and produces exactly the flat layout.
-	for _, c := range t.Clusters {
-		fmt.Fprintf(b, "%s  subgraph cluster_%s_f%d {\n", ind, prefix, c.Index)
-		fmt.Fprintf(b, "%s    label=\"supernode %d\";\n", ind, c.Index)
-		fmt.Fprintf(b, "%s    style=dashed;\n", ind)
-		for _, id := range c.Nodes {
-			emit(t.Nodes[id], ind+"  ", depth+1)
-		}
-		fmt.Fprintf(b, "%s  }\n", ind)
-	}
-	for _, n := range t.Nodes {
-		if !n.Fused {
-			emit(n, ind, depth)
-		}
-	}
 	for _, n := range t.Nodes {
 		for _, e := range n.Out {
-			style := ""
-			if n.FuseInternalOut {
-				style = ", style=bold"
-			}
-			fmt.Fprintf(b, "%s  %s_n%d -> %s_n%d [label=\"%d\"%s];\n", ind, prefix, n.ID, prefix, e.To, e.Port, style)
+			fmt.Fprintf(b, "%s  %s_n%d -> %s_n%d [label=\"%d\"];\n", ind, prefix, n.ID, prefix, e.To, e.Port)
 		}
 	}
 	fmt.Fprintf(b, "%s  %s_n%d [penwidth=2];\n", ind, prefix, t.Result)

@@ -130,50 +130,6 @@ type Node struct {
 	CoveredIdx []int
 	// Pos points back at the source expression for node timing listings.
 	Pos source.Pos
-
-	// The fusion fields are stamped by the optional operator-fusion pass
-	// (internal/opt.FuseGraph) and are all zero in unfused programs.
-
-	// Fused marks a node that belongs to a fused supernode: it is never
-	// scheduled individually — external deliveries gate on the cluster head
-	// instead, and the whole cluster executes as one straight-line dispatch.
-	Fused bool
-	// FuseHead is the cluster head's node id (meaningful only when Fused).
-	FuseHead int
-	// FuseCluster, set only on the cluster head, describes the supernode.
-	FuseCluster *Cluster
-	// FuseInternalOut marks a non-tail cluster member: its single out edge
-	// stays inside the cluster, so the produced value is stored straight
-	// into the next member's input slot with no counter decrement and no
-	// ready-queue round trip.
-	FuseInternalOut bool
-	// BLevel is the node's static bottom level: the weight of the longest
-	// chain from this node to any sink of its template, every operator
-	// weighing one unit. The real executor uses it as a tie-break priority
-	// so the longest remaining chain is pulled first.
-	BLevel int64
-}
-
-// Cluster describes one fused supernode: a chain (or delay-free small tree)
-// of single-consumer nodes the runtime dispatches once and executes as a
-// straight-line sequence. The fusion pass guarantees that every external
-// input of every member is an ancestor of the head (or a param/const filled
-// at activation creation), so gating the whole cluster on the head never
-// delays it past the moment the unfused head would have fired — fusion is
-// parallelism-neutral by construction.
-type Cluster struct {
-	// Index is the cluster's ordinal within its template (dot rendering).
-	Index int
-	// Head is the first member in execution order; the cluster schedules
-	// and gates under this node's identity.
-	Head int
-	// Nodes lists the members in execution (topological) order; Nodes[0] is
-	// the head and the final entry is the tail, the only member whose
-	// output leaves the cluster.
-	Nodes []int
-	// ExtIn is the number of input edges arriving from outside the cluster
-	// — the head's initial ready counter.
-	ExtIn int
 }
 
 // Template is the compiled subgraph of one function (§7). The run-time
@@ -199,10 +155,6 @@ type Template struct {
 	Nodes []*Node
 	// Result is the node whose output is the template's value.
 	Result int
-	// Clusters lists the fused supernodes of this template (empty unless
-	// the fusion pass ran). Used by the dot renderer and reports; the
-	// runtime reaches clusters through Node.FuseCluster.
-	Clusters []*Cluster
 
 	layoutOnce sync.Once
 	inOff      []int // input-buffer offset per node
@@ -356,10 +308,6 @@ type Program struct {
 	// Registry resolves operators at execution time (already resolved into
 	// OpNodes; kept for tooling).
 	Registry *operator.Registry
-	// Fused records that the operator-fusion pass ran over this program;
-	// the executors then dispatch fused clusters as supernodes and order
-	// ready nodes by their static bottom levels.
-	Fused bool
 	// OpTimeout is the smallest positive Operator.Timeout among the
 	// program's operator nodes, recorded by Link (zero when there is none).
 	// With Config.OpTimeout it tells the runtime, without a walk, whether

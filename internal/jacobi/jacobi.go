@@ -29,9 +29,6 @@ type Config struct {
 	// MaxSweeps bounds the iteration (safety against a tolerance that the
 	// grid never reaches). Zero selects 10000.
 	MaxSweeps int
-	// Fuse runs the operator-fusion pass at compile time, collapsing
-	// single-consumer chains into supernodes dispatched once.
-	Fuse bool
 }
 
 func (c Config) withDefaults() Config {
@@ -263,7 +260,7 @@ func Operators(cfg Config) *operator.Registry {
 func CompileProgram(cfg Config) (*graph.Program, error) {
 	cfg = cfg.withDefaults()
 	res, err := compile.Compile("jacobi.dlr", Source(cfg), compile.Options{
-		Registry: Operators(cfg), Fuse: cfg.Fuse})
+		Registry: Operators(cfg)})
 	if err != nil {
 		return nil, err
 	}

@@ -177,17 +177,11 @@ func Program(n int) string {
 
 // CompileProgram compiles the n-queens program.
 func CompileProgram(n int) (*graph.Program, error) {
-	return CompileProgramFused(n, false)
-}
-
-// CompileProgramFused compiles the n-queens program, optionally running the
-// operator-fusion pass.
-func CompileProgramFused(n int, fuse bool) (*graph.Program, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("queens: n must be positive, got %d", n)
 	}
 	res, err := compile.Compile(fmt.Sprintf("queens%d.dlr", n), Program(n), compile.Options{
-		Registry: Operators(), Fuse: fuse})
+		Registry: Operators()})
 	if err != nil {
 		return nil, err
 	}
@@ -214,12 +208,7 @@ func Solutions(v value.Value) ([][]int, error) {
 // Run compiles and executes n-queens, returning the solutions and the
 // engine for statistics.
 func Run(n int, ecfg runtime.Config) ([][]int, *runtime.Engine, error) {
-	return RunFused(n, false, ecfg)
-}
-
-// RunFused is Run with the operator-fusion pass toggled by fuse.
-func RunFused(n int, fuse bool, ecfg runtime.Config) ([][]int, *runtime.Engine, error) {
-	prog, err := CompileProgramFused(n, fuse)
+	prog, err := CompileProgram(n)
 	if err != nil {
 		return nil, nil, err
 	}

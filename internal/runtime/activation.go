@@ -24,10 +24,10 @@ type activation struct {
 	counts []int32
 	// tasks[n] is node n's ready-queue entry in the work-stealing scheduler,
 	// which pushes its address instead of allocating one per push. §7's first
-	// assumption makes one slot per node enough: a node (or a fused cluster's
-	// head) is pushed at most once per activation lifetime, the activation
-	// cannot recycle before that node retires, and the scheduler copies the
-	// task out before anything executes.
+	// assumption makes one slot per node enough: a node is pushed at most
+	// once per activation lifetime, the activation cannot recycle before that
+	// node retires, and the scheduler copies the task out before anything
+	// executes.
 	tasks []task
 	// remaining is the number of nodes that have not completed; the
 	// activation recycles when it reaches zero.
@@ -67,15 +67,7 @@ func (a *activation) reset() {
 		a.buf[i] = nil
 	}
 	for i, n := range a.tmpl.Nodes {
-		if c := n.FuseCluster; c != nil {
-			// A fused cluster gates on its head: the head fires when every
-			// input edge arriving from outside the cluster has delivered.
-			// Member counters are never decremented (deliveries to members
-			// redirect their decrement to the head) and never read.
-			a.counts[i] = int32(c.ExtIn)
-		} else {
-			a.counts[i] = int32(n.NIn)
-		}
+		a.counts[i] = int32(n.NIn)
 	}
 	a.remaining = int32(len(a.tmpl.Nodes))
 	a.cont = continuation{}
@@ -95,14 +87,12 @@ func (a *activation) inputs(n *graph.Node) []value.Value {
 	return a.buf[off[n.ID] : off[n.ID]+n.NIn]
 }
 
-// deliver stores v on node to's input port and decrements gate's ready
-// counter, reporting whether the gate became runnable. For unfused nodes
-// gate == to; for a fused cluster member the value lands on the member's
-// port while the decrement redirects to the cluster head.
-func (a *activation) deliver(to, port, gate int, v value.Value) bool {
+// deliver stores v on node to's input port and decrements its ready
+// counter, reporting whether the node became runnable.
+func (a *activation) deliver(to, port int, v value.Value) bool {
 	off, _ := a.tmpl.Layout()
 	a.buf[off[to]+port] = v
-	return atomic.AddInt32(&a.counts[gate], -1) == 0
+	return atomic.AddInt32(&a.counts[to], -1) == 0
 }
 
 // settleMax bounds the linear-scan settle; node executions moving more

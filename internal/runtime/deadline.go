@@ -256,9 +256,8 @@ func (d *deadlines) scan(now int64) {
 }
 
 // settle does for an abandoned call what the stuck worker would have done on
-// a failed terminal attempt: count the timeout, close its trace slices,
-// release the node's inputs, retire the fused members that already ran (on
-// the worker's free lists), fold the worker's counters with the dispatch's
+// a failed terminal attempt: count the timeout, close its trace slice,
+// release the node's inputs, fold the worker's counters with the dispatch's
 // charges, fail the run with the same structured error, and close the
 // scheduler. Last, it stands in for the stuck goroutine at the run's join.
 // The stuck goroutine keeps the worker's block pool, which the worker
@@ -281,30 +280,14 @@ func (d *deadlines) settle(s *deadlineSlot, canceled bool) {
 	s.owner.pool, s.owner.hitsFolded = new(value.BlockPool), 0
 	if tr := s.owner.tr; tr != nil {
 		// The stuck worker's trace track is the watchdog's now: close the
-		// brackets the worker left open, the node's and, for a fused member,
-		// its dispatch's (opened on the head).
-		ts := s.owner.q.now()
-		tr.record(s.owner.proc, TraceEvent{Type: TraceNodeEnd, Ts: ts, Act: a.seq, Node: int32(n.ID)})
-		if n.Fused {
-			tr.record(s.owner.proc, TraceEvent{Type: TraceNodeEnd, Ts: ts, Act: a.seq, Node: int32(n.FuseHead)})
-		}
+		// bracket the worker left open.
+		tr.record(s.owner.proc, TraceEvent{Type: TraceNodeEnd, Ts: s.owner.q.now(), Act: a.seq, Node: int32(n.ID)})
 	}
 	ins := a.inputs(n)
 	for _, in := range ins {
 		value.Release(in, &e.stats.Blocks)
 	}
 	clearInputs(ins)
-	if n.Fused {
-		// execFused's error exit: the members before this one completed, and
-		// their deferred counter decrements settle now (the tail's batch was
-		// already applied before it ran).
-		c := a.tmpl.Nodes[n.FuseHead].FuseCluster
-		for i, id := range c.Nodes[:len(c.Nodes)-1] {
-			if id == n.ID {
-				e.finishNodes(s.owner, a, int32(i))
-			}
-		}
-	}
 	s.owner.n.charged += s.owner.charge
 	s.owner.fold()
 	e.failAt(a, e.nodeError(a, n, cause, s.attempt))

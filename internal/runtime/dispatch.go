@@ -41,12 +41,9 @@ type scheduler interface {
 	// retire accounts a task that executed without error.
 	retire(w *worker, t task)
 	// now reads the run clock: nanoseconds since the run started, or the
-	// virtual time at which the executing node (or fused member) started
-	// (the simulated machine prices where it ends: simScheduler.end).
+	// virtual time at which the executing node started (the simulated
+	// machine prices where it ends: simScheduler.end).
 	now() int64
-	// lifo reports whether a worker's own pushes pop newest-first, so that
-	// flushReady can push an ordered batch in reverse.
-	lifo() bool
 	// drain empties the queue of a stopped run, returning the abandoned
 	// tasks so the error-path teardown can sweep their activations.
 	drain() []task
@@ -61,44 +58,41 @@ func (c *wallClock) now() int64 { return int64(time.Since(c.start)) }
 // span is one observed node execution in flight: the activation stamp taken
 // before the body runs (the last node of an activation recycles it, and a
 // pool reuse — even inside this very execution, via a recursive expansion —
-// restamps seq), the clock at its start, and the worker's charge totals then
-// (the simulated machine prices a fused member from the deltas).
+// restamps seq) and the clock at its start.
 type span struct {
-	act, t0    int64
-	c0, l0, r0 int64
+	act, t0 int64
 }
 
-// begin opens the observer bracket around node n of a; label names the
-// slice in the trace. Callers check that an observer is on.
-func (w *worker) begin(a *activation, n *graph.Node, label string) span {
-	sp := span{act: a.seq, t0: w.q.now(), c0: w.charge, l0: w.localWords, r0: w.remoteWords}
+// begin opens the observer bracket around task t's node. Callers check that
+// an observer is on.
+func (w *worker) begin(t task) span {
+	a, n := t.act, t.node
+	sp := span{act: a.seq, t0: w.q.now()}
 	if w.tr != nil {
 		w.tr.record(w.proc, TraceEvent{Type: TraceNodeStart, Ts: sp.t0,
-			Act: sp.act, Node: int32(n.ID), Name: label, Tmpl: a.tmpl.Name})
+			Act: sp.act, Node: int32(n.ID), Name: traceLabel(n), Tmpl: a.tmpl.Name})
 	}
 	return sp
 }
 
 // end closes the bracket begin opened: the trace slice always (a failed
-// node's too), the timing entry only for an operator that succeeded. A fused
-// dispatch records its members' entries, so the executor-level one (which
-// would bill the whole supernode to the head operator) is suppressed.
-func (w *worker) end(sp span, t task, n *graph.Node, member bool, err error) {
+// node's too), the timing entry only for an operator that succeeded.
+func (w *worker) end(sp span, t task, err error) {
+	n := t.node
 	t1 := w.q.now()
 	if w.e.cfg.Mode == Simulated {
-		t1 = w.q.(*simScheduler).end(w, sp, member)
+		t1 = w.q.(*simScheduler).end(w)
 	}
 	if w.tr != nil {
 		w.tr.record(w.proc, TraceEvent{Type: TraceNodeEnd, Ts: t1, Act: sp.act, Node: int32(n.ID)})
 	}
-	if err == nil && w.e.timing != nil && n.Kind == graph.OpNode && (member || n.FuseCluster == nil) {
+	if err == nil && w.e.timing != nil && n.Kind == graph.OpNode {
 		w.e.timing.addShard(w.proc, TimingEntry{
 			Name:     n.Name,
 			Template: t.act.tmpl.Name,
 			Proc:     w.proc,
 			Start:    sp.t0,
 			Ticks:    t1 - sp.t0,
-			Fused:    member,
 			Stolen:   t.from >= 0 && t.from != int32(w.proc),
 		})
 	}
@@ -123,14 +117,14 @@ func (e *Engine) loop(w *worker) error {
 		observed := e.timing != nil || w.tr != nil
 		var sp span
 		if observed {
-			sp = w.begin(t.act, t.node, dispatchLabel(t.node))
+			sp = w.begin(t)
 		}
 		err := e.execNode(w, t)
 		if err == errAbandoned {
 			return err
 		}
 		if observed {
-			w.end(sp, t, t.node, false, err)
+			w.end(sp, t, err)
 		}
 		if err != nil {
 			w.fold()

@@ -204,9 +204,9 @@ const (
 type resultBox struct{ v value.Value }
 
 // Engine executes one coordination-graph program. The engine's state splits
-// two ways: per-program immutable state (the graph, the fuse and memory
-// plans, the configuration) and per-run mutable state (activations in
-// flight, statistics, the trace, fault cursors, the result). Reset clears
+// two ways: per-program immutable state (the graph and the configuration)
+// and per-run mutable state (activations in flight, statistics, the trace,
+// fault cursors, the result). Reset clears
 // only the latter, so a finished engine returns to runnable without
 // reallocating workers, deques, activation free lists, or block free lists
 // — the repeated-run fast path RunMany builds on.
@@ -267,14 +267,10 @@ type Engine struct {
 	// dispatches in their own counters, and only a bounded engine (maxOps > 0)
 	// also claims them here, so that FailBudget fires at the exact node. Every
 	// worker adds to it on every dispatch, so the pads keep it off the cache
-	// lines of the fields every dispatch reads (maxOps, fused, …).
+	// lines of the fields every dispatch reads (maxOps, …).
 	_          [64]byte
 	opsClaimed atomic.Int64
 	_          [56]byte
-
-	// fused mirrors prog.Fused: the executors then dispatch cluster heads
-	// as supernodes and order simultaneously-ready nodes by bottom level.
-	fused bool
 
 	// sched is the real executor's work-stealing scheduler, created on the
 	// first multi-worker run and reused (reopened) by every run after it so
@@ -307,7 +303,7 @@ func New(prog *graph.Program, cfg Config) *Engine {
 	if prog.Main != nil && prog.Main.ID >= prog.NumTemplates {
 		panic("runtime: program templates are not numbered; link the program (graph.Link) or number it (graph.Number)")
 	}
-	e := &Engine{prog: prog, cfg: cfg, maxOps: cfg.MaxOps, fused: prog.Fused,
+	e := &Engine{prog: prog, cfg: cfg, maxOps: cfg.MaxOps,
 		depot: make([][]*activation, prog.NumTemplates)}
 	e.workers = make([]worker, cfg.workers()+1)
 	for i := range e.workers {
@@ -664,31 +660,13 @@ func (e *Engine) refill(w *worker, id int) {
 	e.depotMu.Unlock()
 }
 
-// classify assigns the ready-queue priority for a runnable node. A fused
-// supernode schedules at its most-deferred member's level: fusing a call's
-// argument chain must not promote a recursive expansion past the §7
-// draining order, or live activations would explode.
+// classify assigns the ready-queue priority for a runnable node. For
+// dynamic closure calls the closure value is already on input 0, so the
+// callee's recursion flag is known.
 func (e *Engine) classify(a *activation, n *graph.Node) Priority {
 	if e.cfg.DisablePriorities {
 		return PriNormal
 	}
-	if c := n.FuseCluster; c != nil {
-		pri := PriNormal
-		for _, id := range c.Nodes {
-			if p := e.classify1(a, a.tmpl.Nodes[id]); p > pri {
-				pri = p
-			}
-		}
-		return pri
-	}
-	return e.classify1(a, n)
-}
-
-// classify1 assigns one node's priority. For dynamic closure calls the
-// closure value is already on input 0, so the callee's recursion flag is
-// known (a fused member whose closure is produced inside the cluster sees
-// an empty slot and conservatively classifies as PriCall).
-func (e *Engine) classify1(a *activation, n *graph.Node) Priority {
 	switch n.Kind {
 	case graph.CallNode:
 		if n.Callee != nil && n.Callee.Recursive {

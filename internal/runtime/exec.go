@@ -50,8 +50,8 @@ type worker struct {
 	// writes).
 	localWords, remoteWords int64
 
-	// ready is scratch space complete() uses to batch newly-runnable nodes
-	// so a fused program can release them in bottom-level order.
+	// ready is scratch space complete() uses to batch the nodes a completion
+	// made runnable, so that they are pushed after every delivery.
 	ready []*graph.Node
 
 	// n holds this worker's share of the run's execution counters: plain
@@ -92,8 +92,8 @@ type worker struct {
 // them after seeding, a worker as it leaves loop, and the watchdog folds
 // those of a worker it abandoned.
 type workerCounters struct {
-	ops, operators, charged, tailCalls, fusedNodes, fusedSaved int64
-	actsAlloc, actsReused                                      int64
+	ops, operators, charged, tailCalls int64
+	actsAlloc, actsReused              int64
 }
 
 // fold adds the worker's counters and its block-accounting shard into the
@@ -107,8 +107,6 @@ func (w *worker) fold() {
 	atomic.AddInt64(&st.OperatorsRun, c.operators)
 	atomic.AddInt64(&st.ChargedUnits, c.charged)
 	atomic.AddInt64(&st.TailCalls, c.tailCalls)
-	atomic.AddInt64(&st.FusedNodes, c.fusedNodes)
-	atomic.AddInt64(&st.FusedDispatchesSaved, c.fusedSaved)
 	atomic.AddInt64(&st.ActivationsAllocated, c.actsAlloc)
 	atomic.AddInt64(&st.ActivationsReused, c.actsReused)
 	st.Blocks.Add(w.shard)
@@ -267,10 +265,10 @@ const (
 
 // callOperatorBounded runs one bounded operator attempt that has a
 // successor — retry is enabled, the operator CanRetry, and attempts remain.
-// After a timeout the worker must carry on: retry on the pristine inputs,
-// then finish the rest of its fused cluster. An inline call (callInline)
-// cannot, because the worker's own goroutine is the one left stuck inside the
-// operator, so these attempts keep a helper goroutine per call; they already
+// After a timeout the worker must carry on and retry on the pristine inputs.
+// An inline call (callInline) cannot, because the worker's own goroutine is
+// the one left stuck inside the operator, so these attempts keep a helper
+// goroutine per call; they already
 // deep-copy every destructive argument, and only chaos configurations make
 // them. The body runs on its own goroutine with a detached shadow worker, a
 // private argument slice, and a private block-stats sink: if the deadline
@@ -526,14 +524,11 @@ func (w *worker) snapshotValue(v value.Value, copies *int64) (value.Value, int) 
 	}
 }
 
-// execNode runs one dispatched task: a fused cluster head executes its
-// whole supernode as a straight-line sequence, anything else runs alone.
+// execNode runs one dispatched task.
 func (e *Engine) execNode(w *worker, t task) error {
 	w.charge, w.localWords, w.remoteWords = 0, 0, 0
-	var err error
-	if c := t.node.FuseCluster; c != nil {
-		err = e.execFused(w, t, c)
-	} else if err = e.checkOps(w, t.act, 1); err == nil {
+	err := e.checkOps(w, t.act)
+	if err == nil {
 		err = e.execBody(w, t.act, t.node)
 	}
 	if err == errAbandoned {
@@ -543,23 +538,20 @@ func (e *Engine) execNode(w *worker, t task) error {
 	return err
 }
 
-// checkOps counts a dispatch of n nodes, enforces the operation budget, and
-// polls cancellation at operator boundaries, amortized across executions;
-// the disabled cases cost one nil check each. The count is the worker's own.
-// A budget needs the run's total, so a bounded engine also claims the nodes
+// checkOps counts a dispatch, enforces the operation budget, and polls
+// cancellation at operator boundaries, amortized across executions; the
+// disabled cases cost one nil check each. The count is the worker's own.
+// A budget needs the run's total, so a bounded engine also claims the node
 // on one shared counter and fails the dispatch that takes it past MaxOps.
-// Fused supernodes call it once per cluster with the batched count, so the
-// budget may overshoot by at most the cluster size before the error
-// surfaces, and the poll fires whenever the worker's count crossed a
-// multiple of 64 — no cancellation callback stops a serial or simulated
-// run's queue, so this poll is their only cancellation path and must not be
-// stepped over.
-func (e *Engine) checkOps(w *worker, a *activation, n int64) error {
-	w.n.ops += n
-	if e.maxOps > 0 && e.opsClaimed.Add(n) > e.maxOps {
+// The poll fires on every 64th dispatch of the worker — no cancellation
+// callback stops a serial or simulated run's queue, so this poll is their
+// only cancellation path.
+func (e *Engine) checkOps(w *worker, a *activation) error {
+	w.n.ops++
+	if e.maxOps > 0 && e.opsClaimed.Add(1) > e.maxOps {
 		return errBudget(e.maxOps, activationPath(a))
 	}
-	if ops := w.n.ops; ops>>6 != (ops-n)>>6 {
+	if w.n.ops&63 == 0 {
 		w.foldLive()
 		if e.ctxDone != nil {
 			select {
@@ -573,7 +565,7 @@ func (e *Engine) checkOps(w *worker, a *activation, n int64) error {
 }
 
 // execBody dispatches on the node kind; accounting (OpsExecuted, budget,
-// cancellation) is the caller's job so fused clusters can batch it.
+// cancellation) is checkOps' job.
 func (e *Engine) execBody(w *worker, a *activation, n *graph.Node) error {
 	ins := a.inputs(n)
 
@@ -715,14 +707,6 @@ func (e *Engine) expand(w *worker, a *activation, n *graph.Node, callee *graph.T
 // enqueues every node that is runnable from the start.
 func (e *Engine) initActivation(w *worker, a *activation, args []value.Value) {
 	for _, n := range a.tmpl.Nodes {
-		if n.Fused {
-			// Members never schedule individually; a cluster with no
-			// external inputs is runnable from the start via its head.
-			if c := n.FuseCluster; c != nil && c.ExtIn == 0 {
-				w.q.push(w, a, n)
-			}
-			continue
-		}
 		if n.NIn != 0 {
 			continue
 		}
@@ -742,25 +726,6 @@ func (e *Engine) initActivation(w *worker, a *activation, args []value.Value) {
 // bubbles the value through the continuation chain iteratively.
 func (e *Engine) complete(w *worker, a *activation, n *graph.Node, v value.Value) {
 	for {
-		if n.FuseInternalOut {
-			// Chain-internal handoff inside a fused supernode: the single
-			// consumer is the next member, already dispatched as part of this
-			// straight-line sequence. The value lands in its input slot with
-			// no counter decrement, no retain (one consumer), and no
-			// ready-queue round trip. Internal-out nodes are never the result
-			// and never Spread (fusion excludes both).
-			// The remaining-counter decrement is deferred: execFused batches
-			// all internal members' decrements into one atomic applied
-			// before the tail runs.
-			edge := n.Out[0]
-			off, _ := a.tmpl.Layout()
-			a.buf[off[edge.To]+edge.Port] = v
-			if w.tr != nil {
-				w.tr.record(w.proc, TraceEvent{Type: TraceDeliver, Ts: w.tr.now(),
-					Act: a.seq, Node: int32(edge.To)})
-			}
-			return
-		}
 		if n.Spread {
 			// Ownership of the package's elements is split among the
 			// consuming detuple nodes; no retention multiplier applies.
@@ -802,74 +767,33 @@ func (e *Engine) complete(w *worker, a *activation, n *graph.Node, v value.Value
 	}
 }
 
-// deliverEdge delivers v along one out edge. Deliveries to fused members
-// redirect the ready decrement to the cluster head; a node (or cluster)
-// that became runnable is batched on w.ready for flushReady.
+// deliverEdge delivers v along one out edge; a node that became runnable is
+// batched on w.ready for flushReady.
 func (e *Engine) deliverEdge(w *worker, a *activation, edge graph.Edge, v value.Value) {
-	gate := edge.To
-	if tn := a.tmpl.Nodes[edge.To]; tn.Fused {
-		gate = tn.FuseHead
-	}
 	if e.cfg.Mode == Simulated {
-		w.q.(*simScheduler).delivered(a, gate)
+		w.q.(*simScheduler).delivered(a, edge.To)
 	}
 	if w.tr != nil {
 		w.tr.record(w.proc, TraceEvent{Type: TraceDeliver, Ts: w.tr.now(),
 			Act: a.seq, Node: int32(edge.To)})
 	}
-	if a.deliver(edge.To, edge.Port, gate, v) {
-		w.ready = append(w.ready, a.tmpl.Nodes[gate])
+	if a.deliver(edge.To, edge.Port, v) {
+		w.ready = append(w.ready, a.tmpl.Nodes[edge.To])
 	}
 }
 
-// flushReady schedules the nodes deliverEdge batched. Unfused programs
-// release them in delivery order — byte-identical scheduling to the
-// unbatched path — while fused programs order simultaneously-ready nodes by
-// static bottom level so the longest remaining chain is pulled first (for a
-// LIFO local deque the pushes are reversed so pops come out in that order).
+// flushReady schedules the nodes deliverEdge batched, in delivery order.
 func (e *Engine) flushReady(w *worker, a *activation) {
-	ready := w.ready
-	if len(ready) == 0 {
-		return
+	for _, n := range w.ready {
+		w.q.push(w, a, n)
 	}
-	if !e.fused || len(ready) == 1 {
-		for _, n := range ready {
-			w.q.push(w, a, n)
-		}
-	} else {
-		// Stable insertion sort, descending bottom level: ready sets are
-		// tiny (fan-out of one node) and ties keep delivery order.
-		for i := 1; i < len(ready); i++ {
-			for j := i; j > 0 && ready[j].BLevel > ready[j-1].BLevel; j-- {
-				ready[j], ready[j-1] = ready[j-1], ready[j]
-			}
-		}
-		if w.q.lifo() {
-			for i := len(ready) - 1; i >= 0; i-- {
-				w.q.push(w, a, ready[i])
-			}
-		} else {
-			for _, n := range ready {
-				w.q.push(w, a, n)
-			}
-		}
-	}
-	w.ready = ready[:0]
+	w.ready = w.ready[:0]
 }
 
 // finishNode retires one node on w; the last retirement recycles the
 // activation onto w's free list.
 func (e *Engine) finishNode(w *worker, a *activation) {
-	e.finishNodes(w, a, 1)
-}
-
-// finishNodes applies k node completions at once — the batched form of
-// finishNode used by fused supernodes for their internal members.
-func (e *Engine) finishNodes(w *worker, a *activation, k int32) {
-	if k == 0 {
-		return
-	}
-	if atomic.AddInt32(&a.remaining, -k) == 0 {
+	if atomic.AddInt32(&a.remaining, -1) == 0 {
 		w.noteLive(-1, -int64(a.tmpl.ActivationWords()))
 		e.release(w, a)
 	}

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/operator"
-	"repro/internal/opt"
 	"repro/internal/value"
 )
 
@@ -175,7 +174,7 @@ func TestRetryRecoversDeterministically(t *testing.T) {
 }
 
 // TestAffinityBitIdentity: placement is advisory, so seeded faults under
-// retry on the fused block tree recover to the same bits
+// retry on the block tree recover to the same bits
 // on 1, 2 and 8 stealing workers and under every §9.3 simulated placement
 // policy, and every run frees every block.
 func TestAffinityBitIdentity(t *testing.T) {
@@ -347,11 +346,10 @@ func TestRunContextCancel(t *testing.T) {
 	}
 }
 
-// TestCheckOpsPollsOnBoundaryCrossing: a fused cluster adds its whole size
-// to the worker's count in one step, so the count jumps over multiples of 64.
-// The poll must fire whenever an add crossed one — with increments 3, 61, 3,
-// 61, … from 1 the count is never itself a multiple of 64, yet every other
-// add crosses a boundary.
+// TestCheckOpsPollsOnBoundaryCrossing: the worker's count crosses a multiple
+// of 64 on every 64th dispatch, and the poll must fire exactly then — on a
+// count that started off a boundary, so the poll follows the count and not
+// the number of calls.
 func TestCheckOpsPollsOnBoundaryCrossing(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -359,35 +357,25 @@ func TestCheckOpsPollsOnBoundaryCrossing(t *testing.T) {
 	w := &worker{e: e}
 	w.n.ops = 1
 	polls := 0
-	for i := 0; i < 1000; i++ {
-		n := int64(3)
-		if i%2 == 1 {
-			n = 61
-		}
-		err := e.checkOps(w, nil, n)
-		ops := w.n.ops
-		if ops&63 == 0 {
-			t.Fatalf("count %d landed on a boundary; the sequence no longer steps over them", ops)
-		}
-		if crossed := ops>>6 != (ops-n)>>6; crossed != (err != nil) {
-			t.Fatalf("ops %d (+%d): crossed=%v, err=%v", ops, n, crossed, err)
+	for i := 0; i < 64_000; i++ {
+		err := e.checkOps(w, nil)
+		if crossed := w.n.ops&63 == 0; crossed != (err != nil) {
+			t.Fatalf("ops %d: crossed=%v, err=%v", w.n.ops, crossed, err)
 		}
 		if err != nil {
 			polls++
 		}
 	}
-	if polls != 500 {
-		t.Errorf("%d polls in 1000 adds, want one per 64-node boundary (500)", polls)
+	if polls != 1000 {
+		t.Errorf("%d polls in 64000 dispatches, want one per 64-node boundary (1000)", polls)
 	}
 }
 
 // TestFusedLoopCancelBounded is the end-to-end form: serial Real and
 // Simulated runs have no watcher goroutine, so the operator-boundary poll is
-// their only cancellation path. The loop below executes 64 nodes per pass in
-// steps of 1, 61 and 2, entered (after one node outside it) at a count of 2 —
-// so the count reads 2, 63, 65 modulo 64 forever and never lands on a
-// boundary. Cancelled from inside, the one-worker run must still stop within
-// one poll period plus one cluster.
+// their only cancellation path. The loop below runs a chain of 61 operators
+// per pass, so passes and poll periods never line up. Cancelled from inside,
+// the one-worker run must still stop within one poll period.
 func TestFusedLoopCancelBounded(t *testing.T) {
 	const depth = 61
 	body := "i"
@@ -412,17 +400,15 @@ func TestFusedLoopCancelBounded(t *testing.T) {
 				return args[0].(value.Int) + 1, nil
 			},
 		})
-		g := compile(t, src, reg)
-		opt.FuseGraph(g)
-		e = New(g, Config{Mode: mode, Workers: 1, MaxOps: 5_000_000})
+		e = New(compile(t, src, reg), Config{Mode: mode, Workers: 1, MaxOps: 5_000_000})
 		_, err := e.RunContext(ctx, value.Int(1_000_000))
 		var re *RunError
 		if !errors.As(err, &re) || re.Kind != FailCanceled {
 			t.Fatalf("mode %d: err = %v, want RunError{FailCanceled}", mode, err)
 		}
 		st := e.Stats()
-		if over := st.OpsExecuted - atCancel; over > 64+depth+1 {
-			t.Errorf("mode %d: ran %d nodes past the cancellation, want at most one poll period plus a cluster", mode, over)
+		if over := st.OpsExecuted - atCancel; over > 64 {
+			t.Errorf("mode %d: ran %d nodes past the cancellation, want at most one poll period", mode, over)
 		}
 	}
 }

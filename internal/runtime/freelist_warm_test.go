@@ -12,7 +12,7 @@ import (
 )
 
 // TestFreeListWarmRunsAllocateNone runs warm two-worker engines of queens7
-// (fused, as the queens_fine benchmark compiles it) and the balanced retina
+// (as the queens_fine benchmark compiles it) and the balanced retina
 // model, forcing two garbage collections before every measured run. The
 // free lists hold their activations strongly, so a collection takes none of
 // them: once warm, a run allocates no activation.
@@ -27,7 +27,7 @@ func TestFreeListWarmRunsAllocateNone(t *testing.T) {
 		name, file, src string
 		opts            compile.Options
 	}{
-		{"queens7", "queens7.dlr", queens.Program(7), compile.Options{Registry: queens.Operators(), Fuse: true}},
+		{"queens7", "queens7.dlr", queens.Program(7), compile.Options{Registry: queens.Operators()}},
 		{"retina", "retina-V2.dlr", retina.Source(rcfg, retina.V2), compile.Options{Registry: reg}},
 	} {
 		res, err := compile.Compile(c.file, c.src, c.opts)

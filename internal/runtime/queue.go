@@ -56,8 +56,6 @@ func (q *serialQueue) next(*worker) (task, bool) {
 
 func (q *serialQueue) retire(*worker, task) {}
 
-func (q *serialQueue) lifo() bool { return false }
-
 func (q *serialQueue) drain() []task {
 	var out []task
 	for t, ok := q.next(nil); ok; t, ok = q.next(nil) {

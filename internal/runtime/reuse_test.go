@@ -6,12 +6,11 @@ import (
 	"runtime/debug"
 	"testing"
 
-	"repro/internal/opt"
 	"repro/internal/value"
 )
 
 // Engine reuse suite: a Reset engine must behave bit-identically to a fresh
-// one — across worker counts, executor modes, and the fuse/retry/faults
+// one — across worker counts, executor modes, and the retry/faults
 // composition — while its warmed pools persist and its per-run block
 // accounting stays balanced.
 
@@ -22,13 +21,14 @@ func TestReusedEngineMatchesFresh(t *testing.T) {
 	const runs = 3
 	for _, mode := range []Mode{Real, Simulated} {
 		for _, workers := range reuseWorkers {
-			// Fresh baseline: a new engine per run, fused.
+			// Fresh baseline: a new engine per run.
 			g := compile(t, pooledLoop, poolOps())
-			opt.FuseGraph(g)
-			want, err := New(g, Config{Mode: mode, Workers: workers, MaxOps: 1_000_000}).Run(value.Int(50))
+			fresh := New(g, Config{Mode: mode, Workers: workers, MaxOps: 1_000_000})
+			want, err := fresh.Run(value.Int(50))
 			if err != nil {
 				t.Fatalf("mode %v workers %d: fresh run: %v", mode, workers, err)
 			}
+			wantOps := fresh.Stats().OpsExecuted
 
 			e := New(g, Config{Mode: mode, Workers: workers, MaxOps: 1_000_000})
 			var prevHits int64
@@ -56,8 +56,9 @@ func TestReusedEngineMatchesFresh(t *testing.T) {
 				if st.PooledAllocs == 0 {
 					t.Errorf("mode %v workers %d run %d: PooledAllocs = 0, want free-list hits", mode, workers, run)
 				}
-				if st.FusedNodes == 0 {
-					t.Errorf("mode %v workers %d run %d: FusedNodes = 0, want fused dispatches", mode, workers, run)
+				if st.OpsExecuted != wantOps {
+					t.Errorf("mode %v workers %d run %d: OpsExecuted = %d, want the fresh run's %d",
+						mode, workers, run, st.OpsExecuted, wantOps)
 				}
 				// Cross-run pool persistence: the serial executor's run 2+
 				// starts with a warm free list, so even the first allocation

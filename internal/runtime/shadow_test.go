@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/operator"
-	"repro/internal/opt"
 	"repro/internal/value"
 )
 
@@ -100,9 +99,10 @@ func checkBrackets(t *testing.T, i int, e *Engine) {
 // races against; run under -race this catches any write that escapes the
 // abandoned goroutine's private state. The RunMany leg times out inside a
 // batch, so the persistent pool must replace its stuck goroutine before the
-// batch's next run and join only live goroutines when it stops. The fused
-// leg stalls the middle member of an incr -> stall -> bsum supernode, so the
-// watchdog must retire the member that already ran. The counters leg checks
+// batch's next run and join only live goroutines when it stops. The
+// fused-middle leg stalls the middle of an incr -> stall -> bsum chain, so a
+// node of the activation has already run and one still waits when the
+// watchdog takes over. The counters leg checks
 // that the watchdog publishes the counters of the worker it abandoned. Every
 // timed-out run's trace closes every node slice it opened. Once every gate is
 // open, every goroutine the legs started must be gone again.
@@ -111,9 +111,8 @@ func TestShadowAbandonedAfterReset(t *testing.T) {
 	legs := []struct {
 		name    string
 		cfg     Config
-		fused   bool
+		middle  bool
 		many    bool
-		members int64 // FusedNodes of a clean run
 		charged int64 // ChargedUnits of a clean run
 		// counters checks the timed-out run's OpsExecuted, OperatorsRun and
 		// ChargedUnits: at one worker the stuck goroutine dispatched every
@@ -127,7 +126,7 @@ func TestShadowAbandonedAfterReset(t *testing.T) {
 		{name: "runmany-2", cfg: Config{Mode: Real, Workers: 2}, many: true, charged: stallCharge},
 		{name: "sim", cfg: Config{Mode: Simulated, Workers: 2}, charged: stallCharge},
 		// incr charges one unit of its own.
-		{name: "fused-middle", cfg: Config{Mode: Real, Workers: 2}, fused: true, members: 3, charged: stallCharge + 1},
+		{name: "fused-middle", cfg: Config{Mode: Real, Workers: 2}, middle: true, charged: stallCharge + 1},
 	}
 	// The watchdog starts with the first bounded run and then stays, parked
 	// whenever no bounded run is in flight; start it before the baseline.
@@ -145,7 +144,7 @@ func TestShadowAbandonedAfterReset(t *testing.T) {
 			}
 			src, stalled, clean := "main(n) bsum(stall(n))", 0, value.Int(-1)
 			switch {
-			case leg.fused:
+			case leg.middle:
 				// stall sees n+1.
 				src, stalled, clean = "main(n) bsum(stall(incr(n)))", -1, value.Int(-2)
 			case leg.counters:
@@ -153,9 +152,6 @@ func TestShadowAbandonedAfterReset(t *testing.T) {
 				src, stalled, clean = "main(n) bsum(stall(incr(incr(n))))", -2, value.Int(-3)
 			}
 			g := compile(t, src, shadowOps(gates))
-			if leg.fused {
-				opt.FuseGraph(g)
-			}
 			// What the stalled run dispatched: the serial unbounded run's
 			// counts up to and including stall, i.e. all but bsum and the
 			// charge stall makes only after its gate opens.
@@ -193,9 +189,6 @@ func TestShadowAbandonedAfterReset(t *testing.T) {
 				}
 				if st.ChargedUnits != leg.charged {
 					t.Errorf("round %d: ChargedUnits = %d, want the clean run's own %d", i, st.ChargedUnits, leg.charged)
-				}
-				if st.FusedNodes != leg.members {
-					t.Errorf("round %d: FusedNodes = %d, want %d", i, st.FusedNodes, leg.members)
 				}
 				if st.Blocks.Allocated != st.Blocks.Freed {
 					t.Errorf("round %d: reused run leaked: allocated %d, freed %d",

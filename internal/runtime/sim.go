@@ -73,11 +73,10 @@ type simScheduler struct {
 	home  map[*value.Block]int32
 	heaps [numPriorities]simHeap
 	seq   int64
-	// start is the executing item's start time. clock is what the tracer
-	// reads: events recorded mid-execution (deliveries, copies) stamp the
-	// executing node's virtual start, and a fused dispatch advances it past
-	// start as members finish.
-	start, clock int64
+	// start is the executing item's start time, and what the tracer reads:
+	// events recorded mid-execution (deliveries, copies) stamp the executing
+	// node's virtual start.
+	start int64
 	// at is when the last retired execution ended (0 while seeding); next
 	// publishes what that execution released no earlier than this.
 	at         int64
@@ -164,42 +163,26 @@ func (s *simScheduler) next(w *worker) (task, bool) {
 
 	proc := s.place(item, earliest, t)
 	s.start = max(s.procFree[proc], item.ready)
-	s.clock = s.start
 	w.proc = proc
 	item.from = int32(proc)
 	return item.task, true
 }
 
-func (s *simScheduler) now() int64 { return s.clock }
+func (s *simScheduler) now() int64 { return s.start }
 
 // memTicks prices block traffic under the machine's memory model.
 func (s *simScheduler) memTicks(local, remote int64) int64 {
 	return int64(float64(local)*s.prof.LocalTicksPerWord) + int64(float64(remote)*s.prof.RemoteTicksPerWord)
 }
 
-// dur prices the whole dispatch w just executed. A fused dispatch advances
-// clock past start as members execute, so the total is anchored at start,
-// not clock.
+// dur prices the dispatch w just executed, dispatch overhead included.
 func (s *simScheduler) dur(w *worker) int64 {
 	return max(1, s.prof.DispatchTicks+int64(float64(w.charge)*s.prof.TickPerUnit)+
 		s.memTicks(w.localWords, w.remoteWords))
 }
 
-// end reads the virtual clock at the end of the execution sp brackets: a
-// whole dispatch also pays the machine's dispatch overhead, a fused member
-// prices its body only and moves the clock there.
-func (s *simScheduler) end(w *worker, sp span, member bool) int64 {
-	if !member {
-		return s.start + s.dur(w)
-	}
-	// Price this member from its charge deltas; per-member floors sum to at
-	// most the supernode's total, so nested slices never outgrow the
-	// bracketing one. The scheduler charges dispatch overhead once for the
-	// whole supernode, which is precisely the saving being modeled.
-	s.clock = sp.t0 + int64(float64(w.charge-sp.c0)*s.prof.TickPerUnit) +
-		s.memTicks(w.localWords-sp.l0, w.remoteWords-sp.r0)
-	return s.clock
-}
+// end reads the virtual clock at the end of the executing dispatch.
+func (s *simScheduler) end(w *worker) int64 { return s.start + s.dur(w) }
 
 // retire prices the executed node and occupies its processor until then.
 func (s *simScheduler) retire(w *worker, t task) {
@@ -212,12 +195,10 @@ func (s *simScheduler) retire(w *worker, t task) {
 	st.DispatchTicks += s.prof.DispatchTicks
 	st.MemoryTicks += s.memTicks(w.localWords, w.remoteWords)
 	st.MakespanTicks = max(st.MakespanTicks, s.at)
-	if t.node.Kind == graph.OpNode && t.node.FuseCluster == nil {
+	if t.node.Kind == graph.OpNode {
 		s.lastProc[t.node.Name] = w.proc
 	}
 }
-
-func (s *simScheduler) lifo() bool { return false }
 
 // drain returns the abandoned work: the ready heaps and the not-yet-flushed
 // buffer.

@@ -11,11 +11,11 @@ import (
 )
 
 // Stats aggregates one run's execution counters. The per-dispatch counters
-// (OpsExecuted, OperatorsRun, ChargedUnits, TailCalls, FusedNodes,
-// FusedDispatchesSaved), the activation counters (ActivationsAllocated,
-// ActivationsReused) and the block counters (Blocks) are counted by each
-// worker on its own and folded in as it leaves the run; the rest are updated
-// atomically as they happen. Read them after Run returns.
+// (OpsExecuted, OperatorsRun, ChargedUnits, TailCalls), the activation
+// counters (ActivationsAllocated, ActivationsReused) and the block counters
+// (Blocks) are counted by each worker on its own and folded in as it leaves
+// the run; the rest are updated atomically as they happen. Read them after
+// Run returns.
 type Stats struct {
 	// OpsExecuted counts scheduled node executions (operators, calls,
 	// conditionals, plumbing nodes) — everything that went through the
@@ -83,13 +83,8 @@ type Stats struct {
 	// PooledAllocs counts operator allocations served from the per-worker
 	// block pools, which every block freed on a worker feeds.
 	PooledAllocs int64
-	// Operator-fusion counters, all zero when the program was compiled
-	// without fusion. FusedNodes counts node executions performed inside
-	// fused supernodes (these still count in OpsExecuted); FusedDispatches-
-	// Saved counts the ready-queue dispatches fusion avoided — one per
-	// fused node beyond each supernode's head.
-	FusedNodes           int64
-	FusedDispatchesSaved int64
+	// Deprecated: no effect; kept until benchmark/ stops naming it (ROADMAP item 1).
+	FusedNodes int64
 
 	// Simulated-mode results. MakespanTicks is the virtual finish time;
 	// BusyTicks the summed per-processor busy time; DispatchTicks the
@@ -120,7 +115,6 @@ func (s *Stats) reset() {
 		&s.Blocks.Releases, &s.Blocks.Freed,
 		&s.Retries, &s.SnapshotCopies, &s.OpTimeouts, &s.FaultsInjected,
 		&s.PooledAllocs,
-		&s.FusedNodes, &s.FusedDispatchesSaved,
 		&s.MakespanTicks, &s.BusyTicks, &s.DispatchTicks, &s.MemoryTicks,
 		&s.RealNanos,
 	} {
@@ -184,9 +178,6 @@ func (s *Stats) String() string {
 	if pa := atomic.LoadInt64(&s.PooledAllocs); pa != 0 {
 		out += fmt.Sprintf(" pooled=%d", pa)
 	}
-	if fn, fd := atomic.LoadInt64(&s.FusedNodes), atomic.LoadInt64(&s.FusedDispatchesSaved); fn != 0 || fd != 0 {
-		out += fmt.Sprintf(" fused=%d(-%d dispatches)", fn, fd)
-	}
 	return out
 }
 
@@ -197,10 +188,6 @@ type TimingEntry struct {
 	Proc     int
 	Start    int64 // virtual start time (Simulated) or offset nanoseconds (Real)
 	Ticks    int64 // virtual ticks (Simulated) or nanoseconds (Real)
-	// Fused marks an entry recorded inside a fused supernode. Fused member
-	// entries price the operator body only, while unfused Simulated entries
-	// also include the machine's dispatch charge.
-	Fused bool
 	// Stolen marks a Real-mode entry whose task was pushed by a different
 	// worker than the one that ran it (it crossed the steal path). The gantt
 	// renderer marks it.

@@ -315,8 +315,6 @@ func (s *stealScheduler) retire(w *worker, _ task) {
 	}
 }
 
-func (s *stealScheduler) lifo() bool { return true }
-
 // pushLocal enqueues t on worker wid's own deque and wakes one parked
 // worker if any is idle. Must be called from wid's goroutine.
 func (s *stealScheduler) pushLocal(wid int, t *task, pri Priority) {

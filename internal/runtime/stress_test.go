@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/operator"
-	"repro/internal/opt"
 	"repro/internal/value"
 )
 
@@ -27,12 +26,10 @@ tree(n)
 main(n) tree(n)
 `
 
-// compileBlockTree builds blockTreeSrc and runs the fusion pass over it.
+// compileBlockTree builds blockTreeSrc.
 func compileBlockTree(t *testing.T) *graph.Program {
 	t.Helper()
-	g := compile(t, blockTreeSrc, faultOps())
-	opt.FuseGraph(g)
-	return g
+	return compile(t, blockTreeSrc, faultOps())
 }
 
 // TestDeepNonTailRecursion exercises the continuation chain: a non-tail
@@ -321,17 +318,14 @@ func TestBlockTreeRepeatedRuns(t *testing.T) {
 }
 
 // TestExecutorParity pins what the single dispatch step guarantees in every
-// mode: the same fused program does the same work and
+// mode: the same program does the same work and
 // logs the same operator executions under the serial queue, the
 // work-stealing pool and the simulated machine, every opened trace slice is
 // closed — on a run that fails mid-way too — and no block leaks.
 func TestExecutorParity(t *testing.T) {
 	g := compileBlockTree(t)
-	type entry struct {
-		name, tmpl string
-		fused      bool
-	}
-	var refOps [8]int64
+	type entry struct{ name, tmpl string }
+	var refOps [6]int64
 	var refLog map[entry]int
 	for _, fail := range []bool{false, true} {
 		for i, cfg := range []Config{
@@ -374,19 +368,18 @@ func TestExecutorParity(t *testing.T) {
 			// A fresh engine acquires one activation per expansion plus the
 			// root; which acquisitions find a recycled one depends on the
 			// schedule, so only their sum is pinned.
-			ops := [8]int64{st.OpsExecuted, st.OperatorsRun, st.FusedNodes,
-				st.FusedDispatchesSaved, st.ChargedUnits, st.TailCalls, st.PooledAllocs,
-				st.ActivationsAllocated + st.ActivationsReused}
+			ops := [6]int64{st.OpsExecuted, st.OperatorsRun, st.ChargedUnits, st.TailCalls,
+				st.PooledAllocs, st.ActivationsAllocated + st.ActivationsReused}
 			log := make(map[entry]int)
 			for _, en := range e.Timing().Entries() {
-				log[entry{en.Name, en.Template, en.Fused}]++
+				log[entry{en.Name, en.Template}]++
 			}
 			if i == 0 {
 				refOps, refLog = ops, log
 				continue
 			}
 			if ops != refOps {
-				t.Errorf("%s: ops/operators/fused/saved/charged/tail/pooled/activations = %v, serial run had %v",
+				t.Errorf("%s: ops/operators/charged/tail/pooled/activations = %v, serial run had %v",
 					name, ops, refOps)
 			}
 			if !reflect.DeepEqual(log, refLog) {

@@ -58,10 +58,6 @@ const (
 	// TraceFault records an injected fault firing; Arg is the operator's
 	// execution index the fault was armed for.
 	TraceFault
-	// TraceFused records one fused supernode dispatch; Arg is the member
-	// count. The per-member node start/end pairs follow inside the
-	// supernode's bracketing slice.
-	TraceFused
 )
 
 // String names the event kind.
@@ -93,8 +89,6 @@ func (t TraceEventType) String() string {
 		return "retry"
 	case TraceFault:
 		return "fault"
-	case TraceFused:
-		return "fused"
 	default:
 		return "unknown"
 	}

@@ -86,24 +86,20 @@ func (t *Trace) WriteChrome(w io.Writer) error {
 	// deliveries sit inside their producing slice.
 	flowID := 0
 	for _, buf := range t.Events {
-		var open []*TraceEvent // pending TraceNodeStarts on this track; a
-		// fused supernode's bracketing slice nests its members' slices, so
-		// pending starts form a stack (depth 1 for unfused programs).
+		var open *TraceEvent  // pending TraceNodeStart on this track
 		var parkTS int64 = -1 // pending TracePark timestamp
 		for i := range buf {
 			ev := &buf[i]
 			tid := t.trackID(ev.Worker)
 			switch ev.Type {
 			case TraceNodeStart:
-				open = append(open, ev)
+				open = ev
 			case TraceNodeEnd:
-				top := len(open) - 1
-				if top < 0 || open[top].Act != ev.Act || open[top].Node != ev.Node {
-					open = open[:0] // unbalanced (aborted run); drop the slices
-					continue
+				st := open
+				open = nil
+				if st == nil || st.Act != ev.Act || st.Node != ev.Node {
+					continue // unbalanced (aborted run); drop the slice
 				}
-				st := open[top]
-				open = open[:top]
 				ew.event(fmt.Sprintf(`"name":%s,"cat":"node","ph":"X","ts":%s,"dur":%s,"pid":0,"tid":%d,"args":{"template":%s,"activation":%d,"node":%d}`,
 					quote(st.Name), t.exportTS(st.Ts), t.durTS(st.Ts, ev.Ts), tid,
 					quote(st.Tmpl), st.Act, st.Node))
@@ -153,9 +149,6 @@ func (t *Trace) WriteChrome(w io.Writer) error {
 			case TraceFault:
 				ew.event(fmt.Sprintf(`"name":"fault %s exec %d","cat":"fault","ph":"i","s":"t","ts":%s,"pid":0,"tid":%d`,
 					escape(ev.Name), ev.Arg, t.exportTS(ev.Ts), tid))
-			case TraceFused:
-				ew.event(fmt.Sprintf(`"name":"fused x%d %s","cat":"node","ph":"i","s":"t","ts":%s,"pid":0,"tid":%d`,
-					ev.Arg, escape(ev.Name), t.exportTS(ev.Ts), tid))
 			}
 		}
 	}

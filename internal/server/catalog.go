@@ -17,9 +17,8 @@ import (
 )
 
 // This file is the built-in program catalog: the named workloads
-// cmd/delserver can register at startup. Each builder compiles once (with
-// fusion where the workload supports it) and attaches
-// a typed renderer, so catalog responses are structured JSON rather than
+// cmd/delserver can register at startup. Each builder compiles once and
+// attaches a typed renderer, so catalog responses are structured JSON rather than
 // generic value dumps.
 
 // CatalogNames lists the built-in workload names Catalog accepts.
@@ -61,7 +60,7 @@ func Catalog(name string, workers int, chaosSeed int64) (Spec, error) {
 }
 
 func jacobiSpec(name string, n, workers int) (Spec, error) {
-	cfg := jacobi.Config{N: n, Tol: 1e-2, MaxSweeps: 2000, Fuse: true}
+	cfg := jacobi.Config{N: n, Tol: 1e-2, MaxSweeps: 2000}
 	prog, err := jacobi.CompileProgram(cfg)
 	if err != nil {
 		return Spec{}, err
@@ -94,7 +93,7 @@ func jacobiSpec(name string, n, workers int) (Spec, error) {
 }
 
 func queensSpec(name string, n, workers int, chaosSeed int64) (Spec, error) {
-	prog, err := queens.CompileProgramFused(n, true)
+	prog, err := queens.CompileProgram(n)
 	if err != nil {
 		return Spec{}, err
 	}
@@ -127,18 +126,17 @@ func queensSpec(name string, n, workers int, chaosSeed int64) (Spec, error) {
 }
 
 // CompileSource compiles Delirium source posted to POST /programs into a
-// Spec: builtin operators (plus the prelude when asked), optional fusion,
-// generic decode/render. This is the "register a new
-// program into the live service" path.
-func CompileSource(name, src string, workers int, fuse, withPrelude bool) (Spec, error) {
+// Spec: builtin operators (plus the prelude when asked), generic
+// decode/render. This is the "register a new program into the live service"
+// path.
+func CompileSource(name, src string, workers int, withPrelude bool) (Spec, error) {
 	if workers <= 0 {
 		workers = 2
 	}
 	if withPrelude {
 		src = prelude.Source() + "\n" + src
 	}
-	res, err := compile.Compile(name+".dlr", src, compile.Options{
-		Registry: operator.Builtins(), Fuse: fuse})
+	res, err := compile.Compile(name+".dlr", src, compile.Options{Registry: operator.Builtins()})
 	if err != nil {
 		return Spec{}, err
 	}

@@ -67,7 +67,8 @@ func (s *Server) handleListPrograms(w http.ResponseWriter, r *http.Request) {
 type RegisterRequest struct {
 	Name   string `json:"name"`
 	Source string `json:"source"`
-	Fuse   bool   `json:"fuse,omitempty"`
+	// Deprecated: no effect; kept until benchmark/ stops naming it (ROADMAP item 1).
+	Fuse bool `json:"fuse,omitempty"`
 	// Deprecated: no effect; kept until benchmark/ stops naming it (ROADMAP item 1).
 	MemPlan bool `json:"memplan,omitempty"`
 	Prelude bool `json:"prelude,omitempty"`
@@ -94,7 +95,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	if workers <= 0 || workers > 16 {
 		workers = s.cfg.Workers
 	}
-	spec, err := CompileSource(req.Name, req.Source, workers, req.Fuse, req.Prelude)
+	spec, err := CompileSource(req.Name, req.Source, workers, req.Prelude)
 	if err != nil {
 		writeError(w, &APIError{Status: http.StatusBadRequest, Code: "bad_request",
 			Message: fmt.Sprintf("compile: %v", err)})

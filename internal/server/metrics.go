@@ -88,8 +88,6 @@ func (s *Server) MetricsText() string {
 		func(p *program) int64 { return atomic.LoadInt64(&p.agg.steals) })
 	perProg("delserver_pooled_allocs_total", "block allocations served from free lists",
 		func(p *program) int64 { return atomic.LoadInt64(&p.agg.pooledAllocs) })
-	perProg("delserver_fused_nodes_total", "node executions inside fused supernodes",
-		func(p *program) int64 { return atomic.LoadInt64(&p.agg.fusedNodes) })
 	perProg("delserver_blocks_allocated_total", "blocks allocated",
 		func(p *program) int64 { return atomic.LoadInt64(&p.agg.blocksAllocated) })
 	perProg("delserver_blocks_freed_total", "blocks freed",

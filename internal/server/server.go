@@ -114,7 +114,7 @@ type program struct {
 type statsAgg struct {
 	ops, operators, retries, opTimeouts, faultsInjected int64
 	steals, parks                                       int64
-	pooledAllocs, fusedNodes                            int64
+	pooledAllocs                                        int64
 	snapshotCopies                                      int64
 	blocksAllocated, blocksCopied, blocksFreed          int64
 }
@@ -128,7 +128,6 @@ func (a *statsAgg) merge(st *runtime.Stats) {
 	atomic.AddInt64(&a.steals, st.Steals)
 	atomic.AddInt64(&a.parks, st.Parks)
 	atomic.AddInt64(&a.pooledAllocs, st.PooledAllocs)
-	atomic.AddInt64(&a.fusedNodes, st.FusedNodes)
 	atomic.AddInt64(&a.snapshotCopies, st.SnapshotCopies)
 	atomic.AddInt64(&a.blocksAllocated, st.Blocks.Allocated)
 	atomic.AddInt64(&a.blocksCopied, st.Blocks.Copies)

@@ -303,7 +303,7 @@ func TestIdleGoroutinesAfterBurst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fib, err := CompileSource("fib", string(src), 2, true, false)
+	fib, err := CompileSource("fib", string(src), 2, false)
 	if err != nil {
 		t.Fatalf("compile fib: %v", err)
 	}
@@ -451,6 +451,17 @@ func TestHTTPSurface(t *testing.T) {
 	if _, apiErr := s.Execute(context.Background(), "queens6",
 		RunRequest{Args: []json.RawMessage{json.RawMessage(`{"a":1}`)}}); apiErr == nil || apiErr.Status != 400 {
 		t.Errorf("object arg: %v, want 400", apiErr)
+	}
+
+	// The deprecated "fuse" and "memplan" fields are accepted and ignored.
+	if err := client.RegisterSource(context.Background(), RegisterRequest{
+		Name: "sum3", Source: "main() add(1, 2)", Fuse: true, MemPlan: true}); err != nil {
+		t.Fatalf("register with deprecated fields: %v", err)
+	}
+	if res, err := client.Call(context.Background(), "sum3", RunRequest{}); err != nil {
+		t.Errorf("call sum3: %v", err)
+	} else if out, _ := json.Marshal(res.Resp.Result); string(out) != "3" {
+		t.Errorf("sum3 result = %s, want 3", out)
 	}
 
 	if code, body := get("/metrics"); code != 200 ||

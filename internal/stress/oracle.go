@@ -10,20 +10,6 @@ import (
 	"repro/internal/value"
 )
 
-// Variant is one compile-time configuration of the oracle matrix.
-type Variant struct {
-	Name string
-	Fuse bool
-}
-
-// Variants returns the compile configurations: without and with fusion.
-func Variants() []Variant {
-	return []Variant{
-		{Name: "plain"},
-		{Name: "fuse", Fuse: true},
-	}
-}
-
 // Reuse selects how a RunSpec exercises engine lifecycle.
 type Reuse int
 
@@ -39,7 +25,8 @@ const (
 	ReuseRunMany
 )
 
-// RunSpec is one runtime configuration of the oracle matrix.
+// RunSpec is one runtime configuration of the oracle matrix. Every program
+// compiles once, under the default options, and runs under every spec.
 type RunSpec struct {
 	Name    string
 	Mode    rt.Mode
@@ -50,9 +37,9 @@ type RunSpec struct {
 	FaultKind rt.FaultKind
 }
 
-// Specs returns the runtime half of the oracle matrix: Real vs Simulated,
-// 1/2/8 workers, fresh vs Reset/RunMany-reused engines, and seeded
-// faults+retry legs. The first spec is the reference execution.
+// Specs returns the oracle matrix: Real vs Simulated, 1/2/8 workers, fresh
+// vs Reset/RunMany-reused engines, and seeded faults+retry legs. The first
+// spec is the reference execution.
 func Specs() []RunSpec {
 	return []RunSpec{
 		{Name: "sim/w1", Mode: rt.Simulated, Workers: 1},
@@ -102,21 +89,22 @@ func fingerprint(b *strings.Builder, v value.Value) {
 
 // Failure describes one oracle violation.
 type Failure struct {
-	Variant Variant
-	Spec    RunSpec
+	Spec RunSpec
 	// Kind is "mismatch", "error", or "invariant".
 	Kind string
 	Msg  string
 }
 
 func (f Failure) String() string {
-	return fmt.Sprintf("[%s %s] %s: %s", f.Variant.Name, f.Spec.Name, f.Kind, f.Msg)
+	if f.Spec.Name == "" {
+		return fmt.Sprintf("[compile] %s: %s", f.Kind, f.Msg)
+	}
+	return fmt.Sprintf("[%s] %s: %s", f.Spec.Name, f.Kind, f.Msg)
 }
 
 // Report is the outcome of one program's trip through the oracle matrix.
 type Report struct {
-	// Reference is the fingerprint of the baseline run (first variant,
-	// first spec).
+	// Reference is the fingerprint of the baseline run (the first spec).
 	Reference string
 	// Runs counts individual executions compared (reuse legs count each
 	// repetition).
@@ -135,43 +123,30 @@ func (r *Report) OK() bool { return len(r.Failures) == 0 }
 // statsSnap captures the per-run counters the invariant checks need;
 // Reset zeroes Engine.Stats, so reuse legs snapshot before resetting.
 type statsSnap struct {
-	ops                     int64
 	allocated, freed        int64
 	pooledAllocs            int64
-	fusedNodes, fusedSaved  int64
 	retries, faultsInjected int64
 }
 
 func snap(st *rt.Stats) statsSnap {
 	return statsSnap{
-		ops:            st.OpsExecuted,
 		allocated:      st.Blocks.Allocated,
 		freed:          st.Blocks.Freed,
 		pooledAllocs:   st.PooledAllocs,
-		fusedNodes:     st.FusedNodes,
-		fusedSaved:     st.FusedDispatchesSaved,
 		retries:        st.Retries,
 		faultsInjected: st.FaultsInjected,
 	}
 }
 
 // checkInvariants validates one run's counters against the §8 accounting
-// guarantees and each optimization pass's coherence rules.
-func checkInvariants(v Variant, s RunSpec, st statsSnap) []string {
+// guarantees and the fault legs' coherence rules.
+func checkInvariants(s RunSpec, st statsSnap) []string {
 	var bad []string
 	if st.allocated != st.freed {
 		bad = append(bad, fmt.Sprintf("block leak: Allocated=%d Freed=%d", st.allocated, st.freed))
 	}
 	if st.pooledAllocs > st.allocated {
 		bad = append(bad, fmt.Sprintf("PooledAllocs=%d exceeds Allocated=%d", st.pooledAllocs, st.allocated))
-	}
-	if !v.Fuse && (st.fusedNodes != 0 || st.fusedSaved != 0) {
-		bad = append(bad, fmt.Sprintf("fusion counters nonzero without fuse: nodes=%d saved=%d",
-			st.fusedNodes, st.fusedSaved))
-	}
-	if st.fusedSaved > st.fusedNodes || st.fusedNodes > st.ops {
-		bad = append(bad, fmt.Sprintf("fusion counters incoherent: saved=%d nodes=%d ops=%d",
-			st.fusedSaved, st.fusedNodes, st.ops))
 	}
 	if s.Faults {
 		if st.retries < st.faultsInjected {
@@ -196,11 +171,11 @@ func (s RunSpec) config() rt.Config {
 	return cfg
 }
 
-// runSpec executes one compiled variant under one runtime spec and
+// runSpec executes the compiled program under one runtime spec and
 // appends the runs' fingerprints and invariant findings to the report.
-func runSpec(rep *Report, v Variant, s RunSpec, res *compile.Result) {
+func runSpec(rep *Report, s RunSpec, res *compile.Result) {
 	fail := func(kind, msg string) {
-		rep.Failures = append(rep.Failures, Failure{Variant: v, Spec: s, Kind: kind, Msg: msg})
+		rep.Failures = append(rep.Failures, Failure{Spec: s, Kind: kind, Msg: msg})
 	}
 	check := func(out value.Value, st statsSnap) {
 		rep.Runs++
@@ -211,7 +186,7 @@ func runSpec(rep *Report, v Variant, s RunSpec, res *compile.Result) {
 		} else if got != rep.Reference {
 			fail("mismatch", fmt.Sprintf("got %.80s… want %.80s…", got, rep.Reference))
 		}
-		for _, msg := range checkInvariants(v, s, st) {
+		for _, msg := range checkInvariants(s, st) {
 			fail("invariant", msg)
 		}
 	}
@@ -261,26 +236,18 @@ func runSpec(rep *Report, v Variant, s RunSpec, res *compile.Result) {
 	}
 }
 
-// CheckSource compiles src under every variant and executes each compiled
-// program under every spec, comparing all fingerprints against the first
-// run and checking runtime invariants on every run.
+// CheckSource compiles src and executes the program under every spec,
+// comparing all fingerprints against the first run and checking runtime
+// invariants on every run.
 func CheckSource(file, src string, specs []RunSpec) *Report {
 	rep := &Report{}
-	for _, v := range Variants() {
-		opts := compile.Options{
-			Registry: Operators(),
-			Fuse:     v.Fuse,
-		}
-		res, err := compile.Compile(file, src, opts)
-		if err != nil {
-			rep.Failures = append(rep.Failures, Failure{
-				Variant: v, Kind: "error", Msg: fmt.Sprintf("compile: %v", err),
-			})
-			continue
-		}
-		for _, s := range specs {
-			runSpec(rep, v, s, res)
-		}
+	res, err := compile.Compile(file, src, compile.Options{Registry: Operators()})
+	if err != nil {
+		rep.Failures = append(rep.Failures, Failure{Kind: "error", Msg: fmt.Sprintf("compile: %v", err)})
+		return rep
+	}
+	for _, s := range specs {
+		runSpec(rep, s, res)
 	}
 	return rep
 }

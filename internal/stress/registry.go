@@ -1,11 +1,10 @@
 // Package stress generates seeded random coordination graphs at
 // 10k–100k-node scale and differentially executes them across an
-// executor/worker/optimization/reuse/fault config matrix, asserting the
-// language's core guarantee mechanically: a Delirium program produces
-// bit-identical results regardless of schedule, worker count, executor,
-// compile-time optimization, engine reuse, or injected-and-retried
-// faults. Runtime invariants (per-run Allocated == Freed, pool and
-// fusion counters coherent, no deadlock diagnostics on valid graphs) ride
+// executor/worker/reuse/fault config matrix, asserting the language's core
+// guarantee mechanically: a Delirium program produces bit-identical results
+// regardless of schedule, worker count, executor, engine reuse, or
+// injected-and-retried faults. Runtime invariants (per-run Allocated ==
+// Freed, pool counters coherent, no deadlock diagnostics on valid graphs) ride
 // along on every run. When a seed fails, an automatic shrinker minimizes
 // the generated program and writes the repro to testdata/regressions/,
 // turning every caught failure into a permanent gating test.

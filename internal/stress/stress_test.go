@@ -128,14 +128,14 @@ func TestShrinkSyntheticPredicate(t *testing.T) {
 
 // TestShrinkKeepsOracleFailure wires the shrinker to a real (simulated)
 // oracle defect: a predicate that reruns the program and reports failure
-// whenever the fingerprints of two compile variants disagree — here
+// whenever the fingerprints of two run specs disagree — here
 // faked by checking a miscompiled-style property, structure retained in
 // TestShrinkSyntheticPredicate. This test instead checks WriteRepro
 // round-trips through the replay loader's expectations.
 func TestWriteRepro(t *testing.T) {
 	p := NewProgram(GenConfig{Funcs: 12, Seed: 5})
 	dir := t.TempDir()
-	path, err := WriteRepro(dir, p, "[fuse sim/w8] mismatch: synthetic")
+	path, err := WriteRepro(dir, p, "[sim/w8] mismatch: synthetic")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestWriteRepro(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := string(data)
-	if !strings.Contains(src, "-- failure: [fuse sim/w8] mismatch: synthetic") {
+	if !strings.Contains(src, "-- failure: [sim/w8] mismatch: synthetic") {
 		t.Fatal("repro header missing failure record")
 	}
 	rep := CheckSource(path, src, Specs()[:3])
@@ -154,7 +154,7 @@ func TestWriteRepro(t *testing.T) {
 }
 
 // TestOracleMatrix drives seeded programs through the full differential
-// matrix: every compile variant × every run spec must produce the
+// matrix: every run spec must produce the
 // reference result bit-exactly with all invariants intact.
 func TestOracleMatrix(t *testing.T) {
 	seeds := smokeSeeds(t, 6)
