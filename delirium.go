@@ -205,8 +205,6 @@ type CompileOptions struct {
 	Registry *Registry
 	// OptLevel: 0 default (full), -1 none, 1 local only, 2 full.
 	OptLevel int
-	// InlineBudget caps inline-expansion candidate size (0 = default).
-	InlineBudget int
 }
 
 // PassTime reports one compiler pass's wall time.
@@ -221,9 +219,8 @@ type Program struct {
 // diagnostics only.
 func Compile(file, src string, opts CompileOptions) (*Program, error) {
 	res, err := compile.Compile(file, src, compile.Options{
-		Registry:     opts.Registry,
-		OptLevel:     opts.OptLevel,
-		InlineBudget: opts.InlineBudget,
+		Registry: opts.Registry,
+		OptLevel: opts.OptLevel,
 	})
 	if err != nil {
 		return nil, err

@@ -34,8 +34,6 @@ type Options struct {
 	Registry *operator.Registry
 	// OptLevel: 0 none, 1 local optimizations, 2 adds inlining (default).
 	OptLevel int
-	// InlineBudget caps inline-candidate size (0 = optimizer default).
-	InlineBudget int
 	// Deprecated: no effect; kept until benchmark/ stops naming it (ROADMAP item 1).
 	MemPlan bool
 	// Deprecated: no effect; kept until benchmark/ stops naming it (ROADMAP item 1).
@@ -141,7 +139,7 @@ func Compile(file, src string, opts Options) (*Result, error) {
 	res.Info = info
 
 	timePass(res, "Optimization", func() {
-		res.OptStats = opt.Optimize(info, opt.Options{Level: opts.optLevel(), InlineBudget: opts.InlineBudget})
+		res.OptStats = opt.Optimize(info, opt.Options{Level: opts.optLevel()})
 	})
 
 	var g *graph.Program
