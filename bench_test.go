@@ -229,7 +229,7 @@ func benchScheduler(b *testing.B, prog *graph.Program, maxOps int64) {
 }
 
 // BenchmarkSchedulerQueens stresses the recursive-expansion path: the
-// backtracker floods the deques with PriRecursive work that thieves drain.
+// backtracker floods the deques with recursive expansions that thieves drain.
 func BenchmarkSchedulerQueens(b *testing.B) {
 	prog, err := queens.CompileProgram(7)
 	if err != nil {
@@ -360,8 +360,8 @@ func benchDispatchChain(b *testing.B, cfg rt.Config) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/iters, "ns/operator")
 }
 
-// BenchmarkDispatchChain is the per-link price of a 32-operator chain on the
-// serial queue, where BenchmarkDispatch's loop body is one operator and the
+// BenchmarkDispatchChain is the per-link price of a 32-operator chain on one
+// Real worker, where BenchmarkDispatch's loop body is one operator and the
 // loop's own nodes weigh in its metric.
 func BenchmarkDispatchChain(b *testing.B) {
 	benchDispatchChain(b, rt.Config{Mode: rt.Real, Workers: 1})

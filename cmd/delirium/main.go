@@ -31,10 +31,15 @@ func main() {
 		timing   = flag.Bool("timing", false, "print node timings after the run")
 		affName  = flag.String("affinity", "none", "simulated affinity policy: none, operator, data")
 		stats    = flag.Bool("stats", false, "print execution statistics")
-		nopri    = flag.Bool("no-priorities", false, "replace the 3-level ready queue with a FIFO")
+		nopri    = flag.Bool("no-priorities", false, "replace the simulated machine's 3-level ready queue with a FIFO (needs -sim)")
 		expr     = flag.String("e", "", "evaluate a single expression (builtins + prelude) and exit")
 	)
 	flag.Parse()
+	if *nopri && !*sim {
+		// Real mode has no priority levels, so the flag would do nothing.
+		fmt.Fprintln(os.Stderr, "delirium: -no-priorities applies to the simulated executor only; add -sim")
+		os.Exit(2)
+	}
 	if *expr != "" {
 		v, err := delirium.Eval(*expr)
 		fail(err)

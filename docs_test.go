@@ -19,6 +19,7 @@ var (
 	docTestName = regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z0-9_]\w*`)
 	docStats    = regexp.MustCompile(`\bStats\.(\w+)(?:\.(\w+))?`)
 	goTestFunc  = regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
+	docPath     = regexp.MustCompile(`(?:^|[\s(=])(?:\./)?((?:internal|cmd|examples|programs|testdata|docs)/[\w./*<>-]*)`)
 )
 
 // TestDocsReferToRealThings holds the prose to the code: every back-ticked
@@ -27,7 +28,11 @@ var (
 // back-ticked Stats.X (or Stats.X.Y) must be a field or method of
 // runtime.Stats (of value.BlockStats for Stats.Blocks.Y). A name may also
 // be the prefix of a family, as BenchmarkTreeWalks is of
-// BenchmarkTreeWalksSequential.
+// BenchmarkTreeWalksSequential. Every back-ticked repository path —
+// internal/…, cmd/…, examples/…, programs/…, testdata/… or docs/… — must
+// exist; a pattern with * must match something, a Go package pattern's
+// /... names its directory, and a path with a <placeholder> is a template,
+// not a path.
 func TestDocsReferToRealThings(t *testing.T) {
 	docs := []string{"README.md", "DESIGN.md"}
 	more, err := filepath.Glob("docs/*.md")
@@ -85,6 +90,16 @@ func TestDocsReferToRealThings(t *testing.T) {
 				checked++
 				if !defined(name) {
 					t.Errorf("%s: `%s` names %s, which no func defines", doc, span[1], name)
+				}
+			}
+			for _, m := range docPath.FindAllStringSubmatch(span[1], -1) {
+				path := strings.TrimSuffix(strings.TrimRight(m[1], "/"), "/...")
+				if strings.Contains(path, "<") {
+					continue
+				}
+				checked++
+				if matches, _ := filepath.Glob(path); len(matches) == 0 {
+					t.Errorf("%s: `%s` names %s, which does not exist", doc, span[1], path)
 				}
 			}
 			for _, m := range docStats.FindAllStringSubmatch(span[1], -1) {

@@ -9,26 +9,25 @@ import (
 )
 
 // This file is the executor core: the run frame, the task loop and the
-// dispatch step, each written once. Everything that differs between a
-// one-worker run, a pool of work-stealing workers and the simulated machine
-// sits behind the scheduler interface below.
+// dispatch step, each written once. Everything that differs between the
+// work-stealing workers of a Real run and the simulated machine sits behind
+// the scheduler interface below.
 
 // task is one runnable node of one activation, tagged with the worker that
 // pushed it (from; -1 for the boot worker's seeds). The tag feeds the timing
 // log's stolen mark; it never influences what executes. The work-stealing
 // scheduler keeps each task in its activation's slot for the node
-// (activation.tasks); the serial and simulated queues hold them by value.
+// (activation.tasks); the simulated machine holds them by value.
 type task struct {
 	act  *activation
 	node *graph.Node
 	from int32
 }
 
-// scheduler is the seam between the executor core and the three ready-queue
-// disciplines: the serial FIFO (queue.go), the work-stealing pool
-// (stealqueue.go) and the virtual-time list scheduler (sim.go). All three
-// honor the §7 priority order; they differ only in what is behind these
-// methods.
+// scheduler is the seam between the executor core and its two ready-queue
+// disciplines: the work-stealing pool of every Real run (stealqueue.go) and
+// the virtual-time list scheduler (sim.go), which alone keeps §7's priority
+// levels. They differ only in what is behind these methods.
 type scheduler interface {
 	// push makes node n of a runnable. w is the worker whose execution (or
 	// seeding) released it; the scheduler stamps the task's provenance.
@@ -49,8 +48,7 @@ type scheduler interface {
 	drain() []task
 }
 
-// wallClock is the Real-mode run clock shared by the serial queue and the
-// work-stealing scheduler.
+// wallClock is the Real-mode run clock.
 type wallClock struct{ start time.Time }
 
 func (c *wallClock) now() int64 { return int64(time.Since(c.start)) }
@@ -100,7 +98,7 @@ func (w *worker) end(sp span, t task, err error) {
 
 // loop is the one task loop, and its body the one dispatch step: take a
 // task, bracket it for the observers, execute it, retire it. The caller's
-// goroutine runs the loop for unbounded serial and simulated runs, one
+// goroutine runs the loop for unbounded one-worker and simulated runs, one
 // spawned goroutine for bounded ones, one per worker for multi-worker ones,
 // until the scheduler reports the run over or a node fails. It returns errAbandoned, having touched nothing after the call, when
 // the watchdog took over the operator call this goroutine was stuck in, and
@@ -148,32 +146,29 @@ func (e *Engine) loop(w *worker) error {
 // immediately, abandoning queued work.
 func (e *Engine) run(args []value.Value) (value.Value, error) {
 	nw := e.cfg.workers()
-	pooled := e.cfg.Mode == Real && nw > 1
+	sim := e.cfg.Mode == Simulated
 	var q scheduler
-	proc := 0
-	switch {
-	case e.cfg.Mode == Simulated:
-		q = newSimScheduler(e, nw)
-	case pooled:
+	// The boot worker seeds from the caller's goroutine before any worker
+	// runs. In a Real run proc -1 routes its pushes onto worker 0's deque
+	// and its trace events to the external (seed) track; the simulated
+	// machine places every task itself, so its one worker seeds as proc 0.
+	proc := -1
+	if sim {
+		q, proc = newSimScheduler(e, nw), 0
+	} else {
 		if e.sched == nil {
 			e.sched = newStealScheduler(nw, &e.stats, e.tracer)
 		} else {
 			e.sched.reopen(e.tracer)
 		}
 		q = e.sched
-		// The boot worker seeds from the caller's goroutine before any
-		// worker goroutine exists; proc -1 routes its pushes onto worker
-		// 0's deques and its trace events to the external (seed) track.
-		proc = -1
-	default:
-		q = &serialQueue{wallClock: wallClock{time.Now()}}
 	}
 	if e.tracer != nil {
 		e.tracer.now = q.now
 	}
 	e.opsClaimed.Store(0)
 	w := e.worker(proc, q)
-	if pooled && e.gen.Load() == 1 {
+	if !sim && e.gen.Load() == 1 {
 		e.stock(w)
 	}
 	root := e.acquire(w, e.prog.Main)
@@ -186,12 +181,16 @@ func (e *Engine) run(args []value.Value) (value.Value, error) {
 		e.dl.register()
 	}
 	switch {
-	case pooled:
-		e.runWorkers(q, nw)
-	case e.dl != nil:
+	case !sim && e.sched.outstanding.Load() == 0:
+		// The whole program evaluated during seeding (constant main) or
+		// nothing is runnable at all: no task will ever retire, so nothing
+		// would close the scheduler.
+	case e.dl == nil && (sim || nw == 1):
+		e.loop(e.worker(0, q))
+	case sim:
 		e.runWorkers(q, 1)
 	default:
-		e.loop(w)
+		e.runWorkers(q, nw)
 	}
 	if e.dl != nil {
 		e.dl.deregister()

@@ -12,20 +12,20 @@
 //  2. once data is present on an operator's input it stays until the
 //     operator executes and is never present again.
 //
-// A ready queue with three priority levels (normal operators, then
-// non-recursive subgraph expansions, then recursive expansions) keeps the
-// number of live activations small by making activations available for
-// reuse as early as possible. The real executor realizes those levels as a
-// work-stealing scheduler: every worker owns one Chase-Lev deque per
-// priority level (LIFO pop for cache locality, FIFO steal) plus a one-task
-// hand-off slot, where the successor a completing node would pop next waits
-// and runs without a deque round trip; the run's seeds land on the first
-// worker's deques before any worker starts, and idle workers steal, spin
-// briefly, then park on a one-token parker woken by notifyOne — the priority
-// order is honored per worker and per steal attempt, so the §7 scheme
-// survives the decentralization (see stealqueue.go). Activations recycle
-// through per-worker free lists indexed by template ID, backed by one
-// per-engine depot that carries activations between workers.
+// In the paper a ready queue with three priority levels (normal operators,
+// then non-recursive subgraph expansions, then recursive expansions) keeps
+// the number of live activations small by making activations available for
+// reuse as early as possible. The simulated machine keeps those levels
+// (sim.go). The real executor, at every worker count, is a work-stealing
+// scheduler without them: every worker owns one Chase-Lev deque (LIFO pop,
+// which runs a node's consumers before older work and so keeps activations
+// as few as the levels do, FIFO steal) plus a one-task hand-off slot, where
+// the successor a completing node would pop next waits and runs without a
+// deque round trip; the run's seeds land on the first worker's deque before
+// any worker starts, and idle workers steal, spin briefly, then park on a
+// one-token parker woken by notifyOne (see stealqueue.go). Activations
+// recycle through per-worker free lists indexed by template ID, backed by
+// one per-engine depot that carries activations between workers.
 //
 // Determinism is enforced through the data contention protocol of §8: all
 // shared memory is passed explicitly between operators as reference-counted
@@ -34,9 +34,8 @@
 //
 // One executor core (dispatch.go) runs every mode: the run frame, the task
 // loop and the dispatch step are written once, over a scheduler that is the
-// serial FIFO, the pool of work-stealing worker goroutines, or a
-// deterministic simulated machine with a virtual clock and per-processor
-// timing driven by a machine profile.
+// pool of work-stealing workers or a deterministic simulated machine with a
+// virtual clock and per-processor timing driven by a machine profile.
 package runtime
 
 import (
@@ -118,9 +117,9 @@ type Config struct {
 	Affinity AffinityPolicy
 	// Deprecated: no effect; kept until benchmark/ stops naming it (ROADMAP item 1).
 	AffinityHints bool
-	// DisablePriorities collapses the three-level ready queue into a single
-	// level (a FIFO in Simulated mode, one deque per worker in Real mode) —
-	// the ablation of §7's priority scheme.
+	// DisablePriorities collapses the simulated machine's three-level ready
+	// queue into a single FIFO level — the ablation of §7's priority scheme.
+	// It applies to Simulated mode only: Real mode has no levels to collapse.
 	DisablePriorities bool
 	// MaxOps aborts runs exceeding this many operator executions (a guard
 	// against runaway recursion in tests); zero means no limit.
@@ -174,21 +173,6 @@ func (c Config) profile() *machine.Profile {
 	return machine.CrayYMP()
 }
 
-// Priority levels of the ready queue, in decreasing order of priority (§7).
-type Priority int
-
-// Ready-queue priority levels.
-const (
-	// PriNormal: ordinary operators (and tuple/closure plumbing).
-	PriNormal Priority = iota
-	// PriCall: non-recursive subgraph expansions.
-	PriCall
-	// PriRecursive: recursive subgraph expansions, kept back so existing
-	// activations drain (and recycle) before new recursion unfolds.
-	PriRecursive
-	numPriorities
-)
-
 // Engine run states. An engine is a reusable execution context: Run moves
 // it idle -> running -> finished, and Reset moves finished back to idle
 // without discarding the per-program immutable state or the warmed pools.
@@ -218,7 +202,7 @@ type Engine struct {
 	timing *TimingLog
 	tracer *tracer
 	// depot backs the workers' activation free lists (worker.free) in
-	// multi-worker runs, indexed like them by template ID: a list that grows
+	// Real runs, indexed like them by template ID: a list that grows
 	// past freeCap spills half of itself here, a worker leaving the run
 	// stows all of its lists here, and a list that runs dry refills from
 	// here before its worker allocates. Activations migrate between workers
@@ -273,12 +257,13 @@ type Engine struct {
 	_          [56]byte
 
 	// sched is the real executor's work-stealing scheduler, created on the
-	// first multi-worker run and reused (reopened) by every run after it so
+	// first Real run and reused (reopened) by every run after it so
 	// a reused engine never reallocates deques or parkers.
 	sched *stealScheduler
 	// join is the rendezvous of a run's spawned goroutines: one per worker
-	// of a multi-worker run, or the one loop goroutine of a bounded serial
-	// or simulated run. The watchdog calls Done for a goroutine it abandons.
+	// of a multi-worker run, or the one loop goroutine of a bounded
+	// one-worker or simulated run. The watchdog calls Done for a goroutine
+	// it abandons.
 	join sync.WaitGroup
 	// canceling counts the run's cancellation callback (context.AfterFunc)
 	// while it may still run, so that runWorkers can wait for one that fired.
@@ -544,8 +529,8 @@ func (e *Engine) finish(v value.Value) {
 	e.stopped.Store(true)
 }
 
-// freeCap bounds one worker's free list for one template in a multi-worker
-// run: a release past it spills the older half of the list to the engine's
+// freeCap bounds one worker's free list for one template in a Real run: a
+// release past it spills the older half of the list to the engine's
 // depot. Activations a worker holds are out of its peers' reach, so the cap
 // is small.
 const freeCap = 8
@@ -557,8 +542,8 @@ const freeCap = 8
 // did not number (a closure from another program, whose ID may collide with
 // one of ours) never receives another template's activation.
 //
-// In a multi-worker run the first run sizes the pool to what it needed,
-// and stock adds what the peers can hold out of reach before the second.
+// In a Real run the first run sizes the pool to what it needed, and stock
+// adds what the peers can hold out of reach before the second.
 func (e *Engine) acquire(w *worker, t *graph.Template) *activation {
 	var a *activation
 	if id := t.ID; id < len(w.free) {
@@ -591,7 +576,7 @@ func (e *Engine) acquire(w *worker, t *graph.Template) *activation {
 }
 
 // release returns a finished activation to w's free list. Only a worker of a
-// multi-worker run spills: a single worker's list holds everything it
+// Real run spills: the simulated machine's one worker holds everything it
 // frees, in the order it freed them.
 func (e *Engine) release(w *worker, a *activation) {
 	id := a.tmpl.ID
@@ -658,32 +643,4 @@ func (e *Engine) refill(w *worker, id int) {
 	clear(d[keep:])
 	e.depot[id] = d[:keep]
 	e.depotMu.Unlock()
-}
-
-// classify assigns the ready-queue priority for a runnable node. For
-// dynamic closure calls the closure value is already on input 0, so the
-// callee's recursion flag is known.
-func (e *Engine) classify(a *activation, n *graph.Node) Priority {
-	if e.cfg.DisablePriorities {
-		return PriNormal
-	}
-	switch n.Kind {
-	case graph.CallNode:
-		if n.Callee != nil && n.Callee.Recursive {
-			return PriRecursive
-		}
-		return PriCall
-	case graph.CondNode:
-		return PriCall
-	case graph.CallClosureNode:
-		off, _ := a.tmpl.Layout()
-		if cl, ok := a.buf[off[n.ID]].(*value.Closure); ok {
-			if t, ok := cl.Fn.(*graph.Template); ok && t.Recursive {
-				return PriRecursive
-			}
-		}
-		return PriCall
-	default:
-		return PriNormal
-	}
 }

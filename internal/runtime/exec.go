@@ -66,8 +66,8 @@ type worker struct {
 	// (Engine.acquire, Engine.release). They survive Reset. The boot worker
 	// shares worker 0's.
 	free [][]*activation
-	// pooled is set while the worker runs in a multi-worker Real run. Its
-	// free lists then spill to and refill from the engine's depot, and its
+	// pooled is set while the worker runs in a Real run. Its free lists
+	// then spill to and refill from the engine's depot, and its
 	// live-activation gauge changes collect in live/liveWords, published by
 	// foldLive at the 64-dispatch poll and at loop exit.
 	pooled          bool
@@ -122,11 +122,11 @@ func (w *worker) fold() {
 }
 
 // noteLive moves the live-activation gauges by delta activations and words
-// words. Serial and simulated runs update Stats at once, so their peaks are
-// exact. A pooled worker collects the changes and publishes them at
-// foldLive, so its peaks are sampled there; a release that would drive a
-// collected change below zero is published at once instead, which keeps
-// every sample at or below the true live count.
+// words. Simulated runs update Stats at once, so their peaks are exact. A
+// pooled worker collects the changes and publishes them at foldLive, so its
+// peaks are sampled there; a release that would drive a collected change
+// below zero is published at once instead, which keeps every sample at or
+// below the true live count.
 func (w *worker) noteLive(delta, words int64) {
 	if !w.pooled || w.live+delta < 0 || w.liveWords+words < 0 {
 		w.e.stats.noteLive(delta, words)
@@ -544,8 +544,8 @@ func (e *Engine) execNode(w *worker, t task) error {
 // A budget needs the run's total, so a bounded engine also claims the node
 // on one shared counter and fails the dispatch that takes it past MaxOps.
 // The poll fires on every 64th dispatch of the worker — no cancellation
-// callback stops a serial or simulated run's queue, so this poll is their
-// only cancellation path.
+// callback stops an unbounded one-worker or simulated run's queue, so this
+// poll is their only cancellation path.
 func (e *Engine) checkOps(w *worker, a *activation) error {
 	w.n.ops++
 	if e.maxOps > 0 && e.opsClaimed.Add(1) > e.maxOps {

@@ -16,32 +16,28 @@ import (
 )
 
 // dequeModel is the work-stealing scheduler's owner order without the
-// hand-off slot: one LIFO stack per priority level, highest level first.
-type dequeModel [numPriorities][]int
+// hand-off slot: one LIFO stack.
+type dequeModel []int
 
-func (m *dequeModel) push(id int, pri Priority) { m[pri] = append(m[pri], id) }
+func (m *dequeModel) push(id int) { *m = append(*m, id) }
 
 func (m *dequeModel) pop() (int, bool) {
-	for pri := range m {
-		if n := len(m[pri]); n > 0 {
-			id := m[pri][n-1]
-			m[pri] = m[pri][:n-1]
-			return id, true
-		}
+	n := len(*m)
+	if n == 0 {
+		return 0, false
 	}
-	return 0, false
-}
-
-func (m *dequeModel) len() int {
-	return len(m[PriNormal]) + len(m[PriCall]) + len(m[PriRecursive])
+	id := (*m)[n-1]
+	*m = (*m)[:n-1]
+	return id, true
 }
 
 // TestHandoffOrderMatchesDeques drives one owner through executions that
-// each push nodes of mixed priorities, and requires the order next hands
-// them out in — hand-off slot and all — to be the order plain LIFO deques
-// would pop them in. With a peer parked every push takes the deque path, and
-// the order must not change either. After every retire, outstanding must
-// count exactly the tasks still waiting.
+// each push nodes of the kinds the simulated machine puts on different
+// priority levels, and requires the order next hands them out in — hand-off
+// slot and all — to be the order one plain LIFO deque would pop them in,
+// whatever the kinds. With a peer parked every push takes the deque path,
+// and the order must not change either. After every retire, outstanding
+// must count exactly the tasks still waiting.
 func TestHandoffOrderMatchesDeques(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -56,74 +52,66 @@ func TestHandoffOrderMatchesDeques(t *testing.T) {
 	}
 	recursive := &graph.Template{Name: "rec", Recursive: true}
 	for _, c := range cases {
-		for _, disable := range []bool{false, true} {
-			for _, parked := range []bool{false, true} {
-				name := fmt.Sprintf("%s/disable=%v/parked=%v", c.name, disable, parked)
-				// Node 0 is the seed; every push gets a node of its own, whose
-				// kind gives it the wanted priority.
-				tmpl := &graph.Template{Name: "main", Nodes: []*graph.Node{{ID: 0, Kind: graph.OpNode}}}
-				for _, ex := range c.execs {
-					for _, pri := range ex {
-						n := &graph.Node{ID: len(tmpl.Nodes), Kind: graph.OpNode}
-						switch pri {
-						case PriCall:
-							n.Kind = graph.CondNode
-						case PriRecursive:
-							n.Kind, n.Callee = graph.CallNode, recursive
-						}
-						tmpl.Nodes = append(tmpl.Nodes, n)
+		for _, parked := range []bool{false, true} {
+			name := fmt.Sprintf("%s/parked=%v", c.name, parked)
+			// Node 0 is the seed; every push gets a node of its own, whose
+			// kind the simulated machine would give the scripted priority.
+			tmpl := &graph.Template{Name: "main", Nodes: []*graph.Node{{ID: 0, Kind: graph.OpNode}}}
+			for _, ex := range c.execs {
+				for _, pri := range ex {
+					n := &graph.Node{ID: len(tmpl.Nodes), Kind: graph.OpNode}
+					switch pri {
+					case PriCall:
+						n.Kind = graph.CondNode
+					case PriRecursive:
+						n.Kind, n.Callee = graph.CallNode, recursive
 					}
+					tmpl.Nodes = append(tmpl.Nodes, n)
 				}
-				prog := &graph.Program{Templates: map[string]*graph.Template{"main": tmpl}, Main: tmpl}
-				graph.Number(prog)
-				e := New(prog, Config{Mode: Real, Workers: 2, DisablePriorities: disable})
-				s := newStealScheduler(2, &e.stats, nil)
-				if parked {
-					s.nidle.Store(1) // notifyOne finds no one registered and returns
-				}
-				a := newActivation(tmpl)
-				s.push(e.worker(-1, s), a, tmpl.Nodes[0])
-				w := e.worker(0, s)
-				var model dequeModel
-				level := func(p Priority) Priority {
-					if disable {
-						return PriNormal
-					}
-					return p
-				}
+			}
+			prog := &graph.Program{Templates: map[string]*graph.Template{"main": tmpl}, Main: tmpl}
+			graph.Number(prog)
+			e := New(prog, Config{Mode: Real, Workers: 2})
+			s := newStealScheduler(2, &e.stats, nil)
+			if parked {
+				s.nidle.Store(1) // notifyOne finds no one registered and returns
+			}
+			a := newActivation(tmpl)
+			s.push(e.worker(-1, s), a, tmpl.Nodes[0])
+			w := e.worker(0, s)
+			var model dequeModel
 
-				next := 1
-				var got, want []int
-				tk, ok := s.next(w)
-				for i := 0; ok; i++ {
-					got = append(got, tk.node.ID)
-					if i < len(c.execs) {
-						for _, pri := range c.execs[i] {
-							s.push(w, a, tmpl.Nodes[next])
-							model.push(next, level(pri))
-							next++
-						}
-						if len(c.execs[i]) > 0 && (s.local[0].slot != nil) == parked {
-							t.Fatalf("%s: execution %d: slot full = %v with parked = %v",
-								name, i, s.local[0].slot != nil, parked)
-						}
+			next := 1
+			var got, want []int
+			tk, ok := s.next(w)
+			for i := 0; ok; i++ {
+				got = append(got, tk.node.ID)
+				if i < len(c.execs) {
+					for range c.execs[i] {
+						s.push(w, a, tmpl.Nodes[next])
+						model.push(next)
+						next++
 					}
-					s.retire(w, tk)
-					if out := s.outstanding.Load(); out != int64(model.len()) {
-						t.Fatalf("%s: after execution %d outstanding = %d, %d tasks waiting", name, i, out, model.len())
+					if len(c.execs[i]) > 0 && (s.local[0].slot != nil) == parked {
+						t.Fatalf("%s: execution %d: slot full = %v with parked = %v",
+							name, i, s.local[0].slot != nil, parked)
 					}
-					if id, more := model.pop(); more {
-						want = append(want, id)
-					}
-					tk, ok = s.next(w)
 				}
-				got = got[1:] // the seed
-				if fmt.Sprint(got) != fmt.Sprint(want) {
-					t.Errorf("%s: handed out %v, LIFO deques give %v", name, got, want)
+				s.retire(w, tk)
+				if out := s.outstanding.Load(); out != int64(len(model)) {
+					t.Fatalf("%s: after execution %d outstanding = %d, %d tasks waiting", name, i, out, len(model))
 				}
-				if next != len(tmpl.Nodes) {
-					t.Fatalf("%s: pushed %d of %d nodes", name, next-1, len(tmpl.Nodes)-1)
+				if id, more := model.pop(); more {
+					want = append(want, id)
 				}
+				tk, ok = s.next(w)
+			}
+			got = got[1:] // the seed
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("%s: handed out %v, a LIFO deque gives %v", name, got, want)
+			}
+			if next != len(tmpl.Nodes) {
+				t.Fatalf("%s: pushed %d of %d nodes", name, next-1, len(tmpl.Nodes)-1)
 			}
 		}
 	}

@@ -6,20 +6,14 @@ import "context"
 // each has left the task loop or been abandoned to the watchdog (which then
 // stood in for it at the join). With q the work-stealing scheduler
 // (stealqueue.go), n is one goroutine per configured processor: each worker
-// schedules the nodes it makes runnable onto its own priority deques (LIFO,
-// so a producer's consumers run hot), the boot worker's seeds already wait on
-// worker 0's, and idle workers steal FIFO from their peers, preserving the §7
-// priority order at both tiers. Otherwise — a bounded serial or simulated
-// run — n is 1, so that the caller can return at a deadline while that
-// goroutine is stuck inside an operator.
+// schedules the nodes it makes runnable onto its own deque (LIFO, so a
+// producer's consumers run hot), the boot worker's seeds already wait on
+// worker 0's, and idle workers steal FIFO from their peers. A one-worker run
+// comes here only when bounded, and a simulated run too, with n = 1, so that
+// the caller can return at a deadline while that goroutine is stuck inside an
+// operator. The caller has checked that the seeds left a task to run.
 func (e *Engine) runWorkers(q scheduler, n int) {
 	s, _ := q.(*stealScheduler)
-	if s != nil && s.outstanding.Load() == 0 {
-		// The whole program evaluated during seeding (constant main) or
-		// nothing is runnable at all: no task will ever retire, so nothing
-		// would close the scheduler.
-		return
-	}
 
 	// Cancellation lets a run with slow or parked workers drain promptly: it
 	// records the failure and closes the scheduler, waking every parked

@@ -12,41 +12,39 @@ import (
 	"repro/internal/value"
 )
 
-func TestStealSchedulerPriorityOrder(t *testing.T) {
-	// A worker must drain its own deques normal-first — its own pushes and
-	// the boot worker's seeds alike — then steal normal-first: §7's order at
-	// both tiers.
+func TestStealSchedulerOrder(t *testing.T) {
+	// A worker pops its own deque LIFO — its own pushes and the boot
+	// worker's seeds alike — and steals a victim's oldest task first. The
+	// nodes are of the three kinds the simulated machine puts on three
+	// priority levels; a Real worker has one deque and ignores the kind.
 	tmpl := &graph.Template{Name: "seeded", Nodes: []*graph.Node{
 		{ID: 0, Kind: graph.CallNode, Name: "recursive", Callee: &graph.Template{Recursive: true}},
 		{ID: 1, Kind: graph.CondNode, Name: "call"},
 		{ID: 2, Kind: graph.OpNode, Name: "normal"},
 	}}
-	nodes := map[Priority]*graph.Node{
-		PriNormal:    tmpl.Nodes[2],
-		PriCall:      tmpl.Nodes[1],
-		PriRecursive: tmpl.Nodes[0],
-	}
 	prog := &graph.Program{Templates: map[string]*graph.Template{"main": tmpl}, Main: tmpl}
 	graph.Number(prog)
 	e := New(prog, Config{Mode: Real, Workers: 2})
 	s := newStealScheduler(2, &e.stats, nil)
+	lifo := []string{"normal", "call", "recursive"}
 	for _, tier := range []struct {
 		name string
-		push func(*task, Priority)
+		push func(*graph.Node)
+		want []string
 	}{
-		{"local", func(tk *task, pri Priority) { s.pushLocal(0, tk, pri) }},
-		{"seeded", func(tk *task, pri Priority) {
+		{"local", func(n *graph.Node) { s.pushLocal(0, &task{node: n}) }, lifo},
+		{"seeded", func(n *graph.Node) {
 			// The boot worker pushes through the scheduler before any
 			// worker runs; the task lands in its activation slot.
-			s.push(e.worker(-1, s), newActivation(tmpl), tk.node)
-		}},
-		{"victim", func(tk *task, pri Priority) { s.pushLocal(1, tk, pri) }},
+			s.push(e.worker(-1, s), newActivation(tmpl), n)
+		}, lifo},
+		{"victim", func(n *graph.Node) { s.pushLocal(1, &task{node: n}) },
+			[]string{"recursive", "call", "normal"}},
 	} {
-		// Push in reverse priority order; finds must come back normal-first.
-		tier.push(&task{node: nodes[PriRecursive]}, PriRecursive)
-		tier.push(&task{node: nodes[PriCall]}, PriCall)
-		tier.push(&task{node: nodes[PriNormal]}, PriNormal)
-		for _, w := range []string{"normal", "call", "recursive"} {
+		for _, n := range tmpl.Nodes {
+			tier.push(n)
+		}
+		for _, w := range tier.want {
 			tk := s.find(0)
 			if tk == nil || tk.node.Name != w {
 				t.Fatalf("%s tier: find = %v, want %s", tier.name, tk, w)
@@ -225,7 +223,7 @@ func TestStealSchedulerNotifyReachesParked(t *testing.T) {
 			s.park(1)
 		}
 	}()
-	s.pushLocal(0, &task{node: &graph.Node{Name: "wake"}}, PriNormal)
+	s.pushLocal(0, &task{node: &graph.Node{Name: "wake"}})
 	tk := <-got
 	if tk.node.Name != "wake" {
 		t.Fatalf("woke with %v", tk)

@@ -212,9 +212,9 @@ main()
 
 // TestRealDeterminismAcrossSchedulers is the §8 block-protocol guarantee
 // exercised against the work-stealing executor: the same program must
-// produce identical results at 1, 2, and 8 workers, and under the FIFO
-// ablation (DisablePriorities) — scheduling may reorder execution, never
-// change the answer.
+// produce identical results at 1, 2, and 8 workers, and on the simulated
+// machine under the FIFO ablation (DisablePriorities) — scheduling may
+// reorder execution, never change the answer.
 func TestRealDeterminismAcrossSchedulers(t *testing.T) {
 	src := `
 tree(d)
@@ -236,18 +236,18 @@ main(n)
 		{Mode: Real, Workers: 1},
 		{Mode: Real, Workers: 2},
 		{Mode: Real, Workers: 8},
-		{Mode: Real, Workers: 8, DisablePriorities: true},
+		{Mode: Simulated, Workers: 4, DisablePriorities: true},
 	} {
 		cfg.MaxOps = 10_000_000
 		e := New(g, cfg)
 		v, err := e.Run(value.Int(50))
 		if err != nil {
-			t.Fatalf("workers=%d disable=%v: %v", cfg.Workers, cfg.DisablePriorities, err)
+			t.Fatalf("%v workers=%d disable=%v: %v", cfg.Mode, cfg.Workers, cfg.DisablePriorities, err)
 		}
 		if want == nil {
 			want = v
 		} else if !value.Equal(v, want) {
-			t.Errorf("workers=%d disable=%v: %v != %v", cfg.Workers, cfg.DisablePriorities, v, want)
+			t.Errorf("%v workers=%d disable=%v: %v != %v", cfg.Mode, cfg.Workers, cfg.DisablePriorities, v, want)
 		}
 	}
 }

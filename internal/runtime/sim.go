@@ -46,6 +46,52 @@ type delivery struct {
 	nodeID int
 }
 
+// Priority levels of the simulated machine's ready heaps, in decreasing
+// order of priority: §7's three-level ready queue. The real executor has
+// none (stealqueue.go).
+type Priority int
+
+// Ready-queue priority levels.
+const (
+	// PriNormal: ordinary operators (and tuple/closure plumbing).
+	PriNormal Priority = iota
+	// PriCall: non-recursive subgraph expansions.
+	PriCall
+	// PriRecursive: recursive subgraph expansions, kept back so existing
+	// activations drain (and recycle) before new recursion unfolds.
+	PriRecursive
+	numPriorities
+)
+
+// classify assigns the ready-queue priority for a runnable node; with
+// Config.DisablePriorities every node is PriNormal. For dynamic closure
+// calls the closure value is already on input 0, so the callee's recursion
+// flag is known.
+func (e *Engine) classify(a *activation, n *graph.Node) Priority {
+	if e.cfg.DisablePriorities {
+		return PriNormal
+	}
+	switch n.Kind {
+	case graph.CallNode:
+		if n.Callee != nil && n.Callee.Recursive {
+			return PriRecursive
+		}
+		return PriCall
+	case graph.CondNode:
+		return PriCall
+	case graph.CallClosureNode:
+		off, _ := a.tmpl.Layout()
+		if cl, ok := a.buf[off[n.ID]].(*value.Closure); ok {
+			if t, ok := cl.Fn.(*graph.Template); ok && t.Recursive {
+				return PriRecursive
+			}
+		}
+		return PriCall
+	default:
+		return PriNormal
+	}
+}
+
 // simScheduler executes the program deterministically on P virtual
 // processors. Operators actually run (producing real values); their charged
 // work units, the machine profile's dispatch overhead, and the modeled

@@ -29,8 +29,8 @@ type Stats struct {
 	ActivationsAllocated int64
 	ActivationsReused    int64
 	// LiveActivations tracks currently-live activations; PeakLive the
-	// maximum observed. Serial and Simulated runs observe every change, so
-	// their peaks are exact. A multi-worker Real run samples: each worker
+	// maximum observed. Simulated runs observe every change, so their peaks
+	// are exact. A Real run, at any worker count, samples: each worker
 	// publishes its changes every 64 dispatches and as it leaves the run,
 	// so PeakLive never exceeds the true peak but may fall short of it.
 	// LiveActivations is exact once the run is over, in every mode.

@@ -9,12 +9,12 @@ import (
 	"repro/internal/graph"
 )
 
-// This file implements the real executor's work-stealing ready queue — the
-// replacement for the original single-mutex three-level queue. The §7
-// priority semantics are preserved per worker and per steal attempt: each
-// worker owns one Chase-Lev deque per priority level and always drains
-// normal operators before non-recursive expansions before recursive
-// expansions, whether taking from its own deques or from a victim.
+// This file implements the real executor's ready queue, at every worker
+// count: one Chase-Lev deque per worker, a hand-off slot per worker, and
+// stealing between them. It has one pop order and no priority levels: LIFO
+// already runs a node's consumers before older work, which keeps as few
+// activations live as §7's three levels do, so the levels live only in the
+// simulated machine (sim.go), where the paper's figure needs them.
 //
 // The structure:
 //
@@ -22,18 +22,16 @@ import (
 //     (cache locality — a node's consumers run hot on the producer's
 //     worker); thieves steal FIFO from the top, taking the oldest work,
 //     which for this runtime tends to be the widest subtrees. The boot
-//     worker seeds worker 0's deques before any worker goroutine exists,
-//     so seeding needs no queue of its own.
-//   - the hand-off slot: while no peer is parked, the newest task of the
-//     highest priority that an execution releases waits in a private
-//     one-task slot of its worker instead of a deque, and runs next there
-//     unless a higher-priority task of the worker's own is waiting. That is
-//     exactly the task LIFO order would pop, so §7's order is unchanged; what
-//     goes is the deque round trip and the shared outstanding add and
-//     subtract, because the executing task donates its unit to the slot's.
-//     A thief never sees the slot. While a peer is parked, every task is
-//     pushed and the peer notified, which exposes work as soon as someone
-//     can take it.
+//     worker seeds worker 0's deque before any worker runs, so seeding
+//     needs no queue of its own.
+//   - the hand-off slot: while no peer is parked, the newest task an
+//     execution releases waits in a private one-task slot of its worker
+//     instead of the deque, and runs next there. That is exactly the task
+//     LIFO order would pop; what goes is the deque round trip and the shared
+//     outstanding add and subtract, because the executing task donates its
+//     unit to the slot's. A thief never sees the slot. While a peer is
+//     parked, every task is pushed and the peer notified, which exposes
+//     work as soon as someone can take it.
 //   - idle workers steal FIFO from their peers (the second tier), spin
 //     briefly, then register on an idle list and park on a private
 //     one-token parker. Pushes wake at most one parked worker
@@ -154,20 +152,18 @@ func (p *parker) unpark() {
 	}
 }
 
-// workerDeques is one worker's trio of priority deques and its hand-off
-// slot. Everything but the deques is owner-only.
+// workerDeques is one worker's deque and its hand-off slot. Everything but
+// the deque is owner-only.
 type workerDeques struct {
-	d [numPriorities]wsDeque
+	d wsDeque
 	// slot, when non-nil, is the task next hands out first: the newest task
-	// of the highest priority the executing task pushed; slotPri is its
-	// level.
-	slot    *task
-	slotPri Priority
+	// the executing task pushed.
+	slot *task
 	// donated says the executing task passed its outstanding unit to a slot
 	// task, so retire must not subtract it.
 	donated bool
 	// The pad keeps the owner's slot writes and deque pushes off the cache
-	// line of its neighbour's deques.
+	// line of its neighbour's deque.
 	_ [64]byte
 }
 
@@ -208,16 +204,14 @@ func newStealScheduler(workers int, stats *Stats, tr *tracer) *stealScheduler {
 		tr:        tr,
 	}
 	for w := range s.local {
-		for pri := range s.local[w].d {
-			s.local[w].d[pri].init()
-		}
+		s.local[w].d.init()
 		s.parkers[w].ch = make(chan struct{}, 1)
 	}
 	return s
 }
 
 // push schedules the node on the pushing worker: into its hand-off slot or
-// onto its own deque. The boot worker (proc -1) seeds worker 0's deques
+// onto its own deque. The boot worker (proc -1) seeds worker 0's deque
 // instead: it runs before any worker goroutine is spawned, and the go
 // statement orders its pushes before every pop and steal, so it may act as
 // that deque's owner. The task is written into the node's slot in its activation
@@ -225,11 +219,10 @@ func newStealScheduler(workers int, stats *Stats, tr *tracer) *stealScheduler {
 //
 // Every task not yet retired holds one unit of outstanding. A task that
 // takes an empty hand-off slot gets the executing task's unit; every other
-// push pays one. When a newcomer of equal or higher priority displaces the
-// slot's task, that task moves to its deque with the unit it holds and the
-// newcomer pays for itself, so either way exactly one add is due.
+// push pays one. A newcomer always displaces the slot's task, which moves to
+// the deque with the unit it holds while the newcomer pays for itself, so
+// either way exactly one add is due.
 func (s *stealScheduler) push(w *worker, a *activation, n *graph.Node) {
-	pri := w.e.classify(a, n)
 	t := &a.tasks[n.ID]
 	if w.proc < 0 {
 		s.outstanding.Add(1)
@@ -238,7 +231,7 @@ func (s *stealScheduler) push(w *worker, a *activation, n *graph.Node) {
 				Act: a.seq, Node: int32(n.ID), Name: traceLabel(n), Tmpl: a.tmpl.Name})
 		}
 		*t = task{act: a, node: n, from: -1}
-		s.local[0].d[pri].push(t)
+		s.local[0].d.push(t)
 		atomic.AddInt64(&s.stats.InjectedTasks, 1)
 		return
 	}
@@ -246,34 +239,28 @@ func (s *stealScheduler) push(w *worker, a *activation, n *graph.Node) {
 	own := &s.local[w.proc]
 	switch {
 	case own.slot == nil && s.nidle.Load() == 0:
-		own.slot, own.slotPri, own.donated = t, pri, true
+		own.slot, own.donated = t, true
 		return
-	case own.slot != nil && pri <= own.slotPri:
+	case own.slot != nil:
 		own.slot, t = t, own.slot
-		own.slotPri, pri = pri, own.slotPri
 	}
 	s.outstanding.Add(1)
-	s.pushLocal(w.proc, t, pri)
+	s.pushLocal(w.proc, t)
 }
 
 // next is one worker's scan-steal-park cycle, until it finds a task or the
 // run closes the scheduler (quiescence, error, or cancellation). A full
-// hand-off slot goes first, unless one of the worker's own deques of higher
-// priority holds a task: then the slot's task returns to its deque, where
-// LIFO order would have kept it, and the scan proceeds as without it. The
-// cycle retries find a few times around the Go scheduler before parking — the
-// "spin" half of spin-then-park. Stealing is already a full sweep, so a
-// couple of rounds suffice to ride out a producer that is between push and
-// notify.
+// hand-off slot goes first; once the run is closed its task stays there for
+// drain. The cycle retries find a few times around the Go scheduler before
+// parking — the "spin" half of spin-then-park. Stealing is already a full
+// sweep, so a couple of rounds suffice to ride out a producer that is
+// between push and notify.
 func (s *stealScheduler) next(w *worker) (task, bool) {
 	own := &s.local[w.proc]
 	own.donated = false
-	if t := own.slot; t != nil {
+	if t := own.slot; t != nil && !s.closed.Load() {
 		own.slot = nil
-		if !s.closed.Load() && !own.waitingAbove(own.slotPri) {
-			return *t, true
-		}
-		s.pushLocal(w.proc, t, own.slotPri)
+		return *t, true
 	}
 	const spins = 4
 	for spin := 0; ; spin++ {
@@ -292,18 +279,6 @@ func (s *stealScheduler) next(w *worker) (task, bool) {
 	}
 }
 
-// waitingAbove reports whether one of the worker's own deques of higher
-// priority than pri holds a task. Owner only: a thief may empty a deque
-// behind the check, which costs one extra pop, but nothing can fill one.
-func (own *workerDeques) waitingAbove(pri Priority) bool {
-	for p := PriNormal; p < pri; p++ {
-		if !own.d[p].isEmpty() {
-			return true
-		}
-	}
-	return false
-}
-
 // retire counts the task out; the last one closes the scheduler. A task
 // that donated its unit to a slot task has nothing left to count out.
 func (s *stealScheduler) retire(w *worker, _ task) {
@@ -317,8 +292,8 @@ func (s *stealScheduler) retire(w *worker, _ task) {
 
 // pushLocal enqueues t on worker wid's own deque and wakes one parked
 // worker if any is idle. Must be called from wid's goroutine.
-func (s *stealScheduler) pushLocal(wid int, t *task, pri Priority) {
-	s.local[wid].d[pri].push(t)
+func (s *stealScheduler) pushLocal(wid int, t *task) {
+	s.local[wid].d.push(t)
 	s.notifyOne()
 }
 
@@ -340,16 +315,12 @@ func (s *stealScheduler) notifyOne() {
 	s.parkers[wid].unpark()
 }
 
-// find returns the next task for worker wid, honoring the §7 priority
-// order at both tiers: own deques, then one steal sweep over the other
-// workers (victims scanned starting after wid so thieves spread out).
-// Returns nil when no work was found anywhere.
+// find returns the next task for worker wid: its own deque's newest, else
+// one steal sweep over the other workers (victims scanned starting after
+// wid so thieves spread out). Returns nil when no work was found anywhere.
 func (s *stealScheduler) find(wid int) *task {
-	own := &s.local[wid]
-	for pri := range own.d {
-		if t := own.d[pri].pop(); t != nil {
-			return t
-		}
+	if t := s.local[wid].d.pop(); t != nil {
+		return t
 	}
 	n := len(s.local)
 	for off := 1; off < n; off++ {
@@ -360,27 +331,24 @@ func (s *stealScheduler) find(wid int) *task {
 	return nil
 }
 
-// stealFrom attempts one steal from victim vid for worker wid, honoring
-// the per-victim priority order.
+// stealFrom attempts one steal of victim vid's oldest task for worker wid,
+// retrying while it loses races to other thieves.
 func (s *stealScheduler) stealFrom(wid, vid int) *task {
-	victim := &s.local[vid]
-	for pri := range victim.d {
-		for {
-			t, retry := victim.d[pri].steal()
-			if t != nil {
-				atomic.AddInt64(&s.stats.Steals, 1)
-				if s.tr != nil {
-					s.tr.record(wid, TraceEvent{Type: TraceSteal, Ts: s.tr.now(), Arg: int64(vid)})
-				}
-				return t
+	d := &s.local[vid].d
+	for {
+		t, retry := d.steal()
+		if t != nil {
+			atomic.AddInt64(&s.stats.Steals, 1)
+			if s.tr != nil {
+				s.tr.record(wid, TraceEvent{Type: TraceSteal, Ts: s.tr.now(), Arg: int64(vid)})
 			}
-			if !retry {
-				break
-			}
-			atomic.AddInt64(&s.stats.StealContention, 1)
+			return t
 		}
+		if !retry {
+			return nil
+		}
+		atomic.AddInt64(&s.stats.StealContention, 1)
 	}
-	return nil
 }
 
 // anyWork is the racy pre-park probe: it may report work that a racing
@@ -390,10 +358,8 @@ func (s *stealScheduler) stealFrom(wid, vid int) *task {
 // sleeps.
 func (s *stealScheduler) anyWork() bool {
 	for w := range s.local {
-		for pri := range s.local[w].d {
-			if !s.local[w].d[pri].isEmpty() {
-				return true
-			}
+		if !s.local[w].d.isEmpty() {
+			return true
 		}
 	}
 	return false
@@ -449,14 +415,12 @@ func (s *stealScheduler) drain() []task {
 			out = append(out, *t)
 			s.local[w].slot = nil
 		}
-		for pri := range s.local[w].d {
-			for {
-				t, _ := s.local[w].d[pri].steal()
-				if t == nil {
-					break
-				}
-				out = append(out, *t)
+		for {
+			t, _ := s.local[w].d.steal()
+			if t == nil {
+				break
 			}
+			out = append(out, *t)
 		}
 	}
 	return out

@@ -234,11 +234,13 @@ tree(d)
 main(d) nap(nap(nap(tree(d))))
 `
 	g := compile(t, src, reg)
-	// The tasks seeding makes runnable, counted on a throwaway serial queue:
-	// every one of them is a boot-worker push in a multi-worker run.
-	probe, pe := &serialQueue{}, New(g, Config{})
-	pe.initActivation(pe.worker(0, probe), newActivation(g.Main), []value.Value{value.Int(7)})
-	seeded := int64(len(probe.drain()))
+	// The tasks seeding makes runnable: every one of them is a boot-worker
+	// push at any worker count, so a one-worker run counts them too.
+	probe := New(g, Config{Mode: Real, Workers: 1, MaxOps: 10_000_000})
+	if _, err := probe.Run(value.Int(7)); err != nil {
+		t.Fatal(err)
+	}
+	seeded := probe.Stats().InjectedTasks
 	if seeded == 0 {
 		t.Fatal("seeding made nothing runnable")
 	}
@@ -319,8 +321,8 @@ func TestBlockTreeRepeatedRuns(t *testing.T) {
 
 // TestExecutorParity pins what the single dispatch step guarantees in every
 // mode: the same program does the same work and
-// logs the same operator executions under the serial queue, the
-// work-stealing pool and the simulated machine, every opened trace slice is
+// logs the same operator executions on one and on several work-stealing
+// workers and on the simulated machine, every opened trace slice is
 // closed — on a run that fails mid-way too — and no block leaks.
 func TestExecutorParity(t *testing.T) {
 	g := compileBlockTree(t)

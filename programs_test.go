@@ -134,3 +134,41 @@ func TestProgramsAgreeAcrossExecutors(t *testing.T) {
 		}
 	}
 }
+
+// TestRealActivationBound bounds the activations a cold Real run allocates
+// on a fresh engine, which bounds its peak of live activations from above.
+// A Real worker pops its one deque LIFO, so a node's consumers run before
+// older work and few activations are live at once; a FIFO ready queue at one
+// worker allocates hundreds for 7-queens and thousands for fib 20.
+func TestRealActivationBound(t *testing.T) {
+	qsrc := queens.Program(7)
+	fsrc, err := os.ReadFile(filepath.Join("programs", "fib.dlr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name, src string
+		registry  *delirium.Registry
+		args      []delirium.Value
+		workers   int
+		bound     int64
+	}{
+		{"queens7", qsrc, queens.Operators(), nil, 1, 32},
+		{"queens7", qsrc, queens.Operators(), nil, 2, 32},
+		{"fib", string(fsrc), nil, []delirium.Value{delirium.Int(20)}, 1, 64},
+	} {
+		prog, err := delirium.Compile(c.name, c.src, delirium.CompileOptions{Registry: c.registry})
+		if err != nil {
+			t.Fatalf("%s: compile: %v", c.name, err)
+		}
+		_, st, _, err := prog.RunStats(delirium.RunConfig{Mode: delirium.Real, Workers: c.workers, MaxOps: 100_000_000}, c.args...)
+		if err != nil {
+			t.Fatalf("%s at %d workers: %v", c.name, c.workers, err)
+		}
+		t.Logf("%s at %d workers: %d activations allocated, %d reused", c.name, c.workers, st.ActivationsAllocated, st.ActivationsReused)
+		if st.ActivationsAllocated > c.bound {
+			t.Errorf("%s at %d workers: %d activations allocated, want at most %d",
+				c.name, c.workers, st.ActivationsAllocated, c.bound)
+		}
+	}
+}
