@@ -13,16 +13,19 @@ import (
 
 // Operator deadlines without a goroutine per call. An engine is bounded when
 // Config.OpTimeout or some Operator.Timeout is positive; New gives a bounded
-// engine one reusable deadline slot per worker. The terminal attempt of a
-// bounded operator runs inline on the dispatching worker's own goroutine
-// through its slot: copy the arguments, publish the deadline in one atomic
-// store, call the operator, and CAS the slot back to idle. One process-wide
-// watchdog goroutine scans the slots of every bounded run in flight and, when
-// a call overruns its deadline (or its run's context ends), CASes the slot to
+// engine one reusable deadline slot per worker. Every attempt of a bounded
+// operator runs inline on the dispatching worker's own goroutine through its
+// slot: copy the arguments, publish the deadline in one atomic store, call
+// the operator, and CAS the slot back to idle. One process-wide watchdog
+// goroutine scans the slots of every bounded run in flight and, when a call
+// overruns its deadline (or its run's context ends), CASes the slot to
 // abandoned first. The CAS decides ownership: the worker that wins merges the
 // call's charges and block accounting as usual; when the watchdog wins it
-// settles the node the way a failed terminal attempt does, fails the run,
-// and stands in for the stuck goroutine at the run's join. The operator
+// owns the worker. An attempt with a retry left in a run still going is
+// resumed on a fresh goroutine, which runs the node's next attempt and then
+// the worker's task loop in the stuck goroutine's place; any other attempt
+// is settled the way a failed terminal attempt is, the run fails, and the
+// watchdog stands in for the stuck goroutine at the run's join. The operator
 // cannot be preempted, so that goroutine is simply given up: when the
 // operator finally returns it loses the CAS and unwinds with errAbandoned,
 // which every frame up to the goroutine's root passes straight up without
@@ -63,13 +66,12 @@ type deadlineSlot struct {
 	// (the slot then belongs to the stuck goroutine for good).
 	word atomic.Int64
 	// sw is the worker the operator body sees as its Context: the engine and
-	// processor, the private block-stats sink below, so a goroutine
-	// abandoned inside the body can never write block accounting into the
-	// engine, and the owner's block pool, borrowed for the call. The
-	// watchdog gives an owner whose call it abandons a fresh pool, so the
-	// stuck goroutine keeps the old one to itself.
+	// processor, a shard of its own, which the owner merges only when it wins
+	// the CAS, so a goroutine abandoned inside the body can never write block
+	// accounting into the engine, and the owner's block pool, borrowed for
+	// the call. The watchdog gives an owner whose call it abandons a fresh
+	// pool, so the stuck goroutine keeps the old one to itself.
 	sw   worker
-	sink value.BlockStats
 	argv []value.Value
 
 	// The pending call, written before its deadline is published and read by
@@ -81,6 +83,10 @@ type deadlineSlot struct {
 	n       *graph.Node
 	attempt int
 	limit   time.Duration
+	// pristine holds the originals of the attempt's argument copies while
+	// it has a successor (Engine.attempts): the watchdog restores them to
+	// retry, or releases them with the node.
+	pristine []value.Value
 }
 
 // deadlines is a bounded engine's slot set, kept across Reset, and its
@@ -118,19 +124,16 @@ func newDeadlines(e *Engine) *deadlines {
 }
 
 func (d *deadlines) newSlot(proc int) *deadlineSlot {
-	s := &deadlineSlot{}
-	s.sw = worker{e: d.e, proc: proc, blocks: &s.sink}
-	return s
+	return &deadlineSlot{sw: worker{e: d.e, proc: proc}}
 }
 
-// callInline runs the terminal attempt of a bounded operator on w's own
-// goroutine through w's deadline slot. Nothing here allocates, starts a
-// goroutine, arms a timer or blocks: the watchdog owns the deadline.
+// callInline runs an attempt of a bounded operator on w's own goroutine
+// through w's deadline slot. Nothing here allocates, starts a goroutine,
+// arms a timer or blocks: the watchdog owns the deadline.
 func (e *Engine) callInline(w *worker, a *activation, n *graph.Node, ins []value.Value, f *Fault, limit time.Duration, attempt int) (value.Value, error) {
 	s := e.dl.slots[w.proc]
 	s.argv = append(s.argv[:0], ins...)
-	s.sink = value.BlockStats{}
-	s.sw.charge, s.sw.pool = 0, w.pool
+	s.sw.charge, s.sw.shard, s.sw.pool = 0, value.BlockStats{}, w.pool
 	s.owner, s.a, s.n, s.attempt, s.limit = w, a, n, attempt, limit
 	deadline := clock() + int64(limit)
 	if deadline < 0 {
@@ -141,7 +144,12 @@ func (e *Engine) callInline(w *worker, a *activation, n *graph.Node, ins []value
 	if !s.word.CompareAndSwap(deadline, slotIdle) {
 		return nil, errAbandoned
 	}
-	adopt(w, &s.sw)
+	// The call's charges flush with the dispatch's (execNode); the blocks it
+	// allocated count their Freed wherever their last reference drops.
+	w.charge += s.sw.charge
+	if s.sw.shard != (value.BlockStats{}) {
+		w.shard.Add(s.sw.shard)
+	}
 	clear(s.argv)
 	return v, err
 }
@@ -255,16 +263,20 @@ func (d *deadlines) scan(now int64) {
 	}
 }
 
-// settle does for an abandoned call what the stuck worker would have done on
-// a failed terminal attempt: count the timeout, close its trace slice,
-// release the node's inputs, fold the worker's counters with the dispatch's
-// charges, fail the run with the same structured error, and close the
-// scheduler. Last, it stands in for the stuck goroutine at the run's join.
-// The stuck goroutine keeps the worker's block pool, which the worker
-// replaces with a fresh one; the inputs are released without recycling, and
-// so is every other block the run frees from here on (Engine.abandoned).
+// settle takes over the worker whose call the watchdog abandoned. It counts
+// the timeout and closes the stuck worker's trace slice. The stuck goroutine
+// keeps the worker's block pool, which the worker replaces with a fresh one;
+// the attempt's blocks are released without recycling, and so is every other
+// block the run frees from here on (Engine.abandoned).
+//
+// A timed-out attempt with a retry left is retried: a fresh goroutine takes
+// the stuck one's place (resume). Otherwise settle does what the stuck worker
+// would have done on a failed terminal attempt: release the node's inputs
+// and held originals, fold the worker's counters with the dispatch's charges,
+// fail the run with the same structured error, and leave the run in the
+// stuck goroutine's place.
 func (d *deadlines) settle(s *deadlineSlot, canceled bool) {
-	e, a, n := d.e, s.a, s.n
+	e, a, n, w := d.e, s.a, s.n, s.owner
 	e.abandoned.Store(true)
 	var cause error
 	if canceled {
@@ -277,22 +289,40 @@ func (d *deadlines) settle(s *deadlineSlot, canceled bool) {
 	// wrote there happened before it published the deadline this CAS read.
 	// It keeps the pool it borrowed through the slot, so the worker takes a
 	// fresh one; the old pool's hits since the last fold go unpublished.
-	s.owner.pool, s.owner.hitsFolded = new(value.BlockPool), 0
-	if tr := s.owner.tr; tr != nil {
+	w.pool, w.hitsFolded = new(value.BlockPool), 0
+	if w.tr != nil {
 		// The stuck worker's trace track is the watchdog's now: close the
 		// bracket the worker left open.
-		tr.record(s.owner.proc, TraceEvent{Type: TraceNodeEnd, Ts: s.owner.q.now(), Act: a.seq, Node: int32(n.ID)})
+		w.tr.record(w.proc, TraceEvent{Type: TraceNodeEnd, Ts: w.q.now(), Act: a.seq, Node: int32(n.ID)})
+	}
+	if !canceled && s.attempt < e.maxAttempts(n) {
+		e.noteRetry(w, a, n, s.attempt)
+		go e.resume(w, a, n, s.pristine, s.attempt+1)
+		return
 	}
 	ins := a.inputs(n)
 	for _, in := range ins {
 		value.Release(in, &e.stats.Blocks)
 	}
 	clearInputs(ins)
-	s.owner.n.charged += s.owner.charge
-	s.owner.fold()
+	releaseHeld(s.pristine, &e.stats.Blocks)
+	w.n.charged += w.charge
+	w.fold()
 	e.failAt(a, e.nodeError(a, n, cause, s.attempt))
-	if e.sched != nil {
-		e.sched.close()
+	e.leave()
+}
+
+// resume runs on the goroutine that takes over worker w from one stuck in
+// attempt-1 of node n: it rewinds the node's inputs to the pristine
+// originals, runs the remaining attempts, and carries on w's task loop,
+// leaving the run as a worker goroutine does.
+func (e *Engine) resume(w *worker, a *activation, n *graph.Node, pristine []value.Value, attempt int) {
+	e.rewind(w, a.inputs(n), pristine)
+	err := e.step(w, task{act: a, node: n, from: int32(w.proc)}, attempt)
+	if err == nil {
+		err = e.loop(w)
 	}
-	e.join.Done()
+	if err != errAbandoned {
+		e.leave()
+	}
 }

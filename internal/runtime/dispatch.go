@@ -96,41 +96,63 @@ func (w *worker) end(sp span, t task, err error) {
 	}
 }
 
-// loop is the one task loop, and its body the one dispatch step: take a
-// task, bracket it for the observers, execute it, retire it. The caller's
-// goroutine runs the loop for unbounded one-worker and simulated runs, one
-// spawned goroutine for bounded ones, one per worker for multi-worker ones,
-// until the scheduler reports the run over or a node fails. It returns errAbandoned, having touched nothing after the call, when
-// the watchdog took over the operator call this goroutine was stuck in, and
-// nil otherwise. On its way out a worker folds its counters into Stats; the
-// watchdog folds those of a goroutine it abandoned.
+// loop is the one task loop: take a task and run the dispatch step on it.
+// The caller's goroutine runs the loop for unbounded one-worker and
+// simulated runs, one spawned goroutine for bounded ones, one per worker for
+// multi-worker ones, until the scheduler reports the run over or a node
+// fails. It returns errAbandoned, having touched nothing after the call,
+// when the watchdog took over the operator call this goroutine was stuck in,
+// the error of a node that failed, and nil otherwise. On its way out a
+// worker folds its counters into Stats; the watchdog folds those of a
+// goroutine it abandoned.
 func (e *Engine) loop(w *worker) error {
-	q := w.q
 	for {
-		t, ok := q.next(w)
+		t, ok := w.q.next(w)
 		if !ok {
 			w.fold()
 			return nil
 		}
-		observed := e.timing != nil || w.tr != nil
-		var sp span
-		if observed {
-			sp = w.begin(t)
-		}
-		err := e.execNode(w, t)
-		if err == errAbandoned {
+		if err := e.step(w, t, 1); err != nil {
 			return err
 		}
-		if observed {
-			w.end(sp, t, err)
-		}
-		if err != nil {
-			w.fold()
-			e.failAt(t.act, err)
-			return nil
-		}
-		q.retire(w, t)
 	}
+}
+
+// step is the one dispatch step: bracket task t for the observers, execute
+// it from operator attempt number attempt, retire it. A failed node records
+// the run's failure and folds the worker; its error, like errAbandoned, ends
+// the worker's loop.
+func (e *Engine) step(w *worker, t task, attempt int) error {
+	observed := e.timing != nil || w.tr != nil
+	var sp span
+	if observed {
+		sp = w.begin(t)
+	}
+	err := e.execNode(w, t, attempt)
+	if err == errAbandoned {
+		return err
+	}
+	if observed {
+		w.end(sp, t, err)
+	}
+	if err != nil {
+		w.fold()
+		e.failAt(t.act, err)
+		return err
+	}
+	w.q.retire(w, t)
+	return nil
+}
+
+// leave is how a spawned run goroutine exits: a worker leaves the loop only
+// when the run is over — the scheduler closed, or its own node failed — so
+// leaving closes the scheduler, which wakes every parked peer on the error
+// path, and then leaves the run's join.
+func (e *Engine) leave() {
+	if e.sched != nil {
+		e.sched.close()
+	}
+	e.join.Done()
 }
 
 // run is the one run frame: seed the root activation, run the loop (inline,

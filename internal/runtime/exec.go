@@ -19,8 +19,8 @@ type worker struct {
 	e    *Engine
 	proc int
 
-	// q is the run's scheduler (nil on shadow workers, which only ever run
-	// an operator body).
+	// q is the run's scheduler (nil on a deadline slot's worker, which only
+	// ever runs an operator body).
 	q scheduler
 	// tr, when non-nil, receives trace events from this worker's hot path
 	// (deliveries, tail calls, block copies). A copy of e.tracer so the
@@ -30,18 +30,11 @@ type worker struct {
 	// pool is the worker's block free list: a block freed on this worker
 	// hands it its payload, and the worker's operators allocate from it. It
 	// survives Reset; hitsFolded is its hit count fold already published. A
-	// deadline slot's worker borrows its owner's pool for one call; a retry
-	// attempt's shadow worker has none, so a goroutine abandoned there never
-	// touches a pool a live worker uses.
+	// deadline slot's worker borrows its owner's pool for one call; the
+	// watchdog gives an owner whose call it abandons a fresh pool, so a
+	// stuck goroutine never touches a pool a live worker uses.
 	pool       *value.BlockPool
 	hitsFolded int64
-
-	// blocks, when non-nil, overrides the shard as the sink this worker's
-	// operators reach through Context.BlockStats. Shadow workers carry a
-	// private sink here so that a goroutine abandoned by a timeout can never
-	// write block accounting into the engine — which may since have been
-	// Reset() and reused for a different run.
-	blocks *value.BlockStats
 
 	// charge accumulates Context.Charge units of the node being executed.
 	charge int64
@@ -159,21 +152,14 @@ func (w *worker) Charge(units int64) {
 	w.charge += units
 }
 
-// BlockStats implements operator.Context: the worker's private sink when
-// one is installed (shadow workers), its shard otherwise.
-func (w *worker) BlockStats() *value.BlockStats {
-	if w.blocks != nil {
-		return w.blocks
-	}
-	return &w.shard
-}
+// BlockStats implements operator.Context: the worker's shard.
+func (w *worker) BlockStats() *value.BlockStats { return &w.shard }
 
 // Processor implements operator.Context.
 func (w *worker) Processor() int { return w.proc }
 
-// Pool implements operator.Context: the worker's block free list, nil on a
-// retry attempt's shadow worker (value.BlockPool allocation helpers are
-// nil-safe, so operators call through unconditionally).
+// Pool implements operator.Context: the worker's block free list, or the
+// one a deadline slot's worker borrows from its owner for the call.
 func (w *worker) Pool() *value.BlockPool { return w.pool }
 
 // traceLabel names a node for trace output: the operator or callee name, or
@@ -254,104 +240,11 @@ func callOperator(w *worker, n *graph.Node, ins []value.Value, f *Fault) (result
 	return n.Op.Fn(w, ins)
 }
 
-// Shadow-call publication states: the dispatching worker and the shadow
-// goroutine race one CAS from pending, so exactly one side wins — the
-// waiter by abandoning the call, or the shadow by publishing its result.
-const (
-	shadowPending int32 = iota
-	shadowAbandoned
-	shadowCompleted
-)
-
-// callOperatorBounded runs one bounded operator attempt that has a
-// successor — retry is enabled, the operator CanRetry, and attempts remain.
-// After a timeout the worker must carry on and retry on the pristine inputs.
-// An inline call (callInline) cannot, because the worker's own goroutine is
-// the one left stuck inside the operator, so these attempts keep a helper
-// goroutine per call; they already
-// deep-copy every destructive argument, and only chaos configurations make
-// them. The body runs on its own goroutine with a detached shadow worker, a
-// private argument slice, and a private block-stats sink: if the deadline
-// fires the goroutine is abandoned (Go cannot preempt embedded code), and the
-// isolation guarantees the stray goroutine cannot race with the worker's
-// per-node state, with a retry rewriting the activation buffer, or with the
-// engine's counters. Publication is arbitrated by a CAS guarded by the
-// engine's run-generation counter: an abandoned operator that unwinds after
-// the engine has been Reset() — and possibly reused for a later run — sees
-// a stale generation and discards its result instead of writing stats or
-// blocks into an engine that no longer owns it. Charges and block
-// accounting merge back on the dispatching worker, and only on completion.
-func (e *Engine) callOperatorBounded(w *worker, n *graph.Node, ins []value.Value, f *Fault, limit time.Duration) (value.Value, error) {
-	type opResult struct {
-		v   value.Value
-		err error
-	}
-	sink := &value.BlockStats{}
-	sw := &worker{e: e, proc: w.proc, blocks: sink}
-	argv := make([]value.Value, len(ins))
-	copy(argv, ins)
-	gen := e.gen.Load()
-	state := &atomic.Int32{}
-	ch := make(chan opResult, 1)
-	go func() {
-		v, err := callOperator(sw, n, argv, f)
-		// Publish only while the dispatching worker is still waiting AND the
-		// engine is still in the same run generation. A lost CAS or a stale
-		// generation means this call was abandoned: drop the result on the
-		// floor. Its block allocations were counted against the private sink,
-		// never a worker's shard, so the run's Allocated == Freed invariant is
-		// untouched by the discard.
-		if e.gen.Load() == gen && state.CompareAndSwap(shadowPending, shadowCompleted) {
-			ch <- opResult{v, err}
-		}
-	}()
-	accept := func(r opResult) (value.Value, error) {
-		adopt(w, sw)
-		return r.v, r.err
-	}
-	timer := time.NewTimer(limit)
-	defer timer.Stop()
-	select {
-	case r := <-ch:
-		return accept(r)
-	case <-timer.C:
-		if !state.CompareAndSwap(shadowPending, shadowAbandoned) {
-			// The operator completed inside the race window; its result is
-			// already in the channel — take it instead of reporting a timeout
-			// for work that actually finished.
-			return accept(<-ch)
-		}
-		e.abandoned.Store(true)
-		atomic.AddInt64(&e.stats.OpTimeouts, 1)
-		return nil, &opTimeoutError{op: n.Op.Name, limit: limit}
-	case <-e.ctxDone:
-		if !state.CompareAndSwap(shadowPending, shadowAbandoned) {
-			return accept(<-ch)
-		}
-		e.abandoned.Store(true)
-		return nil, e.runCtx.Err()
-	}
-}
-
-// adopt merges a completed shadow call into the dispatching worker w.
-// Merging into w.charge routes the shadow's units through execNode's
-// end-of-dispatch stats flush, and the shadow's private block accounting
-// merges into w's shard. The blocks the call allocated count their Freed
-// wherever their last reference drops.
-func adopt(w, sw *worker) {
-	w.charge += sw.charge
-	if sink := sw.blocks; *sink != (value.BlockStats{}) {
-		w.shard.Add(*sink)
-	}
-}
-
-// invokeOp dispatches attempt number attempt of maxAttempts: it draws the
-// next armed fault for this operator (if a plan is configured) and routes
-// through a deadline when a timeout bound applies — the inline slot call for
-// the terminal attempt, the helper goroutine for one with a successor. A
-// per-operator Timeout overrides Config.OpTimeout; a negative one disables
-// the bound entirely.
-func (e *Engine) invokeOp(w *worker, a *activation, n *graph.Node, ins []value.Value, attempt, maxAttempts int) (value.Value, error) {
+// invokeOp dispatches attempt number attempt: it draws the next armed fault
+// for this operator (if a plan is configured) and, when a timeout bound
+// applies, calls through the worker's deadline slot. A per-operator Timeout
+// overrides Config.OpTimeout; a negative one disables the bound entirely.
+func (e *Engine) invokeOp(w *worker, a *activation, n *graph.Node, ins []value.Value, attempt int) (value.Value, error) {
 	var f *Fault
 	if e.cfg.Faults != nil {
 		if f = e.cfg.Faults.next(n.Op.Name); f != nil {
@@ -369,34 +262,45 @@ func (e *Engine) invokeOp(w *worker, a *activation, n *graph.Node, ins []value.V
 	if limit <= 0 {
 		return callOperator(w, n, ins, f)
 	}
-	if attempt < maxAttempts {
-		return e.callOperatorBounded(w, n, ins, f, limit)
-	}
 	return e.callInline(w, a, n, ins, f, limit, attempt)
 }
 
+// maxAttempts is how many attempts operator node n gets: the retry policy's
+// when retry is enabled and the operator CanRetry, one otherwise.
+func (e *Engine) maxAttempts(n *graph.Node) int {
+	if e.cfg.Retry.enabled() && n.Op.CanRetry() {
+		return e.cfg.Retry.MaxAttempts
+	}
+	return 1
+}
+
 // execOp runs one operator node: fault injection, the optional deadline,
-// and deterministic retry. While attempts remain for a retryable operator,
-// each attempt runs on deep copies of the destructively-declared
-// arguments, keeping the originals pristine — §8 guarantees an operator
-// mutates only blocks it exclusively owns, so a failed attempt's damage is
-// confined to its copies and the re-run sees bit-identical inputs. The
-// final (or only) attempt runs the ordinary copy-on-write protocol in
-// place, so a run with retry configured but no failures does no extra
-// copying beyond the snapshots of attempts that had successors.
+// and deterministic retry.
 func (e *Engine) execOp(w *worker, a *activation, n *graph.Node, ins []value.Value) error {
 	w.n.operators++
 	if e.cfg.Mode == Simulated {
 		w.q.(*simScheduler).touch(w, ins)
 	}
-	maxAttempts := 1
-	if e.cfg.Retry.enabled() && n.Op.CanRetry() {
-		maxAttempts = e.cfg.Retry.MaxAttempts
-	}
+	return e.attempts(w, a, n, ins, 1)
+}
+
+// attempts runs operator node n from attempt number first on. While
+// attempts remain for a retryable operator, each attempt runs on deep copies
+// of the destructively-declared arguments, keeping the originals pristine —
+// §8 guarantees an operator mutates only blocks it exclusively owns, so a
+// failed attempt's damage is confined to its copies and the re-run sees
+// bit-identical inputs. The final (or only) attempt runs the ordinary
+// copy-on-write protocol in place, so a run with retry configured but no
+// failures does no extra copying beyond the snapshots of attempts that had
+// successors. Between attempts no original is held aside, which is what lets
+// the watchdog resume a timed-out attempt's node here at the next attempt
+// (deadlines.settle).
+func (e *Engine) attempts(w *worker, a *activation, n *graph.Node, ins []value.Value, first int) error {
+	maxAttempts := e.maxAttempts(n)
 	// pristine[i] != nil marks ins[i] as an attempt copy whose untouched
 	// original is pristine[i].
 	var pristine []value.Value
-	for attempt := 1; ; attempt++ {
+	for attempt := first; ; attempt++ {
 		if attempt < maxAttempts {
 			var snaps int64
 			for i := range ins {
@@ -404,12 +308,10 @@ func (e *Engine) execOp(w *worker, a *activation, n *graph.Node, ins []value.Val
 					continue
 				}
 				if pristine == nil {
-					pristine = make([]value.Value, len(ins))
+					pristine = e.pristineBuf(w, len(ins))
 				}
-				if pristine[i] == nil {
-					pristine[i] = ins[i]
-				}
-				cp, words := w.snapshotValue(pristine[i], &snaps)
+				pristine[i] = ins[i]
+				cp, words := w.snapshotValue(ins[i], &snaps)
 				ins[i] = cp
 				w.localWords += int64(words)
 			}
@@ -417,13 +319,8 @@ func (e *Engine) execOp(w *worker, a *activation, n *graph.Node, ins []value.Val
 				atomic.AddInt64(&e.stats.SnapshotCopies, snaps)
 			}
 		} else {
-			// Restore any pristine originals and enforce the sole-reference
-			// rule in place (§8 rule 2).
+			// Enforce the sole-reference rule in place (§8 rule 2).
 			for i := range ins {
-				if pristine != nil && pristine[i] != nil {
-					ins[i] = pristine[i]
-					pristine[i] = nil
-				}
 				if !n.Op.MayModify(i) {
 					continue
 				}
@@ -436,7 +333,7 @@ func (e *Engine) execOp(w *worker, a *activation, n *graph.Node, ins []value.Val
 				}
 			}
 		}
-		result, err := e.invokeOp(w, a, n, ins, attempt, maxAttempts)
+		result, err := e.invokeOp(w, a, n, ins, attempt)
 		if err == nil {
 			if result == nil {
 				result = value.Null{}
@@ -447,12 +344,7 @@ func (e *Engine) execOp(w *worker, a *activation, n *graph.Node, ins []value.Val
 			w.settleRefs(ins, result)
 			// The attempt consumed its (copied) inputs; the pristine
 			// originals held back for a retry are now surplus.
-			for i := range pristine {
-				if pristine[i] != nil {
-					value.Release(pristine[i], &w.shard)
-					pristine[i] = nil
-				}
-			}
+			releaseHeld(pristine, &w.shard)
 			clearInputs(ins)
 			e.complete(w, a, n, result)
 			return nil
@@ -461,36 +353,70 @@ func (e *Engine) execOp(w *worker, a *activation, n *graph.Node, ins []value.Val
 			return err
 		}
 		if attempt < maxAttempts && retryable(err) {
-			atomic.AddInt64(&e.stats.Retries, 1)
-			if w.tr != nil {
-				w.tr.record(w.proc, TraceEvent{Type: TraceRetry, Ts: w.tr.now(),
-					Act: a.seq, Node: int32(n.ID), Name: n.Name, Arg: int64(attempt)})
-			}
-			// Drop the (possibly half-mutated) attempt copies; the pristine
-			// originals take their place for the next attempt.
-			for i := range pristine {
-				if pristine[i] != nil {
-					value.Release(ins[i], &w.shard)
-					ins[i] = pristine[i]
-				}
-			}
-			if e.cfg.Retry.Backoff > 0 {
-				time.Sleep(e.cfg.Retry.Backoff)
-			}
+			e.noteRetry(w, a, n, attempt)
+			e.rewind(w, ins, pristine)
 			continue
 		}
 		// Out of attempts (or a non-retryable failure): the node consumed
 		// nothing — release every input reference, attempt copies and held
 		// pristine originals alike, so the teardown sweep finds no stale
 		// slots.
-		for i := range ins {
-			value.Release(ins[i], &w.shard)
-			if pristine != nil && pristine[i] != nil {
-				value.Release(pristine[i], &w.shard)
-			}
+		for _, in := range ins {
+			value.Release(in, &w.shard)
 		}
+		releaseHeld(pristine, &w.shard)
 		clearInputs(ins)
 		return e.nodeError(a, n, err, attempt)
+	}
+}
+
+// pristineBuf returns n empty slots to hold an attempt's pristine originals
+// in: the worker's deadline slot's on a bounded engine, where the watchdog
+// finds them if it abandons the attempt, fresh ones otherwise.
+func (e *Engine) pristineBuf(w *worker, n int) []value.Value {
+	if e.dl == nil {
+		return make([]value.Value, n)
+	}
+	s := e.dl.slots[w.proc]
+	if cap(s.pristine) < n {
+		s.pristine = make([]value.Value, n)
+	}
+	s.pristine = s.pristine[:n]
+	return s.pristine
+}
+
+// releaseHeld releases the pristine originals held aside and empties their
+// slots.
+func releaseHeld(pristine []value.Value, st *value.BlockStats) {
+	for i, p := range pristine {
+		if p != nil {
+			value.Release(p, st)
+			pristine[i] = nil
+		}
+	}
+}
+
+// noteRetry counts a failed attempt that will be retried.
+func (e *Engine) noteRetry(w *worker, a *activation, n *graph.Node, attempt int) {
+	atomic.AddInt64(&e.stats.Retries, 1)
+	if w.tr != nil {
+		w.tr.record(w.proc, TraceEvent{Type: TraceRetry, Ts: w.tr.now(),
+			Act: a.seq, Node: int32(n.ID), Name: n.Name, Arg: int64(attempt)})
+	}
+}
+
+// rewind readies ins for the next attempt after a failed one: the (possibly
+// half-mutated) attempt copies are dropped, the pristine originals take
+// their place, and the retry backoff is waited out.
+func (e *Engine) rewind(w *worker, ins, pristine []value.Value) {
+	for i, p := range pristine {
+		if p != nil {
+			value.Release(ins[i], &w.shard)
+			ins[i], pristine[i] = p, nil
+		}
+	}
+	if e.cfg.Retry.Backoff > 0 {
+		time.Sleep(e.cfg.Retry.Backoff)
 	}
 }
 
@@ -524,12 +450,19 @@ func (w *worker) snapshotValue(v value.Value, copies *int64) (value.Value, int) 
 	}
 }
 
-// execNode runs one dispatched task.
-func (e *Engine) execNode(w *worker, t task) error {
-	w.charge, w.localWords, w.remoteWords = 0, 0, 0
-	err := e.checkOps(w, t.act)
-	if err == nil {
-		err = e.execBody(w, t.act, t.node)
+// execNode runs one dispatched task from operator attempt number attempt.
+// An attempt past the first resumes an operator node whose previous attempt
+// the watchdog abandoned (deadlines.settle); that dispatch was counted, and
+// its charges kept, when it began.
+func (e *Engine) execNode(w *worker, t task, attempt int) error {
+	var err error
+	if attempt > 1 {
+		err = e.attempts(w, t.act, t.node, t.act.inputs(t.node), attempt)
+	} else {
+		w.charge, w.localWords, w.remoteWords = 0, 0, 0
+		if err = e.checkOps(w, t.act); err == nil {
+			err = e.execBody(w, t.act, t.node)
+		}
 	}
 	if err == errAbandoned {
 		return err

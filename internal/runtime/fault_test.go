@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	goruntime "runtime"
 	"strings"
 	"testing"
 	"time"
@@ -500,26 +501,92 @@ func TestPerOperatorTimeoutOverride(t *testing.T) {
 
 // TestDelayFaultTimeoutRetry composes all three mechanisms: an injected
 // delay pushes the first attempt past OpTimeout, the timeout is retryable,
-// and the second attempt succeeds.
+// and the second attempt succeeds on the goroutine the watchdog resumed the
+// worker on. Every leg checks the result, the counters, block accounting,
+// balanced trace brackets, and that no goroutine outlives the delayed
+// attempt. The destructive leg times out an attempt that runs on a snapshot
+// copy, so the resumed attempt must restore the pristine original.
 func TestDelayFaultTimeoutRetry(t *testing.T) {
-	g := compile(t, "main(n) rinc(n)", faultOps())
-	e := New(g, Config{Mode: Real, Workers: 2, MaxOps: 100000,
-		OpTimeout: 30 * time.Millisecond,
-		Retry:     RetryPolicy{MaxAttempts: 2},
-		Faults: NewFaultPlan(Fault{
-			Op: "rinc", Execution: 1, Kind: FaultDelay, Delay: 300 * time.Millisecond}),
-	})
-	v, err := e.Run(value.Int(5))
-	if err != nil {
-		t.Fatalf("run: %v", err)
+	const (
+		limit = 30 * time.Millisecond
+		delay = 150 * time.Millisecond
+	)
+	legs := []struct {
+		name    string
+		cfg     Config
+		src     string
+		want    value.Value
+		many    bool
+		backoff time.Duration
+	}{
+		{name: "real-1", cfg: Config{Mode: Real, Workers: 1}},
+		{name: "real-2", cfg: Config{Mode: Real, Workers: 2}},
+		{name: "sim-2", cfg: Config{Mode: Simulated, Workers: 2}},
+		{name: "runmany-2", cfg: Config{Mode: Real, Workers: 2}, many: true},
+		{name: "backoff-2", cfg: Config{Mode: Real, Workers: 2}, backoff: 40 * time.Millisecond},
+		{name: "destructive-2", cfg: Config{Mode: Real, Workers: 2},
+			src: "main(n) blocksum(rfill(mkblock(2), sub(n, 2)))", want: value.Float(6)},
 	}
-	if v != value.Int(6) {
-		t.Errorf("result = %v, want 6", v)
+	// The watchdog starts with the first bounded run and then stays; start
+	// it before the baseline.
+	warm := New(compile(t, "main(n) rinc(n)", faultOps()), Config{OpTimeout: time.Second})
+	if _, err := warm.Run(value.Int(1)); err != nil {
+		t.Fatalf("warm-up run: %v", err)
 	}
-	st := e.Stats()
-	if st.OpTimeouts != 1 || st.Retries != 1 || st.FaultsInjected != 1 {
-		t.Errorf("timeouts=%d retries=%d faults=%d, want 1/1/1",
-			st.OpTimeouts, st.Retries, st.FaultsInjected)
+	for _, leg := range legs {
+		t.Run(leg.name, func(t *testing.T) {
+			base := goruntime.NumGoroutine()
+			src, want, op := "main(n) rinc(n)", value.Value(value.Int(6)), "rinc"
+			if leg.src != "" {
+				src, want, op = leg.src, leg.want, "rfill"
+			}
+			cfg := leg.cfg
+			cfg.MaxOps, cfg.OpTimeout, cfg.Trace = 100000, limit, true
+			cfg.Retry = RetryPolicy{MaxAttempts: 2, Backoff: leg.backoff}
+			cfg.Faults = NewFaultPlan(Fault{Op: op, Execution: 1, Kind: FaultDelay, Delay: delay})
+			e := New(compile(t, src, faultOps()), cfg)
+			start := time.Now()
+			var v value.Value
+			var err error
+			if leg.many {
+				// Every invocation rewinds the plan, so each one times out
+				// once; Stats describe the last.
+				res, merr := e.RunMany(context.Background(), [][]value.Value{{value.Int(5)}, {value.Int(5)}})
+				if merr != nil {
+					t.Fatalf("RunMany: %v", merr)
+				}
+				if res[0].Err != nil || res[0].Value != want {
+					t.Errorf("first invocation = %v, %v; want %v", res[0].Value, res[0].Err, want)
+				}
+				v, err = res[1].Value, res[1].Err
+			} else {
+				v, err = e.Run(value.Int(5))
+			}
+			took := time.Since(start)
+			if err != nil {
+				t.Fatalf("run: %v", err)
+			}
+			if v != want {
+				t.Errorf("result = %v, want %v", v, want)
+			}
+			if took < limit+leg.backoff {
+				t.Errorf("run took %v, less than the limit plus the backoff", took)
+			}
+			st := e.Stats()
+			if st.OpTimeouts != 1 || st.Retries != 1 || st.FaultsInjected != 1 {
+				t.Errorf("timeouts=%d retries=%d faults=%d, want 1/1/1",
+					st.OpTimeouts, st.Retries, st.FaultsInjected)
+			}
+			if leg.src != "" && st.SnapshotCopies == 0 {
+				t.Error("the timed-out attempt ran on no snapshot copy")
+			}
+			value.Release(v, &st.Blocks)
+			if st.Blocks.Allocated != st.Blocks.Freed {
+				t.Errorf("allocated %d, freed %d", st.Blocks.Allocated, st.Blocks.Freed)
+			}
+			checkBrackets(t, 0, e)
+			settledGoroutines(t, base)
+		})
 	}
 }
 

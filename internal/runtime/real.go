@@ -36,21 +36,16 @@ func (e *Engine) runWorkers(q scheduler, n int) {
 		})
 	}
 
-	// A worker leaves the loop only when the run is over — the scheduler
-	// closed, or its own node failed — so leaving closes the scheduler,
-	// which wakes every parked peer on the error path. A worker abandoned to
-	// the watchdog returns errAbandoned and touches nothing.
+	// A worker abandoned to the watchdog returns errAbandoned and touches
+	// nothing: the watchdog, or the goroutine it resumed the worker on,
+	// leaves the run in its place.
 	e.join.Add(n)
 	for proc := 0; proc < n; proc++ {
 		w := e.worker(proc, q)
 		go func() {
-			if e.loop(w) == errAbandoned {
-				return
+			if e.loop(w) != errAbandoned {
+				e.leave()
 			}
-			if s != nil {
-				s.close()
-			}
-			e.join.Done()
 		}()
 	}
 	e.join.Wait()

@@ -3,7 +3,6 @@ package runtime
 import (
 	"context"
 	"errors"
-	"runtime/debug"
 	"testing"
 
 	"repro/internal/value"
@@ -284,30 +283,15 @@ func TestRunManyFaultRetry(t *testing.T) {
 	}
 }
 
-// raceEnabled reports whether the test binary runs under the race detector,
-// where sync.Pool drops pooled activations at random.
-func raceEnabled() bool {
-	if bi, ok := debug.ReadBuildInfo(); ok {
-		for _, set := range bi.Settings {
-			if set.Key == "-race" && set.Value == "true" {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // TestWarmDispatchAllocsFlat: a warm dispatch allocates nothing per node. A
 // counting loop is Reset and re-run at 100 and at 250 iterations, at one and
 // two Real workers. Every iteration pushes its nodes, expands the loop's
 // conditional with an argument vector and settles its operators' references,
 // and every value stays below 256, so boxing never allocates: the two sizes
-// may differ by run-level noise only. The minimum over a few measurements
-// keeps a GC that empties the activation pools out of the comparison.
+// may differ by run-level noise only. AllocsPerRun counts every allocation
+// the process makes; the minimum over a few measurements keeps those of
+// other goroutines out of the comparison.
 func TestWarmDispatchAllocsFlat(t *testing.T) {
-	if raceEnabled() {
-		t.Skip("under the race detector sync.Pool drops pooled activations at random")
-	}
 	g := compile(t, "main(n) iterate { i = 0, incr(i) } while lt(i, n), result i", nil)
 	for _, workers := range []int{1, 2} {
 		e := New(g, Config{Mode: Real, Workers: workers})

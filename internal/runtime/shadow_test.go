@@ -49,7 +49,7 @@ func shadowOps(gates []chan struct{}) *operator.Registry {
 }
 
 // stallCharge is what one stall call charges, after its gate opens: a
-// goroutine abandoned to the watchdog charges its private shadow worker, so
+// goroutine abandoned to the watchdog charges its deadline slot's worker, so
 // a reused run that sees more than its own stall's charge leaked one.
 const stallCharge = 7
 
@@ -314,7 +314,7 @@ func TestWatchdogParksWhenIdle(t *testing.T) {
 }
 
 // TestShadowCompletionAccounting pins the accept path: a block allocated
-// inside a bounded (shadow) operator call that completes in time is counted
+// inside a bounded operator call that completes in time is counted
 // on the call's private sink, which merges into the dispatching worker's
 // shard on accept; its later release counts Freed where it happens, and the
 // folded totals balance.

@@ -99,10 +99,10 @@ type Stats struct {
 	RealNanos int64
 }
 
-// reset zeroes every counter for the next run of a reused engine. Stores are
-// atomic: an operator that timed out under Config.OpTimeout may have left an
-// abandoned shadow goroutine behind, and although its results are discarded
-// it can still touch the block counters until it unwinds.
+// reset zeroes every counter for the next run of a reused engine. The stores
+// are atomic like the adds. A goroutine abandoned to the deadline watchdog
+// may still be running, but it writes only its deadline slot's private sink,
+// never these counters.
 func (s *Stats) reset() {
 	for _, p := range []*int64{
 		&s.OpsExecuted, &s.OperatorsRun,

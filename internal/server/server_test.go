@@ -8,7 +8,6 @@ import (
 	"net/http/httptest"
 	"os"
 	goruntime "runtime"
-	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
@@ -342,57 +341,63 @@ func TestIdleGoroutinesAfterBurst(t *testing.T) {
 // allocates nothing, and it allocates its blocks from the worker's pool like
 // an unbounded one. jacobi16 allocates through its operators' pools, so a
 // bounded call that missed the pool shows here as hundreds of extra
-// allocations and a bounded run that pools nothing. The
-// minimum over a few measurements keeps a GC that empties the activation
-// pools mid-measurement out of the comparison.
+// allocations and a bounded run that pools nothing. The retry legs arm
+// Retry{MaxAttempts: 3} on both sides, as delserver -chaos does, so every
+// retryable call is an attempt with a successor: it too runs inline under
+// the watchdog and allocates nothing of its own. AllocsPerRun counts every
+// allocation the process makes; the minimum over a few measurements keeps
+// those of other goroutines out of the comparison.
 func TestBoundedRunAllocs(t *testing.T) {
-	if bi, ok := debug.ReadBuildInfo(); ok {
-		for _, set := range bi.Settings {
-			if set.Key == "-race" && set.Value == "true" {
-				t.Skip("under the race detector sync.Pool drops pooled activations at random")
-			}
-		}
-	}
 	for _, name := range []string{"queens6", "jacobi16"} {
-		t.Run(name, func(t *testing.T) {
-			spec := catalogSpec(t, name, 2, 0)
-			if spec.Base.OpTimeout <= 0 {
-				t.Fatalf("catalog %s is not bounded; the test is vacuous", name)
+		for _, retry := range []bool{false, true} {
+			leg := name
+			if retry {
+				leg += "-retry"
 			}
-			unbounded := spec.Base
-			unbounded.OpTimeout = 0
-			allocs := func(cfg runtime.Config) (float64, int64) {
-				e := runtime.New(spec.Prog, cfg)
-				best := -1.0
-				for i := 0; i < 3; i++ {
-					n := testing.AllocsPerRun(20, func() {
-						if err := e.Reset(); err != nil {
-							t.Fatal(err)
-						}
-						v, err := e.Run()
-						if err != nil {
-							t.Fatal(err)
-						}
-						value.Release(v, &e.Stats().Blocks)
-					})
-					if best < 0 || n < best {
-						best = n
-					}
+			t.Run(leg, func(t *testing.T) {
+				spec := catalogSpec(t, name, 2, 0)
+				if spec.Base.OpTimeout <= 0 {
+					t.Fatalf("catalog %s is not bounded; the test is vacuous", name)
 				}
-				return best, e.Stats().PooledAllocs
-			}
-			b, bPooled := allocs(spec.Base)
-			u, uPooled := allocs(unbounded)
-			t.Logf("allocations per run: bounded %.0f, unbounded %.0f; pooled per run: bounded %d, unbounded %d",
-				b, u, bPooled, uPooled)
-			if b > u+4 {
-				t.Errorf("bounded run allocates %.0f, unbounded %.0f: the deadline costs %.0f per run, want at most 4",
-					b, u, b-u)
-			}
-			if bPooled == 0 {
-				t.Error("bounded run pooled no allocation; want its operators served from the worker's pool")
-			}
-		})
+				bounded := spec.Base
+				if retry {
+					bounded.Retry = runtime.RetryPolicy{MaxAttempts: 3}
+				}
+				unbounded := bounded
+				unbounded.OpTimeout = 0
+				allocs := func(cfg runtime.Config) (float64, int64) {
+					e := runtime.New(spec.Prog, cfg)
+					best := -1.0
+					for i := 0; i < 3; i++ {
+						n := testing.AllocsPerRun(20, func() {
+							if err := e.Reset(); err != nil {
+								t.Fatal(err)
+							}
+							v, err := e.Run()
+							if err != nil {
+								t.Fatal(err)
+							}
+							value.Release(v, &e.Stats().Blocks)
+						})
+						if best < 0 || n < best {
+							best = n
+						}
+					}
+					return best, e.Stats().PooledAllocs
+				}
+				b, bPooled := allocs(bounded)
+				u, uPooled := allocs(unbounded)
+				t.Logf("allocations per run: bounded %.0f, unbounded %.0f; pooled per run: bounded %d, unbounded %d",
+					b, u, bPooled, uPooled)
+				if b > u+4 {
+					t.Errorf("bounded run allocates %.0f, unbounded %.0f: the deadline costs %.0f per run, want at most 4",
+						b, u, b-u)
+				}
+				if bPooled == 0 {
+					t.Error("bounded run pooled no allocation; want its operators served from the worker's pool")
+				}
+			})
+		}
 	}
 }
 

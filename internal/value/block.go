@@ -52,7 +52,7 @@ type BlockStats struct {
 
 // Add atomically accumulates other into s: a worker folding its shard into
 // the engine's Stats.Blocks as it leaves a run, or a bounded operator call's
-// private sink merging into the dispatching worker's shard on accept.
+// deadline-slot shard merging into the dispatching worker's shard on accept.
 func (s *BlockStats) Add(other BlockStats) {
 	atomic.AddInt64(&s.Allocated, other.Allocated)
 	atomic.AddInt64(&s.Copies, other.Copies)
