@@ -42,6 +42,7 @@ import (
 	"repro/cmd/internal/cli"
 	"repro/internal/compile"
 	"repro/internal/runtime"
+	"repro/internal/trace"
 )
 
 func main() {
@@ -128,7 +129,7 @@ func main() {
 
 	log := eng.Timing()
 	if log == nil { // profiled: untimed
-		log = runtime.NewTimingLog()
+		log = trace.NewTimingLog(nil)
 	}
 	if *top == 0 {
 		var names map[string]bool
@@ -181,7 +182,7 @@ func main() {
 		fmt.Println()
 		if cp := eng.Trace().CriticalPath(); cp != nil {
 			fmt.Print(cp.Report())
-			fmt.Print(runtime.RenderAdvisories(cp.Advise(*workers)))
+			fmt.Print(trace.RenderAdvisories(cp.Advise(*workers)))
 		} else {
 			fmt.Println("critical path: no completed node executions recorded")
 		}

@@ -49,23 +49,33 @@ func repoRoot(t *testing.T) string {
 // status, the summary table, the verdict line, and a trace file of valid
 // Chrome trace-event JSON), and the unbalanced retina on 8 simulated Cray
 // workers, where the granularity advisor must name post_up — the operator
-// the paper's authors found by reading the §5.2 listing.
+// the paper's authors found by reading the §5.2 listing. Two Real legs run
+// the recorder on two workers through every reader: at full level (the
+// listing, the gantt rows of both workers, the steal report's total line,
+// the critical path and the Chrome file) and at node level alone (the
+// listing and the gantt).
 func TestDelprofSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
 	dir := t.TempDir()
 	bin := buildCmd(t, dir, "./cmd/delprof")
-	traceFile := filepath.Join(dir, "out.json")
+	simTrace, realTrace := filepath.Join(dir, "sim.json"), filepath.Join(dir, "real.json")
 
 	for _, c := range []struct {
 		args []string
 		want []string
 	}{
-		{[]string{"-sim", "-app", "queens", "-top", "5", "-trace", traceFile, "-critpath", "programs/queens8.dlr"},
+		{[]string{"-sim", "-app", "queens", "-top", "5", "-trace", simTrace, "-critpath", "programs/queens8.dlr"},
 			[]string{"result:", "operator", "critical path:", "verdict:", "trace: wrote"}},
 		{[]string{"-sim", "-app", "retina", "-workers", "8", "-top", "3", "-critpath", "programs/retina1.dlr"},
 			[]string{"critical path:", "verdict: imbalanced", "advisory: `post_up`"}},
+		{[]string{"-sim=false", "-workers", "2", "-app", "queens", "-runs", "3", "-gantt", "60", "-steals",
+			"-critpath", "-trace", realTrace, "programs/queens8.dlr"},
+			[]string{"call of ", "\nproc  0 |", "\nproc  1 |", "scheduler: per-worker steal/park report", "\ntotal ",
+				"critical path:", "trace: wrote"}},
+		{[]string{"-sim=false", "-workers", "2", "-app", "queens", "-runs", "3", "-gantt", "60", "programs/queens8.dlr"},
+			[]string{"call of ", "\nproc  0 |", "\nproc  1 |"}},
 	} {
 		cmd := exec.Command(bin, c.args...)
 		cmd.Dir = repoRoot(t)
@@ -75,23 +85,25 @@ func TestDelprofSmoke(t *testing.T) {
 		}
 		for _, want := range c.want {
 			if !strings.Contains(string(out), want) {
-				t.Errorf("delprof %s: output missing %q:\n%s", strings.Join(c.args, " "), want, out)
+				t.Errorf("delprof %s: output missing %q:\n%.4000s", strings.Join(c.args, " "), want, out)
 			}
 		}
 	}
 
-	data, err := os.ReadFile(traceFile)
-	if err != nil {
-		t.Fatalf("trace file: %v", err)
-	}
-	var doc struct {
-		TraceEvents []map[string]interface{} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatalf("trace file is not valid JSON: %v", err)
-	}
-	if len(doc.TraceEvents) == 0 {
-		t.Error("trace file has no events")
+	for _, traceFile := range []string{simTrace, realTrace} {
+		data, err := os.ReadFile(traceFile)
+		if err != nil {
+			t.Fatalf("trace file: %v", err)
+		}
+		var doc struct {
+			TraceEvents []map[string]interface{} `json:"traceEvents"`
+		}
+		if err := json.Unmarshal(data, &doc); err != nil {
+			t.Fatalf("%s is not valid JSON: %v", filepath.Base(traceFile), err)
+		}
+		if len(doc.TraceEvents) == 0 {
+			t.Errorf("%s has no events", filepath.Base(traceFile))
+		}
 	}
 }
 

@@ -38,6 +38,7 @@ import (
 	"repro/internal/operator"
 	"repro/internal/prelude"
 	"repro/internal/runtime"
+	"repro/internal/trace"
 	"repro/internal/value"
 )
 
@@ -110,21 +111,21 @@ type (
 	// Stats aggregates execution counters.
 	Stats = runtime.Stats
 	// TimingLog is the node timing tool's output.
-	TimingLog = runtime.TimingLog
+	TimingLog = trace.TimingLog
 	// Trace is the structured execution trace recorded when
 	// RunConfig.Trace is set; export it with WriteChrome or analyze it
 	// with CriticalPath.
-	Trace = runtime.Trace
+	Trace = trace.Trace
 	// TraceEvent is one recorded trace event.
-	TraceEvent = runtime.TraceEvent
+	TraceEvent = trace.Event
 	// CritPath is the critical-path analysis of a Trace: the longest
 	// weighted dependency chain, per-operator slack, and the imbalance
 	// verdict.
-	CritPath = runtime.CritPath
+	CritPath = trace.CritPath
 	// CritOp aggregates one operator's relation to the critical path.
-	CritOp = runtime.CritOp
+	CritOp = trace.CritOp
 	// CritStep is one node execution on the critical path.
-	CritStep = runtime.CritStep
+	CritStep = trace.CritStep
 	// MachineProfile describes a simulated machine.
 	MachineProfile = machine.Profile
 	// AffinityPolicy selects the simulated scheduler's §9.3 policy.

@@ -20,6 +20,9 @@ var (
 	docStats    = regexp.MustCompile(`\bStats\.(\w+)(?:\.(\w+))?`)
 	goTestFunc  = regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
 	docPath     = regexp.MustCompile(`(?:^|[\s(=])(?:\./)?((?:internal|cmd|examples|programs|testdata|docs)/[\w./*<>-]*)`)
+	docCLI      = regexp.MustCompile(`^(delx|delprof|delirium|delc)\s+(.*)$`)
+	goFlagDef   = regexp.MustCompile(`\.(?:Bool|Int|Int64|Uint|String|Duration|Float64)(?:Var)?\((?:&\w+, )?"([\w-]+)"`)
+	delxID      = regexp.MustCompile(`(?m)^\s*\{"(\w+)", "`)
 )
 
 // TestDocsReferToRealThings holds the prose to the code: every back-ticked
@@ -32,7 +35,10 @@ var (
 // internal/…, cmd/…, examples/…, programs/…, testdata/… or docs/… — must
 // exist; a pattern with * must match something, a Go package pattern's
 // /... names its directory, and a path with a <placeholder> is a template,
-// not a path.
+// not a path. A back-ticked command line of a tool names only real things
+// too: in `delx <id>` the id is an experiment of cmd/delx/main.go or
+// `call`, and every -flag of a `delprof`, `delirium`, `delc` or `delx`
+// line is one the tool's package defines.
 func TestDocsReferToRealThings(t *testing.T) {
 	docs := []string{"README.md", "DESIGN.md"}
 	more, err := filepath.Glob("docs/*.md")
@@ -76,6 +82,31 @@ func TestDocsReferToRealThings(t *testing.T) {
 		_, ok := reflect.PointerTo(typ).MethodByName(name)
 		return ok
 	}
+	flags := make(map[string]map[string]bool) // tool -> flags it defines
+	for _, tool := range []string{"delx", "delprof", "delirium", "delc"} {
+		flags[tool] = make(map[string]bool)
+		files, _ := filepath.Glob(filepath.Join("cmd", tool, "*.go"))
+		for _, f := range files {
+			if strings.HasSuffix(f, "_test.go") {
+				continue
+			}
+			src, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range goFlagDef.FindAllStringSubmatch(string(src), -1) {
+				flags[tool][m[1]] = true
+			}
+		}
+	}
+	delxSrc, err := os.ReadFile("cmd/delx/main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	experimentIDs := map[string]bool{"call": true}
+	for _, m := range delxID.FindAllStringSubmatch(string(delxSrc), -1) {
+		experimentIDs[m[1]] = true
+	}
 	statsType := reflect.TypeOf(runtime.Stats{})
 	blockType := reflect.TypeOf(value.BlockStats{})
 
@@ -100,6 +131,25 @@ func TestDocsReferToRealThings(t *testing.T) {
 				checked++
 				if matches, _ := filepath.Glob(path); len(matches) == 0 {
 					t.Errorf("%s: `%s` names %s, which does not exist", doc, span[1], path)
+				}
+			}
+			if m := docCLI.FindStringSubmatch(span[1]); m != nil {
+				tool, args := m[1], strings.Fields(m[2])
+				if tool == "delx" && len(args) > 0 && !strings.HasPrefix(args[0], "-") {
+					checked++
+					if !experimentIDs[args[0]] {
+						t.Errorf("%s: `%s` names experiment %s, which cmd/delx/main.go lacks", doc, span[1], args[0])
+					}
+				}
+				for _, arg := range args {
+					if !strings.HasPrefix(arg, "-") {
+						continue
+					}
+					name, _, _ := strings.Cut(strings.TrimLeft(arg, "-"), "=")
+					checked++
+					if !flags[tool][name] {
+						t.Errorf("%s: `%s` names flag -%s, which %s does not define", doc, span[1], name, tool)
+					}
 				}
 			}
 			for _, m := range docStats.FindAllStringSubmatch(span[1], -1) {

@@ -38,6 +38,7 @@ import (
 	"repro/internal/runtime"
 	"repro/internal/selfcomp"
 	"repro/internal/stress"
+	"repro/internal/trace"
 	"repro/internal/treewalk"
 	"repro/internal/value"
 )
@@ -243,7 +244,7 @@ func runListing(v retina.Version) (*runtime.Engine, error) {
 
 // ListingCritPath runs the §5.2 measurement and returns just the
 // critical-path analysis — the mechanical form of the paper's diagnosis.
-func ListingCritPath(v retina.Version) (*runtime.CritPath, error) {
+func ListingCritPath(v retina.Version) (*trace.CritPath, error) {
 	eng, err := runListing(v)
 	if err != nil {
 		return nil, err

@@ -3,13 +3,15 @@ package runtime
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/trace"
 )
 
 func TestAdviseVerdicts(t *testing.T) {
-	cp := &CritPath{
+	cp := &trace.CritPath{
 		Unit:      "ticks",
 		PathTicks: 1000,
-		Operators: []CritOp{
+		Operators: []trace.CritOp{
 			// Dominant and fully serialized: must advise a split.
 			{Name: "post_up", Calls: 4, OnPathCalls: 4, OnPath: 620, Total: 620},
 			// Dominant but running 4x wide: watch, not split.
@@ -22,10 +24,10 @@ func TestAdviseVerdicts(t *testing.T) {
 	if len(advs) != 2 {
 		t.Fatalf("got %d advisories, want 2: %v", len(advs), advs)
 	}
-	if advs[0].Verdict != AdviseSplit || advs[0].Operator != "post_up" {
+	if advs[0].Verdict != trace.AdviseSplit || advs[0].Operator != "post_up" {
 		t.Errorf("first advisory = %+v, want split on post_up", advs[0])
 	}
-	if advs[1].Verdict != AdviseWatch || advs[1].Operator != "convol_bite" {
+	if advs[1].Verdict != trace.AdviseWatch || advs[1].Operator != "convol_bite" {
 		t.Errorf("second advisory = %+v, want watch on convol_bite", advs[1])
 	}
 	msg := advs[0].String()
@@ -40,18 +42,18 @@ func TestAdviseVerdicts(t *testing.T) {
 }
 
 func TestAdviseEmptyAndNil(t *testing.T) {
-	var nilPath *CritPath
+	var nilPath *trace.CritPath
 	if advs := nilPath.Advise(4); advs != nil {
 		t.Errorf("nil path advised: %v", advs)
 	}
-	balanced := &CritPath{PathTicks: 1000, Operators: []CritOp{
+	balanced := &trace.CritPath{PathTicks: 1000, Operators: []trace.CritOp{
 		{Name: "a", OnPath: 200, Total: 800},
 		{Name: "b", OnPath: 150, Total: 600},
 	}}
 	if advs := balanced.Advise(4); advs != nil {
 		t.Errorf("balanced path advised: %v", advs)
 	}
-	if got := RenderAdvisories(nil); !strings.Contains(got, "advisory: none") {
+	if got := trace.RenderAdvisories(nil); !strings.Contains(got, "advisory: none") {
 		t.Errorf("empty render = %q", got)
 	}
 }

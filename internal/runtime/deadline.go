@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/graph"
+	"repro/internal/trace"
 	"repro/internal/value"
 )
 
@@ -290,10 +291,10 @@ func (d *deadlines) settle(s *deadlineSlot, canceled bool) {
 	// It keeps the pool it borrowed through the slot, so the worker takes a
 	// fresh one; the old pool's hits since the last fold go unpublished.
 	w.pool, w.hitsFolded = new(value.BlockPool), 0
-	if w.tr != nil {
-		// The stuck worker's trace track is the watchdog's now: close the
-		// bracket the worker left open.
-		w.tr.record(w.proc, TraceEvent{Type: TraceNodeEnd, Ts: w.q.now(), Act: a.seq, Node: int32(n.ID)})
+	if e.tracer != nil {
+		// The stuck worker's track is the watchdog's now: close the bracket
+		// the worker left open, as failed.
+		e.tracer.record(w.proc, trace.Event{Type: trace.NodeEnd, Ts: w.q.now(), Arg: 1, Act: a.seq, Node: int32(n.ID)})
 	}
 	if !canceled && s.attempt < e.maxAttempts(n) {
 		e.noteRetry(w, a, n, s.attempt)

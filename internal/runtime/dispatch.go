@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/graph"
+	"repro/internal/trace"
 	"repro/internal/value"
 )
 
@@ -14,10 +15,11 @@ import (
 // the scheduler interface below.
 
 // task is one runnable node of one activation, tagged with the worker that
-// pushed it (from; -1 for the boot worker's seeds). The tag feeds the timing
-// log's stolen mark; it never influences what executes. The work-stealing
-// scheduler keeps each task in its activation's slot for the node
-// (activation.tasks); the simulated machine holds them by value.
+// pushed it (from; -1 for the boot worker's seeds). The node-start event
+// carries the tag, from which the timing log marks a stolen task; it never
+// influences what executes. The work-stealing scheduler keeps each task in
+// its activation's slot for the node (activation.tasks); the simulated
+// machine holds them by value.
 type task struct {
 	act  *activation
 	node *graph.Node
@@ -61,39 +63,27 @@ type span struct {
 	act, t0 int64
 }
 
-// begin opens the observer bracket around task t's node. Callers check that
-// an observer is on.
+// begin opens the recorder's bracket around task t's node. Callers check
+// that the recorder brackets the node.
 func (w *worker) begin(t task) span {
 	a, n := t.act, t.node
 	sp := span{act: a.seq, t0: w.q.now()}
-	if w.tr != nil {
-		w.tr.record(w.proc, TraceEvent{Type: TraceNodeStart, Ts: sp.t0,
-			Act: sp.act, Node: int32(n.ID), Name: traceLabel(n), Tmpl: a.tmpl.Name})
-	}
+	w.e.tracer.record(w.proc, trace.Event{Type: trace.NodeStart, Op: n.Kind == graph.OpNode,
+		Ts: sp.t0, Arg: int64(t.from), Act: sp.act, Node: int32(n.ID), Name: traceLabel(n), Tmpl: a.tmpl.Name})
 	return sp
 }
 
-// end closes the bracket begin opened: the trace slice always (a failed
-// node's too), the timing entry only for an operator that succeeded.
+// end closes the bracket begin opened, marking a failed node's.
 func (w *worker) end(sp span, t task, err error) {
-	n := t.node
 	t1 := w.q.now()
 	if w.e.cfg.Mode == Simulated {
 		t1 = w.q.(*simScheduler).end(w)
 	}
-	if w.tr != nil {
-		w.tr.record(w.proc, TraceEvent{Type: TraceNodeEnd, Ts: t1, Act: sp.act, Node: int32(n.ID)})
+	var failed int64
+	if err != nil {
+		failed = 1
 	}
-	if err == nil && w.e.timing != nil && n.Kind == graph.OpNode {
-		w.e.timing.addShard(w.proc, TimingEntry{
-			Name:     n.Name,
-			Template: t.act.tmpl.Name,
-			Proc:     w.proc,
-			Start:    sp.t0,
-			Ticks:    t1 - sp.t0,
-			Stolen:   t.from >= 0 && t.from != int32(w.proc),
-		})
-	}
+	w.e.tracer.record(w.proc, trace.Event{Type: trace.NodeEnd, Ts: t1, Arg: failed, Act: sp.act, Node: int32(t.node.ID)})
 }
 
 // loop is the one task loop: take a task and run the dispatch step on it.
@@ -118,12 +108,12 @@ func (e *Engine) loop(w *worker) error {
 	}
 }
 
-// step is the one dispatch step: bracket task t for the observers, execute
+// step is the one dispatch step: bracket task t for the recorder, execute
 // it from operator attempt number attempt, retire it. A failed node records
 // the run's failure and folds the worker; its error, like errAbandoned, ends
 // the worker's loop.
 func (e *Engine) step(w *worker, t task, attempt int) error {
-	observed := e.timing != nil || w.tr != nil
+	observed := e.tracer.brackets(t.node)
 	var sp span
 	if observed {
 		sp = w.begin(t)
@@ -179,9 +169,9 @@ func (e *Engine) run(args []value.Value) (value.Value, error) {
 		q, proc = newSimScheduler(e, nw), 0
 	} else {
 		if e.sched == nil {
-			e.sched = newStealScheduler(nw, &e.stats, e.tracer)
+			e.sched = newStealScheduler(nw, &e.stats, e.tracer.events())
 		} else {
-			e.sched.reopen(e.tracer)
+			e.sched.reopen(e.tracer.events())
 		}
 		q = e.sched
 	}

@@ -48,6 +48,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/machine"
+	"repro/internal/trace"
 	"repro/internal/value"
 )
 
@@ -105,12 +106,14 @@ type Config struct {
 	// Machine is the profile for Simulated mode; nil selects a Cray Y-MP.
 	Machine *machine.Profile
 	// Timing enables per-node timing collection (the environment's node
-	// timing tool, §5.2).
+	// timing tool, §5.2): the recorder at node level, which brackets
+	// operator executions only (Engine.Timing).
 	Timing bool
-	// Trace enables structured execution tracing: typed events (node
-	// start/end, steal, park, activation reuse, …) recorded into per-worker
-	// buffers, exportable as Chrome trace-event JSON and analyzable for the
-	// critical path (Engine.Trace). Disabled, it costs one nil check per
+	// Trace enables structured execution tracing: the recorder at full
+	// level, which records typed events (node start/end, steal, park,
+	// activation reuse, …) into per-worker buffers, exportable as Chrome
+	// trace-event JSON and analyzable for the critical path (Engine.Trace).
+	// With neither Timing nor Trace on, it costs one nil check per
 	// recording site.
 	Trace bool
 	// Affinity selects the simulated scheduler's placement policy.
@@ -198,8 +201,9 @@ type Engine struct {
 	prog *graph.Program
 	cfg  Config
 
-	stats  Stats
-	timing *TimingLog
+	stats Stats
+	// tracer is the run's recorder (trace.go), nil unless Config.Timing or
+	// Config.Trace is on.
 	tracer *tracer
 	// depot backs the workers' activation free lists (worker.free) in
 	// Real runs, indexed like them by template ID: a list that grows
@@ -300,13 +304,7 @@ func New(prog *graph.Program, cfg Config) *Engine {
 	// free lists: the outer slice never grows, so both headers address the
 	// same lists.
 	e.workers[len(e.workers)-1].free = e.workers[0].free
-	if cfg.Timing {
-		e.timing = NewTimingLog()
-		e.timing.initShards(cfg.workers())
-	}
-	if cfg.Trace {
-		e.tracer = newTracer(cfg.Mode, cfg.workers())
-	}
+	e.tracer = newTracer(cfg)
 	e.dl = newDeadlines(e)
 	return e
 }
@@ -319,7 +317,7 @@ func (e *Engine) worker(proc int, q scheduler) *worker {
 		i = len(e.workers) - 1
 	}
 	w := &e.workers[i]
-	w.proc, w.q, w.tr = proc, q, e.tracer
+	w.proc, w.q, w.tr = proc, q, e.tracer.events()
 	_, w.pooled = q.(*stealScheduler)
 	return w
 }
@@ -363,13 +361,7 @@ func (e *Engine) Reset() error {
 		return nil
 	}
 	e.stats.reset()
-	if e.cfg.Timing {
-		e.timing = NewTimingLog()
-		e.timing.initShards(e.cfg.workers())
-	}
-	if e.cfg.Trace {
-		e.tracer = newTracer(e.cfg.Mode, e.cfg.workers())
-	}
+	e.tracer = e.tracer.renew(e.cfg)
 	e.failMu.Lock()
 	e.failedRun = false
 	e.runErr = nil
@@ -492,13 +484,19 @@ func (e *Engine) RunMany(ctx context.Context, batch [][]value.Value) ([]RunResul
 // Stats returns execution statistics; call after Run returns.
 func (e *Engine) Stats() *Stats { return &e.stats }
 
-// Timing returns the node timing log, or nil when timing was disabled.
-func (e *Engine) Timing() *TimingLog { return e.timing }
+// Timing returns the node timing log, derived from the recorder's node
+// brackets, or nil when timing was disabled. Call after Run returns.
+func (e *Engine) Timing() *trace.TimingLog {
+	if !e.cfg.Timing {
+		return nil
+	}
+	return e.tracer.snapshot().Timing()
+}
 
 // Trace returns the recorded execution trace, or nil when tracing was
 // disabled. Call after Run returns.
-func (e *Engine) Trace() *Trace {
-	if e.tracer == nil {
+func (e *Engine) Trace() *trace.Trace {
+	if !e.cfg.Trace {
 		return nil
 	}
 	return e.tracer.snapshot()
@@ -559,18 +557,18 @@ func (e *Engine) acquire(w *worker, t *graph.Template) *activation {
 	if a != nil {
 		w.n.actsReused++
 		a.reset()
-		if e.tracer != nil {
-			a.seq = e.tracer.nextAct()
-			e.tracer.record(w.proc, TraceEvent{Type: TraceActReuse, Ts: e.tracer.now(), Act: a.seq, Tmpl: t.Name})
+		if w.tr != nil {
+			a.seq = w.tr.nextAct()
+			w.tr.record(w.proc, trace.Event{Type: trace.ActReuse, Ts: w.tr.now(), Act: a.seq, Tmpl: t.Name})
 		}
 		return a
 	}
 	w.n.actsAlloc++
 	a = newActivation(t)
 
-	if e.tracer != nil {
-		a.seq = e.tracer.nextAct()
-		e.tracer.record(w.proc, TraceEvent{Type: TraceActAlloc, Ts: e.tracer.now(), Act: a.seq, Tmpl: t.Name})
+	if w.tr != nil {
+		a.seq = w.tr.nextAct()
+		w.tr.record(w.proc, trace.Event{Type: trace.ActAlloc, Ts: w.tr.now(), Act: a.seq, Tmpl: t.Name})
 	}
 	return a
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/graph"
+	"repro/internal/trace"
 	"repro/internal/value"
 )
 
@@ -22,9 +23,9 @@ type worker struct {
 	// q is the run's scheduler (nil on a deadline slot's worker, which only
 	// ever runs an operator body).
 	q scheduler
-	// tr, when non-nil, receives trace events from this worker's hot path
-	// (deliveries, tail calls, block copies). A copy of e.tracer so the
-	// disabled case is a single nil check.
+	// tr, when non-nil, receives the full-level trace events of this
+	// worker's hot path (deliveries, tail calls, block copies): e.tracer at
+	// full level, nil otherwise, so every other case is a single nil check.
 	tr *tracer
 
 	// pool is the worker's block free list: a block freed on this worker
@@ -250,7 +251,7 @@ func (e *Engine) invokeOp(w *worker, a *activation, n *graph.Node, ins []value.V
 		if f = e.cfg.Faults.next(n.Op.Name); f != nil {
 			atomic.AddInt64(&e.stats.FaultsInjected, 1)
 			if w.tr != nil {
-				w.tr.record(w.proc, TraceEvent{Type: TraceFault, Ts: w.tr.now(),
+				w.tr.record(w.proc, trace.Event{Type: trace.Fault, Ts: w.tr.now(),
 					Act: a.seq, Node: int32(n.ID), Name: n.Name, Arg: f.Execution})
 			}
 		}
@@ -328,7 +329,7 @@ func (e *Engine) attempts(w *worker, a *activation, n *graph.Node, ins []value.V
 				ins[i] = nv
 				w.localWords += int64(copied)
 				if w.tr != nil && copied > 0 {
-					w.tr.record(w.proc, TraceEvent{Type: TraceBlockCopy, Ts: w.tr.now(),
+					w.tr.record(w.proc, trace.Event{Type: trace.BlockCopy, Ts: w.tr.now(),
 						Act: a.seq, Node: int32(n.ID), Arg: int64(copied), Name: n.Name})
 				}
 			}
@@ -400,7 +401,7 @@ func releaseHeld(pristine []value.Value, st *value.BlockStats) {
 func (e *Engine) noteRetry(w *worker, a *activation, n *graph.Node, attempt int) {
 	atomic.AddInt64(&e.stats.Retries, 1)
 	if w.tr != nil {
-		w.tr.record(w.proc, TraceEvent{Type: TraceRetry, Ts: w.tr.now(),
+		w.tr.record(w.proc, trace.Event{Type: trace.Retry, Ts: w.tr.now(),
 			Act: a.seq, Node: int32(n.ID), Name: n.Name, Arg: int64(attempt)})
 	}
 }
@@ -622,7 +623,7 @@ func (e *Engine) expand(w *worker, a *activation, n *graph.Node, callee *graph.T
 		a.delegated.Store(true)
 		w.n.tailCalls++
 		if w.tr != nil {
-			w.tr.record(w.proc, TraceEvent{Type: TraceTailCall, Ts: w.tr.now(),
+			w.tr.record(w.proc, trace.Event{Type: trace.TailCall, Ts: w.tr.now(),
 				Act: child.seq, Tmpl: callee.Name, Name: n.Name})
 		}
 		e.initActivation(w, child, args)
@@ -707,7 +708,7 @@ func (e *Engine) deliverEdge(w *worker, a *activation, edge graph.Edge, v value.
 		w.q.(*simScheduler).delivered(a, edge.To)
 	}
 	if w.tr != nil {
-		w.tr.record(w.proc, TraceEvent{Type: TraceDeliver, Ts: w.tr.now(),
+		w.tr.record(w.proc, trace.Event{Type: trace.Deliver, Ts: w.tr.now(),
 			Act: a.seq, Node: int32(edge.To)})
 	}
 	if a.deliver(edge.To, edge.Port, v) {

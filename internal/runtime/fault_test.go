@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/operator"
+	"repro/internal/trace"
 	"repro/internal/value"
 )
 
@@ -503,8 +504,10 @@ func TestPerOperatorTimeoutOverride(t *testing.T) {
 // delay pushes the first attempt past OpTimeout, the timeout is retryable,
 // and the second attempt succeeds on the goroutine the watchdog resumed the
 // worker on. Every leg checks the result, the counters, block accounting,
-// balanced trace brackets, and that no goroutine outlives the delayed
-// attempt. The destructive leg times out an attempt that runs on a snapshot
+// balanced trace brackets, a timing log with one entry for the delayed
+// operator (the attempt the watchdog abandoned has none), and that no
+// goroutine outlives the delayed attempt. The timing-2 leg records at node
+// level only, so the watchdog closes a bracket of that recorder too. The destructive leg times out an attempt that runs on a snapshot
 // copy, so the resumed attempt must restore the pristine original.
 func TestDelayFaultTimeoutRetry(t *testing.T) {
 	const (
@@ -518,6 +521,8 @@ func TestDelayFaultTimeoutRetry(t *testing.T) {
 		want    value.Value
 		many    bool
 		backoff time.Duration
+		// untraced turns Trace off, leaving Timing's node-level recorder.
+		untraced bool
 	}{
 		{name: "real-1", cfg: Config{Mode: Real, Workers: 1}},
 		{name: "real-2", cfg: Config{Mode: Real, Workers: 2}},
@@ -526,6 +531,7 @@ func TestDelayFaultTimeoutRetry(t *testing.T) {
 		{name: "backoff-2", cfg: Config{Mode: Real, Workers: 2}, backoff: 40 * time.Millisecond},
 		{name: "destructive-2", cfg: Config{Mode: Real, Workers: 2},
 			src: "main(n) blocksum(rfill(mkblock(2), sub(n, 2)))", want: value.Float(6)},
+		{name: "timing-2", cfg: Config{Mode: Real, Workers: 2}, untraced: true},
 	}
 	// The watchdog starts with the first bounded run and then stays; start
 	// it before the baseline.
@@ -541,7 +547,7 @@ func TestDelayFaultTimeoutRetry(t *testing.T) {
 				src, want, op = leg.src, leg.want, "rfill"
 			}
 			cfg := leg.cfg
-			cfg.MaxOps, cfg.OpTimeout, cfg.Trace = 100000, limit, true
+			cfg.MaxOps, cfg.OpTimeout, cfg.Timing, cfg.Trace = 100000, limit, true, !leg.untraced
 			cfg.Retry = RetryPolicy{MaxAttempts: 2, Backoff: leg.backoff}
 			cfg.Faults = NewFaultPlan(Fault{Op: op, Execution: 1, Kind: FaultDelay, Delay: delay})
 			e := New(compile(t, src, faultOps()), cfg)
@@ -584,7 +590,18 @@ func TestDelayFaultTimeoutRetry(t *testing.T) {
 			if st.Blocks.Allocated != st.Blocks.Freed {
 				t.Errorf("allocated %d, freed %d", st.Blocks.Allocated, st.Blocks.Freed)
 			}
-			checkBrackets(t, 0, e)
+			var timed []trace.TimingEntry
+			for _, en := range e.Timing().Entries() {
+				if en.Name == op {
+					timed = append(timed, en)
+				}
+			}
+			if len(timed) != 1 || timed[0].Stolen {
+				t.Errorf("%s timing entries = %+v, want one, not stolen", op, timed)
+			}
+			if !leg.untraced {
+				checkBrackets(t, 0, e)
+			}
 			settledGoroutines(t, base)
 		})
 	}

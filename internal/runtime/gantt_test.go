@@ -3,18 +3,18 @@ package runtime
 import (
 	"math/rand"
 	"strings"
-	"sync"
 	"testing"
 
+	"repro/internal/trace"
 	"repro/internal/value"
 )
 
 // Tests for the §5.2 observability surface: the Gantt timeline renderer,
-// per-processor loads, and the TimingLog merge/sort behavior that makes
-// Listing and Summarize deterministic under real-mode concurrency.
+// per-processor loads, and the TimingLog sort that makes Listing and
+// Summarize deterministic under real-mode concurrency.
 
 func TestGanttEmpty(t *testing.T) {
-	if got := NewTimingLog().Gantt(40); got != "(no timing entries)\n" {
+	if got := trace.NewTimingLog(nil).Gantt(40); got != "(no timing entries)\n" {
 		t.Errorf("empty gantt = %q", got)
 	}
 }
@@ -23,9 +23,10 @@ func TestGanttEmpty(t *testing.T) {
 // processors and checks cell-exact output: entries scale into the requested
 // width and idle time prints as dots.
 func TestGanttScaling(t *testing.T) {
-	l := NewTimingLog()
-	l.Add(TimingEntry{Name: "aa", Proc: 0, Start: 0, Ticks: 50})
-	l.Add(TimingEntry{Name: "bb", Proc: 1, Start: 50, Ticks: 50})
+	l := trace.NewTimingLog([]trace.TimingEntry{
+		{Name: "aa", Proc: 0, Start: 0, Ticks: 50},
+		{Name: "bb", Proc: 1, Start: 50, Ticks: 50},
+	})
 	got := l.Gantt(10)
 	want := "virtual time 0..100 ticks, 10 cells/row\n" +
 		"proc  0 |aa###.....|\n" +
@@ -38,8 +39,9 @@ func TestGanttScaling(t *testing.T) {
 // TestGanttMinWidth checks the width floor: anything under 10 cells renders
 // at 10.
 func TestGanttMinWidth(t *testing.T) {
-	l := NewTimingLog()
-	l.Add(TimingEntry{Name: "x", Proc: 0, Start: 0, Ticks: 10})
+	l := trace.NewTimingLog([]trace.TimingEntry{
+		{Name: "x", Proc: 0, Start: 0, Ticks: 10},
+	})
 	got := l.Gantt(3)
 	if !strings.Contains(got, "10 cells/row") {
 		t.Errorf("width not clamped to 10:\n%s", got)
@@ -50,9 +52,10 @@ func TestGanttMinWidth(t *testing.T) {
 // so a tiny operator stays visible as an overlay on a dominant one instead of
 // being buried under it.
 func TestGanttPaintOrder(t *testing.T) {
-	l := NewTimingLog()
-	l.Add(TimingEntry{Name: "yy", Proc: 0, Start: 0, Ticks: 10})
-	l.Add(TimingEntry{Name: "xx", Proc: 0, Start: 0, Ticks: 100})
+	l := trace.NewTimingLog([]trace.TimingEntry{
+		{Name: "yy", Proc: 0, Start: 0, Ticks: 10},
+		{Name: "xx", Proc: 0, Start: 0, Ticks: 100},
+	})
 	got := l.Gantt(10)
 	if !strings.Contains(got, "|yx########|") {
 		t.Errorf("short entry buried under long one:\n%s", got)
@@ -61,20 +64,38 @@ func TestGanttPaintOrder(t *testing.T) {
 
 // TestGanttZeroTickEntry checks a zero-duration entry still paints one cell.
 func TestGanttZeroTickEntry(t *testing.T) {
-	l := NewTimingLog()
-	l.Add(TimingEntry{Name: "z", Proc: 0, Start: 5, Ticks: 0})
-	l.Add(TimingEntry{Name: "w", Proc: 0, Start: 0, Ticks: 10})
+	l := trace.NewTimingLog([]trace.TimingEntry{
+		{Name: "z", Proc: 0, Start: 5, Ticks: 0},
+		{Name: "w", Proc: 0, Start: 0, Ticks: 10},
+	})
 	got := l.Gantt(10)
 	if !strings.Contains(got, "z") {
 		t.Errorf("zero-tick entry invisible:\n%s", got)
 	}
 }
 
+// TestGanttStolenMark checks that a stolen task's segment opens with '%'
+// and the header explains the mark.
+func TestGanttStolenMark(t *testing.T) {
+	l := trace.NewTimingLog([]trace.TimingEntry{
+		{Name: "aa", Proc: 0, Start: 0, Ticks: 50},
+		{Name: "bb", Proc: 1, Start: 50, Ticks: 50, Stolen: true},
+	})
+	got := l.Gantt(10)
+	want := "virtual time 0..100 ticks, 10 cells/row  (% stolen)\n" +
+		"proc  0 |aa###.....|\n" +
+		"proc  1 |.....%b###|\n"
+	if got != want {
+		t.Errorf("gantt:\n%s\nwant:\n%s", got, want)
+	}
+}
+
 func TestProcLoads(t *testing.T) {
-	l := NewTimingLog()
-	l.Add(TimingEntry{Name: "a", Proc: 0, Start: 0, Ticks: 30})
-	l.Add(TimingEntry{Name: "b", Proc: 2, Start: 0, Ticks: 50})
-	l.Add(TimingEntry{Name: "c", Proc: 0, Start: 30, Ticks: 20})
+	l := trace.NewTimingLog([]trace.TimingEntry{
+		{Name: "a", Proc: 0, Start: 0, Ticks: 30},
+		{Name: "b", Proc: 2, Start: 0, Ticks: 50},
+		{Name: "c", Proc: 0, Start: 30, Ticks: 20},
+	})
 	loads := l.ProcLoads()
 	if len(loads) != 3 {
 		t.Fatalf("len(loads) = %d, want 3", len(loads))
@@ -88,7 +109,7 @@ func TestProcLoads(t *testing.T) {
 // Listing/Gantt order: Entries must come back sorted by (Start, Proc, Name)
 // no matter what order workers recorded them in.
 func TestTimingEntriesSorted(t *testing.T) {
-	base := []TimingEntry{
+	base := []trace.TimingEntry{
 		{Name: "a", Proc: 0, Start: 0, Ticks: 1},
 		{Name: "b", Proc: 0, Start: 0, Ticks: 1},
 		{Name: "a", Proc: 1, Start: 0, Ticks: 1},
@@ -98,11 +119,11 @@ func TestTimingEntriesSorted(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 20; trial++ {
-		l := NewTimingLog()
+		var perm []trace.TimingEntry
 		for _, i := range rng.Perm(len(base)) {
-			l.Add(base[i])
+			perm = append(perm, base[i])
 		}
-		got := l.Entries()
+		got := trace.NewTimingLog(perm).Entries()
 		for i := 1; i < len(got); i++ {
 			p, c := got[i-1], got[i]
 			before := p.Start < c.Start ||
@@ -118,49 +139,12 @@ func TestTimingEntriesSorted(t *testing.T) {
 	}
 }
 
-// TestTimingShardsMerge checks Entries merges the per-worker shards with the
-// mutex-guarded Add path and that shard writes stay worker-private.
-func TestTimingShardsMerge(t *testing.T) {
-	l := NewTimingLog()
-	l.initShards(3)
-	l.addShard(0, TimingEntry{Name: "s0", Proc: 0, Start: 2, Ticks: 1})
-	l.addShard(2, TimingEntry{Name: "s2", Proc: 2, Start: 1, Ticks: 1})
-	l.Add(TimingEntry{Name: "ext", Proc: 9, Start: 0, Ticks: 1})
-	got := l.Entries()
-	if len(got) != 3 {
-		t.Fatalf("len = %d, want 3", len(got))
-	}
-	if got[0].Name != "ext" || got[1].Name != "s2" || got[2].Name != "s0" {
-		t.Errorf("merge order wrong: %v", got)
-	}
-}
-
-// TestTimingAddConcurrent hammers the public Add path from several
-// goroutines; with -race this guards the external-producer lock.
-func TestTimingAddConcurrent(t *testing.T) {
-	l := NewTimingLog()
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				l.Add(TimingEntry{Name: "op", Proc: g, Start: int64(i), Ticks: 1})
-			}
-		}(g)
-	}
-	wg.Wait()
-	if n := len(l.Entries()); n != 800 {
-		t.Errorf("entries = %d, want 800", n)
-	}
-}
-
 // TestTimingListingGolden runs a deterministic simulated program twice and
 // checks Listing and the summary are byte-identical across runs, with the
 // exact calls the program makes.
 func TestTimingListingGolden(t *testing.T) {
 	const src = "main() add(mul(3, 4), incr(5))"
-	render := func() (string, []TimingSummary) {
+	render := func() (string, []trace.TimingSummary) {
 		g := compile(t, src, nil)
 		e := New(g, Config{Mode: Simulated, Workers: 1, Timing: true})
 		v, err := e.Run()

@@ -9,6 +9,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/machine"
 	"repro/internal/operator"
+	"repro/internal/trace"
 	"repro/internal/value"
 )
 
@@ -465,7 +466,7 @@ main(x)
 	if lo == 0 || float64(hi)/float64(lo) > 1.5 {
 		t.Errorf("unbalanced loads %v for symmetric program", loads)
 	}
-	if out := NewTimingLog().Gantt(40); !strings.Contains(out, "no timing entries") {
+	if out := trace.NewTimingLog(nil).Gantt(40); !strings.Contains(out, "no timing entries") {
 		t.Errorf("empty gantt = %q", out)
 	}
 }

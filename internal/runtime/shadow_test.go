@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/operator"
+	"repro/internal/trace"
 	"repro/internal/value"
 )
 
@@ -69,8 +70,8 @@ func settledGoroutines(t *testing.T, base int) {
 	}
 }
 
-// checkBrackets fails the test unless every TraceNodeStart of e's last run
-// has its TraceNodeEnd: the watchdog closes the slices a worker it abandoned
+// checkBrackets fails the test unless every trace.NodeStart of e's last run
+// has its trace.NodeEnd: the watchdog closes the slices a worker it abandoned
 // left open, so a timeout trace still shows the operator that overran.
 func checkBrackets(t *testing.T, i int, e *Engine) {
 	t.Helper()
@@ -78,9 +79,9 @@ func checkBrackets(t *testing.T, i int, e *Engine) {
 	for _, buf := range e.Trace().Events {
 		for _, ev := range buf {
 			switch ev.Type {
-			case TraceNodeStart:
+			case trace.NodeStart:
 				starts++
-			case TraceNodeEnd:
+			case trace.NodeEnd:
 				ends++
 			}
 		}

@@ -2,9 +2,6 @@ package runtime
 
 import (
 	"fmt"
-	"sort"
-	"strings"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/value"
@@ -178,131 +175,5 @@ func (s *Stats) String() string {
 	if pa := atomic.LoadInt64(&s.PooledAllocs); pa != 0 {
 		out += fmt.Sprintf(" pooled=%d", pa)
 	}
-	return out
-}
-
-// TimingEntry records one node execution for the node timing tool (§5.2).
-type TimingEntry struct {
-	Name     string // operator or node label
-	Template string
-	Proc     int
-	Start    int64 // virtual start time (Simulated) or offset nanoseconds (Real)
-	Ticks    int64 // virtual ticks (Simulated) or nanoseconds (Real)
-	// Stolen marks a Real-mode entry whose task was pushed by a different
-	// worker than the one that ran it (it crossed the steal path). The gantt
-	// renderer marks it.
-	Stolen bool
-}
-
-// TimingLog collects node timings from all workers. The engine's executors
-// write through per-worker shards (no lock on the execution hot path); the
-// public Add path keeps a mutex for external producers. Entries merges both
-// and sorts, so rendering is deterministic regardless of which worker
-// recorded what first.
-type TimingLog struct {
-	mu      sync.Mutex
-	entries []TimingEntry
-	// shards[w] is worker w's private buffer; only worker w appends to it,
-	// and readers merge after the run is quiescent.
-	shards [][]TimingEntry
-}
-
-// NewTimingLog returns an empty log.
-func NewTimingLog() *TimingLog { return &TimingLog{} }
-
-// initShards sizes the per-worker buffers; called by the engine before the
-// workers start.
-func (l *TimingLog) initShards(workers int) {
-	if len(l.shards) < workers {
-		l.shards = make([][]TimingEntry, workers)
-	}
-}
-
-// addShard appends to worker wid's private buffer without locking. Engine
-// internal: only worker wid may call it, and only while the run is live.
-func (l *TimingLog) addShard(wid int, e TimingEntry) {
-	l.shards[wid] = append(l.shards[wid], e)
-}
-
-// Add appends one entry; safe for concurrent use.
-func (l *TimingLog) Add(e TimingEntry) {
-	l.mu.Lock()
-	l.entries = append(l.entries, e)
-	l.mu.Unlock()
-}
-
-// Entries returns the recorded entries merged across all workers and sorted
-// by (Start, Proc, Name). Under Real-mode concurrency the raw arrival order
-// is scheduling-dependent; the sort makes Listing and Gantt output
-// deterministic for a given set of measurements. Call after Run returns.
-func (l *TimingLog) Entries() []TimingEntry {
-	l.mu.Lock()
-	out := append([]TimingEntry(nil), l.entries...)
-	l.mu.Unlock()
-	for _, shard := range l.shards {
-		out = append(out, shard...)
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Start != out[j].Start {
-			return out[i].Start < out[j].Start
-		}
-		if out[i].Proc != out[j].Proc {
-			return out[i].Proc < out[j].Proc
-		}
-		return out[i].Name < out[j].Name
-	})
-	return out
-}
-
-// Listing renders entries for the named operators in the paper's format:
-//
-//	call of convol_split took 10013
-//	call of convol_bite took 1059919
-//
-// Only operators in the filter set are listed (nil lists everything).
-func (l *TimingLog) Listing(filter map[string]bool) string {
-	var b strings.Builder
-	for _, e := range l.Entries() {
-		if filter != nil && !filter[e.Name] {
-			continue
-		}
-		fmt.Fprintf(&b, "call of %s took %d\n", e.Name, e.Ticks)
-	}
-	return b.String()
-}
-
-// Summary aggregates per-operator totals, sorted by descending total time.
-type TimingSummary struct {
-	Name  string
-	Calls int
-	Total int64
-	Max   int64
-}
-
-// Summarize groups entries by operator name.
-func (l *TimingLog) Summarize() []TimingSummary {
-	agg := make(map[string]*TimingSummary)
-	for _, e := range l.Entries() {
-		s := agg[e.Name]
-		if s == nil {
-			s = &TimingSummary{Name: e.Name}
-			agg[e.Name] = s
-		}
-		s.Calls++
-		s.Total += e.Ticks
-		if e.Ticks > s.Max {
-			s.Max = e.Ticks
-		}
-	}
-	out := make([]TimingSummary, 0, len(agg))
-	for _, s := range agg {
-		out = append(out, *s)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Total != out[j].Total {
-			return out[i].Total > out[j].Total
-		}
-		return out[i].Name < out[j].Name
-	})
 	return out
 }

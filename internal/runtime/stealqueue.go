@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/graph"
+	"repro/internal/trace"
 )
 
 // This file implements the real executor's ready queue, at every worker
@@ -190,8 +191,9 @@ type stealScheduler struct {
 	_           [56]byte
 	closed      atomic.Bool
 	stats       *Stats
-	// tr, when non-nil, records steal and park/unpark events. Each worker
-	// records only under its own id, so no lock is needed.
+	// tr, when non-nil (a full-level recorder), records steal and
+	// park/unpark events. Each worker records only under its own id, so no
+	// lock is needed.
 	tr *tracer
 }
 
@@ -227,7 +229,7 @@ func (s *stealScheduler) push(w *worker, a *activation, n *graph.Node) {
 	if w.proc < 0 {
 		s.outstanding.Add(1)
 		if s.tr != nil {
-			s.tr.record(-1, TraceEvent{Type: TraceInject, Ts: s.tr.now(),
+			s.tr.record(-1, trace.Event{Type: trace.Inject, Ts: s.tr.now(),
 				Act: a.seq, Node: int32(n.ID), Name: traceLabel(n), Tmpl: a.tmpl.Name})
 		}
 		*t = task{act: a, node: n, from: -1}
@@ -340,7 +342,7 @@ func (s *stealScheduler) stealFrom(wid, vid int) *task {
 		if t != nil {
 			atomic.AddInt64(&s.stats.Steals, 1)
 			if s.tr != nil {
-				s.tr.record(wid, TraceEvent{Type: TraceSteal, Ts: s.tr.now(), Arg: int64(vid)})
+				s.tr.record(wid, trace.Event{Type: trace.Steal, Ts: s.tr.now(), Arg: int64(vid)})
 			}
 			return t
 		}
@@ -395,11 +397,11 @@ func (s *stealScheduler) park(wid int) {
 	}
 	atomic.AddInt64(&s.stats.Parks, 1)
 	if s.tr != nil {
-		s.tr.record(wid, TraceEvent{Type: TracePark, Ts: s.tr.now()})
+		s.tr.record(wid, trace.Event{Type: trace.Park, Ts: s.tr.now()})
 	}
 	s.parkers[wid].park()
 	if s.tr != nil {
-		s.tr.record(wid, TraceEvent{Type: TraceUnpark, Ts: s.tr.now()})
+		s.tr.record(wid, trace.Event{Type: trace.Unpark, Ts: s.tr.now()})
 	}
 }
 

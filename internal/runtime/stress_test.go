@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/operator"
+	"repro/internal/trace"
 	"repro/internal/value"
 )
 
@@ -354,9 +355,9 @@ func TestExecutorParity(t *testing.T) {
 			for _, buf := range e.Trace().Events {
 				for _, ev := range buf {
 					switch ev.Type {
-					case TraceNodeStart:
+					case trace.NodeStart:
 						starts++
-					case TraceNodeEnd:
+					case trace.NodeEnd:
 						ends++
 					}
 				}

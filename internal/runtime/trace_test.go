@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"repro/internal/trace"
 	"repro/internal/value"
 )
 
@@ -123,7 +124,7 @@ func TestTraceRealBalanced(t *testing.T) {
 	}
 	var starts, ends int
 	for w, buf := range tr.Events {
-		var open *TraceEvent
+		var open *trace.Event
 		var lastTS int64
 		for i := range buf {
 			ev := &buf[i]
@@ -132,13 +133,13 @@ func TestTraceRealBalanced(t *testing.T) {
 			}
 			lastTS = ev.Ts
 			switch ev.Type {
-			case TraceNodeStart:
+			case trace.NodeStart:
 				if open != nil {
 					t.Fatalf("buffer %d: nested node start at event %d", w, i)
 				}
 				open = ev
 				starts++
-			case TraceNodeEnd:
+			case trace.NodeEnd:
 				if open == nil || open.Act != ev.Act || open.Node != ev.Node {
 					t.Fatalf("buffer %d: node end without matching start at event %d", w, i)
 				}
@@ -166,20 +167,20 @@ func TestTraceRealBalanced(t *testing.T) {
 // events appear on a parallel real-mode run.
 func TestTraceEventKindsRecorded(t *testing.T) {
 	e := runTraced(t, traceFib, Config{Mode: Real, Workers: 4, MaxOps: 2_000_000}, value.Int(16))
-	counts := make(map[TraceEventType]int)
+	counts := make(map[trace.EventType]int)
 	for _, buf := range e.Trace().Events {
 		for i := range buf {
 			counts[buf[i].Type]++
 		}
 	}
-	for _, want := range []TraceEventType{TraceNodeStart, TraceNodeEnd, TraceDeliver, TraceInject, TraceActAlloc} {
+	for _, want := range []trace.EventType{trace.NodeStart, trace.NodeEnd, trace.Deliver, trace.Inject, trace.ActAlloc} {
 		if counts[want] == 0 {
 			t.Errorf("no %v events recorded", want)
 		}
 	}
 	// fib's self-recursion goes through the activation pool and tail calls
 	// once warmed up.
-	if counts[TraceActReuse] == 0 {
+	if counts[trace.ActReuse] == 0 {
 		t.Error("no act-reuse events on a deeply recursive run")
 	}
 }
@@ -233,6 +234,65 @@ func TestCriticalPathSlack(t *testing.T) {
 		}
 		if op.OnPath > op.Total {
 			t.Errorf("%s: on-path %d exceeds total %d", op.Name, op.OnPath, op.Total)
+		}
+	}
+}
+
+// TestTimingFromBrackets pins what the timing log, a view of the node
+// brackets, keeps on the work-stealing scheduler: one entry per operator
+// execution, a stolen mark no more often than the scheduler stole and never
+// at one worker, on the first run of an engine and on warm runs after Reset,
+// which reuses the recorder's buffers.
+func TestTimingFromBrackets(t *testing.T) {
+	g := compile(t, traceFib, nil)
+	for _, workers := range []int{1, 2, 8} {
+		e := New(g, Config{Mode: Real, Workers: workers, Timing: true, MaxOps: 2_000_000})
+		for run := 0; run < 3; run++ {
+			if run > 0 {
+				if err := e.Reset(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := e.Run(value.Int(14)); err != nil {
+				t.Fatalf("w%d run %d: %v", workers, run, err)
+			}
+			st, entries := e.Stats(), e.Timing().Entries()
+			if int64(len(entries)) != st.OperatorsRun {
+				t.Errorf("w%d run %d: %d entries, %d operators run", workers, run, len(entries), st.OperatorsRun)
+			}
+			var stolen int64
+			for _, en := range entries {
+				if en.Stolen {
+					stolen++
+				}
+			}
+			if stolen > st.Steals || (workers == 1 && stolen != 0) {
+				t.Errorf("w%d run %d: %d stolen entries, %d steals", workers, run, stolen, st.Steals)
+			}
+		}
+		if e.Trace() != nil {
+			t.Errorf("w%d: Trace() must be nil when Config.Trace is unset", workers)
+		}
+	}
+}
+
+// TestTimingSkipsFailedNode checks that a failed operator execution gets no
+// timing entry: a panic without retry fails the run with none, and a panic
+// that a retry recovers leaves the one entry of the attempt that succeeded.
+func TestTimingSkipsFailedNode(t *testing.T) {
+	g := compile(t, "main(n) rinc(n)", faultOps())
+	for _, mode := range []Mode{Real, Simulated} {
+		for _, attempts := range []int{1, 2} {
+			e := New(g, Config{Mode: mode, Workers: 2, Timing: true, MaxOps: 1000,
+				Retry:  RetryPolicy{MaxAttempts: attempts},
+				Faults: KillOnce(FaultPanic, "rinc")})
+			_, err := e.Run(value.Int(1))
+			if (err != nil) != (attempts == 1) {
+				t.Fatalf("mode %v attempts %d: err = %v", mode, attempts, err)
+			}
+			if n := len(e.Timing().Entries()); n != attempts-1 {
+				t.Errorf("mode %v attempts %d: %d timing entries, want %d", mode, attempts, n, attempts-1)
+			}
 		}
 	}
 }
